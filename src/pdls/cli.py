@@ -25,18 +25,16 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-CONFIG_KEYS = ("gamma", "eta_max", "n_steps", "init", "base", "schedule", "seed")
+# Config-file key (also the restore flag's dest) -> PdlsConfig field. The keys
+# name the config in files and in config_hash; the defaults live in PdlsConfig.
+_CONFIG_FIELDS = {
+    "gamma": "gamma", "eta_max": "eta_max", "n_steps": "n_steps",
+    "init": "init_mode", "base": "base_condition", "schedule": "schedule_kind",
+}
 
 
 def config_hash(cfg: PdlsConfig, extra: dict | None = None) -> str:
-    items = {
-        "gamma": cfg.gamma,
-        "eta_max": cfg.eta_max,
-        "n_steps": cfg.n_steps,
-        "init": cfg.init_mode,
-        "base": cfg.base_condition,
-        "schedule": cfg.schedule_kind,
-    }
+    items = {key: getattr(cfg, name) for key, name in _CONFIG_FIELDS.items()}
     if extra:
         items.update(extra)
     blob = ",".join(f"{k}={items[k]}" for k in sorted(items))
@@ -58,29 +56,18 @@ def read_config_file(path) -> dict:
 
 
 def build_config(args) -> PdlsConfig:
-    vals = {
-        "gamma": 0.5, "eta_max": 0.5, "n_steps": 28,
-        "init": "structural", "base": "prompt", "schedule": "cosine",
-    }
-    if getattr(args, "config", None):
-        file_vals = read_config_file(args.config)
-        unknown = set(file_vals) - set(vals) - {"seed"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        vals.update({k: v for k, v in file_vals.items() if k != "seed"})
-    for key, attr in (("gamma", "gamma"), ("eta_max", "eta_max"), ("n_steps", "steps"),
-                      ("init", "init"), ("base", "base"), ("schedule", "schedule")):
-        flag = getattr(args, attr, None)
-        if flag is not None:
-            vals[key] = flag
-    return PdlsConfig(
-        gamma=float(vals["gamma"]),
-        eta_max=float(vals["eta_max"]),
-        n_steps=int(vals["n_steps"]),
-        init_mode=str(vals["init"]),
-        base_condition=str(vals["base"]),
-        schedule_kind=str(vals["schedule"]),
-    )
+    """PdlsConfig defaults, overridden by the --config file, then by flags."""
+    file_vals = read_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = set(file_vals) - set(_CONFIG_FIELDS) - {"seed"}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    defaults = PdlsConfig()
+    kwargs = {}
+    for key, name in _CONFIG_FIELDS.items():
+        default = getattr(defaults, name)
+        flag = getattr(args, key, None)
+        kwargs[name] = type(default)(file_vals.get(key, default) if flag is None else flag)
+    return PdlsConfig(**kwargs)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -449,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--gamma", type=float)
     p.add_argument("--eta-max", dest="eta_max", type=float)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", dest="n_steps", type=int)
     p.add_argument("--init", choices=["structural", "semantic", "mixed"])
     p.add_argument("--base", choices=["prompt", "null"])
     p.add_argument("--schedule", choices=["cosine", "constant"])

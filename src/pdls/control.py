@@ -37,24 +37,6 @@ class SteeringSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ControlParams:
-    """Inversion strength gamma plus the reverse-process schedule.
-
-    lambda_terminal is the terminal-cost weight of the derivation; the
-    closed-form control is its exact-terminal limit, so the value is kept
-    for documentation only and never used numerically.
-    """
-
-    gamma: float
-    schedule: SteeringSchedule
-    lambda_terminal: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-
-
 def eta(schedule: SteeringSchedule, t: float) -> float:
     """Guidance strength at time t in [0, 1]."""
     if not 0.0 <= t <= 1.0:

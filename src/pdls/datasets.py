@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .degrade import ImageGrid
-from .flowfield import Condition, GaussianMixture
+from .flowfield import GaussianMixture
 
 SHAPE_CLASSES = ("disk", "square", "cross")
 
@@ -85,7 +85,3 @@ def exemplar_mixture(dataset, bandwidth: float = 0.01) -> GaussianMixture:
 def shapes32_mixture(n_per_class: int = 30, seed: int = 0,
                      bandwidth: float = 0.01) -> GaussianMixture:
     return exemplar_mixture(shapes32_dataset(n_per_class, seed), bandwidth)
-
-
-def prompt_for(label) -> Condition:
-    return Condition.of(label)

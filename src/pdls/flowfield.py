@@ -22,37 +22,19 @@ magnitude otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable
 
 import numpy as np
 from scipy.special import logsumexp
 
-# Terminal-time clamp: field evaluations clamp t into [0, 1 - EPS_T] so the
-# 1/(1-t) gain stays finite. Integration grids may still carry exact
-# endpoint nodes; drifts are only evaluated at the step's start node.
+# Terminal-time clamp: marginal_velocity clamps t into [0, 1 - EPS_T] so the
+# 1/(1-t) gain stays finite. Integration grids keep their exact endpoint
+# nodes; drifts are only evaluated at a step's start node.
 EPS_T = 1e-3
 
 
 class TerminalTimeError(ValueError):
     """Raised when a field or gain is requested too close to a singular time."""
-
-
-@dataclass(frozen=True)
-class LatentState:
-    """A latent vector together with its flow time in [0, 1]."""
-
-    x: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("latent state must be a 1-D vector")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("latent state must be finite")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError("time out of range")
-        object.__setattr__(self, "x", x)
 
 
 class GaussianMixture:
@@ -92,17 +74,6 @@ class GaussianMixture:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    @classmethod
-    def from_components(cls, components: Iterable[tuple]) -> "GaussianMixture":
-        """Build from an iterable of (weight, mean, variance, label) tuples."""
-        comps = list(components)
-        return cls(
-            [c[0] for c in comps],
-            [np.asarray(c[1], dtype=float) for c in comps],
-            [c[2] for c in comps],
-            [c[3] for c in comps],
-        )
 
     def label_set(self) -> frozenset:
         return frozenset(self.labels)
@@ -149,15 +120,12 @@ def _check_points(x, mixture):
     return batch, single
 
 
-def responsibilities(x, t, mixture: GaussianMixture, cond: Condition = Condition.null()):
-    """Posterior probability of each selected component given X_t = x.
+def _posterior(xb, t, mixture: GaussianMixture, cond: Condition):
+    """Responsibilities (n, k) of a batch, plus the means and variances they weight.
 
-    Computed with log-sum-exp over log w_k + log N(x; t mu_k, s_k^2 I) where
-    s_k^2 = (1-t)^2 + t^2 sigma_k^2. Accepts a single point or a batch.
+    Selects the condition's components once, so one field evaluation never
+    selects or copies them twice.
     """
-    xb, single = _check_points(x, mixture)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("time out of range")
     idx = cond.select(mixture)
     mu = mixture.means[idx]
     var = mixture.variances[idx]
@@ -175,7 +143,7 @@ def responsibilities(x, t, mixture: GaussianMixture, cond: Condition = Condition
                 raise ValueError("degenerate posterior at terminal time")
             else:
                 out[i, :] = 1.0 / idx.size
-        return out[0] if single else out
+        return out, mu, var
 
     s2 = (1.0 - t) ** 2 + t**2 * var
     d = mixture.dim
@@ -183,7 +151,19 @@ def responsibilities(x, t, mixture: GaussianMixture, cond: Condition = Condition
     sq = np.einsum("nkd,nkd->nk", diff, diff)
     logp = np.log(w) - 0.5 * d * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
     logr = logp - logsumexp(logp, axis=1, keepdims=True)
-    r = np.exp(logr)
+    return np.exp(logr), mu, var
+
+
+def responsibilities(x, t, mixture: GaussianMixture, cond: Condition = Condition.null()):
+    """Posterior probability of each selected component given X_t = x.
+
+    Computed with log-sum-exp over log w_k + log N(x; t mu_k, s_k^2 I) where
+    s_k^2 = (1-t)^2 + t^2 sigma_k^2. Accepts a single point or a batch.
+    """
+    xb, single = _check_points(x, mixture)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("time out of range")
+    r, _, _ = _posterior(xb, t, mixture, cond)
     return r[0] if single else r
 
 
@@ -195,10 +175,9 @@ def posterior_endpoint_mean(x, t, mixture: GaussianMixture, cond: Condition = Co
     mixed by the responsibilities. Accepts a single point or a batch.
     """
     xb, single = _check_points(x, mixture)
-    r = np.atleast_2d(responsibilities(xb, t, mixture, cond))
-    idx = cond.select(mixture)
-    mu = mixture.means[idx]
-    var = mixture.variances[idx]
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("time out of range")
+    r, mu, var = _posterior(xb, t, mixture, cond)
     s2 = (1.0 - t) ** 2 + t**2 * var
     s2 = np.where(s2 == 0, 1.0, s2)  # Dirac at t=1: coefficient is irrelevant (x = t mu)
     coef = t * var / s2

@@ -1,10 +1,10 @@
 """Uniform time grids and explicit Euler integration in either direction.
 
-The step is signed: x_{k+1} = x_k + dt * drift(state_k, k) with
-dt = (t_end - t_start) / n_steps, so one code path covers forward
-generation (t ascending) and inversion (t descending). The drift callback
-receives the step index, letting schedules and stored-path lookups hit
-grid nodes exactly instead of interpolating in time.
+The step is signed: x_{k+1} = x_k + dt * drift(x_k, t_k, k) with
+dt = t_{k+1} - t_k, so one code path covers forward generation (t
+ascending) and inversion (t descending). The drift callback receives the
+step index, letting schedules and stored-path lookups hit grid nodes
+exactly instead of interpolating in time.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .flowfield import EPS_T, LatentState
 
 
 class DriftDivergedError(RuntimeError):
@@ -53,28 +51,20 @@ class TimeGrid:
         return (self.t_end - self.t_start) / self.n_steps
 
 
-def make_grid(n_steps: int, t_start: float, t_end: float, clamp: bool = True) -> TimeGrid:
-    """Uniform grid of n_steps+1 nodes from t_start to t_end.
+def make_grid(n_steps: int, t_start: float, t_end: float) -> TimeGrid:
+    """Uniform grid of n_steps+1 nodes from t_start to t_end, endpoints exact.
 
-    With clamp=True the start node is clamped into [EPS_T, 1-EPS_T] before
-    the uniform spacing is laid out, then every node is clamped into the
-    same band (so only the final node can move). The pipeline builds its
-    own unclamped grids (fields clamp time internally) so that target-end
-    arrival is exact.
+    Nodes may sit at t = 0 or t = 1; the fields guard their own terminal
+    singularity (see flowfield.EPS_T), so target-end arrival is exact.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     for t in (t_start, t_end):
         if not 0.0 <= t <= 1.0:
             raise ValueError("time out of range")
-    if clamp:
-        t_start = min(max(t_start, EPS_T), 1.0 - EPS_T)
     if t_start == t_end:
         raise ValueError("zero-length time interval")
-    nodes = np.linspace(t_start, t_end, n_steps + 1)
-    if clamp:
-        nodes = np.clip(nodes, EPS_T, 1.0 - EPS_T)
-    return TimeGrid(nodes)
+    return TimeGrid(np.linspace(t_start, t_end, n_steps + 1))
 
 
 @dataclass(frozen=True)
@@ -101,8 +91,9 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def integrate(x0, grid: TimeGrid, drift: Callable[[LatentState, int], np.ndarray]) -> Trajectory:
-    """Explicit Euler along the grid; drift(state, k) is the forward-time velocity."""
+def integrate(x0, grid: TimeGrid,
+              drift: Callable[[np.ndarray, float, int], np.ndarray]) -> Trajectory:
+    """Explicit Euler along the grid; drift(x, t, k) is the forward-time velocity at node k."""
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
@@ -111,7 +102,7 @@ def integrate(x0, grid: TimeGrid, drift: Callable[[LatentState, int], np.ndarray
     nodes = grid.nodes
     for k in range(grid.n_steps):
         dt = nodes[k + 1] - nodes[k]
-        v = np.asarray(drift(LatentState(x, float(nodes[k])), k), dtype=float)
+        v = np.asarray(drift(x, float(nodes[k]), k), dtype=float)
         if v.shape != x.shape or not np.all(np.isfinite(v)):
             raise DriftDivergedError(f"drift diverged at step {k}")
         x = x + dt * v

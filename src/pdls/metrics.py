@@ -23,7 +23,6 @@ class MetricsReport:
     psnr_db: float
     ssim: float | None = None
     class_accuracy: int | None = None
-    step_distances: tuple = ()
 
 
 def _pixels(a) -> np.ndarray:
@@ -84,8 +83,7 @@ def class_accuracy(reconstruction, mixture: GaussianMixture, true_label) -> int:
 
 
 def report(reconstruction: ImageGrid, reference: ImageGrid,
-           mixture: GaussianMixture | None = None, true_label=None,
-           step_distances=()) -> MetricsReport:
+           mixture: GaussianMixture | None = None, true_label=None) -> MetricsReport:
     acc = None
     if mixture is not None and true_label is not None:
         acc = class_accuracy(reconstruction.flatten(), mixture, true_label)
@@ -97,5 +95,4 @@ def report(reconstruction: ImageGrid, reference: ImageGrid,
         psnr_db=psnr(reconstruction, reference),
         ssim=s,
         class_accuracy=acc,
-        step_distances=tuple(step_distances),
     )

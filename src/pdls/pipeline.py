@@ -101,13 +101,13 @@ def invert_path(observed, mixture: GaussianMixture, cond: Condition, gamma: floa
     """
     observed = np.asarray(observed, dtype=float)
     z0 = draw_noise(observed.size, noise_seed)
-    grid = make_grid(n_steps, 1.0, 0.0, clamp=False)
+    grid = make_grid(n_steps, 1.0, 0.0)
 
-    def drift(state, k):
-        guided = endpoint_conditional_velocity(state.x, state.t, z0, 0)
+    def drift(x, t, k):
+        guided = endpoint_conditional_velocity(x, t, z0, 0)
         if gamma == 1.0:
             return guided
-        base = marginal_velocity(state.x, state.t, mixture, cond)
+        base = marginal_velocity(x, t, mixture, cond)
         return blend_drift(base, guided, gamma)
 
     return integrate(observed, grid, drift)
@@ -149,7 +149,7 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
                      config: PdlsConfig) -> Trajectory:
     """Ascending generation from the init latent, steered toward the averaged target."""
     n = paths.structural.grid.n_steps
-    gen_grid = make_grid(n, 0.0, 1.0, clamp=False)
+    gen_grid = make_grid(n, 0.0, 1.0)
     inv_nodes = paths.structural.grid.nodes
     # The generation grid must be the exact reversal of the inversion grid.
     if not np.allclose(inv_nodes[::-1], gen_grid.nodes, rtol=0, atol=1e-12):
@@ -159,20 +159,20 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
     schedule = SteeringSchedule(config.eta_max, config.schedule_kind)
     x_init = initial_latent(paths, config.init_mode)
 
-    def drift(state, k):
+    def drift(x, t, k):
         # Steer toward the stored node this step lands on: targeting the
         # same-time node would chase a point the paths have already left,
         # leaving an exact one-step lag in the retraced trajectory.
         j = n - k - 1
         assert abs(inv_nodes[j] - gen_grid.nodes[k + 1]) < 1e-12, \
             "reverse lookup missed a stored node"
-        weight = float(eta(schedule, state.t))
+        weight = float(eta(schedule, t))
         if weight == 0.0:
-            return marginal_velocity(state.x, state.t, mixture, base_cond)
-        control = lqr_control(state.x, averaged_target(paths, j), state.t)
+            return marginal_velocity(x, t, mixture, base_cond)
+        control = lqr_control(x, averaged_target(paths, j), t)
         if weight == 1.0:
             return control
-        base = marginal_velocity(state.x, state.t, mixture, base_cond)
+        base = marginal_velocity(x, t, mixture, base_cond)
         return blend_drift(base, control, weight)
 
     return integrate(x_init, gen_grid, drift)

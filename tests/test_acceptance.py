@@ -86,9 +86,9 @@ def test_criterion_03_exact_arrival():
                            n_steps=n, noise_seed=17)
         z0 = draw_noise(2, 17)
         ok &= np.linalg.norm(traj.terminal - z0) / np.linalg.norm(z0) < 1e-9
-        grid = make_grid(n, 0.0, 1.0, clamp=False)
+        grid = make_grid(n, 0.0, 1.0)
         steered = integrate(np.array([0.4, -0.2]), grid,
-                            lambda s, k: lqr_control(s.x, target, s.t))
+                            lambda x, t, k: lqr_control(x, target, t))
         ok &= (np.linalg.norm(steered.terminal - target)
                / np.linalg.norm(target)) < 1e-9
     _report(3, "exact arrival", ok)
@@ -156,7 +156,7 @@ def test_criterion_05_transport_fidelity():
     mix = toy2d_mixture()
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1000, 2))
-    grid = make_grid(200, 0.0, 1.0, clamp=False)
+    grid = make_grid(200, 0.0, 1.0)
     for k in range(grid.n_steps):
         dt = grid.nodes[k + 1] - grid.nodes[k]
         x = x + dt * marginal_velocity(x, float(grid.nodes[k]), mix)
@@ -175,8 +175,8 @@ def test_criterion_05_transport_fidelity():
     exact = x0 * np.sqrt(0.5**2 + 0.5**2)
 
     def err(n):
-        g = make_grid(n, 0.0, 0.5, clamp=False)
-        traj = integrate(x0, g, lambda s, k: marginal_velocity(s.x, s.t, gaussian))
+        g = make_grid(n, 0.0, 0.5)
+        traj = integrate(x0, g, lambda x, t, k: marginal_velocity(x, t, gaussian))
         return np.linalg.norm(traj.terminal - exact)
 
     ratio = err(100) / err(200)

@@ -119,6 +119,22 @@ class TestRestore:
         assert run("restore", "--out", out, "--task", "toy2d",
                    "--config", cfgfile, "--seeds", "0:1") == 0
 
+    def test_config_hash_values_are_pinned(self, tmp_path):
+        # New metric rows group with existing run directories in 'bench' only
+        # while these hashes stay fixed.
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("gamma=0.25\nbase=null\nschedule=constant\n")
+        cases = {
+            "7ec4d59ef6": (),
+            "d1d3f1a411": ("--steps", 8, "--eta-max", 0, "--init", "mixed"),
+            "13133201cf": ("--config", cfgfile),
+        }
+        for expected, flags in cases.items():
+            out = tmp_path / expected
+            assert run("restore", "--out", out, "--task", "toy2d", *flags) == 0
+            with open(out / "metrics.csv", newline="") as fh:
+                assert next(csv.DictReader(fh))["config"] == expected
+
 
 class TestBench:
     def _toy_metrics(self, tmp_path, name, extra=()):

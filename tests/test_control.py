@@ -4,7 +4,7 @@ contraction identity."""
 import numpy as np
 import pytest
 
-from pdls.control import ControlParams, SteeringSchedule, blend_drift, eta, lqr_control
+from pdls.control import SteeringSchedule, blend_drift, eta, lqr_control
 from pdls.flowfield import TerminalTimeError
 
 
@@ -46,10 +46,6 @@ class TestSchedule:
             SteeringSchedule(1.5)
         with pytest.raises(ValueError, match="schedule kind"):
             SteeringSchedule(0.5, kind="linear")
-
-    def test_gamma_validation(self):
-        with pytest.raises(ValueError, match="gamma"):
-            ControlParams(gamma=-0.1, schedule=SteeringSchedule(0.5))
 
 
 class TestLqrControl:

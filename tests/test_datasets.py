@@ -5,7 +5,6 @@ import numpy as np
 from pdls.datasets import (
     SHAPE_CLASSES,
     exemplar_mixture,
-    prompt_for,
     shapes32_dataset,
     shapes32_mixture,
     toy2d_mixture,
@@ -53,10 +52,3 @@ def test_exemplar_mixture_structure():
     assert np.allclose(mix.variances, 0.01)
     full = shapes32_mixture(n_per_class=2)
     assert np.array_equal(full.means, mix.means)
-
-
-def test_prompt_for_selects_one_label():
-    mix = shapes32_mixture(n_per_class=3)
-    idx = prompt_for("disk").select(mix)
-    assert len(idx) == 3
-    assert all(mix.labels[i] == "disk" for i in idx)

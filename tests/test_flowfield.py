@@ -1,8 +1,11 @@
-"""Velocity-field unit tests: pinned values, a direct-density oracle, and
-basic validation behavior."""
+"""Velocity-field unit tests: pinned values, a direct-density oracle,
+property checks over random mixtures, and basic validation behavior."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pdls.flowfield import (
     EPS_T,
@@ -212,3 +215,48 @@ class TestSampling:
         mix = GaussianMixture([0.5, 0.5], [[2.0, 0.0], [-2.0, 0.0]], [0.05, 0.05], ["A", "B"])
         x, _ = sample_mixture(mix, 20000, rng)
         assert np.allclose(x.mean(axis=0), [0.0, 0.0], atol=0.05)
+
+
+@st.composite
+def field_cases(draw):
+    """A small random mixture, a condition on it, a single point or a batch, and t."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    means = draw(arrays(float, (k, d), elements=st.floats(-3.0, 3.0)))
+    variances = draw(arrays(float, k, elements=st.one_of(st.just(0.0), st.floats(1e-4, 1.0))))
+    weights = draw(arrays(float, k, elements=st.floats(0.1, 1.0)))
+    labels = draw(st.lists(st.sampled_from("ABC"), min_size=k, max_size=k))
+    mixture = GaussianMixture(weights / weights.sum(), means, variances, labels)
+    kept = draw(st.one_of(st.none(), st.sets(st.sampled_from(sorted(set(labels))), min_size=1)))
+    cond = Condition.null() if kept is None else Condition.of(*kept)
+    shape = d if draw(st.booleans()) else (draw(st.integers(1, 4)), d)
+    x = draw(arrays(float, shape, elements=st.floats(-4.0, 4.0)))
+    t = draw(st.floats(0.0, 1.0 - EPS_T))
+    return mixture, cond, x, t
+
+
+class TestFieldProperties:
+    @settings(deadline=None)
+    @given(field_cases())
+    def test_endpoint_mean_mixes_per_component_endpoints(self, case):
+        mixture, cond, x, t = case
+        r = np.atleast_2d(responsibilities(x, t, mixture, cond))
+        idx = cond.select(mixture)
+        mu, var = mixture.means[idx], mixture.variances[idx]
+        s2 = (1.0 - t) ** 2 + t**2 * var
+        xb = np.atleast_2d(x)
+        endpoints = (mu[None, :, :]
+                     + (t * var / s2)[None, :, None] * (xb[:, None, :] - t * mu[None, :, :]))
+        expected = np.sum(r[:, :, None] * endpoints, axis=1)
+        got = posterior_endpoint_mean(x, t, mixture, cond)
+        assert got.shape == x.shape
+        scale = max(np.abs(endpoints).max(), 1.0)
+        assert np.max(np.abs(np.atleast_2d(got) - expected)) <= 1e-12 * scale
+
+    @settings(deadline=None)
+    @given(field_cases())
+    def test_prompt_of_every_label_is_the_null_field(self, case):
+        mixture, _, x, t = case
+        everything = Condition.of(*mixture.labels)
+        assert np.array_equal(marginal_velocity(x, t, mixture, everything),
+                              marginal_velocity(x, t, mixture, Condition.null()))

@@ -16,10 +16,6 @@ from pdls.integrate import (
 
 
 class TestMakeGrid:
-    def test_clamped_two_step_example(self):
-        grid = make_grid(2, 0.0, 1.0)
-        assert np.allclose(grid.nodes, [0.001, 0.5005, 0.999], atol=1e-15)
-
     def test_default_step_count(self):
         assert make_grid(28, 0.0, 1.0).nodes.size == 29
 
@@ -29,7 +25,7 @@ class TestMakeGrid:
         assert grid.t_start > grid.t_end
 
     def test_unclamped_grid_keeps_exact_endpoints(self):
-        grid = make_grid(4, 0.0, 1.0, clamp=False)
+        grid = make_grid(4, 0.0, 1.0)
         assert grid.nodes[0] == 0.0
         assert grid.nodes[-1] == 1.0
 
@@ -52,17 +48,17 @@ class TestMakeGrid:
 
 class TestIntegrate:
     def test_zero_drift_is_constant(self):
-        grid = make_grid(10, 0.0, 1.0, clamp=False)
-        traj = integrate(np.array([1.0, -2.0]), grid, lambda s, k: np.zeros(2))
+        grid = make_grid(10, 0.0, 1.0)
+        traj = integrate(np.array([1.0, -2.0]), grid, lambda x, t, k: np.zeros(2))
         assert np.allclose(traj.states, [1.0, -2.0])
 
     def test_straight_line_field_arrives_exactly(self):
         target = np.array([2.0, -1.0])
         for n in (7, 28, 100):
-            grid = make_grid(n, 0.0, 1.0, clamp=False)
+            grid = make_grid(n, 0.0, 1.0)
             traj = integrate(
                 np.array([0.3, 0.4]), grid,
-                lambda s, k: endpoint_conditional_velocity(s.x, s.t, target, 1),
+                lambda x, t, k: endpoint_conditional_velocity(x, t, target, 1),
             )
             assert np.linalg.norm(traj.terminal - target) / np.linalg.norm(target) < 1e-9
 
@@ -74,8 +70,8 @@ class TestIntegrate:
         exact = x0 * np.sqrt(2.0) / 2.0  # value at t = 0.5
 
         def run(n):
-            grid = make_grid(n, 0.0, 0.5, clamp=False)
-            traj = integrate(x0, grid, lambda s, k: marginal_velocity(s.x, s.t, mix))
+            grid = make_grid(n, 0.0, 0.5)
+            traj = integrate(x0, grid, lambda x, t, k: marginal_velocity(x, t, mix))
             return np.linalg.norm(traj.terminal - exact)
 
         ratio = run(100) / run(200)
@@ -83,24 +79,24 @@ class TestIntegrate:
 
     def test_descending_integration_reverses_ascending(self):
         mix = GaussianMixture([1.0], [[1.5, -0.5]], [1.0], ["g"])
-        fwd = integrate(np.array([0.2, 0.1]), make_grid(200, 0.0, 1.0, clamp=False),
-                        lambda s, k: marginal_velocity(s.x, s.t, mix))
-        back = integrate(fwd.terminal, make_grid(200, 1.0, 0.0, clamp=False),
-                         lambda s, k: marginal_velocity(s.x, s.t, mix))
+        fwd = integrate(np.array([0.2, 0.1]), make_grid(200, 0.0, 1.0),
+                        lambda x, t, k: marginal_velocity(x, t, mix))
+        back = integrate(fwd.terminal, make_grid(200, 1.0, 0.0),
+                         lambda x, t, k: marginal_velocity(x, t, mix))
         # Round trip through the same field is first-order accurate.
         assert np.linalg.norm(back.terminal - [0.2, 0.1]) < 0.05
 
     def test_determinism(self):
         mix = GaussianMixture([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]], [0.1, 0.1], ["a", "b"])
-        grid = make_grid(20, 0.0, 1.0, clamp=False)
-        a = integrate(np.array([0.1, 0.2]), grid, lambda s, k: marginal_velocity(s.x, s.t, mix))
-        b = integrate(np.array([0.1, 0.2]), grid, lambda s, k: marginal_velocity(s.x, s.t, mix))
+        grid = make_grid(20, 0.0, 1.0)
+        a = integrate(np.array([0.1, 0.2]), grid, lambda x, t, k: marginal_velocity(x, t, mix))
+        b = integrate(np.array([0.1, 0.2]), grid, lambda x, t, k: marginal_velocity(x, t, mix))
         assert np.array_equal(a.states, b.states)
 
     def test_diverged_drift_reports_step(self):
-        grid = make_grid(5, 0.0, 1.0, clamp=False)
+        grid = make_grid(5, 0.0, 1.0)
 
-        def bad(state, k):
+        def bad(x, t, k):
             return np.full(2, np.nan) if k == 3 else np.zeros(2)
 
         with pytest.raises(DriftDivergedError, match="drift diverged at step 3"):
@@ -114,16 +110,16 @@ class TestIntegrate:
 
 class TestTrajectoryCsv:
     def test_round_trip_is_exact(self):
-        grid = make_grid(6, 0.0, 1.0, clamp=False)
+        grid = make_grid(6, 0.0, 1.0)
         traj = integrate(np.array([0.5, -0.25]), grid,
-                         lambda s, k: np.array([1.0, -1.0]) * s.t)
+                         lambda x, t, k: np.array([1.0, -1.0]) * t)
         back = trajectory_from_csv(trajectory_to_csv(traj))
         assert np.array_equal(back.grid.nodes, traj.grid.nodes)
         assert np.array_equal(back.states, traj.states)
 
     def test_header_columns(self):
-        grid = make_grid(2, 0.0, 1.0, clamp=False)
-        traj = integrate(np.zeros(3), grid, lambda s, k: np.zeros(3))
+        grid = make_grid(2, 0.0, 1.0)
+        traj = integrate(np.zeros(3), grid, lambda x, t, k: np.zeros(3))
         header = trajectory_to_csv(traj).splitlines()[0]
         assert header == "t,x_0,x_1,x_2"
 

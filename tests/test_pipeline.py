@@ -114,7 +114,7 @@ class TestDualInvert:
 
 class TestAveragedTarget:
     def _paths(self, s0, s1):
-        grid = make_grid(1, 1.0, 0.0, clamp=False)
+        grid = make_grid(1, 1.0, 0.0)
         a = Trajectory(grid, np.array([s0, s0], dtype=float))
         b = Trajectory(grid, np.array([s1, s1], dtype=float))
         return DualPaths(a, b, Condition.of("A"))
@@ -145,7 +145,7 @@ class TestAveragedTarget:
 
 class TestInitialLatent:
     def test_modes(self):
-        grid = make_grid(1, 1.0, 0.0, clamp=False)
+        grid = make_grid(1, 1.0, 0.0)
         a = Trajectory(grid, np.array([[9.0, 9.0], [1.0, 0.0]]))
         b = Trajectory(grid, np.array([[9.0, 9.0], [3.0, 2.0]]))
         paths = DualPaths(a, b, Condition.of("A"))
@@ -154,7 +154,7 @@ class TestInitialLatent:
         assert np.allclose(initial_latent(paths, "mixed"), [2.0, 1.0])
 
     def test_noise_end_requires_descending_trajectory(self):
-        grid = make_grid(1, 0.0, 1.0, clamp=False)
+        grid = make_grid(1, 0.0, 1.0)
         traj = Trajectory(grid, np.zeros((2, 2)))
         with pytest.raises(ValueError, match="descending"):
             NoiseEndLatent.from_trajectory(traj)
@@ -168,16 +168,16 @@ class TestSteeredGenerate:
         paths = dual_invert(np.array([1.7, 0.3]), mix, Condition.of("A"),
                             PdlsConfig(eta_max=0.0), noise_seed=2)
         gen = steered_generate(paths, mix, PdlsConfig(eta_max=0.0))
-        grid = make_grid(28, 0.0, 1.0, clamp=False)
+        grid = make_grid(28, 0.0, 1.0)
         plain = integrate(
             paths.structural.terminal, grid,
-            lambda s, k: marginal_velocity(s.x, s.t, mix, Condition.of("A")),
+            lambda x, t, k: marginal_velocity(x, t, mix, Condition.of("A")),
         )
         assert np.allclose(gen.states, plain.states, atol=1e-12)
 
     def test_mismatched_grid_rejected(self):
         mix = toy2d_mixture()
-        grid = make_grid(4, 0.9, 0.1, clamp=False)
+        grid = make_grid(4, 0.9, 0.1)
         traj = Trajectory(grid, np.zeros((5, 2)))
         paths = DualPaths(traj, traj, Condition.of("A"))
         with pytest.raises(ValueError, match="reversal of the generation grid"):
@@ -192,7 +192,7 @@ class TestSteeredGenerate:
         obs = np.array([2.0, 1.0])
         z0 = np.array([-0.5, 0.25])
         n = 16
-        grid = make_grid(n, 1.0, 0.0, clamp=False)
+        grid = make_grid(n, 1.0, 0.0)
         line = np.array([z0 + t * (obs - z0) for t in grid.nodes])
         traj = Trajectory(grid, line)
         paths = DualPaths(traj, traj, Condition.of("d"))
