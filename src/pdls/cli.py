@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -173,8 +172,20 @@ def _restore_input(observed: degrade.ImageGrid, operator: str,
     return observed.flatten()
 
 
+def _read_manifest(path) -> dict:
+    """The manifest 'pdls degrade' wrote; a malformed one is an I/O error."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise fileio.FormatError(f"manifest {path} is not valid JSON: {exc}") from exc
+    missing = {"operator", "records"} - set(manifest if isinstance(manifest, dict) else ())
+    if missing:
+        raise fileio.FormatError(f"manifest {path} lacks {sorted(missing)}")
+    return manifest
+
+
 def _run_image_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
-    manifest = json.loads(Path(args.manifest).read_text())
+    manifest = _read_manifest(args.manifest)
     mdir = Path(args.manifest).parent
     if args.mixture:
         mixture = fileio.read_mixture(args.mixture)
@@ -183,71 +194,63 @@ def _run_image_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
                                             args.bandwidth)
     seeds = parse_seeds(args.seeds)
     task = manifest["operator"].split(":")[0]
-    jobs = []
+    jobs, inputs = [], []
     for rec in manifest["records"]:
         observed = fileio.read_pgm(mdir / rec["observed"])
         source = fileio.read_pgm(mdir / rec["source"])
         x_obs = _restore_input(observed, manifest["operator"],
                                (rec["height"], rec["width"]))
         for seed in seeds:
-            jobs.append((rec, observed, source, x_obs, seed))
+            jobs.append((rec, source, seed))
+            inputs.append(x_obs)
+    if not jobs:
+        return []
+    results = restore(np.stack(inputs), mixture,
+                      [_prompt_for(args, rec["label"]) for rec, _, _ in jobs], cfg,
+                      [seed for _, _, seed in jobs])
 
-    def run(job):
-        rec, observed, source, x_obs, seed = job
-        prompt = _prompt_for(args, rec["label"])
-        result = restore(x_obs, mixture, prompt, cfg, seed)
+    rows = []
+    for (rec, source, seed), result in zip(jobs, results):
         recon = degrade.ImageGrid.from_vector(result.restored, rec["height"], rec["width"])
         rep = metrics.report(recon, source, mixture, rec["label"])
         name = f"{rec['id']}_s{seed}_recon.pgm"
         fileio.write_pgm(out / name, recon)
-        return {
+        rows.append({
             "task": task, "input": rec["id"], "seed": seed,
             "config": config_hash(cfg, {"prompt": args.prompt}),
             "mse": rep.mse, "psnr_db": rep.psnr_db, "ssim": rep.ssim,
             "class_acc": rep.class_accuracy, "recon_path": name,
-        }, result
-
-    rows = []
-    first_result = None
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outputs = list(pool.map(run, jobs))
-    else:
-        outputs = [run(j) for j in jobs]
-    for row, result in outputs:
-        rows.append(row)
-        if first_result is None:
-            first_result = result
-    if first_result is not None:
-        _write_diagnostics(out / "diagnostics.csv", first_result.diagnostics)
+        })
+    _write_diagnostics(out / "diagnostics.csv", results[0].diagnostics)
     return rows
 
 
 def _run_toy_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
     mixture = fileio.read_mixture(args.mixture) if args.mixture else datasets.toy2d_mixture()
     seeds = parse_seeds(args.seeds)
-
-    def run(seed):
+    cases = []
+    for seed in seeds:
         rng = np.random.default_rng(seed)
         clean, labels = sample_mixture(mixture, 1, rng)
         clean, label = clean[0], labels[0]
         observed = clean + args.sigma_y * rng.standard_normal(clean.shape)
-        prompt = _prompt_for(args, label)
-        result = restore(observed, mixture, prompt, cfg, seed)
+        cases.append((seed, clean, label, observed))
+    results = restore(np.stack([obs for *_, obs in cases]), mixture,
+                      [_prompt_for(args, label) for _, _, label, _ in cases], cfg, seeds)
+
+    rows = []
+    for (seed, clean, label, _), result in zip(cases, results):
         err = float(np.mean((result.restored - clean) ** 2))
-        return {
+        rows.append({
             "task": "toy2d", "input": f"seed{seed}", "seed": seed,
             "config": config_hash(cfg, {"prompt": args.prompt}),
             "mse": err, "psnr_db": metrics.psnr(result.restored, clean),
             "ssim": None,
             "class_acc": metrics.class_accuracy(result.restored, mixture, label),
             "recon_path": "",
-        }, result
-
-    outputs = [run(s) for s in seeds]
-    rows = [row for row, _ in outputs]
+        })
     # trajectory dump for the first seed feeds the bench plot
-    _, first = outputs[0]
+    first = results[0]
     (out / "structural_path.csv").write_text(trajectory_to_csv(first.paths.structural))
     (out / "semantic_path.csv").write_text(trajectory_to_csv(first.paths.semantic))
     (out / "steered_path.csv").write_text(trajectory_to_csv(first.generated))
@@ -298,19 +301,25 @@ def _read_metrics(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+_METRIC_COLUMNS = ("mse", "psnr_db", "ssim", "class_acc")
+
+
 def aggregate(rows: list[dict]) -> list[dict]:
+    """Per (task, config): n, and per metric the mean and std of its finite
+    values plus the count of non-finite values left out of them."""
     groups: dict[tuple, list[dict]] = {}
     for r in rows:
         groups.setdefault((r["task"], r["config"]), []).append(r)
     table = []
     for (task, cfg), grp in sorted(groups.items()):
         entry = {"task": task, "config": cfg, "n": len(grp)}
-        for col in ("mse", "psnr_db", "ssim", "class_acc"):
+        for col in _METRIC_COLUMNS:
             vals = [float(r[col]) for r in grp if r[col] not in ("", None)]
-            vals = [v for v in vals if np.isfinite(v)]
-            if vals:
-                entry[f"{col}_mean"] = float(np.mean(vals))
-                entry[f"{col}_std"] = float(np.std(vals))
+            finite = [v for v in vals if np.isfinite(v)]
+            if finite:
+                entry[f"{col}_mean"] = float(np.mean(finite))
+                entry[f"{col}_std"] = float(np.std(finite))
+            entry[f"{col}_dropped"] = len(vals) - len(finite)
         table.append(entry)
     return table
 
@@ -373,8 +382,8 @@ def cmd_bench(args) -> int:
         print("missing runs:\n" + "\n".join(missing), file=sys.stderr)
         return 1
     table = aggregate(rows)
-    cols = ["task", "config", "n"] + [f"{c}_{s}" for c in ("mse", "psnr_db", "ssim", "class_acc")
-                                      for s in ("mean", "std")]
+    cols = ["task", "config", "n"] + [f"{c}_{s}" for c in _METRIC_COLUMNS
+                                      for s in ("mean", "std", "dropped")]
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
         writer.writeheader()
@@ -413,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--n-per-class", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bandwidth", type=float, default=0.01)
+    p.add_argument("--bandwidth", type=float, default=datasets.DEFAULT_BANDWIDTH)
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("degrade", help="apply a degradation operator")
@@ -443,10 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", default="auto", help="'auto', 'none', or a label")
     p.add_argument("--seeds", default="0:1")
     p.add_argument("--sigma-y", type=float, default=0.01, help="toy2d observation noise")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--demo-seed", type=int, default=0)
     p.add_argument("--n-per-class", type=int, default=30)
-    p.add_argument("--bandwidth", type=float, default=1e-4,
+    p.add_argument("--bandwidth", type=float, default=datasets.DEFAULT_BANDWIDTH,
                    help="kernel bandwidth for the builtin exemplar mixture")
     p.set_defaults(func=cmd_restore)
 

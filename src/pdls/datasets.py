@@ -17,6 +17,9 @@ from .degrade import ImageGrid
 from .flowfield import GaussianMixture
 
 SHAPE_CLASSES = ("disk", "square", "cross")
+# Kernel bandwidth (shared component variance) of the exemplar mixtures: the
+# builtin restore mixture, the demo's shapes32.mix and the library defaults.
+DEFAULT_BANDWIDTH = 1e-4
 
 
 def toy2d_mixture() -> GaussianMixture:
@@ -71,7 +74,7 @@ def shapes32_dataset(n_per_class: int = 30, seed: int = 0):
     return out
 
 
-def exemplar_mixture(dataset, bandwidth: float = 0.01) -> GaussianMixture:
+def exemplar_mixture(dataset, bandwidth: float = DEFAULT_BANDWIDTH) -> GaussianMixture:
     """Equal-weight mixture with one (kernel-smoothed) component per exemplar."""
     n = len(dataset)
     return GaussianMixture(
@@ -83,5 +86,5 @@ def exemplar_mixture(dataset, bandwidth: float = 0.01) -> GaussianMixture:
 
 
 def shapes32_mixture(n_per_class: int = 30, seed: int = 0,
-                     bandwidth: float = 0.01) -> GaussianMixture:
+                     bandwidth: float = DEFAULT_BANDWIDTH) -> GaussianMixture:
     return exemplar_mixture(shapes32_dataset(n_per_class, seed), bandwidth)

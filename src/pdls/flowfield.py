@@ -17,6 +17,14 @@ Exemplar datasets enter as zero-variance (Dirac) components, optionally
 smoothed with a small shared bandwidth. All density arithmetic is done in
 log space; component likelihoods near t=1 span hundreds of orders of
 magnitude otherwise.
+
+Every field function takes one point (d,) or a batch (n, d), under one
+Condition or one condition per row. A condition is a row of log-weights
+with -inf for the components it excludes (GaussianMixture.log_weights), so
+the rows of one batch can carry different conditions. Squared distances
+are expanded as ||x||^2 - 2t x.mu^T + t^2 ||mu||^2 and the endpoint mean
+is mixed by a second matrix product, so a batch costs two (n, d) x (d, K)
+GEMMs and builds no (n, K, d) temporaries.
 """
 
 from __future__ import annotations
@@ -41,7 +49,9 @@ class GaussianMixture:
     """Isotropic Gaussian mixture with labeled components.
 
     Components with variance 0 are exemplars (Dirac masses); a small shared
-    variance acts as a kernel bandwidth smoothing the exemplar field.
+    variance acts as a kernel bandwidth smoothing the exemplar field. The
+    field reads a cache built here (squared mean norms, and log-weights per
+    condition), so a mixture's arrays are not to be changed after creation.
     """
 
     def __init__(self, weights, means, variances, labels):
@@ -66,6 +76,9 @@ class GaussianMixture:
         self.means = means
         self.variances = variances
         self.labels = labels
+        self.mean_sq = np.einsum("kd,kd->k", means, means)
+        self._log_w = np.log(weights)
+        self._log_w_rows: dict = {}
 
     @property
     def n_components(self) -> int:
@@ -77,6 +90,17 @@ class GaussianMixture:
 
     def label_set(self) -> frozenset:
         return frozenset(self.labels)
+
+    def log_weights(self, cond: "Condition") -> np.ndarray:
+        """(K,) log-weights under cond, -inf for the components it excludes (cached)."""
+        row = self._log_w_rows.get(cond)
+        if row is None:
+            idx = cond.select(self)
+            row = np.full(self.n_components, -np.inf)
+            row[idx] = self._log_w[idx]
+            row.flags.writeable = False
+            self._log_w_rows[cond] = row
+        return row
 
 
 @dataclass(frozen=True)
@@ -120,69 +144,98 @@ def _check_points(x, mixture):
     return batch, single
 
 
-def _posterior(xb, t, mixture: GaussianMixture, cond: Condition):
-    """Responsibilities (n, k) of a batch, plus the means and variances they weight.
+def _log_weight_rows(mixture: GaussianMixture, cond, n: int) -> np.ndarray:
+    """(n, K) log-weights of one condition for every row, or of one condition per row."""
+    if isinstance(cond, Condition):
+        return np.broadcast_to(mixture.log_weights(cond), (n, mixture.n_components))
+    rows = [mixture.log_weights(c) for c in cond]
+    if len(rows) != n:
+        raise ValueError(f"{len(rows)} conditions for a batch of {n} points")
+    return np.stack(rows)
 
-    Selects the condition's components once, so one field evaluation never
-    selects or copies them twice.
+
+def _sq_distances(xb, t, means, mean_sq):
+    """(n, K) squared distances ||x - t mu||^2 = ||x||^2 - 2t x.mu + t^2 ||mu||^2."""
+    x_sq = np.einsum("nd,nd->n", xb, xb)
+    return x_sq[:, None] - (2.0 * t) * (xb @ means.T) + (t * t) * mean_sq
+
+
+def _gaussian_posterior(xb, t, means, mean_sq, variances, logw):
+    """Responsibilities (n, K) from log w_k + log N(x; t mu_k, s_k^2 I), s_k^2 > 0."""
+    s2 = (1.0 - t) ** 2 + t**2 * variances
+    d = means.shape[1]
+    sq = _sq_distances(xb, t, means, mean_sq)
+    logp = logw - 0.5 * d * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
+    return np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+
+
+def _terminal_posterior(xb, mixture: GaussianMixture, logw):
+    """Responsibilities at t >= 1 of a mixture with Dirac components.
+
+    Dirac components make the terminal posterior collapse onto exact means;
+    a row whose condition keeps no Dirac is an ordinary Gaussian posterior.
     """
-    idx = cond.select(mixture)
-    mu = mixture.means[idx]
-    var = mixture.variances[idx]
-    w = mixture.weights[idx]
-
-    if t >= 1.0 and np.any(var == 0):
-        # Dirac components make the terminal posterior collapse onto exact means.
+    out = np.zeros((xb.shape[0], mixture.n_components))
+    for i, (pt, row) in enumerate(zip(xb, logw)):
+        idx = np.flatnonzero(np.isfinite(row))
+        mu, var = mixture.means[idx], mixture.variances[idx]
+        if not np.any(var == 0):
+            out[i, idx] = _gaussian_posterior(pt[None, :], 1.0, mu, mixture.mean_sq[idx],
+                                              var, row[idx])[0]
+            continue
         distinct = np.unique(np.hstack([mu, var[:, None]]), axis=0).shape[0] > 1
-        out = np.zeros((xb.shape[0], idx.size))
-        for i, pt in enumerate(xb):
-            hit = np.all(mu == pt, axis=1) & (var == 0)
-            if np.any(hit):
-                out[i, np.argmax(hit)] = 1.0
-            elif idx.size > 1 and distinct:
-                raise ValueError("degenerate posterior at terminal time")
-            else:
-                out[i, :] = 1.0 / idx.size
-        return out, mu, var
-
-    s2 = (1.0 - t) ** 2 + t**2 * var
-    d = mixture.dim
-    diff = xb[:, None, :] - t * mu[None, :, :]  # (n, k, d)
-    sq = np.einsum("nkd,nkd->nk", diff, diff)
-    logp = np.log(w) - 0.5 * d * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
-    logr = logp - logsumexp(logp, axis=1, keepdims=True)
-    return np.exp(logr), mu, var
+        hit = np.all(mu == pt, axis=1) & (var == 0)
+        if np.any(hit):
+            out[i, idx[np.argmax(hit)]] = 1.0
+        elif idx.size > 1 and distinct:
+            raise ValueError("degenerate posterior at terminal time")
+        else:
+            out[i, idx] = 1.0 / idx.size
+    return out
 
 
-def responsibilities(x, t, mixture: GaussianMixture, cond: Condition = Condition.null()):
-    """Posterior probability of each selected component given X_t = x.
-
-    Computed with log-sum-exp over log w_k + log N(x; t mu_k, s_k^2 I) where
-    s_k^2 = (1-t)^2 + t^2 sigma_k^2. Accepts a single point or a batch.
-    """
-    xb, single = _check_points(x, mixture)
+def _posterior(xb, t, mixture: GaussianMixture, cond):
+    """Responsibilities (n, K) over all K components; excluded ones get exactly 0."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("time out of range")
-    r, _, _ = _posterior(xb, t, mixture, cond)
+    logw = _log_weight_rows(mixture, cond, xb.shape[0])
+    if t >= 1.0 and np.any(mixture.variances == 0):
+        return _terminal_posterior(xb, mixture, logw)
+    return _gaussian_posterior(xb, t, mixture.means, mixture.mean_sq, mixture.variances, logw)
+
+
+def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
+    """Posterior probability of each component given X_t = x.
+
+    Computed with log-sum-exp over log w_k + log N(x; t mu_k, s_k^2 I) where
+    s_k^2 = (1-t)^2 + t^2 sigma_k^2. Accepts a single point or a batch. With
+    one Condition the columns are the components it selects; with one
+    condition per row they are all K components, 0 where a row's condition
+    excludes them.
+    """
+    xb, single = _check_points(x, mixture)
+    r = _posterior(xb, t, mixture, cond)
+    if isinstance(cond, Condition):
+        r = r[:, np.isfinite(mixture.log_weights(cond))]
     return r[0] if single else r
 
 
-def posterior_endpoint_mean(x, t, mixture: GaussianMixture, cond: Condition = Condition.null()):
+def posterior_endpoint_mean(x, t, mixture: GaussianMixture, cond=Condition.null()):
     """E[X_1 | X_t = x] under the (conditioned) mixture.
 
     Per component, Gaussian conditioning gives
-        E[X_1 | x, k] = mu_k + t sigma_k^2 / s_k^2 * (x - t mu_k),
-    mixed by the responsibilities. Accepts a single point or a batch.
+        E[X_1 | x, k] = mu_k + c_k (x - t mu_k),   c_k = t sigma_k^2 / s_k^2,
+    mixed by the responsibilities r, which is two GEMMs:
+        (r * (1 - t c)) @ mu + (r @ c) x.
+    Accepts a single point or a batch, under one Condition or one per row.
     """
     xb, single = _check_points(x, mixture)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("time out of range")
-    r, mu, var = _posterior(xb, t, mixture, cond)
+    r = _posterior(xb, t, mixture, cond)
+    var = mixture.variances
     s2 = (1.0 - t) ** 2 + t**2 * var
     s2 = np.where(s2 == 0, 1.0, s2)  # Dirac at t=1: coefficient is irrelevant (x = t mu)
     coef = t * var / s2
-    endpoints = mu[None, :, :] + coef[None, :, None] * (xb[:, None, :] - t * mu[None, :, :])
-    out = np.einsum("nk,nkd->nd", r, endpoints)
+    out = (r * (1.0 - t * coef)) @ mixture.means + (r @ coef)[:, None] * xb
     return out[0] if single else out
 
 
@@ -190,14 +243,14 @@ def marginal_velocity(
     x,
     t,
     mixture: GaussianMixture,
-    cond: Condition = Condition.null(),
+    cond=Condition.null(),
     clamp: bool = True,
 ):
     """Exact marginal velocity (posterior_endpoint_mean(x, t) - x) / (1 - t).
 
     With clamp=True (the default, used by all integrators) t is clamped into
     [0, 1 - EPS_T]; with clamp=False times past the clamp raise.
-    Accepts a single point or a batch.
+    Accepts a single point or a batch, under one Condition or one per row.
     """
     x = np.asarray(x, dtype=float)
     if not 0.0 <= t <= 1.0:

@@ -4,7 +4,8 @@ The step is signed: x_{k+1} = x_k + dt * drift(x_k, t_k, k) with
 dt = t_{k+1} - t_k, so one code path covers forward generation (t
 ascending) and inversion (t descending). The drift callback receives the
 step index, letting schedules and stored-path lookups hit grid nodes
-exactly instead of interpolating in time.
+exactly instead of interpolating in time. The state may be one point (d,)
+or a batch (n, d) advanced together, one drift call per step.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class TimeGrid:
     def t_end(self) -> float:
         return float(self.nodes[-1])
 
-    @property
-    def dt(self) -> float:
-        return (self.t_end - self.t_start) / self.n_steps
-
 
 def make_grid(n_steps: int, t_start: float, t_end: float) -> TimeGrid:
     """Uniform grid of n_steps+1 nodes from t_start to t_end, endpoints exact.
@@ -72,7 +69,7 @@ class Trajectory:
     """A time grid plus the latent state at each node."""
 
     grid: TimeGrid
-    states: np.ndarray  # (n_steps + 1, d)
+    states: np.ndarray  # (n_steps + 1, d), or (n_steps + 1, n, d) for a batch
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
@@ -88,16 +85,19 @@ class Trajectory:
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
 
 def integrate(x0, grid: TimeGrid,
               drift: Callable[[np.ndarray, float, int], np.ndarray]) -> Trajectory:
-    """Explicit Euler along the grid; drift(x, t, k) is the forward-time velocity at node k."""
+    """Explicit Euler along the grid; drift(x, t, k) is the forward-time velocity at node k.
+
+    x0 is one point (d,) or a batch (n, d); drift gets and returns the same shape.
+    """
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
-    states = np.empty((grid.n_steps + 1, x.size))
+    states = np.empty((grid.n_steps + 1,) + x.shape)
     states[0] = x
     nodes = grid.nodes
     for k in range(grid.n_steps):

@@ -15,6 +15,13 @@ A restore runs three integrations on one shared grid:
 
 The inversion grid is the exact reversal of the generation grid, so the
 reverse pass looks up stored nodes by index and never interpolates in time.
+
+restore() takes one observation or a batch of them (one prompt and one
+seed per row) and runs the whole batch as two integrations: one stacked
+inversion holding every structural row plus a semantic row for each
+non-null prompt, then one generation of all rows. The field evaluates each
+step as one batch with one condition per row. Every result's trajectories
+are views into the stacked states, so a batch keeps no copy of its paths.
 """
 
 from __future__ import annotations
@@ -91,16 +98,26 @@ def draw_noise(dim: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(dim)
 
 
-def invert_path(observed, mixture: GaussianMixture, cond: Condition, gamma: float,
-                n_steps: int, noise_seed: int) -> Trajectory:
+def _one_or_per_row(conds):
+    """A batch's conditions: the shared Condition, or the tuple of one per row."""
+    return conds[0] if all(c == conds[0] for c in conds) else tuple(conds)
+
+
+def invert_path(observed, mixture: GaussianMixture, cond, gamma: float,
+                n_steps: int, noise_seed) -> Trajectory:
     """Controlled inversion from the observed sample at t=1 down to t=0.
 
     Drift = blend of the marginal velocity (under cond) with the straight
     line toward z0 at the noise end, weight gamma. At gamma=1 Euler tracks
-    the line exactly and the terminal state equals z0.
+    the line exactly and the terminal state equals z0. observed is one
+    point (d,) with one cond and one noise_seed, or a batch (n, d) with one
+    Condition or one per row and one noise seed per row.
     """
     observed = np.asarray(observed, dtype=float)
-    z0 = draw_noise(observed.size, noise_seed)
+    if observed.ndim == 1:
+        z0 = draw_noise(observed.size, noise_seed)
+    else:
+        z0 = np.stack([draw_noise(observed.shape[1], s) for s in noise_seed])
     grid = make_grid(n_steps, 1.0, 0.0)
 
     def drift(x, t, k):
@@ -113,24 +130,53 @@ def invert_path(observed, mixture: GaussianMixture, cond: Condition, gamma: floa
     return integrate(observed, grid, drift)
 
 
+def _invert_rows(observed, mixture: GaussianMixture, prompts, config: PdlsConfig,
+                 seeds) -> list[DualPaths]:
+    """Both inversions of every row of a batch (n, d), run as one stacked batch.
+
+    Rows 0..n-1 are the structural (null) paths; one semantic row follows
+    for each non-null prompt. A null-prompt row's semantic path is its
+    structural path. Each DualPaths holds views into the stacked states.
+    """
+    n = len(observed)
+    semantic = [i for i, p in enumerate(prompts) if not p.is_null]
+    stacked = np.concatenate([observed, observed[semantic]]) if semantic else observed
+    conds = [Condition.null()] * n + [prompts[i] for i in semantic]
+    noise = list(seeds) + [seeds[i] for i in semantic]
+    inv = invert_path(stacked, mixture, _one_or_per_row(conds), config.gamma,
+                      config.n_steps, noise)
+    semantic_row = dict(zip(semantic, range(n, n + len(semantic))))
+    rows = []
+    for i in range(n):
+        structural = Trajectory(inv.grid, inv.states[:, i])
+        j = semantic_row.get(i)
+        semantic_path = structural if j is None else Trajectory(inv.grid, inv.states[:, j])
+        rows.append(DualPaths(structural, semantic_path, prompts[i]))
+    return rows
+
+
 def dual_invert(observed, mixture: GaussianMixture, prompt: Condition,
                 config: PdlsConfig, noise_seed: int) -> DualPaths:
     """Run the structural (null) and semantic (prompt) inversions with shared z0."""
     if prompt.is_null:
         raise ValueError("dual inversion requires a non-null prompt")
-    structural = invert_path(observed, mixture, Condition.null(), config.gamma,
-                             config.n_steps, noise_seed)
-    semantic = invert_path(observed, mixture, prompt, config.gamma,
-                           config.n_steps, noise_seed)
-    return DualPaths(structural, semantic, prompt)
+    observed = np.asarray(observed, dtype=float)
+    return _invert_rows(observed[None, :], mixture, [prompt], config, [noise_seed])[0]
 
 
-def averaged_target(paths: DualPaths, step_index: int) -> np.ndarray:
-    """Midpoint of the two stored inversion states at one grid node."""
-    n = paths.structural.grid.n_steps
+def averaged_target(paths, step_index: int) -> np.ndarray:
+    """Midpoint of the two stored inversion states at one grid node.
+
+    paths is one DualPaths, giving (d,), or a sequence of them, giving (n, d).
+    """
+    rows = [paths] if isinstance(paths, DualPaths) else paths
+    n = rows[0].structural.grid.n_steps
     if not 0 <= step_index <= n:
         raise IndexError("step index out of range")
-    return 0.5 * (paths.structural.states[step_index] + paths.semantic.states[step_index])
+    s = np.stack([p.structural.states[step_index] for p in rows])
+    m = np.stack([p.semantic.states[step_index] for p in rows])
+    target = 0.5 * (s + m)
+    return target[0] if isinstance(paths, DualPaths) else target
 
 
 def initial_latent(paths: DualPaths, init_mode: str) -> np.ndarray:
@@ -145,19 +191,28 @@ def initial_latent(paths: DualPaths, init_mode: str) -> np.ndarray:
     raise ValueError(f"unknown init mode {init_mode!r}")
 
 
-def steered_generate(paths: DualPaths, mixture: GaussianMixture,
-                     config: PdlsConfig) -> Trajectory:
-    """Ascending generation from the init latent, steered toward the averaged target."""
-    n = paths.structural.grid.n_steps
+def steered_generate(paths, mixture: GaussianMixture, config: PdlsConfig) -> Trajectory:
+    """Ascending generation from the init latent, steered toward the averaged target.
+
+    paths is one DualPaths, giving a Trajectory of (d,) states, or a
+    sequence of them sharing one grid, generated as one batch and giving
+    (n_steps + 1, n, d) states.
+    """
+    single = isinstance(paths, DualPaths)
+    rows = [paths] if single else list(paths)
+    inv_nodes = rows[0].structural.grid.nodes
+    if any(not np.array_equal(p.structural.grid.nodes, inv_nodes) for p in rows[1:]):
+        raise ValueError("batched paths must share one grid")
+    n = inv_nodes.size - 1
     gen_grid = make_grid(n, 0.0, 1.0)
-    inv_nodes = paths.structural.grid.nodes
     # The generation grid must be the exact reversal of the inversion grid.
     if not np.allclose(inv_nodes[::-1], gen_grid.nodes, rtol=0, atol=1e-12):
         raise ValueError("paths were not produced on the reversal of the generation grid")
 
-    base_cond = paths.condition if config.base_condition == "prompt" else Condition.null()
+    base_cond = _one_or_per_row([p.condition if config.base_condition == "prompt"
+                                 else Condition.null() for p in rows])
     schedule = SteeringSchedule(config.eta_max, config.schedule_kind)
-    x_init = initial_latent(paths, config.init_mode)
+    x_init = np.stack([initial_latent(p, config.init_mode) for p in rows])
 
     def drift(x, t, k):
         # Steer toward the stored node this step lands on: targeting the
@@ -169,13 +224,14 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
         weight = float(eta(schedule, t))
         if weight == 0.0:
             return marginal_velocity(x, t, mixture, base_cond)
-        control = lqr_control(x, averaged_target(paths, j), t)
+        control = lqr_control(x, averaged_target(rows, j), t)
         if weight == 1.0:
             return control
         base = marginal_velocity(x, t, mixture, base_cond)
         return blend_drift(base, control, weight)
 
-    return integrate(x_init, gen_grid, drift)
+    generated = integrate(x_init, gen_grid, drift)
+    return Trajectory(gen_grid, generated.states[:, 0]) if single else generated
 
 
 @dataclass(frozen=True)
@@ -189,36 +245,40 @@ class RestoreResult:
     semantic_latent_norm: float = 0.0
 
 
-def restore(observed, mixture: GaussianMixture, prompt: Condition,
-            config: PdlsConfig, seed: int) -> RestoreResult:
+def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed):
     """Full pipeline: dual inversion, then steered generation, plus diagnostics.
 
-    A null prompt collapses to single-path restoration (both stored paths
-    are the structural one).
+    observed is one point (d,) with one prompt and one seed, giving one
+    RestoreResult, or a batch (n, d) with one prompt and one seed per row,
+    giving a list of n. The whole batch runs as one stacked inversion and
+    one generation. A null prompt collapses to single-path restoration
+    (both stored paths are the structural one).
     """
     observed = np.asarray(observed, dtype=float)
-    if prompt.is_null:
-        structural = invert_path(observed, mixture, Condition.null(), config.gamma,
-                                 config.n_steps, seed)
-        paths = DualPaths(structural, structural, prompt)
-    else:
-        paths = dual_invert(observed, mixture, prompt, config, seed)
+    single = observed.ndim == 1
+    prompts, seeds = ([prompt], [seed]) if single else (list(prompt), list(seed))
+    batch = np.atleast_2d(observed)
+    if len(prompts) != len(batch) or len(seeds) != len(batch):
+        raise ValueError("a batch needs one prompt and one seed per row")
 
+    paths = _invert_rows(batch, mixture, prompts, config, seeds)
     generated = steered_generate(paths, mixture, config)
 
     schedule = SteeringSchedule(config.eta_max, config.schedule_kind)
     n = config.n_steps
-    diag = []
-    for k, t in enumerate(generated.grid.nodes):
-        ybar = averaged_target(paths, n - k)
-        diag.append((k, float(t), float(eta(schedule, float(t))),
-                     float(np.linalg.norm(generated.states[k] - ybar))))
-
-    return RestoreResult(
-        restored=generated.terminal,
-        paths=paths,
-        generated=generated,
-        diagnostics=tuple(diag),
-        structural_latent_norm=float(np.linalg.norm(paths.structural.terminal)),
-        semantic_latent_norm=float(np.linalg.norm(paths.semantic.terminal)),
-    )
+    nodes = generated.grid.nodes
+    etas = [float(eta(schedule, float(t))) for t in nodes]
+    dists = np.stack([np.linalg.norm(generated.states[k] - averaged_target(paths, n - k), axis=1)
+                      for k in range(n + 1)])
+    results = []
+    for i, row in enumerate(paths):
+        traj = Trajectory(generated.grid, generated.states[:, i])
+        results.append(RestoreResult(
+            restored=traj.terminal,
+            paths=row,
+            generated=traj,
+            diagnostics=tuple(zip(range(n + 1), nodes.tolist(), etas, dists[:, i].tolist())),
+            structural_latent_norm=float(np.linalg.norm(row.structural.terminal)),
+            semantic_latent_norm=float(np.linalg.norm(row.semantic.terminal)),
+        ))
+    return results[0] if single else results

@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from pdls.cli import main
+from pdls.cli import aggregate, build_parser, main
+from pdls.datasets import shapes32_mixture
 from pdls.degrade import ImageGrid
-from pdls.fileio import write_pgm
+from pdls.fileio import read_mixture, write_pgm
 
 
 def run(*argv):
@@ -27,6 +28,17 @@ class TestDemo:
         index = json.loads((out / "index.json").read_text())
         assert len(index) == 6
         assert {e["label"] for e in index} == {"disk", "square", "cross"}
+
+    def test_shapes32_mix_is_the_builtin_restore_mixture(self, tmp_path):
+        out = tmp_path / "demo"
+        assert run("demo", "--out", out, "--n-per-class", 2) == 0
+        written = read_mixture(out / "shapes32.mix")
+        args = build_parser().parse_args(["restore", "--out", str(tmp_path / "r")])
+        builtin = shapes32_mixture(2, args.demo_seed, args.bandwidth)
+        assert np.array_equal(written.weights, builtin.weights)
+        assert np.array_equal(written.means, builtin.means)
+        assert np.array_equal(written.variances, builtin.variances)
+        assert written.labels == builtin.labels
 
 
 class TestDegrade:
@@ -105,6 +117,15 @@ class TestRestore:
         assert run("restore", "--out", tmp_path / "x",
                    "--manifest", tmp_path / "nope.json") == 4
 
+    @pytest.mark.parametrize("text", ['{"operator": "id", "records": [', '[1, 2]',
+                                      '{"records": []}', '{"operator": "id"}'],
+                             ids=["invalid-json", "not-an-object", "no-operator", "no-records"])
+    def test_malformed_manifest_is_an_io_error(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert run("restore", "--out", tmp_path / "x", "--manifest", manifest) == 4
+        assert "manifest" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text("gamma=0.5\nbogus=1\n")
@@ -156,6 +177,25 @@ class TestBench:
         assert len(summary) == 1
         assert abs(float(summary[0]["mse_mean"]) - manual) < 1e-12
         assert int(summary[0]["n"]) == 4
+
+    def test_non_finite_values_are_counted_as_dropped(self, tmp_path, capsys):
+        rows = [{"task": "toy2d", "config": "c", "mse": "0.0", "psnr_db": "inf",
+                 "ssim": "", "class_acc": "1"},
+                {"task": "toy2d", "config": "c", "mse": "0.5", "psnr_db": "3.0",
+                 "ssim": "", "class_acc": "0"}]
+        (entry,) = aggregate(rows)
+        assert entry["psnr_db_mean"] == 3.0 and entry["psnr_db_dropped"] == 1
+        assert entry["mse_dropped"] == entry["ssim_dropped"] == 0
+        metrics = tmp_path / "metrics.csv"
+        header = "task,input,seed,config,mse,psnr_db,ssim,class_acc,recon_path\n"
+        metrics.write_text(header + "toy2d,a,0,c,0.0,inf,,1,\ntoy2d,b,1,c,0.5,3.0,,0,\n")
+        out = tmp_path / "bench"
+        assert run("bench", "--out", out, "--metrics", metrics) == 0
+        assert "psnr_db_dropped=1" in capsys.readouterr().out
+        with open(out / "summary.csv", newline="") as fh:
+            (summary,) = list(csv.DictReader(fh))
+        assert summary["psnr_db_dropped"] == "1"
+        assert summary["mse_dropped"] == "0"
 
     def test_two_configs_give_two_rows(self, tmp_path):
         a = self._toy_metrics(tmp_path, "a")

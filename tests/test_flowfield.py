@@ -3,10 +3,13 @@ property checks over random mixtures, and basic validation behavior."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
+from pdls.datasets import exemplar_mixture, shapes32_dataset
+from pdls.degrade import GaussianBlur, NoiseModel, apply
 from pdls.flowfield import (
     EPS_T,
     Condition,
@@ -17,6 +20,7 @@ from pdls.flowfield import (
     posterior_endpoint_mean,
     responsibilities,
     sample_mixture,
+    _sq_distances,
 )
 
 
@@ -26,6 +30,24 @@ def two_diracs():
 
 def standard_normal_target(dim=2):
     return GaussianMixture([1.0], [np.zeros(dim)], [1.0], ["z"])
+
+
+def direct_field(x, t, mixture, cond=Condition.null()):
+    """The direct (n, k, d) form of the field, the oracle for its GEMM form.
+
+    Returns the squared distances ||x - t mu_k||^2, the responsibilities and
+    the endpoint mean over cond's selected components, for t < 1.
+    """
+    idx = cond.select(mixture)
+    mu, var, w = mixture.means[idx], mixture.variances[idx], mixture.weights[idx]
+    xb = np.atleast_2d(x)
+    s2 = (1.0 - t) ** 2 + t**2 * var
+    diff = xb[:, None, :] - t * mu[None, :, :]
+    sq = np.einsum("nkd,nkd->nk", diff, diff)
+    logp = np.log(w) - 0.5 * mixture.dim * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
+    r = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+    endpoints = mu[None, :, :] + (t * var / s2)[None, :, None] * diff
+    return sq, r, np.einsum("nk,nkd->nd", r, endpoints)
 
 
 class TestResponsibilities:
@@ -84,6 +106,18 @@ class TestResponsibilities:
         r = responsibilities(np.array([1.0, 0.0]), 1.0, mix)
         assert np.allclose(r, [1.0, 0.0])
 
+    def test_terminal_time_rows_follow_their_own_conditions(self):
+        # One Dirac ("a") and two Gaussians ("b"): at t=1 a row kept to "b"
+        # is an ordinary Gaussian posterior, a row kept to "a" collapses.
+        mix = GaussianMixture([0.2, 0.4, 0.4], [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                              [0.0, 0.5, 0.5], ["a", "b", "b"])
+        gaussians = GaussianMixture([0.5, 0.5], mix.means[1:], mix.variances[1:], ["b", "b"])
+        x = np.array([[0.3, 0.2], [1.0, 0.0]])
+        r = responsibilities(x, 1.0, mix, [Condition.of("b"), Condition.of("a")])
+        assert r[0, 0] == 0.0
+        assert np.allclose(r[0, 1:], responsibilities(x[0], 1.0, gaussians), atol=1e-15)
+        assert np.array_equal(r[1], [1.0, 0.0, 0.0])
+
     def test_terminal_time_off_support_is_degenerate(self):
         with pytest.raises(ValueError, match="degenerate posterior"):
             responsibilities(np.array([0.3, 0.3]), 1.0, two_diracs())
@@ -120,6 +154,39 @@ class TestPosteriorEndpointMean:
         batch = posterior_endpoint_mean(pts, 0.4, mix)
         for i, p in enumerate(pts):
             assert np.allclose(batch[i], posterior_endpoint_mean(p, 0.4, mix), atol=1e-14)
+
+
+class TestGemmPrecision:
+    """The expansion ||x||^2 - 2t x.mu + t^2 ||mu||^2 cancels digits near t=1."""
+
+    def _case(self):
+        dataset = shapes32_dataset()
+        mixture = exemplar_mixture(dataset, 1e-4)
+        op = GaussianBlur(7, 1.5)
+        rng = np.random.default_rng(0)
+        picks = rng.integers(len(dataset), size=24)
+        x = np.stack([apply(op, dataset[i][0], NoiseModel(0.01, seed)).flatten()
+                      for seed, i in enumerate(picks)])
+        return mixture, x, 1.0 - EPS_T
+
+    def test_squared_distances_within_the_cancellation_bound(self):
+        mixture, x, t = self._case()
+        sq = _sq_distances(x, t, mixture.means, mixture.mean_sq)
+        expected, _, _ = direct_field(x, t, mixture)
+        eps = np.finfo(float).eps
+        bound = 4.0 * np.sqrt(mixture.dim) * eps * (
+            np.sum(x * x, axis=1)[:, None] + t**2 * mixture.mean_sq[None, :])
+        assert np.all(np.abs(sq - expected) <= bound)
+
+    def test_collapsed_rows_agree_on_the_endpoint_mean(self):
+        mixture, x, t = self._case()
+        for cond in (Condition.null(), Condition.of("disk")):
+            _, r, expected = direct_field(x, t, mixture, cond)
+            collapsed = r.max(axis=1) >= 1.0 - 1e-12
+            assert collapsed.sum() >= len(x) // 2
+            got = posterior_endpoint_mean(x, t, mixture, cond)
+            err = np.abs(got - expected)[collapsed]
+            assert np.all(err <= 1e-12 * np.abs(expected[collapsed]).max())
 
 
 class TestMarginalVelocity:
@@ -218,21 +285,60 @@ class TestSampling:
 
 
 @st.composite
-def field_cases(draw):
-    """A small random mixture, a condition on it, a single point or a batch, and t."""
+def small_mixtures(draw):
+    """A random mixture of 1-4 components in 1-3 dimensions, some of them Diracs."""
     k = draw(st.integers(1, 4))
     d = draw(st.integers(1, 3))
     means = draw(arrays(float, (k, d), elements=st.floats(-3.0, 3.0)))
     variances = draw(arrays(float, k, elements=st.one_of(st.just(0.0), st.floats(1e-4, 1.0))))
     weights = draw(arrays(float, k, elements=st.floats(0.1, 1.0)))
     labels = draw(st.lists(st.sampled_from("ABC"), min_size=k, max_size=k))
-    mixture = GaussianMixture(weights / weights.sum(), means, variances, labels)
-    kept = draw(st.one_of(st.none(), st.sets(st.sampled_from(sorted(set(labels))), min_size=1)))
-    cond = Condition.null() if kept is None else Condition.of(*kept)
+    return GaussianMixture(weights / weights.sum(), means, variances, labels)
+
+
+@st.composite
+def conditions(draw, mixture):
+    kept = draw(st.one_of(st.none(),
+                          st.sets(st.sampled_from(sorted(set(mixture.labels))), min_size=1)))
+    return Condition.null() if kept is None else Condition.of(*kept)
+
+
+@st.composite
+def field_cases(draw):
+    """A small random mixture, a condition on it, a single point or a batch, and t."""
+    mixture = draw(small_mixtures())
+    cond = draw(conditions(mixture))
+    d = mixture.dim
     shape = d if draw(st.booleans()) else (draw(st.integers(1, 4)), d)
     x = draw(arrays(float, shape, elements=st.floats(-4.0, 4.0)))
     t = draw(st.floats(0.0, 1.0 - EPS_T))
     return mixture, cond, x, t
+
+
+@st.composite
+def batch_cases(draw):
+    """A small random mixture, a batch (n, d), one condition per row, and t.
+
+    Cases whose exponent is ill-conditioned are rejected: with
+    kappa = max (||x||^2 + t^2 ||mu_k||^2) / s_k^2, any two roundings of the
+    squared distances (BLAS kernels, the direct form) differ by about
+    eps * kappa in the log-densities, so kappa <= 1e3 keeps every form
+    within 1e-12. TestGemmPrecision bounds the expansion near t = 1.
+    """
+    mixture = draw(small_mixtures())
+    n = draw(st.integers(1, 4))
+    x = draw(arrays(float, (n, mixture.dim), elements=st.floats(-4.0, 4.0)))
+    conds = [draw(conditions(mixture)) for _ in range(n)]
+    t = draw(st.floats(0.0, 1.0 - EPS_T))
+    s2 = (1.0 - t) ** 2 + t**2 * mixture.variances
+    kappa = (np.sum(x * x, axis=1)[:, None] + t**2 * mixture.mean_sq[None, :]) / s2
+    assume(kappa.max() <= 1e3)
+    return mixture, conds, x, t
+
+
+def _scale(mixture, x):
+    """A bound on the magnitude of the endpoint means, for relative comparisons."""
+    return max(np.abs(mixture.means).max(), np.abs(x).max(), 1.0)
 
 
 class TestFieldProperties:
@@ -260,3 +366,41 @@ class TestFieldProperties:
         everything = Condition.of(*mixture.labels)
         assert np.array_equal(marginal_velocity(x, t, mixture, everything),
                               marginal_velocity(x, t, mixture, Condition.null()))
+
+    @settings(deadline=None)
+    @given(batch_cases())
+    def test_batch_rows_equal_single_point_calls(self, case):
+        mixture, conds, x, t = case
+        cond = conds[0]
+        batch = posterior_endpoint_mean(x, t, mixture, cond)
+        tol = 1e-12 * _scale(mixture, x)
+        for i, point in enumerate(x):
+            single = posterior_endpoint_mean(point, t, mixture, cond)
+            assert np.max(np.abs(batch[i] - single)) <= tol
+
+    @settings(deadline=None)
+    @given(batch_cases())
+    def test_per_row_conditions_equal_one_call_per_condition(self, case):
+        mixture, conds, x, t = case
+        means = posterior_endpoint_mean(x, t, mixture, conds)
+        r = responsibilities(x, t, mixture, conds)
+        assert r.shape == (len(x), mixture.n_components)
+        tol = 1e-12 * _scale(mixture, x)
+        for cond in set(conds):
+            rows = [i for i, c in enumerate(conds) if c == cond]
+            kept = np.isin(np.arange(mixture.n_components), cond.select(mixture))
+            assert np.all(r[np.ix_(rows, ~kept)] == 0.0)
+            one = responsibilities(x[rows], t, mixture, cond)
+            assert np.max(np.abs(r[np.ix_(rows, kept)] - one)) <= 1e-12
+            one_mean = posterior_endpoint_mean(x[rows], t, mixture, cond)
+            assert np.max(np.abs(means[rows] - one_mean)) <= tol
+
+    @settings(deadline=None)
+    @given(batch_cases())
+    def test_gemm_form_matches_the_direct_oracle(self, case):
+        mixture, conds, x, t = case
+        cond = conds[0]
+        _, r_direct, m_direct = direct_field(x, t, mixture, cond)
+        assert np.max(np.abs(responsibilities(x, t, mixture, cond) - r_direct)) <= 1e-12
+        got = posterior_endpoint_mean(x, t, mixture, cond)
+        assert np.max(np.abs(got - m_direct)) <= 1e-12 * _scale(mixture, x)

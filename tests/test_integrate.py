@@ -52,6 +52,22 @@ class TestIntegrate:
         traj = integrate(np.array([1.0, -2.0]), grid, lambda x, t, k: np.zeros(2))
         assert np.allclose(traj.states, [1.0, -2.0])
 
+
+    def test_batch_rows_follow_their_own_paths(self):
+        grid = make_grid(6, 0.0, 1.0)
+        targets = np.array([[2.0, -1.0], [0.5, 0.5], [-3.0, 1.0]])
+        x0 = np.array([[0.3, 0.4], [0.0, 0.0], [1.0, -1.0]])
+
+        def drift(x, t, k):
+            return endpoint_conditional_velocity(x, t, targets, 1)
+
+        batch = integrate(x0, grid, drift)
+        assert batch.states.shape == (7, 3, 2)
+        assert batch.dim == 2
+        for i in range(3):
+            one = integrate(x0[i], grid, lambda x, t, k: endpoint_conditional_velocity(
+                x, t, targets[i], 1))
+            assert np.array_equal(batch.states[:, i], one.states)
     def test_straight_line_field_arrives_exactly(self):
         target = np.array([2.0, -1.0])
         for n in (7, 28, 100):

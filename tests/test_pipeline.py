@@ -265,6 +265,39 @@ class TestRestore:
         assert res.structural_latent_norm > 0
         assert res.semantic_latent_norm > 0
 
+    def test_batch_rows_equal_single_restores(self):
+        mix = toy2d_mixture()
+        obs = np.array([[1.7, 0.3], [-1.5, 0.2], [1.5, 0.0], [0.2, -0.4]])
+        prompts = [Condition.of("A"), Condition.of("B"), Condition.null(), Condition.of("A")]
+        seeds = [7, 8, 4, 7]
+        results = restore(obs, mix, prompts, PdlsConfig(), seeds)
+        assert len(results) == 4
+        for x, prompt, seed, res in zip(obs, prompts, seeds, results):
+            one = restore(x, mix, prompt, PdlsConfig(), seed)
+            for got, want in ((res.restored, one.restored),
+                              (res.paths.structural.states, one.paths.structural.states),
+                              (res.paths.semantic.states, one.paths.semantic.states),
+                              (res.generated.states, one.generated.states)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.allclose(np.array(res.diagnostics), np.array(one.diagnostics),
+                               rtol=1e-12, atol=1e-14)
+        assert results[2].paths.semantic is results[2].paths.structural
+        assert np.allclose(results[0].restored, GOLDEN_RESTORED, atol=1e-9)
+
+    def test_batch_trajectories_are_views_of_the_stacked_states(self):
+        mix = toy2d_mixture()
+        obs = np.array([[1.7, 0.3], [-1.5, 0.2]])
+        a, b = restore(obs, mix, [Condition.of("A"), Condition.of("B")], PdlsConfig(), [1, 2])
+        for x, y in ((a.generated, b.generated), (a.paths.structural, b.paths.semantic)):
+            assert x.states.base is not None
+            assert x.states.base is y.states.base
+
+    def test_batch_needs_one_prompt_and_seed_per_row(self):
+        mix = toy2d_mixture()
+        with pytest.raises(ValueError, match="one prompt and one seed per row"):
+            restore(np.zeros((3, 2)), mix, [Condition.null()] * 3, PdlsConfig(), [0, 1])
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="gamma"):
             PdlsConfig(gamma=2.0)
