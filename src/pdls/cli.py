@@ -209,10 +209,12 @@ def _run_image_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
                       [_prompt_for(args, rec["label"]) for rec, _, _ in jobs], cfg,
                       [seed for _, _, seed in jobs])
 
+    recons = [degrade.ImageGrid.from_vector(result.restored, rec["height"], rec["width"])
+              for (rec, _, _), result in zip(jobs, results)]
+    reports = metrics.report(recons, [source for _, source, _ in jobs], mixture,
+                             [rec["label"] for rec, _, _ in jobs])
     rows = []
-    for (rec, source, seed), result in zip(jobs, results):
-        recon = degrade.ImageGrid.from_vector(result.restored, rec["height"], rec["width"])
-        rep = metrics.report(recon, source, mixture, rec["label"])
+    for (rec, _, seed), recon, rep in zip(jobs, recons, reports):
         name = f"{rec['id']}_s{seed}_recon.pgm"
         fileio.write_pgm(out / name, recon)
         rows.append({
@@ -380,7 +382,7 @@ def cmd_bench(args) -> int:
                     missing.append(str(p))
     if missing:
         print("missing runs:\n" + "\n".join(missing), file=sys.stderr)
-        return 1
+        return EXIT_IO
     table = aggregate(rows)
     cols = ["task", "config", "n"] + [f"{c}_{s}" for c in _METRIC_COLUMNS
                                       for s in ("mean", "std", "dropped")]

@@ -21,10 +21,18 @@ magnitude otherwise.
 Every field function takes one point (d,) or a batch (n, d), under one
 Condition or one condition per row. A condition is a row of log-weights
 with -inf for the components it excludes (GaussianMixture.log_weights), so
-the rows of one batch can carry different conditions. Squared distances
-are expanded as ||x||^2 - 2t x.mu^T + t^2 ||mu||^2 and the endpoint mean
-is mixed by a second matrix product, so a batch costs two (n, d) x (d, K)
-GEMMs and builds no (n, K, d) temporaries.
+the rows of one batch can carry different conditions; a caller that
+evaluates one batch many times passes those (n, K) rows themselves and
+resolves its conditions once. Squared distances are expanded as
+||x||^2 - 2t x.mu^T + t^2 ||mu||^2 and the endpoint mean (or, folded into
+the same coefficients, the velocity) is mixed by a second matrix product,
+so a batch costs two (n, d) x (d, K) GEMMs and builds no (n, K, d)
+temporaries.
+
+Responsibilities are normalised by _logsumexp_rows, a replica of
+scipy.special.logsumexp's arithmetic for real rows: scipy's own function
+spends most of its time on array-API dispatch at the (1-180, K) sizes of a
+restore, and the replica keeps its results bitwise, so outputs do not move.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from dataclasses import dataclass
 from typing import Hashable
 
 import numpy as np
-from scipy.special import logsumexp
 
 # Terminal-time clamp: marginal_velocity clamps t into [0, 1 - EPS_T] so the
 # 1/(1-t) gain stays finite. Integration grids keep their exact endpoint
@@ -145,13 +152,41 @@ def _check_points(x, mixture):
 
 
 def _log_weight_rows(mixture: GaussianMixture, cond, n: int) -> np.ndarray:
-    """(n, K) log-weights of one condition for every row, or of one condition per row."""
+    """(n, K) log-weights of one condition for every row, or of one condition per row.
+
+    One condition per row is a sequence of Conditions, or their stacked
+    (n, K) log-weight rows.
+    """
     if isinstance(cond, Condition):
         return np.broadcast_to(mixture.log_weights(cond), (n, mixture.n_components))
-    rows = [mixture.log_weights(c) for c in cond]
-    if len(rows) != n:
+    rows = cond if isinstance(cond, np.ndarray) else np.stack(
+        [mixture.log_weights(c) for c in cond])
+    if rows.shape != (n, mixture.n_components):
         raise ValueError(f"{len(rows)} conditions for a batch of {n} points")
-    return np.stack(rows)
+    return rows
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) as an (n, 1) column, bitwise as scipy 1.17 computes it.
+
+    This is scipy.special.logsumexp(a, axis=1, keepdims=True) for real a:
+    the row maxima are taken out of the sum and counted (m), the rest is
+    summed shifted (s), and the result is log1p(s / m) + log(m) + max.
+    Where that is not finite, the unshifted log(sum(exp(a))) is used.
+    """
+    a_max = np.max(a, axis=1, keepdims=True)
+    is_max = a == a_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.sum(is_max, axis=1, keepdims=True, dtype=a.dtype)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+    finite = np.isfinite(out)
+    if not finite.all():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            direct = np.log(np.sum(np.exp(a), axis=1, keepdims=True))
+        out = np.where(finite, out, direct)
+    return out
 
 
 def _sq_distances(xb, t, means, mean_sq):
@@ -166,7 +201,7 @@ def _gaussian_posterior(xb, t, means, mean_sq, variances, logw):
     d = means.shape[1]
     sq = _sq_distances(xb, t, means, mean_sq)
     logp = logw - 0.5 * d * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
-    return np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+    return np.exp(logp - _logsumexp_rows(logp))
 
 
 def _terminal_posterior(xb, mixture: GaussianMixture, logw):
@@ -220,6 +255,15 @@ def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
     return r[0] if single else r
 
 
+def _mixing(xb, t, mixture: GaussianMixture, cond):
+    """Responsibilities r (n, K) and the conditioning gains c_k = t sigma_k^2 / s_k^2."""
+    r = _posterior(xb, t, mixture, cond)
+    var = mixture.variances
+    s2 = (1.0 - t) ** 2 + t**2 * var
+    s2 = np.where(s2 == 0, 1.0, s2)  # Dirac at t=1: coefficient is irrelevant (x = t mu)
+    return r, t * var / s2
+
+
 def posterior_endpoint_mean(x, t, mixture: GaussianMixture, cond=Condition.null()):
     """E[X_1 | X_t = x] under the (conditioned) mixture.
 
@@ -230,11 +274,7 @@ def posterior_endpoint_mean(x, t, mixture: GaussianMixture, cond=Condition.null(
     Accepts a single point or a batch, under one Condition or one per row.
     """
     xb, single = _check_points(x, mixture)
-    r = _posterior(xb, t, mixture, cond)
-    var = mixture.variances
-    s2 = (1.0 - t) ** 2 + t**2 * var
-    s2 = np.where(s2 == 0, 1.0, s2)  # Dirac at t=1: coefficient is irrelevant (x = t mu)
-    coef = t * var / s2
+    r, coef = _mixing(xb, t, mixture, cond)
     out = (r * (1.0 - t * coef)) @ mixture.means + (r @ coef)[:, None] * xb
     return out[0] if single else out
 
@@ -248,19 +288,25 @@ def marginal_velocity(
 ):
     """Exact marginal velocity (posterior_endpoint_mean(x, t) - x) / (1 - t).
 
+    The endpoint mean is affine in x, so the velocity is too, and it is
+    computed in that form with the 1/(1-t) folded into the coefficients:
+        (r * (1 - t c) / (1 - t)) @ mu + ((r @ c - 1) / (1 - t)) x,
+    one GEMM and one (n, d) update.
     With clamp=True (the default, used by all integrators) t is clamped into
     [0, 1 - EPS_T]; with clamp=False times past the clamp raise.
     Accepts a single point or a batch, under one Condition or one per row.
     """
-    x = np.asarray(x, dtype=float)
     if not 0.0 <= t <= 1.0:
         raise ValueError("time out of range")
     if t > 1.0 - EPS_T:
         if not clamp:
             raise TerminalTimeError("terminal-time singularity")
         t = 1.0 - EPS_T
-    m = posterior_endpoint_mean(x, t, mixture, cond)
-    return (m - x) / (1.0 - t)
+    xb, single = _check_points(x, mixture)
+    r, coef = _mixing(xb, t, mixture, cond)
+    out = ((r * ((1.0 - t * coef) / (1.0 - t))) @ mixture.means
+           + ((r @ coef - 1.0) / (1.0 - t))[:, None] * xb)
+    return out[0] if single else out
 
 
 def endpoint_conditional_velocity(x, t, target, target_time):

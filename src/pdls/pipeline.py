@@ -20,8 +20,11 @@ restore() takes one observation or a batch of them (one prompt and one
 seed per row) and runs the whole batch as two integrations: one stacked
 inversion holding every structural row plus a semantic row for each
 non-null prompt, then one generation of all rows. The field evaluates each
-step as one batch with one condition per row. Every result's trajectories
-are views into the stacked states, so a batch keeps no copy of its paths.
+step as one batch with one condition per row; an integration resolves its
+rows' conditions to log-weight rows once, not at every step. Every
+result's trajectories are views into the stacked states, so a batch keeps
+no copy of its paths, and each step's averaged targets are one gather from
+those states.
 """
 
 from __future__ import annotations
@@ -98,9 +101,18 @@ def draw_noise(dim: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(dim)
 
 
-def _one_or_per_row(conds):
-    """A batch's conditions: the shared Condition, or the tuple of one per row."""
-    return conds[0] if all(c == conds[0] for c in conds) else tuple(conds)
+def _resolve_conditions(mixture: GaussianMixture, conds):
+    """A batch's conditions, resolved once for a whole integration.
+
+    Gives the Condition every row shares, or the (n, K) log-weight rows of
+    one condition per row, which the field takes in place of the sequence.
+    """
+    if isinstance(conds, (Condition, np.ndarray)):
+        return conds
+    conds = list(conds)
+    if all(c == conds[0] for c in conds):
+        return conds[0]
+    return np.stack([mixture.log_weights(c) for c in conds])
 
 
 def invert_path(observed, mixture: GaussianMixture, cond, gamma: float,
@@ -119,6 +131,7 @@ def invert_path(observed, mixture: GaussianMixture, cond, gamma: float,
     else:
         z0 = np.stack([draw_noise(observed.shape[1], s) for s in noise_seed])
     grid = make_grid(n_steps, 1.0, 0.0)
+    cond = _resolve_conditions(mixture, cond)
 
     def drift(x, t, k):
         guided = endpoint_conditional_velocity(x, t, z0, 0)
@@ -130,8 +143,37 @@ def invert_path(observed, mixture: GaussianMixture, cond, gamma: float,
     return integrate(observed, grid, drift)
 
 
+@dataclass(frozen=True)
+class _PathStack:
+    """The dual paths of a batch of n rows, stacked along one grid.
+
+    states (n_steps + 1, rows, d) hold the structural paths in rows 0..n-1;
+    pair[i] is row i's semantic row (i itself when both paths are one).
+    rows are the DualPaths of the batch, in order.
+    """
+
+    rows: tuple
+    states: np.ndarray
+    pair: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> "_PathStack":
+        """Stack copies of the paths of DualPaths that share one grid."""
+        nodes = rows[0].structural.grid.nodes
+        if any(not np.array_equal(p.structural.grid.nodes, nodes) for p in rows[1:]):
+            raise ValueError("batched paths must share one grid")
+        states = np.concatenate([np.stack([p.structural.states for p in rows], axis=1),
+                                 np.stack([p.semantic.states for p in rows], axis=1)], axis=1)
+        return cls(tuple(rows), states, np.arange(len(rows), 2 * len(rows)))
+
+    def target(self, step_index: int) -> np.ndarray:
+        """(n, d) averaged targets at one node; averaged_target of every row."""
+        s = self.states[step_index]
+        return 0.5 * (s[:len(self.pair)] + s[self.pair])
+
+
 def _invert_rows(observed, mixture: GaussianMixture, prompts, config: PdlsConfig,
-                 seeds) -> list[DualPaths]:
+                 seeds) -> _PathStack:
     """Both inversions of every row of a batch (n, d), run as one stacked batch.
 
     Rows 0..n-1 are the structural (null) paths; one semantic row follows
@@ -143,16 +185,16 @@ def _invert_rows(observed, mixture: GaussianMixture, prompts, config: PdlsConfig
     stacked = np.concatenate([observed, observed[semantic]]) if semantic else observed
     conds = [Condition.null()] * n + [prompts[i] for i in semantic]
     noise = list(seeds) + [seeds[i] for i in semantic]
-    inv = invert_path(stacked, mixture, _one_or_per_row(conds), config.gamma,
-                      config.n_steps, noise)
-    semantic_row = dict(zip(semantic, range(n, n + len(semantic))))
+    inv = invert_path(stacked, mixture, conds, config.gamma, config.n_steps, noise)
+    pair = np.arange(n)
+    pair[semantic] = np.arange(n, n + len(semantic))
     rows = []
     for i in range(n):
         structural = Trajectory(inv.grid, inv.states[:, i])
-        j = semantic_row.get(i)
-        semantic_path = structural if j is None else Trajectory(inv.grid, inv.states[:, j])
+        j = pair[i]
+        semantic_path = structural if j == i else Trajectory(inv.grid, inv.states[:, j])
         rows.append(DualPaths(structural, semantic_path, prompts[i]))
-    return rows
+    return _PathStack(tuple(rows), inv.states, pair)
 
 
 def dual_invert(observed, mixture: GaussianMixture, prompt: Condition,
@@ -161,7 +203,7 @@ def dual_invert(observed, mixture: GaussianMixture, prompt: Condition,
     if prompt.is_null:
         raise ValueError("dual inversion requires a non-null prompt")
     observed = np.asarray(observed, dtype=float)
-    return _invert_rows(observed[None, :], mixture, [prompt], config, [noise_seed])[0]
+    return _invert_rows(observed[None, :], mixture, [prompt], config, [noise_seed]).rows[0]
 
 
 def averaged_target(paths, step_index: int) -> np.ndarray:
@@ -199,18 +241,20 @@ def steered_generate(paths, mixture: GaussianMixture, config: PdlsConfig) -> Tra
     (n_steps + 1, n, d) states.
     """
     single = isinstance(paths, DualPaths)
-    rows = [paths] if single else list(paths)
+    if isinstance(paths, _PathStack):
+        stack = paths
+    else:
+        stack = _PathStack.of([paths] if single else list(paths))
+    rows = stack.rows
     inv_nodes = rows[0].structural.grid.nodes
-    if any(not np.array_equal(p.structural.grid.nodes, inv_nodes) for p in rows[1:]):
-        raise ValueError("batched paths must share one grid")
     n = inv_nodes.size - 1
     gen_grid = make_grid(n, 0.0, 1.0)
     # The generation grid must be the exact reversal of the inversion grid.
     if not np.allclose(inv_nodes[::-1], gen_grid.nodes, rtol=0, atol=1e-12):
         raise ValueError("paths were not produced on the reversal of the generation grid")
 
-    base_cond = _one_or_per_row([p.condition if config.base_condition == "prompt"
-                                 else Condition.null() for p in rows])
+    base_cond = _resolve_conditions(mixture, [p.condition if config.base_condition == "prompt"
+                                              else Condition.null() for p in rows])
     schedule = SteeringSchedule(config.eta_max, config.schedule_kind)
     x_init = np.stack([initial_latent(p, config.init_mode) for p in rows])
 
@@ -224,7 +268,7 @@ def steered_generate(paths, mixture: GaussianMixture, config: PdlsConfig) -> Tra
         weight = float(eta(schedule, t))
         if weight == 0.0:
             return marginal_velocity(x, t, mixture, base_cond)
-        control = lqr_control(x, averaged_target(rows, j), t)
+        control = lqr_control(x, stack.target(j), t)
         if weight == 1.0:
             return control
         base = marginal_velocity(x, t, mixture, base_cond)
@@ -268,10 +312,10 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     n = config.n_steps
     nodes = generated.grid.nodes
     etas = [float(eta(schedule, float(t))) for t in nodes]
-    dists = np.stack([np.linalg.norm(generated.states[k] - averaged_target(paths, n - k), axis=1)
+    dists = np.stack([np.linalg.norm(generated.states[k] - paths.target(n - k), axis=1)
                       for k in range(n + 1)])
     results = []
-    for i, row in enumerate(paths):
+    for i, row in enumerate(paths.rows):
         traj = Trajectory(generated.grid, generated.states[:, i])
         results.append(RestoreResult(
             restored=traj.terminal,

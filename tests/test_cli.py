@@ -219,7 +219,7 @@ class TestBench:
     def test_missing_metrics_file_fails(self, tmp_path, capsys):
         out = tmp_path / "bench"
         assert run("bench", "--out", out, "--metrics",
-                   tmp_path / "missing.csv") == 1
+                   tmp_path / "missing.csv") == 4
         assert "missing runs" in capsys.readouterr().err
 
     def test_image_strip(self, tmp_path):

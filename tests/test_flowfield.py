@@ -20,6 +20,7 @@ from pdls.flowfield import (
     posterior_endpoint_mean,
     responsibilities,
     sample_mixture,
+    _logsumexp_rows,
     _sq_distances,
 )
 
@@ -404,3 +405,65 @@ class TestFieldProperties:
         assert np.max(np.abs(responsibilities(x, t, mixture, cond) - r_direct)) <= 1e-12
         got = posterior_endpoint_mean(x, t, mixture, cond)
         assert np.max(np.abs(got - m_direct)) <= 1e-12 * _scale(mixture, x)
+
+
+# Values that tie within a row, non-finite entries, and magnitudes up to 1e5.
+_LSE_ENTRIES = st.one_of(st.sampled_from([0.0, 1.0, -2.5, -np.inf, np.inf, np.nan]),
+                         st.floats(-1e5, 1e5))
+
+
+@st.composite
+def logsumexp_rows(draw):
+    """An (n, K) array drawn from _LSE_ENTRIES, sometimes with a row of only -inf."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    a = draw(arrays(float, (n, k), elements=_LSE_ENTRIES))
+    if draw(st.booleans()):
+        a[draw(st.integers(0, n - 1))] = -np.inf
+    return a
+
+
+class TestLogsumexpReplica:
+    @settings(deadline=None, max_examples=500)
+    @given(logsumexp_rows())
+    def test_bitwise_equal_to_scipy(self, a):
+        got = _logsumexp_rows(a)
+        want = logsumexp(a, axis=1, keepdims=True)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_non_finite_rows(self):
+        a = np.array([[-np.inf, -np.inf], [np.inf, 0.0], [np.nan, 1.0], [3.0, 3.0]])
+        got = _logsumexp_rows(a)
+        assert got[0, 0] == -np.inf and got[1, 0] == np.inf and np.isnan(got[2, 0])
+        assert got[3, 0] == 3.0 + np.log(2.0)
+
+
+class TestAffineVelocity:
+    """marginal_velocity folds 1/(1-t) into the endpoint mean's coefficients."""
+
+    @staticmethod
+    def _check(x, t, mixture, cond):
+        want = (posterior_endpoint_mean(x, t, mixture, cond) - x) / (1.0 - t)
+        got = marginal_velocity(x, t, mixture, cond)
+        assert got.shape == np.shape(x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * _scale(mixture, x) / (1.0 - t)
+
+    @settings(deadline=None)
+    @given(field_cases())
+    def test_equals_the_endpoint_mean_form(self, case):
+        mixture, cond, x, t = case
+        self._check(x, t, mixture, cond)
+
+    @settings(deadline=None)
+    @given(batch_cases())
+    def test_equals_the_endpoint_mean_form_per_row(self, case):
+        mixture, conds, x, t = case
+        self._check(x, t, mixture, conds)
+        rows = np.stack([mixture.log_weights(c) for c in conds])
+        assert np.array_equal(marginal_velocity(x, t, mixture, rows),
+                              marginal_velocity(x, t, mixture, conds))
+
+    def test_shapes32_batch_near_the_terminal_time(self):
+        mixture, x, t = TestGemmPrecision()._case()
+        for cond in (Condition.null(), Condition.of("disk")):
+            self._check(x, t, mixture, cond)

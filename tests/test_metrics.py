@@ -1,13 +1,46 @@
-"""Metric tests: PSNR pinned values, SSIM closed forms, class accuracy."""
+"""Metric tests: PSNR pinned values, SSIM closed forms and its 2-D
+convolution oracle, batched reports, class accuracy."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import convolve2d
 
-from pdls.degrade import GaussianBlur, ImageGrid, NoiseModel, apply
+import pdls
+from pdls.datasets import shapes32_dataset, shapes32_mixture
+from pdls.degrade import GaussianBlur, ImageGrid, MotionBlur, NoiseModel, apply, gaussian_kernel
 from pdls.flowfield import GaussianMixture
 from pdls.metrics import class_accuracy, mse, psnr, report, ssim
+
+
+def convolved_ssim(a, b, peak=1.0):
+    """SSIM of one pair by valid-mode 2-D convolution, the oracle for the batched form."""
+    win = gaussian_kernel(11, 1.5)
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+
+    def filt(img):
+        return convolve2d(img, win, mode="valid")
+
+    mu_a, mu_b = filt(a), filt(b)
+    var_a = filt(a * a) - mu_a**2
+    var_b = filt(b * b) - mu_b**2
+    cov = filt(a * b) - mu_a * mu_b
+    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))
+
+
+def degraded_pairs():
+    """shapes32 sources and their blurred, noisy observations, as ImageGrids."""
+    sources = [img for img, _ in shapes32_dataset(4, seed=1)]
+    ops = (GaussianBlur(7, 1.5), MotionBlur(7, 0.5), GaussianBlur(5, 3.0))
+    observed = [apply(ops[i % 3], img, NoiseModel(0.02, seed=i)) for i, img in enumerate(sources)]
+    return observed, sources
 
 
 class TestPsnr:
@@ -72,6 +105,24 @@ class TestSsim:
         with pytest.raises(ValueError, match="at least"):
             ssim(np.zeros((8, 8)), np.zeros((8, 8)))
 
+    def test_batch_matches_the_convolution_oracle(self):
+        observed, sources = degraded_pairs()
+        a = np.stack([img.pixels for img in observed])
+        b = np.stack([img.pixels for img in sources])
+        got = ssim(a, b)
+        assert got.shape == (len(a),)
+        want = np.array([convolved_ssim(x, y) for x, y in zip(a, b)])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        for x, y, w in zip(a, b, want):
+            assert abs(ssim(x, y) - w) <= 1e-12 * abs(w)
+
+    def test_rectangular_images_match_the_convolution_oracle(self):
+        yy, xx = np.mgrid[0:20, 0:13]
+        a = 0.5 + 0.4 * np.sin(xx / 3.0) * np.cos(yy / 4.0)
+        b = np.clip(a + 0.05 * np.cos(xx + yy), 0.0, 1.0)
+        want = convolved_ssim(a, b)
+        assert abs(ssim(a, b) - want) <= 1e-12 * abs(want)
+
 
 class TestClassAccuracy:
     def _mixture(self):
@@ -101,3 +152,41 @@ class TestClassAccuracy:
         assert rep.psnr_db == math.inf
         assert rep.ssim == pytest.approx(1.0, abs=1e-12)
         assert rep.class_accuracy is None
+
+
+class TestBatchedReport:
+    def test_batch_equals_one_report_per_pair(self):
+        observed, sources = degraded_pairs()
+        mixture = shapes32_mixture(4, seed=1)
+        labels = [lb for _, lb in shapes32_dataset(4, seed=1)]
+        reports = report(observed, sources, mixture, labels)
+        assert len(reports) == len(sources)
+        for rep, x, y, label in zip(reports, observed, sources, labels):
+            one = report(x, y, mixture, label)
+            assert rep.mse == one.mse == mse(x, y)
+            assert rep.psnr_db == one.psnr_db == psnr(x, y)
+            assert rep.class_accuracy == one.class_accuracy == class_accuracy(
+                x.flatten(), mixture, label)
+            assert abs(rep.ssim - one.ssim) <= 1e-12 * abs(one.ssim)
+
+    def test_small_images_have_no_ssim(self):
+        img = ImageGrid(np.full((8, 8), 0.25))
+        reps = report([img, img], [img, ImageGrid(np.zeros((8, 8)))])
+        assert [r.ssim for r in reps] == [None, None]
+        assert reps[0].psnr_db == math.inf and reps[1].mse == pytest.approx(0.0625)
+
+    def test_one_label_per_pair(self):
+        img = ImageGrid(np.zeros((16, 16)))
+        with pytest.raises(ValueError, match="one label per reference"):
+            report([img, img], [img, img], None, ["a"])
+        assert report([], []) == []
+
+
+def test_importing_pdls_leaves_scipy_signal_unloaded():
+    # scipy.signal alone takes most of a second to import; SSIM does not need it.
+    src = str(Path(pdls.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, pdls; print('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout.strip() == "False"

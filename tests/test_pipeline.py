@@ -25,6 +25,8 @@ from pdls.pipeline import (
     invert_path,
     restore,
     steered_generate,
+    _invert_rows,
+    _PathStack,
 )
 
 GOLDEN_INVERT_TERMINAL = np.array([0.07076624882460193, 0.357820349991497])
@@ -141,6 +143,17 @@ class TestAveragedTarget:
         paths = self._paths([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(IndexError):
             averaged_target(paths, 5)
+
+    def test_stacked_batch_gathers_the_averaged_targets(self):
+        mix = toy2d_mixture()
+        obs = np.array([[1.7, 0.3], [-1.5, 0.2], [1.5, 0.0], [0.2, -0.4]])
+        prompts = [Condition.of("A"), Condition.null(), Condition.of("B"), Condition.of("A")]
+        stack = _invert_rows(obs, mix, prompts, PdlsConfig(n_steps=8), [7, 8, 4, 7])
+        copied = _PathStack.of(list(stack.rows))
+        for j in range(9):
+            want = averaged_target(list(stack.rows), j)
+            assert np.array_equal(stack.target(j), want)
+            assert np.array_equal(copied.target(j), want)
 
 
 class TestInitialLatent:
