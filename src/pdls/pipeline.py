@@ -25,10 +25,28 @@ rows' conditions to log-weight rows once, not at every step. Every
 result's trajectories are views into the stacked states, so a batch keeps
 no copy of its paths, and each step's averaged targets are one gather from
 those states.
+
+A batch that carries enough field work (rows x components x dims of at
+least two _MIN_BLOCK_WORK) is cut into W contiguous row blocks, W at most
+the usable CPUs. The calling thread restores block 0 and W - 1 worker
+threads the rest, each with the serial code above, and the results are
+joined in row order. While the blocks run, numpy's OpenBLAS is pinned to
+one thread, so the blocks' matrix products do not contend for its thread
+pool; afterwards its thread count is what it was. Where that OpenBLAS
+cannot be found (another BLAS), a batch is never split. Split rows agree
+with the unsplit batch within 1e-12 relative (about 1e-14 measured, the
+size by which an unsplit batch already changes with OpenBLAS's thread
+count).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,9 +208,9 @@ def _invert_rows(observed, mixture: GaussianMixture, prompts, config: PdlsConfig
     pair[semantic] = np.arange(n, n + len(semantic))
     rows = []
     for i in range(n):
-        structural = Trajectory(inv.grid, inv.states[:, i])
+        structural = inv._row(i)
         j = pair[i]
-        semantic_path = structural if j == i else Trajectory(inv.grid, inv.states[:, j])
+        semantic_path = structural if j == i else inv._row(j)
         rows.append(DualPaths(structural, semantic_path, prompts[i]))
     return _PathStack(tuple(rows), inv.states, pair)
 
@@ -275,7 +293,7 @@ def steered_generate(paths, mixture: GaussianMixture, config: PdlsConfig) -> Tra
         return blend_drift(base, control, weight)
 
     generated = integrate(x_init, gen_grid, drift)
-    return Trajectory(gen_grid, generated.states[:, 0]) if single else generated
+    return generated._row(0) if single else generated
 
 
 @dataclass(frozen=True)
@@ -295,8 +313,10 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     observed is one point (d,) with one prompt and one seed, giving one
     RestoreResult, or a batch (n, d) with one prompt and one seed per row,
     giving a list of n. The whole batch runs as one stacked inversion and
-    one generation. A null prompt collapses to single-path restoration
-    (both stored paths are the structural one).
+    one generation, or, when it carries enough field work, as contiguous
+    row blocks on parallel threads (see the module docstring). A null
+    prompt collapses to single-path restoration (both stored paths are the
+    structural one).
     """
     observed = np.asarray(observed, dtype=float)
     single = observed.ndim == 1
@@ -305,6 +325,24 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     if len(prompts) != len(batch) or len(seeds) != len(batch):
         raise ValueError("a batch needs one prompt and one seed per row")
 
+    blocks = _block_count(len(batch), mixture)
+    if blocks == 1:
+        results = _restore_rows(batch, mixture, prompts, config, seeds)
+    else:
+        bounds = [len(batch) * b // blocks for b in range(blocks + 1)]
+        parts = [(batch[lo:hi], mixture, prompts[lo:hi], config, seeds[lo:hi])
+                 for lo, hi in zip(bounds, bounds[1:])]
+        with _single_threaded_blas(), ThreadPoolExecutor(blocks - 1) as pool:
+            rest = [pool.submit(_restore_rows, *part) for part in parts[1:]]
+            results = _restore_rows(*parts[0])
+            for future in rest:
+                results += future.result()
+    return results[0] if single else results
+
+
+def _restore_rows(batch, mixture: GaussianMixture, prompts, config: PdlsConfig,
+                  seeds) -> list:
+    """restore() of a batch (n, d) as one stacked inversion and one generation."""
     paths = _invert_rows(batch, mixture, prompts, config, seeds)
     generated = steered_generate(paths, mixture, config)
 
@@ -316,7 +354,7 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
                       for k in range(n + 1)])
     results = []
     for i, row in enumerate(paths.rows):
-        traj = Trajectory(generated.grid, generated.states[:, i])
+        traj = generated._row(i)
         results.append(RestoreResult(
             restored=traj.terminal,
             paths=row,
@@ -325,4 +363,78 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
             structural_latent_norm=float(np.linalg.norm(row.structural.terminal)),
             semantic_latent_norm=float(np.linalg.norm(row.semantic.terminal)),
         ))
-    return results[0] if single else results
+    return results
+
+
+# Field work (rows x components x dims) of one row block: about 23 shapes32
+# rows. Below two blocks' worth a split gains nothing, and a batch whose
+# field is small (toy2d, d * K = 4) spends its steps in Python, where
+# threads only contend for the interpreter lock.
+_MIN_BLOCK_WORK = 1 << 21
+
+
+def _block_count(rows: int, mixture: GaussianMixture) -> int:
+    """How many row blocks restore() runs in parallel; 1 runs the batch whole."""
+    blocks = rows * mixture.n_components * mixture.dim // _MIN_BLOCK_WORK
+    if blocks < 2:
+        return 1
+    blocks = min(blocks, _usable_cpus())
+    if blocks < 2 or _openblas_threads() is None:
+        return 1
+    return blocks
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
+
+    Looked up on the first batch that would split, so importing pdls loads
+    nothing. None for any other BLAS (MKL, Accelerate, another OpenBLAS
+    build), whose threads restore() cannot pin.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+# OpenBLAS's thread count is process-wide, so the pin is too: the first of
+# overlapping pins saves the count and sets 1, the last puts the count back.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Hold numpy's OpenBLAS to one thread inside the block, then put its count back."""
+    global _pin_depth, _pin_saved
+    get, put = _openblas_threads()
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_saved)

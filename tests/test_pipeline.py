@@ -1,10 +1,20 @@
 """Dual-path inversion and steered-generation tests, including frozen
 regression values."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pdls.datasets import toy2d_mixture
+import pdls
+from pdls import pipeline
+from pdls.cli import main as cli_main
+from pdls.datasets import shapes32_dataset, shapes32_mixture, toy2d_mixture
+from pdls.degrade import GaussianBlur, NoiseModel, apply
 from pdls.flowfield import (
     Condition,
     GaussianMixture,
@@ -12,7 +22,7 @@ from pdls.flowfield import (
     responsibilities,
     sample_mixture,
 )
-from pdls.integrate import Trajectory, integrate, make_grid
+from pdls.integrate import DriftDivergedError, Trajectory, integrate, make_grid
 from pdls.metrics import psnr
 from pdls.pipeline import (
     DualPaths,
@@ -320,3 +330,212 @@ class TestRestore:
             PdlsConfig(base_condition="other")
         with pytest.raises(ValueError, match="schedule_kind"):
             PdlsConfig(schedule_kind="other")
+
+
+@pytest.fixture(scope="module")
+def shapes_batch():
+    """48 blurred shapes32 rows, every third with a null prompt: two blocks' work."""
+    data = shapes32_dataset(30, 3)[:48]
+    obs = np.stack([apply(GaussianBlur(7, 1.5), img, NoiseModel(0.01, i)).flatten()
+                    for i, (img, _) in enumerate(data)])
+    prompts = [Condition.null() if i % 3 == 0 else Condition.of(label)
+               for i, (_, label) in enumerate(data)]
+    return obs, shapes32_mixture(), prompts, list(range(100, 148)), PdlsConfig(n_steps=8)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+
+
+def restore_whole(monkeypatch, obs, mix, prompts, seeds, cfg):
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_usable_cpus", lambda: 1)
+        return restore(obs, mix, prompts, cfg, seeds)
+
+
+def result_arrays(res):
+    return (res.restored, res.paths.structural.states, res.paths.semantic.states,
+            res.generated.states, np.array(res.diagnostics),
+            np.array([res.structural_latent_norm, res.semantic_latent_norm]))
+
+
+needs_openblas = pytest.mark.skipif(pipeline._openblas_threads() is None,
+                                    reason="numpy's BLAS is not scipy-openblas")
+
+
+@needs_openblas
+class TestBlockSplit:
+    def test_split_equals_its_blocks_restored_serially(self, shapes_batch, two_cpus):
+        obs, mix, prompts, seeds, cfg = shapes_batch
+        assert pipeline._block_count(len(obs), mix) == 2
+        split = restore(obs, mix, prompts, cfg, seeds)
+        with pipeline._single_threaded_blas():
+            blocks = (restore(obs[:24], mix, prompts[:24], cfg, seeds[:24])
+                      + restore(obs[24:], mix, prompts[24:], cfg, seeds[24:]))
+        assert len(split) == len(blocks) == 48
+        for got, want in zip(split, blocks):
+            for a, b in zip(result_arrays(got), result_arrays(want)):
+                assert np.array_equal(a, b)
+            assert (got.paths.semantic is got.paths.structural) == got.paths.condition.is_null
+
+    def test_split_matches_the_whole_batch(self, shapes_batch, two_cpus, monkeypatch):
+        obs, mix, prompts, seeds, cfg = shapes_batch
+        split = restore(obs, mix, prompts, cfg, seeds)
+        whole = restore_whole(monkeypatch, obs, mix, prompts, seeds, cfg)
+        for got, want in zip(split, whole):
+            *states, diagnostics, norms = zip(result_arrays(got), result_arrays(want))
+            for a, b in states:
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            for a, b in (diagnostics, norms):
+                assert a.shape == b.shape
+                assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
+
+    def test_block_count_weighs_rows_by_field_size(self, monkeypatch):
+        # Decided from the batch's field work alone, before asking for CPUs.
+        def no_syscall():
+            raise AssertionError("CPU count asked for a batch too small to split")
+        monkeypatch.setattr(pipeline, "_usable_cpus", no_syscall)
+        shapes = shapes32_mixture()
+        assert pipeline._block_count(2000, toy2d_mixture()) == 1
+        assert pipeline._block_count(1, shapes) == 1
+        assert pipeline._block_count(45, shapes) == 1
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 64)
+        assert pipeline._block_count(46, shapes) == 2
+        assert pipeline._block_count(90, shapes) == 3
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        assert pipeline._block_count(900, shapes) == 2
+
+    def test_without_openblas_a_batch_runs_whole(self, shapes_batch, two_cpus,
+                                                 monkeypatch):
+        obs, mix, prompts, seeds, cfg = shapes_batch
+        whole = restore_whole(monkeypatch, obs, mix, prompts, seeds, cfg)
+        monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
+        assert pipeline._block_count(len(obs), mix) == 1
+        blocks = []
+        serial = pipeline._restore_rows
+
+        def spy(batch, *args):
+            blocks.append(len(batch))
+            return serial(batch, *args)
+        monkeypatch.setattr(pipeline, "_restore_rows", spy)
+        got_all = restore(obs, mix, prompts, cfg, seeds)
+        assert blocks == [48]
+        for got, want in zip(got_all, whole):
+            for a, b in zip(result_arrays(got), result_arrays(want)):
+                assert np.array_equal(a, b)
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS (get, set), its count set to 2 so a pin to 1 shows."""
+    get, put = pipeline._openblas_threads()
+    saved = get()
+    put(2)
+    try:
+        yield get, put
+    finally:
+        put(saved)
+
+
+def count_in_blocks(monkeypatch, get):
+    """Records OpenBLAS's thread count inside every block restore() runs."""
+    seen = []
+    serial = pipeline._restore_rows
+
+    def spy(*args):
+        seen.append(get())
+        return serial(*args)
+    monkeypatch.setattr(pipeline, "_restore_rows", spy)
+    return seen
+
+
+def diverge_off_the_main_thread(monkeypatch):
+    field = pipeline.marginal_velocity
+
+    def nan_in_workers(x, t, mixture, cond):
+        v = field(x, t, mixture, cond)
+        return v if threading.current_thread() is threading.main_thread() else v * np.nan
+    monkeypatch.setattr(pipeline, "marginal_velocity", nan_in_workers)
+
+
+@needs_openblas
+class TestBlasPin:
+    def test_count_is_restored_after_a_split_restore(self, shapes_batch, two_cpus,
+                                                     blas_threads, monkeypatch):
+        get, _ = blas_threads
+        obs, mix, prompts, seeds, cfg = shapes_batch
+        seen = count_in_blocks(monkeypatch, get)
+        restore(obs, mix, prompts, cfg, seeds)
+        assert seen == [1, 1]
+        assert get() == 2
+
+    def test_count_is_restored_after_a_worker_raises(self, shapes_batch, two_cpus,
+                                                     blas_threads, monkeypatch):
+        get, _ = blas_threads
+        obs, mix, prompts, seeds, cfg = shapes_batch
+        diverge_off_the_main_thread(monkeypatch)
+        with pytest.raises(DriftDivergedError):
+            restore(obs, mix, prompts, cfg, seeds)
+        assert get() == 2
+
+    def test_cli_exits_3_when_a_worker_diverges(self, tmp_path, two_cpus, blas_threads,
+                                                monkeypatch):
+        get, _ = blas_threads
+        monkeypatch.setattr(pipeline, "_MIN_BLOCK_WORK", 1)
+        diverge_off_the_main_thread(monkeypatch)
+        code = cli_main(["restore", "--out", str(tmp_path), "--task", "toy2d",
+                         "--seeds", "0:4", "--steps", "4"])
+        assert code == 3
+        assert get() == 2
+
+    def test_overlapping_restores_leave_the_count(self, shapes_batch, two_cpus,
+                                                  blas_threads, monkeypatch):
+        get, _ = blas_threads
+        obs, mix, prompts, seeds, cfg = shapes_batch
+        want = restore(obs, mix, prompts, cfg, seeds)
+        seen = count_in_blocks(monkeypatch, get)
+        start = threading.Barrier(3)
+        same = []
+
+        def caller():
+            start.wait(timeout=60)
+            for _ in range(3):
+                got = restore(obs, mix, prompts, cfg, seeds)
+                same.append(all(np.array_equal(a.restored, b.restored)
+                                for a, b in zip(got, want)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert same == [True] * 9
+        assert seen == [1] * 18
+        assert get() == 2
+
+
+@needs_openblas
+def test_importing_pdls_leaves_the_blas_thread_count():
+    src = str(Path(pdls.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import ctypes\n"
+            "try:\n"
+            "    from numpy._core import _multiarray_umath as m\n"
+            "except ImportError:\n"
+            "    from numpy.core import _multiarray_umath as m\n"
+            "lib = ctypes.CDLL(m.__file__)\n"
+            "get, put = lib.scipy_openblas_get_num_threads64_, "
+            "lib.scipy_openblas_set_num_threads64_\n"
+            "put(3)\n"
+            "import pdls\n"
+            "print(get(), pdls.pipeline._openblas_threads.cache_info().currsize)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout.split() == ["3", "0"]
