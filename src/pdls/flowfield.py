@@ -86,6 +86,8 @@ class GaussianMixture:
         self.mean_sq = np.einsum("kd,kd->k", means, means)
         self._log_w = np.log(weights)
         self._log_w_rows: dict = {}
+        self._ambient_dim = means.shape[1]  # the log-normaliser's d; see pipeline._Frame
+        self._reduced = None  # pipeline's reduced frame of the means, built on first use
 
     @property
     def n_components(self) -> int:
@@ -195,12 +197,12 @@ def _sq_distances(xb, t, means, mean_sq):
     return x_sq[:, None] - (2.0 * t) * (xb @ means.T) + (t * t) * mean_sq
 
 
-def _gaussian_posterior(xb, t, means, mean_sq, variances, logw):
-    """Responsibilities (n, K) from log w_k + log N(x; t mu_k, s_k^2 I), s_k^2 > 0."""
-    s2 = (1.0 - t) ** 2 + t**2 * variances
-    d = means.shape[1]
-    sq = _sq_distances(xb, t, means, mean_sq)
-    logp = logw - 0.5 * d * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
+def _gaussian_posterior(xb, t, mixture: GaussianMixture, logw, idx=slice(None)):
+    """Responsibilities (n, K) from log w_k + log N(x; t mu_k, s_k^2 I), s_k^2 > 0, of
+    the components idx."""
+    s2 = (1.0 - t) ** 2 + t**2 * mixture.variances[idx]
+    sq = _sq_distances(xb, t, mixture.means[idx], mixture.mean_sq[idx])
+    logp = logw - 0.5 * mixture._ambient_dim * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
     return np.exp(logp - _logsumexp_rows(logp))
 
 
@@ -215,8 +217,7 @@ def _terminal_posterior(xb, mixture: GaussianMixture, logw):
         idx = np.flatnonzero(np.isfinite(row))
         mu, var = mixture.means[idx], mixture.variances[idx]
         if not np.any(var == 0):
-            out[i, idx] = _gaussian_posterior(pt[None, :], 1.0, mu, mixture.mean_sq[idx],
-                                              var, row[idx])[0]
+            out[i, idx] = _gaussian_posterior(pt[None, :], 1.0, mixture, row[idx], idx)[0]
             continue
         distinct = np.unique(np.hstack([mu, var[:, None]]), axis=0).shape[0] > 1
         hit = np.all(mu == pt, axis=1) & (var == 0)
@@ -236,7 +237,7 @@ def _posterior(xb, t, mixture: GaussianMixture, cond):
     logw = _log_weight_rows(mixture, cond, xb.shape[0])
     if t >= 1.0 and np.any(mixture.variances == 0):
         return _terminal_posterior(xb, mixture, logw)
-    return _gaussian_posterior(xb, t, mixture.means, mixture.mean_sq, mixture.variances, logw)
+    return _gaussian_posterior(xb, t, mixture, logw)
 
 
 def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):

@@ -92,15 +92,42 @@ def ssim(a, b, peak: float = 1.0):
     return float(score) if a.ndim == 2 else score
 
 
+def _nearest_mean(x, mixture: GaussianMixture) -> int:
+    d2 = np.sum((mixture.means - x[None, :]) ** 2, axis=1)
+    return int(np.argmin(d2))  # argmin takes the first minimum on ties
+
+
 def class_accuracy(reconstruction, mixture: GaussianMixture, true_label) -> int:
     """1 iff the nearest component mean carries true_label; ties break to the
     lowest component index."""
     x = np.asarray(reconstruction, dtype=float)
     if any(lb is None for lb in mixture.labels):
         raise ValueError("mixture components must be labeled")
-    d2 = np.sum((mixture.means - x[None, :]) ** 2, axis=1)
-    nearest = int(np.argmin(d2))  # argmin takes the first minimum on ties
-    return int(mixture.labels[nearest] == true_label)
+    return int(mixture.labels[_nearest_mean(x, mixture)] == true_label)
+
+
+def _nearest_means(x, mixture: GaussianMixture) -> np.ndarray:
+    """_nearest_mean of every row of x (n, d), from one matrix product.
+
+    The squared distances are expanded as ||x||^2 - 2 x.mu + ||mu||^2. Both
+    that form and the direct one are within about (2d + 6) eps (||x||^2 +
+    ||mu||^2) of the exact distance, so a row whose best two expanded
+    distances are further apart than 9 (d + 3) eps (||x||^2 + max ||mu||^2),
+    more than four such errors, has the same nearest mean either way. Any
+    other row (a tie, a near-tie, a non-finite point) is found by
+    _nearest_mean itself.
+    """
+    if any(lb is None for lb in mixture.labels):
+        raise ValueError("mixture components must be labeled")
+    x_sq = np.einsum("nd,nd->n", x, x)
+    d2 = x_sq[:, None] - 2.0 * (x @ mixture.means.T) + mixture.mean_sq
+    nearest = np.argmin(d2, axis=1)
+    if mixture.n_components > 1:
+        best = np.partition(d2, 1, axis=1)
+        bound = 9 * (x.shape[1] + 3) * np.finfo(float).eps * (x_sq + mixture.mean_sq.max())
+        for i in np.flatnonzero(~(best[:, 1] - best[:, 0] > bound)):
+            nearest[i] = _nearest_mean(x[i], mixture)
+    return nearest
 
 
 def report(reconstruction, reference, mixture: GaussianMixture | None = None,
@@ -126,12 +153,15 @@ def report(reconstruction, reference, mixture: GaussianMixture | None = None,
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
     scores = ssim(a, b) if min(b.shape[1:]) >= SSIM_WINDOW else [None] * len(refs)
+    accuracies = [None] * len(refs)
+    scored = [i for i, label in enumerate(labels) if label is not None]
+    if mixture is not None and scored:
+        nearest = _nearest_means(a[scored].reshape(len(scored), -1), mixture)
+        for i, k in zip(scored, nearest):
+            accuracies[i] = int(mixture.labels[k] == labels[i])
     reports = []
-    for x, y, label, score in zip(a, b, labels, scores):
+    for x, y, score, acc in zip(a, b, scores, accuracies):
         err = mse(x, y)
-        acc = None
-        if mixture is not None and label is not None:
-            acc = class_accuracy(x.ravel(), mixture, label)
         reports.append(MetricsReport(
             mse=err,
             psnr_db=_psnr_from_mse(err, 1.0),

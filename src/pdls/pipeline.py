@@ -21,32 +21,25 @@ seed per row) and runs the whole batch as two integrations: one stacked
 inversion holding every structural row plus a semantic row for each
 non-null prompt, then one generation of all rows. The field evaluates each
 step as one batch with one condition per row; an integration resolves its
-rows' conditions to log-weight rows once, not at every step. Every
-result's trajectories are views into the stacked states, so a batch keeps
-no copy of its paths, and each step's averaged targets are one gather from
-those states.
+rows' conditions to log-weight rows once, not at every step. Each step's
+averaged targets are one gather from the stacked inversion states.
 
-A batch that carries enough field work (rows x components x dims of at
-least two _MIN_BLOCK_WORK) is cut into W contiguous row blocks, W at most
-the usable CPUs. The calling thread restores block 0 and W - 1 worker
-threads the rest, each with the serial code above, and the results are
-joined in row order. While the blocks run, numpy's OpenBLAS is pinned to
-one thread, so the blocks' matrix products do not contend for its thread
-pool; afterwards its thread count is what it was. Where that OpenBLAS
-cannot be found (another BLAS), a batch is never split. Split rows agree
-with the unsplit batch within 1e-12 relative (about 1e-14 measured, the
-size by which an unsplit batch already changes with OpenBLAS's thread
-count).
+Every drift of a restore is affine in x, with terms only in the mixture
+means, the row's observation y_i and its noise draw z0_i, so row i stays in
+span{mu_1..mu_K, y_i, z0_i}. Where K + 2 < d (shapes32: 92 < 1024),
+restore() integrates in orthonormal coordinates of that span: a basis Q0 of
+the means from one QR kept on the mixture, plus y_i and z0_i orthogonalised
+against it twice. The unchanged field runs on the (n, K + 2) coordinates
+under a mixture of the means' coordinates, so a step costs O(n K (K + 2)),
+not O(n K d). restored is lifted to the full space at once, each row's
+trajectories on first access. Where K + 2 >= d (toy2d) a restore runs in
+the full space. Reduced and full-space restores agree within 1e-12
+relative; the reduced ones are the closer to the direct (n, K, d) form.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,17 +127,20 @@ def _resolve_conditions(mixture: GaussianMixture, conds):
 
 
 def invert_path(observed, mixture: GaussianMixture, cond, gamma: float,
-                n_steps: int, noise_seed) -> Trajectory:
+                n_steps: int, noise_seed, *, _z0=None) -> Trajectory:
     """Controlled inversion from the observed sample at t=1 down to t=0.
 
     Drift = blend of the marginal velocity (under cond) with the straight
     line toward z0 at the noise end, weight gamma. At gamma=1 Euler tracks
     the line exactly and the terminal state equals z0. observed is one
     point (d,) with one cond and one noise_seed, or a batch (n, d) with one
-    Condition or one per row and one noise seed per row.
+    Condition or one per row and one noise seed per row. restore() passes
+    the draws it made of noise_seed as _z0, in observed's coordinates.
     """
     observed = np.asarray(observed, dtype=float)
-    if observed.ndim == 1:
+    if _z0 is not None:
+        z0 = _z0
+    elif observed.ndim == 1:
         z0 = draw_noise(observed.size, noise_seed)
     else:
         z0 = np.stack([draw_noise(observed.shape[1], s) for s in noise_seed])
@@ -161,58 +157,74 @@ def invert_path(observed, mixture: GaussianMixture, cond, gamma: float,
     return integrate(observed, grid, drift)
 
 
+def _mix_latents(s, m, init_mode: str):
+    """The initial latent of init_mode from structural and semantic noise ends."""
+    if init_mode == "structural":
+        return s
+    if init_mode == "semantic":
+        return m
+    if init_mode == "mixed":
+        return 0.5 * (s + m)
+    raise ValueError(f"unknown init mode {init_mode!r}")
+
+
 @dataclass(frozen=True)
 class _PathStack:
     """The dual paths of a batch of n rows, stacked along one grid.
 
-    states (n_steps + 1, rows, d) hold the structural paths in rows 0..n-1;
-    pair[i] is row i's semantic row (i itself when both paths are one).
-    rows are the DualPaths of the batch, in order.
+    inversion holds the structural paths in rows 0..n-1 of its states
+    (n_steps + 1, rows, dim); pair[i] is row i's semantic row (i itself
+    when both paths are one), and prompts[i] its prompt.
     """
 
-    rows: tuple
-    states: np.ndarray
+    inversion: Trajectory
     pair: np.ndarray
+    prompts: tuple
 
     @classmethod
     def of(cls, rows) -> "_PathStack":
         """Stack copies of the paths of DualPaths that share one grid."""
-        nodes = rows[0].structural.grid.nodes
-        if any(not np.array_equal(p.structural.grid.nodes, nodes) for p in rows[1:]):
+        grid = rows[0].structural.grid
+        if any(not np.array_equal(p.structural.grid.nodes, grid.nodes) for p in rows[1:]):
             raise ValueError("batched paths must share one grid")
         states = np.concatenate([np.stack([p.structural.states for p in rows], axis=1),
                                  np.stack([p.semantic.states for p in rows], axis=1)], axis=1)
-        return cls(tuple(rows), states, np.arange(len(rows), 2 * len(rows)))
+        return cls(Trajectory(grid, states), np.arange(len(rows), 2 * len(rows)),
+                   tuple(p.condition for p in rows))
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """The DualPaths of every row, in order, as views of the stacked states."""
+        rows = []
+        for i, (j, prompt) in enumerate(zip(self.pair, self.prompts)):
+            structural = self.inversion._row(i)
+            semantic = structural if j == i else self.inversion._row(j)
+            rows.append(DualPaths(structural, semantic, prompt))
+        return tuple(rows)
 
     def target(self, step_index: int) -> np.ndarray:
-        """(n, d) averaged targets at one node; averaged_target of every row."""
-        s = self.states[step_index]
+        """(n, dim) averaged targets at one node; averaged_target of every row."""
+        s = self.inversion.states[step_index]
         return 0.5 * (s[:len(self.pair)] + s[self.pair])
 
 
 def _invert_rows(observed, mixture: GaussianMixture, prompts, config: PdlsConfig,
-                 seeds) -> _PathStack:
-    """Both inversions of every row of a batch (n, d), run as one stacked batch.
+                 seeds, z0=None) -> _PathStack:
+    """Both inversions of every row of a batch (n, dim), run as one stacked batch.
 
     Rows 0..n-1 are the structural (null) paths; one semantic row follows
     for each non-null prompt. A null-prompt row's semantic path is its
-    structural path. Each DualPaths holds views into the stacked states.
+    structural path. z0, when given, holds the rows' draws of their seeds.
     """
     n = len(observed)
     semantic = [i for i, p in enumerate(prompts) if not p.is_null]
-    stacked = np.concatenate([observed, observed[semantic]]) if semantic else observed
+    source = np.concatenate([np.arange(n), semantic]).astype(int)
     conds = [Condition.null()] * n + [prompts[i] for i in semantic]
-    noise = list(seeds) + [seeds[i] for i in semantic]
-    inv = invert_path(stacked, mixture, conds, config.gamma, config.n_steps, noise)
+    inv = invert_path(observed[source], mixture, conds, config.gamma, config.n_steps,
+                      [seeds[i] for i in source], _z0=None if z0 is None else z0[source])
     pair = np.arange(n)
     pair[semantic] = np.arange(n, n + len(semantic))
-    rows = []
-    for i in range(n):
-        structural = inv._row(i)
-        j = pair[i]
-        semantic_path = structural if j == i else inv._row(j)
-        rows.append(DualPaths(structural, semantic_path, prompts[i]))
-    return _PathStack(tuple(rows), inv.states, pair)
+    return _PathStack(inv, pair, tuple(prompts))
 
 
 def dual_invert(observed, mixture: GaussianMixture, prompt: Condition,
@@ -242,13 +254,7 @@ def averaged_target(paths, step_index: int) -> np.ndarray:
 def initial_latent(paths: DualPaths, init_mode: str) -> np.ndarray:
     s = NoiseEndLatent.from_trajectory(paths.structural).x
     m = NoiseEndLatent.from_trajectory(paths.semantic).x
-    if init_mode == "structural":
-        return s
-    if init_mode == "semantic":
-        return m
-    if init_mode == "mixed":
-        return 0.5 * (s + m)
-    raise ValueError(f"unknown init mode {init_mode!r}")
+    return _mix_latents(s, m, init_mode)
 
 
 def steered_generate(paths, mixture: GaussianMixture, config: PdlsConfig) -> Trajectory:
@@ -263,18 +269,18 @@ def steered_generate(paths, mixture: GaussianMixture, config: PdlsConfig) -> Tra
         stack = paths
     else:
         stack = _PathStack.of([paths] if single else list(paths))
-    rows = stack.rows
-    inv_nodes = rows[0].structural.grid.nodes
+    inv_nodes = stack.inversion.grid.nodes
     n = inv_nodes.size - 1
     gen_grid = make_grid(n, 0.0, 1.0)
     # The generation grid must be the exact reversal of the inversion grid.
     if not np.allclose(inv_nodes[::-1], gen_grid.nodes, rtol=0, atol=1e-12):
         raise ValueError("paths were not produced on the reversal of the generation grid")
 
-    base_cond = _resolve_conditions(mixture, [p.condition if config.base_condition == "prompt"
-                                              else Condition.null() for p in rows])
+    base_cond = _resolve_conditions(mixture, [p if config.base_condition == "prompt"
+                                              else Condition.null() for p in stack.prompts])
     schedule = SteeringSchedule(config.eta_max, config.schedule_kind)
-    x_init = np.stack([initial_latent(p, config.init_mode) for p in rows])
+    end = stack.inversion.terminal  # initial_latent of every row
+    x_init = _mix_latents(end[:len(stack.pair)], end[stack.pair], config.init_mode)
 
     def drift(x, t, k):
         # Steer toward the stored node this step lands on: targeting the
@@ -296,15 +302,97 @@ def steered_generate(paths, mixture: GaussianMixture, config: PdlsConfig) -> Tra
     return generated._row(0) if single else generated
 
 
+def _directions(v, q0, u=None) -> np.ndarray:
+    """(n, d) unit directions of the rows of v orthogonal to q0's columns (and u[i]).
+
+    Classical Gram-Schmidt, run twice. Where the second pass shrinks a
+    row's residual below half of the first's, the row already lies in the
+    span (Kahan-Parlett, "twice is enough") and its direction is 0: the
+    residual is rounding noise, and normalised it would not be orthogonal
+    to the span.
+    """
+    def residual(r):
+        r = r - (r @ q0) @ q0.T
+        if u is not None:
+            r = r - np.einsum("nd,nd->n", r, u)[:, None] * u
+        return r
+
+    first = residual(v)
+    second = residual(first)
+    norm = np.linalg.norm(second, axis=1)
+    keep = norm > 0.5 * np.linalg.norm(first, axis=1)
+    return np.where(keep[:, None], second / np.where(keep, norm, 1.0)[:, None], 0.0)
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """Orthonormal coordinates of a batch's rows: the span of the means, y_i and z0_i.
+
+    Row i's basis is q0 (d, K), an orthonormal basis of the means, and
+    dirs[i] (2, d), its own directions (0 where y_i or z0_i already lies
+    in the span before it). mixture is the mixture in these coordinates.
+    """
+
+    q0: np.ndarray
+    dirs: np.ndarray
+    mixture: GaussianMixture
+
+    @classmethod
+    def of(cls, mixture: GaussianMixture, observed, z0) -> "_Frame | None":
+        """The frame of rows observed (n, d) with draws z0, or None where K + 2 >= d."""
+        if mixture.n_components + 2 >= mixture.dim:
+            return None
+        if mixture._reduced is None:
+            q0 = np.linalg.qr(mixture.means.T)[0]
+            means = np.hstack([mixture.means @ q0, np.zeros((mixture.n_components, 2))])
+            reduced = GaussianMixture(mixture.weights, means, mixture.variances,
+                                      mixture.labels)
+            reduced._ambient_dim = mixture.dim  # its log-normaliser keeps the full d
+            mixture._reduced = (q0, reduced)
+        q0, reduced = mixture._reduced
+        y = _directions(observed, q0)
+        return cls(q0, np.stack([y, _directions(z0, q0, y)], axis=1), reduced)
+
+    def coords(self, x) -> np.ndarray:
+        """(n, K + 2) coordinates of the rows x (n, d), row i in row i's basis."""
+        return np.concatenate([x @ self.q0, np.einsum("nd,njd->nj", x, self.dirs)], axis=1)
+
+    def lift(self, c, i=slice(None)) -> np.ndarray:
+        """Full-space points of coordinates c (m, K + 2): row j in row j's basis, or in row i's."""
+        k = self.q0.shape[1]
+        return c[:, :k] @ self.q0.T + (c[:, None, k:] @ self.dirs[i])[:, 0]
+
+
 @dataclass(frozen=True)
 class RestoreResult:
+    """One restored row. paths and generated hold (n_steps + 1, d) states; a
+    restore in reduced coordinates lifts them on first access and keeps them."""
+
     restored: np.ndarray
-    paths: DualPaths
-    generated: Trajectory
     # diagnostics rows: (step, t, eta, dist_to_target)
-    diagnostics: tuple = field(default_factory=tuple)
-    structural_latent_norm: float = 0.0
-    semantic_latent_norm: float = 0.0
+    diagnostics: tuple
+    structural_latent_norm: float
+    semantic_latent_norm: float
+    _stack: _PathStack = field(repr=False, compare=False)
+    _generated: Trajectory = field(repr=False, compare=False)
+    _frame: _Frame | None = field(repr=False, compare=False)
+    _row: int = field(repr=False, compare=False)
+
+    def _lifted(self, traj: Trajectory) -> Trajectory:
+        if self._frame is None:
+            return traj
+        return Trajectory(traj.grid, self._frame.lift(traj.states, self._row))
+
+    @functools.cached_property
+    def paths(self) -> DualPaths:
+        row = self._stack.rows[self._row]
+        structural = self._lifted(row.structural)
+        semantic = structural if row.semantic is row.structural else self._lifted(row.semantic)
+        return DualPaths(structural, semantic, row.condition)
+
+    @functools.cached_property
+    def generated(self) -> Trajectory:
+        return self._lifted(self._generated._row(self._row))
 
 
 def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed):
@@ -313,10 +401,9 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     observed is one point (d,) with one prompt and one seed, giving one
     RestoreResult, or a batch (n, d) with one prompt and one seed per row,
     giving a list of n. The whole batch runs as one stacked inversion and
-    one generation, or, when it carries enough field work, as contiguous
-    row blocks on parallel threads (see the module docstring). A null
-    prompt collapses to single-path restoration (both stored paths are the
-    structural one).
+    one generation, in reduced coordinates where K + 2 < d (see the module
+    docstring). A null prompt collapses to single-path restoration (both
+    stored paths are the structural one).
     """
     observed = np.asarray(observed, dtype=float)
     single = observed.ndim == 1
@@ -325,25 +412,11 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     if len(prompts) != len(batch) or len(seeds) != len(batch):
         raise ValueError("a batch needs one prompt and one seed per row")
 
-    blocks = _block_count(len(batch), mixture)
-    if blocks == 1:
-        results = _restore_rows(batch, mixture, prompts, config, seeds)
-    else:
-        bounds = [len(batch) * b // blocks for b in range(blocks + 1)]
-        parts = [(batch[lo:hi], mixture, prompts[lo:hi], config, seeds[lo:hi])
-                 for lo, hi in zip(bounds, bounds[1:])]
-        with _single_threaded_blas(), ThreadPoolExecutor(blocks - 1) as pool:
-            rest = [pool.submit(_restore_rows, *part) for part in parts[1:]]
-            results = _restore_rows(*parts[0])
-            for future in rest:
-                results += future.result()
-    return results[0] if single else results
-
-
-def _restore_rows(batch, mixture: GaussianMixture, prompts, config: PdlsConfig,
-                  seeds) -> list:
-    """restore() of a batch (n, d) as one stacked inversion and one generation."""
-    paths = _invert_rows(batch, mixture, prompts, config, seeds)
+    z0 = np.stack([draw_noise(batch.shape[1], s) for s in seeds])
+    frame = _Frame.of(mixture, batch, z0)
+    if frame is not None:
+        batch, z0, mixture = frame.coords(batch), frame.coords(z0), frame.mixture
+    paths = _invert_rows(batch, mixture, prompts, config, seeds, z0)
     generated = steered_generate(paths, mixture, config)
 
     schedule = SteeringSchedule(config.eta_max, config.schedule_kind)
@@ -352,89 +425,13 @@ def _restore_rows(batch, mixture: GaussianMixture, prompts, config: PdlsConfig,
     etas = [float(eta(schedule, float(t))) for t in nodes]
     dists = np.stack([np.linalg.norm(generated.states[k] - paths.target(n - k), axis=1)
                       for k in range(n + 1)])
-    results = []
-    for i, row in enumerate(paths.rows):
-        traj = generated._row(i)
-        results.append(RestoreResult(
-            restored=traj.terminal,
-            paths=row,
-            generated=traj,
-            diagnostics=tuple(zip(range(n + 1), nodes.tolist(), etas, dists[:, i].tolist())),
-            structural_latent_norm=float(np.linalg.norm(row.structural.terminal)),
-            semantic_latent_norm=float(np.linalg.norm(row.semantic.terminal)),
-        ))
-    return results
-
-
-# Field work (rows x components x dims) of one row block: about 23 shapes32
-# rows. Below two blocks' worth a split gains nothing, and a batch whose
-# field is small (toy2d, d * K = 4) spends its steps in Python, where
-# threads only contend for the interpreter lock.
-_MIN_BLOCK_WORK = 1 << 21
-
-
-def _block_count(rows: int, mixture: GaussianMixture) -> int:
-    """How many row blocks restore() runs in parallel; 1 runs the batch whole."""
-    blocks = rows * mixture.n_components * mixture.dim // _MIN_BLOCK_WORK
-    if blocks < 2:
-        return 1
-    blocks = min(blocks, _usable_cpus())
-    if blocks < 2 or _openblas_threads() is None:
-        return 1
-    return blocks
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
-
-    Looked up on the first batch that would split, so importing pdls loads
-    nothing. None for any other BLAS (MKL, Accelerate, another OpenBLAS
-    build), whose threads restore() cannot pin.
-    """
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath
-    try:
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
-
-# OpenBLAS's thread count is process-wide, so the pin is too: the first of
-# overlapping pins saves the count and sets 1, the last puts the count back.
-_pin_lock = threading.Lock()
-_pin_depth = 0
-_pin_saved = 1
-
-
-@contextmanager
-def _single_threaded_blas():
-    """Hold numpy's OpenBLAS to one thread inside the block, then put its count back."""
-    global _pin_depth, _pin_saved
-    get, put = _openblas_threads()
-    with _pin_lock:
-        if _pin_depth == 0:
-            _pin_saved = get()
-            put(1)
-        _pin_depth += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0:
-                put(_pin_saved)
+    latents = paths.inversion.terminal
+    restored = generated.terminal if frame is None else frame.lift(generated.terminal)
+    results = [RestoreResult(
+        restored=restored[i],
+        diagnostics=tuple(zip(range(n + 1), nodes.tolist(), etas, dists[:, i].tolist())),
+        structural_latent_norm=float(np.linalg.norm(latents[i])),
+        semantic_latent_norm=float(np.linalg.norm(latents[paths.pair[i]])),
+        _stack=paths, _generated=generated, _frame=frame, _row=i,
+    ) for i in range(len(prompts))]
+    return results[0] if single else results

@@ -175,6 +175,29 @@ class TestBatchedReport:
         assert [r.ssim for r in reps] == [None, None]
         assert reps[0].psnr_db == math.inf and reps[1].mse == pytest.approx(0.0625)
 
+    def test_class_accuracy_on_ties_and_near_ties(self):
+        # Row i lies between means 2i ("a") and 2i + 1 ("b"): offsets e and a
+        # permutation of e scaled by 1 + s, so the two distances tie or
+        # nearly tie. The expanded distances cannot order such pairs; the
+        # batch must still give class_accuracy's integer for every row.
+        rng = np.random.default_rng(0)
+        xs, means = [], []
+        for s in [0.0, 1e-12, -1e-12, 1e-10] * 25:
+            x = rng.uniform(0.3, 0.7, 144)
+            e = 1e-3 * rng.standard_normal(144)
+            xs.append(x)
+            means += [x + e, x + rng.permutation(e) * (1 + s)]
+        # An exact tie in both forms: dyadic values, equal and opposite offsets.
+        xs.append(np.full(144, 0.5))
+        means += [np.full(144, 0.5 + 2.0**-6), np.full(144, 0.5 - 2.0**-6)]
+        k = len(means)
+        mixture = GaussianMixture(np.full(k, 1 / k), means, np.zeros(k), ["a", "b"] * (k // 2))
+        images = [ImageGrid(x.reshape(12, 12)) for x in xs]
+        reports = report(images, images, mixture, ["a"] * len(xs))
+        got = [rep.class_accuracy for rep in reports]
+        assert got == [class_accuracy(x, mixture, "a") for x in xs]
+        assert 0 < sum(got) < len(xs) and got[-1] == 1
+
     def test_one_label_per_pair(self):
         img = ImageGrid(np.zeros((16, 16)))
         with pytest.raises(ValueError, match="one label per reference"):
