@@ -36,10 +36,8 @@ from .integrate import DriftDivergedError, TimeGrid, Trajectory, integrate, make
 from .metrics import class_accuracy, psnr, ssim
 from .pipeline import (
     DualPaths,
-    NoiseEndLatent,
     PdlsConfig,
     RestoreResult,
-    averaged_target,
     dual_invert,
     invert_path,
     restore,

@@ -194,6 +194,10 @@ def _run_image_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
                                             args.bandwidth)
     seeds = parse_seeds(args.seeds)
     task = manifest["operator"].split(":")[0]
+    # The operator and its noise level name the experiment too, so that bench
+    # keeps runs on differently degraded inputs apart.
+    config = config_hash(cfg, {"prompt": args.prompt, "operator": manifest["operator"],
+                               "sigma_y": manifest.get("sigma_y")})
     jobs, inputs = [], []
     for rec in manifest["records"]:
         observed = fileio.read_pgm(mdir / rec["observed"])
@@ -218,8 +222,7 @@ def _run_image_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
         name = f"{rec['id']}_s{seed}_recon.pgm"
         fileio.write_pgm(out / name, recon)
         rows.append({
-            "task": task, "input": rec["id"], "seed": seed,
-            "config": config_hash(cfg, {"prompt": args.prompt}),
+            "task": task, "input": rec["id"], "seed": seed, "config": config,
             "mse": rep.mse, "psnr_db": rep.psnr_db, "ssim": rep.ssim,
             "class_acc": rep.class_accuracy, "recon_path": name,
         })
@@ -240,12 +243,13 @@ def _run_toy_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
     results = restore(np.stack([obs for *_, obs in cases]), mixture,
                       [_prompt_for(args, label) for _, _, label, _ in cases], cfg, seeds)
 
+    # --sigma-y stays out of the hash, which keeps existing toy2d hashes valid.
+    config = config_hash(cfg, {"prompt": args.prompt})
     rows = []
     for (seed, clean, label, _), result in zip(cases, results):
         err = float(np.mean((result.restored - clean) ** 2))
         rows.append({
-            "task": "toy2d", "input": f"seed{seed}", "seed": seed,
-            "config": config_hash(cfg, {"prompt": args.prompt}),
+            "task": "toy2d", "input": f"seed{seed}", "seed": seed, "config": config,
             "mse": err, "psnr_db": metrics.psnr(result.restored, clean),
             "ssim": None,
             "class_acc": metrics.class_accuracy(result.restored, mixture, label),
@@ -253,8 +257,8 @@ def _run_toy_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
         })
     # trajectory dump for the first seed feeds the bench plot
     first = results[0]
-    (out / "structural_path.csv").write_text(trajectory_to_csv(first.paths.structural))
-    (out / "semantic_path.csv").write_text(trajectory_to_csv(first.paths.semantic))
+    (out / "structural_path.csv").write_text(trajectory_to_csv(first.structural))
+    (out / "semantic_path.csv").write_text(trajectory_to_csv(first.semantic))
     (out / "steered_path.csv").write_text(trajectory_to_csv(first.generated))
     _write_diagnostics(out / "diagnostics.csv", first.diagnostics)
     return rows

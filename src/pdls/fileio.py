@@ -1,9 +1,7 @@
-"""File formats: binary PGM images, mixture definition files, point CSVs."""
+"""File formats: binary PGM images, mixture definition files."""
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from pathlib import Path
 
@@ -30,15 +28,15 @@ def read_pgm(path) -> ImageGrid:
     pos = 0
 
     def token():
+        # Whitespace and '#' comments, in any order, separate header tokens;
+        # a comment runs to the end of its line.
         nonlocal pos
-        while True:
-            m = re.compile(rb"\s*(#[^\n]*\n)*\s*").match(data, pos)
-            pos = m.end()
-            m = re.compile(rb"\S+").match(data, pos)
-            if m is None:
-                raise FormatError(f"malformed PGM header at byte {pos}")
-            pos = m.end()
-            return m.group()
+        pos = re.compile(rb"(?:\s|#[^\r\n]*[\r\n])*").match(data, pos).end()
+        m = re.compile(rb"[^\s#]+").match(data, pos)
+        if m is None:
+            raise FormatError(f"malformed PGM header at byte {pos}")
+        pos = m.end()
+        return m.group()
 
     if token() != b"P5":
         raise FormatError("malformed PGM header at byte 0: expected magic P5")
@@ -87,34 +85,3 @@ def read_mixture(path) -> GaussianMixture:
             raise FormatError(f"malformed mixture record on line {ln}") from exc
     return GaussianMixture(weights, means, variances, labels)
 
-
-def write_points_csv(path, points: np.ndarray, labels=None) -> None:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"x_{i}" for i in range(points.shape[1])]
-        if labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i, row in enumerate(points):
-            out = [repr(float(v)) for v in row]
-            if labels is not None:
-                out.append(str(labels[i]))
-            writer.writerow(out)
-
-
-def read_points_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        has_labels = header and header[-1] == "label"
-        pts, labels = [], []
-        for row in reader:
-            if not row:
-                continue
-            if has_labels:
-                pts.append([float(v) for v in row[:-1]])
-                labels.append(row[-1])
-            else:
-                pts.append([float(v) for v in row])
-    return np.asarray(pts), (labels if has_labels else None)

@@ -42,7 +42,7 @@ from typing import Hashable
 
 import numpy as np
 
-# Terminal-time clamp: marginal_velocity clamps t into [0, 1 - EPS_T] so the
+# Terminal-time guard: marginal_velocity clamps t into [0, 1 - EPS_T] so the
 # 1/(1-t) gain stays finite. Integration grids keep their exact endpoint
 # nodes; drifts are only evaluated at a step's start node.
 EPS_T = 1e-3
@@ -280,29 +280,19 @@ def posterior_endpoint_mean(x, t, mixture: GaussianMixture, cond=Condition.null(
     return out[0] if single else out
 
 
-def marginal_velocity(
-    x,
-    t,
-    mixture: GaussianMixture,
-    cond=Condition.null(),
-    clamp: bool = True,
-):
+def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
     """Exact marginal velocity (posterior_endpoint_mean(x, t) - x) / (1 - t).
 
     The endpoint mean is affine in x, so the velocity is too, and it is
     computed in that form with the 1/(1-t) folded into the coefficients:
         (r * (1 - t c) / (1 - t)) @ mu + ((r @ c - 1) / (1 - t)) x,
     one GEMM and one (n, d) update.
-    With clamp=True (the default, used by all integrators) t is clamped into
-    [0, 1 - EPS_T]; with clamp=False times past the clamp raise.
+    Times past 1 - EPS_T are clamped to it (see EPS_T).
     Accepts a single point or a batch, under one Condition or one per row.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("time out of range")
-    if t > 1.0 - EPS_T:
-        if not clamp:
-            raise TerminalTimeError("terminal-time singularity")
-        t = 1.0 - EPS_T
+    t = min(t, 1.0 - EPS_T)
     xb, single = _check_points(x, mixture)
     r, coef = _mixing(xb, t, mixture, cond)
     out = ((r * ((1.0 - t * coef) / (1.0 - t))) @ mixture.means

@@ -79,17 +79,6 @@ class Trajectory:
             raise ValueError("trajectory states must be finite")
         object.__setattr__(self, "states", states)
 
-    def _row(self, i: int) -> "Trajectory":
-        """Row i of this batch trajectory, as a view of its states.
-
-        The stacked states were checked when this trajectory was built, so
-        the row skips the finiteness scan of __post_init__.
-        """
-        row = object.__new__(Trajectory)
-        object.__setattr__(row, "grid", self.grid)
-        object.__setattr__(row, "states", self.states[:, i])
-        return row
-
     @property
     def terminal(self) -> np.ndarray:
         return self.states[-1]

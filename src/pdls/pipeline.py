@@ -16,13 +16,16 @@ A restore runs three integrations on one shared grid:
 The inversion grid is the exact reversal of the generation grid, so the
 reverse pass looks up stored nodes by index and never interpolates in time.
 
-restore() takes one observation or a batch of them (one prompt and one
-seed per row) and runs the whole batch as two integrations: one stacked
-inversion holding every structural row plus a semantic row for each
-non-null prompt, then one generation of all rows. The field evaluates each
-step as one batch with one condition per row; an integration resolves its
-rows' conditions to log-weight rows once, not at every step. Each step's
-averaged targets are one gather from the stacked inversion states.
+Both inversions of a batch are one DualPaths: dual_invert() runs them as
+one stacked inversion holding every row's structural path plus a semantic
+row for each non-null prompt (pair maps each row to its semantic row, a
+null-prompt row to itself). steered_generate() generates every row of a
+DualPaths as one batch, and each step's averaged targets are one gather
+from the stacked inversion states. The field evaluates each step as one
+batch with one condition per row; an integration resolves its rows'
+conditions to log-weight rows once, not at every step. restore() takes one
+observation or a batch of them (one prompt and one seed per row) and runs
+the whole batch through these two calls.
 
 Every drift of a restore is affine in x, with terms only in the mixture
 means, the row's observation y_i and its noise draw z0_i, so row i stays in
@@ -31,10 +34,17 @@ restore() integrates in orthonormal coordinates of that span: a basis Q0 of
 the means from one QR kept on the mixture, plus y_i and z0_i orthogonalised
 against it twice. The unchanged field runs on the (n, K + 2) coordinates
 under a mixture of the means' coordinates, so a step costs O(n K (K + 2)),
-not O(n K d). restored is lifted to the full space at once, each row's
-trajectories on first access. Where K + 2 >= d (toy2d) a restore runs in
-the full space. Reduced and full-space restores agree within 1e-12
-relative; the reduced ones are the closer to the direct (n, K, d) form.
+not O(n K d). restored is lifted to the full space at once; a result's
+structural, semantic and generated trajectories are built (and lifted) on
+first access. Where K + 2 >= d (toy2d) a restore runs in the full space.
+
+At the default 28 steps, reduced and full-space restores agree within
+1e-12 relative on restored, the trajectories and the latent norms; the
+reduced ones are the closer to the direct (n, K, d) form. The promise does
+not cover the diagnostics' dist_to_target, a difference of nearly equal
+states (worst measured row 2.2e-12 at gblur sigma 1.5, 1.3e-11 at 3.0), nor
+few steps: the first inversion step scales the field's rounding by
+dt / (1 - t) at t = 1 - EPS_T, and at 2 steps the agreement is about 2e-12.
 """
 
 from __future__ import annotations
@@ -81,32 +91,6 @@ class PdlsConfig:
             raise ValueError(f"schedule_kind must be one of {SCHEDULE_KINDS}")
 
 
-@dataclass(frozen=True)
-class DualPaths:
-    """The two stored inversion trajectories sharing one grid."""
-
-    structural: Trajectory
-    semantic: Trajectory
-    condition: Condition
-
-    def __post_init__(self):
-        if not np.array_equal(self.structural.grid.nodes, self.semantic.grid.nodes):
-            raise ValueError("dual paths must share the same grid")
-
-
-@dataclass(frozen=True)
-class NoiseEndLatent:
-    """Terminal (t ~ 0) state of an inversion trajectory; the reverse init."""
-
-    x: np.ndarray
-
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory) -> "NoiseEndLatent":
-        if traj.grid.t_end > traj.grid.t_start:
-            raise ValueError("noise end requires a descending trajectory")
-        return cls(traj.terminal)
-
-
 def draw_noise(dim: int, seed: int) -> np.ndarray:
     """The z0 draw shared by both inversion paths."""
     return np.random.default_rng(seed).standard_normal(dim)
@@ -135,7 +119,8 @@ def invert_path(observed, mixture: GaussianMixture, cond, gamma: float,
     the line exactly and the terminal state equals z0. observed is one
     point (d,) with one cond and one noise_seed, or a batch (n, d) with one
     Condition or one per row and one noise seed per row. restore() passes
-    the draws it made of noise_seed as _z0, in observed's coordinates.
+    the draws it made of noise_seed as _z0 (through dual_invert), in
+    observed's coordinates.
     """
     observed = np.asarray(observed, dtype=float)
     if _z0 is not None:
@@ -157,119 +142,65 @@ def invert_path(observed, mixture: GaussianMixture, cond, gamma: float,
     return integrate(observed, grid, drift)
 
 
-def _mix_latents(s, m, init_mode: str):
-    """The initial latent of init_mode from structural and semantic noise ends."""
-    if init_mode == "structural":
-        return s
-    if init_mode == "semantic":
-        return m
-    if init_mode == "mixed":
-        return 0.5 * (s + m)
-    raise ValueError(f"unknown init mode {init_mode!r}")
-
-
 @dataclass(frozen=True)
-class _PathStack:
-    """The dual paths of a batch of n rows, stacked along one grid.
+class DualPaths:
+    """The dual paths of a batch of n rows, stacked along one descending grid.
 
     inversion holds the structural paths in rows 0..n-1 of its states
     (n_steps + 1, rows, dim); pair[i] is row i's semantic row (i itself
-    when both paths are one), and prompts[i] its prompt.
+    when both paths are one, as for a null prompt), and prompts[i] its prompt.
     """
 
     inversion: Trajectory
     pair: np.ndarray
     prompts: tuple
 
-    @classmethod
-    def of(cls, rows) -> "_PathStack":
-        """Stack copies of the paths of DualPaths that share one grid."""
-        grid = rows[0].structural.grid
-        if any(not np.array_equal(p.structural.grid.nodes, grid.nodes) for p in rows[1:]):
-            raise ValueError("batched paths must share one grid")
-        states = np.concatenate([np.stack([p.structural.states for p in rows], axis=1),
-                                 np.stack([p.semantic.states for p in rows], axis=1)], axis=1)
-        return cls(Trajectory(grid, states), np.arange(len(rows), 2 * len(rows)),
-                   tuple(p.condition for p in rows))
-
-    @functools.cached_property
-    def rows(self) -> tuple:
-        """The DualPaths of every row, in order, as views of the stacked states."""
-        rows = []
-        for i, (j, prompt) in enumerate(zip(self.pair, self.prompts)):
-            structural = self.inversion._row(i)
-            semantic = structural if j == i else self.inversion._row(j)
-            rows.append(DualPaths(structural, semantic, prompt))
-        return tuple(rows)
-
     def target(self, step_index: int) -> np.ndarray:
-        """(n, dim) averaged targets at one node; averaged_target of every row."""
+        """(n, dim) averaged targets: each row's midpoint of its two stored states at one node."""
         s = self.inversion.states[step_index]
         return 0.5 * (s[:len(self.pair)] + s[self.pair])
 
+    def latents(self, init_mode: str) -> np.ndarray:
+        """(n, dim) initial latents of init_mode from each row's two noise-end states."""
+        end = self.inversion.terminal
+        s, m = end[:len(self.pair)], end[self.pair]
+        if init_mode == "structural":
+            return s
+        if init_mode == "semantic":
+            return m
+        if init_mode == "mixed":
+            return 0.5 * (s + m)
+        raise ValueError(f"unknown init mode {init_mode!r}")
 
-def _invert_rows(observed, mixture: GaussianMixture, prompts, config: PdlsConfig,
-                 seeds, z0=None) -> _PathStack:
+
+def dual_invert(observed, mixture: GaussianMixture, prompts, config: PdlsConfig,
+                seeds, *, _z0=None) -> DualPaths:
     """Both inversions of every row of a batch (n, dim), run as one stacked batch.
 
     Rows 0..n-1 are the structural (null) paths; one semantic row follows
-    for each non-null prompt. A null-prompt row's semantic path is its
-    structural path. z0, when given, holds the rows' draws of their seeds.
+    for each non-null prompt, with the same z0. A null-prompt row's
+    semantic path is its structural path. restore() passes the rows' draws
+    of their seeds as _z0, in observed's coordinates.
     """
+    observed = np.asarray(observed, dtype=float)
     n = len(observed)
+    if observed.ndim != 2 or len(prompts) != n or len(seeds) != n:
+        raise ValueError("dual_invert needs a batch (n, d) with one prompt and one seed per row")
     semantic = [i for i, p in enumerate(prompts) if not p.is_null]
     source = np.concatenate([np.arange(n), semantic]).astype(int)
     conds = [Condition.null()] * n + [prompts[i] for i in semantic]
     inv = invert_path(observed[source], mixture, conds, config.gamma, config.n_steps,
-                      [seeds[i] for i in source], _z0=None if z0 is None else z0[source])
+                      [seeds[i] for i in source], _z0=None if _z0 is None else _z0[source])
     pair = np.arange(n)
     pair[semantic] = np.arange(n, n + len(semantic))
-    return _PathStack(inv, pair, tuple(prompts))
+    return DualPaths(inv, pair, tuple(prompts))
 
 
-def dual_invert(observed, mixture: GaussianMixture, prompt: Condition,
-                config: PdlsConfig, noise_seed: int) -> DualPaths:
-    """Run the structural (null) and semantic (prompt) inversions with shared z0."""
-    if prompt.is_null:
-        raise ValueError("dual inversion requires a non-null prompt")
-    observed = np.asarray(observed, dtype=float)
-    return _invert_rows(observed[None, :], mixture, [prompt], config, [noise_seed]).rows[0]
-
-
-def averaged_target(paths, step_index: int) -> np.ndarray:
-    """Midpoint of the two stored inversion states at one grid node.
-
-    paths is one DualPaths, giving (d,), or a sequence of them, giving (n, d).
-    """
-    rows = [paths] if isinstance(paths, DualPaths) else paths
-    n = rows[0].structural.grid.n_steps
-    if not 0 <= step_index <= n:
-        raise IndexError("step index out of range")
-    s = np.stack([p.structural.states[step_index] for p in rows])
-    m = np.stack([p.semantic.states[step_index] for p in rows])
-    target = 0.5 * (s + m)
-    return target[0] if isinstance(paths, DualPaths) else target
-
-
-def initial_latent(paths: DualPaths, init_mode: str) -> np.ndarray:
-    s = NoiseEndLatent.from_trajectory(paths.structural).x
-    m = NoiseEndLatent.from_trajectory(paths.semantic).x
-    return _mix_latents(s, m, init_mode)
-
-
-def steered_generate(paths, mixture: GaussianMixture, config: PdlsConfig) -> Trajectory:
-    """Ascending generation from the init latent, steered toward the averaged target.
-
-    paths is one DualPaths, giving a Trajectory of (d,) states, or a
-    sequence of them sharing one grid, generated as one batch and giving
-    (n_steps + 1, n, d) states.
-    """
-    single = isinstance(paths, DualPaths)
-    if isinstance(paths, _PathStack):
-        stack = paths
-    else:
-        stack = _PathStack.of([paths] if single else list(paths))
-    inv_nodes = stack.inversion.grid.nodes
+def steered_generate(paths: DualPaths, mixture: GaussianMixture,
+                     config: PdlsConfig) -> Trajectory:
+    """Ascending generation of every row from its init latent, steered toward its
+    averaged target; one batch, giving (n_steps + 1, n, dim) states."""
+    inv_nodes = paths.inversion.grid.nodes
     n = inv_nodes.size - 1
     gen_grid = make_grid(n, 0.0, 1.0)
     # The generation grid must be the exact reversal of the inversion grid.
@@ -277,10 +208,8 @@ def steered_generate(paths, mixture: GaussianMixture, config: PdlsConfig) -> Tra
         raise ValueError("paths were not produced on the reversal of the generation grid")
 
     base_cond = _resolve_conditions(mixture, [p if config.base_condition == "prompt"
-                                              else Condition.null() for p in stack.prompts])
+                                              else Condition.null() for p in paths.prompts])
     schedule = SteeringSchedule(config.eta_max, config.schedule_kind)
-    end = stack.inversion.terminal  # initial_latent of every row
-    x_init = _mix_latents(end[:len(stack.pair)], end[stack.pair], config.init_mode)
 
     def drift(x, t, k):
         # Steer toward the stored node this step lands on: targeting the
@@ -292,14 +221,13 @@ def steered_generate(paths, mixture: GaussianMixture, config: PdlsConfig) -> Tra
         weight = float(eta(schedule, t))
         if weight == 0.0:
             return marginal_velocity(x, t, mixture, base_cond)
-        control = lqr_control(x, stack.target(j), t)
+        control = lqr_control(x, paths.target(j), t)
         if weight == 1.0:
             return control
         base = marginal_velocity(x, t, mixture, base_cond)
         return blend_drift(base, control, weight)
 
-    generated = integrate(x_init, gen_grid, drift)
-    return generated._row(0) if single else generated
+    return integrate(paths.latents(config.init_mode), gen_grid, drift)
 
 
 def _directions(v, q0, u=None) -> np.ndarray:
@@ -309,8 +237,13 @@ def _directions(v, q0, u=None) -> np.ndarray:
     row's residual below half of the first's, the row already lies in the
     span (Kahan-Parlett, "twice is enough") and its direction is 0: the
     residual is rounding noise, and normalised it would not be orthogonal
-    to the span.
+    to the span. Each row of v is first scaled by a power of two to a
+    largest magnitude in [0.5, 1): exact, and it leaves the direction's bits
+    as they are, except for a tiny row, whose squares would underflow in
+    the norms and leave its direction off unit length.
     """
+    v = np.ldexp(v, -np.frexp(np.max(np.abs(v), axis=1))[1][:, None])
+
     def residual(r):
         r = r - (r @ q0) @ q0.T
         if u is not None:
@@ -365,34 +298,39 @@ class _Frame:
 
 @dataclass(frozen=True)
 class RestoreResult:
-    """One restored row. paths and generated hold (n_steps + 1, d) states; a
-    restore in reduced coordinates lifts them on first access and keeps them."""
+    """One restored row. structural, semantic and generated hold (n_steps + 1, d)
+    states, built on first access (and lifted, for a restore in reduced
+    coordinates) and kept."""
 
     restored: np.ndarray
     # diagnostics rows: (step, t, eta, dist_to_target)
     diagnostics: tuple
     structural_latent_norm: float
     semantic_latent_norm: float
-    _stack: _PathStack = field(repr=False, compare=False)
+    _paths: DualPaths = field(repr=False, compare=False)
     _generated: Trajectory = field(repr=False, compare=False)
     _frame: _Frame | None = field(repr=False, compare=False)
     _row: int = field(repr=False, compare=False)
 
-    def _lifted(self, traj: Trajectory) -> Trajectory:
-        if self._frame is None:
-            return traj
-        return Trajectory(traj.grid, self._frame.lift(traj.states, self._row))
+    def _lifted(self, traj: Trajectory, j: int) -> Trajectory:
+        """Row j of the batch trajectory traj, in the full space."""
+        states = traj.states[:, j]
+        if self._frame is not None:
+            states = self._frame.lift(states, self._row)
+        return Trajectory(traj.grid, states)
 
     @functools.cached_property
-    def paths(self) -> DualPaths:
-        row = self._stack.rows[self._row]
-        structural = self._lifted(row.structural)
-        semantic = structural if row.semantic is row.structural else self._lifted(row.semantic)
-        return DualPaths(structural, semantic, row.condition)
+    def structural(self) -> Trajectory:
+        return self._lifted(self._paths.inversion, self._row)
+
+    @functools.cached_property
+    def semantic(self) -> Trajectory:
+        j = self._paths.pair[self._row]
+        return self.structural if j == self._row else self._lifted(self._paths.inversion, j)
 
     @functools.cached_property
     def generated(self) -> Trajectory:
-        return self._lifted(self._generated._row(self._row))
+        return self._lifted(self._generated, self._row)
 
 
 def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed):
@@ -416,7 +354,7 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     frame = _Frame.of(mixture, batch, z0)
     if frame is not None:
         batch, z0, mixture = frame.coords(batch), frame.coords(z0), frame.mixture
-    paths = _invert_rows(batch, mixture, prompts, config, seeds, z0)
+    paths = dual_invert(batch, mixture, prompts, config, seeds, _z0=z0)
     generated = steered_generate(paths, mixture, config)
 
     schedule = SteeringSchedule(config.eta_max, config.schedule_kind)
@@ -432,6 +370,6 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
         diagnostics=tuple(zip(range(n + 1), nodes.tolist(), etas, dists[:, i].tolist())),
         structural_latent_norm=float(np.linalg.norm(latents[i])),
         semantic_latent_norm=float(np.linalg.norm(latents[paths.pair[i]])),
-        _stack=paths, _generated=generated, _frame=frame, _row=i,
+        _paths=paths, _generated=generated, _frame=frame, _row=i,
     ) for i in range(len(prompts))]
     return results[0] if single else results

@@ -65,10 +65,10 @@ def main() -> int:
                           ("null", [Condition.null()] * len(labels))):
         paths, generated = full_space_restore(obs, mixture, prompts, PdlsConfig(), seeds)
         arrays[f"{kind}_restored"] = generated[-1]
-        arrays[f"{kind}_norms"] = np.array([[np.linalg.norm(p.structural.terminal),
-                                             np.linalg.norm(p.semantic.terminal)]
-                                            for p in paths])
-        print(f"{kind} prompts: {len(paths)} rows")
+        end = paths.inversion.terminal
+        arrays[f"{kind}_norms"] = np.array([[np.linalg.norm(end[i]), np.linalg.norm(end[j])]
+                                            for i, j in enumerate(paths.pair)])
+        print(f"{kind} prompts: {len(paths.pair)} rows")
     np.savez(OUT, **arrays)
     print(f"wrote {OUT}")
     return 0

@@ -207,6 +207,28 @@ class TestBench:
             summary = list(csv.DictReader(fh))
         assert len(summary) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--op", "gblur:size=7,sigma=1.0", "gblur:size=7,sigma=3.0"),
+        ("--sigma-y", 0.01, 0.05),
+    ])
+    def test_differently_degraded_manifests_give_two_rows(self, tmp_path, flags):
+        flag, *values = flags
+        metrics = []
+        for i, value in enumerate(values):
+            deg, res = tmp_path / f"deg{i}", tmp_path / f"res{i}"
+            args = {"--op": "gblur:size=7,sigma=1.5", "--sigma-y": 0.01, flag: value}
+            assert run("degrade", "--out", deg, "--demo", "--n-per-class", 2, "--limit", 2,
+                       *[x for kv in args.items() for x in kv]) == 0
+            assert run("restore", "--out", res, "--manifest", deg / "manifest.json",
+                       "--n-per-class", 2, "--steps", 4) == 0
+            metrics.append(res / "metrics.csv")
+        out = tmp_path / "bench"
+        assert run("bench", "--out", out, "--metrics", *metrics) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            summary = list(csv.DictReader(fh))
+        assert len(summary) == 2
+        assert {r["n"] for r in summary} == {"2"}
+
     def test_trajectory_plot_has_three_polylines(self, tmp_path):
         a = self._toy_metrics(tmp_path, "a")
         out = tmp_path / "bench"

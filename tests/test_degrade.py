@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pdls.degrade import (
     Downsample,
@@ -105,6 +108,28 @@ class TestApply:
             rhs = (alpha * apply(op, a, NoiseModel(0.0)).pixels
                    + (1 - alpha) * apply(op, b, NoiseModel(0.0)).pixels)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_every_descriptor_kind_is_linear(self, data):
+        odd = st.integers(0, 4).map(lambda i: 2 * i + 1)
+        desc = data.draw(st.one_of(
+            st.just("id"),
+            st.builds("gblur:size={},sigma={}".format, odd, st.floats(0.3, 3.0)),
+            st.builds("mblur:size={},intensity={},angle={}".format, odd,
+                      st.floats(0.05, 1.0), st.floats(0.0, 360.0)),
+            st.builds("sr:factor={}".format, st.sampled_from([1, 2, 4])),
+            st.builds("inpaint:coverage={},seed={}".format, st.floats(0.05, 0.5),
+                      st.integers(0, 1 << 16))))
+        factor = int(desc.split("=")[1]) if desc.startswith("sr") else 1
+        shape = (factor * data.draw(st.integers(2, 8)), factor * data.draw(st.integers(2, 8)))
+        op = parse_descriptor(desc, image_shape=shape)
+        a, b = (data.draw(arrays(float, shape, elements=st.floats(0.0, 1.0)))
+                for _ in range(2))
+        lam = data.draw(st.floats(0.0, 1.0))
+        lhs = apply(op, ImageGrid(lam * a + (1 - lam) * b)).pixels
+        rhs = lam * apply(op, ImageGrid(a)).pixels + (1 - lam) * apply(op, ImageGrid(b)).pixels
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_noise_standard_deviation(self):
         img = ImageGrid(np.full((256, 256), 0.5))

@@ -1,17 +1,17 @@
-"""File-format tests: PGM images, mixture definitions, point CSVs."""
+"""File-format tests: PGM images and mixture definitions."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdls.degrade import ImageGrid
 from pdls.fileio import (
     FormatError,
     read_mixture,
     read_pgm,
-    read_points_csv,
     write_mixture,
     write_pgm,
-    write_points_csv,
 )
 from pdls.flowfield import GaussianMixture
 
@@ -52,6 +52,55 @@ class TestPgm:
             read_pgm(path)
 
 
+@st.composite
+def quantized_images(draw):
+    """An 8-bit-quantised image of random size, as write_pgm stores it."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    levels = draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
+    return ImageGrid(np.array(levels, dtype=float).reshape(h, w) / 255)
+
+
+# Any run of header whitespace and '#' comments, each comment ending its line.
+header_gaps = st.lists(
+    st.one_of(st.text(" \t\r\n", min_size=1, max_size=3),
+              st.tuples(st.text(st.characters(codec="ascii", exclude_characters="\r\n"),
+                                max_size=8), st.sampled_from("\r\n"))
+              .map(lambda c: "#" + "".join(c))),
+    min_size=1, max_size=4,
+).map("".join)
+
+
+class TestPgmProperties:
+    @settings(deadline=None)
+    @given(quantized_images())
+    def test_write_then_read_is_the_identity(self, tmp_path_factory, img):
+        path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+        write_pgm(path, img)
+        assert np.array_equal(read_pgm(path).pixels, img.pixels)
+
+    @settings(deadline=None)
+    @given(quantized_images(), st.lists(header_gaps, min_size=3, max_size=3),
+           st.sampled_from(" \t\r\n"))
+    def test_comments_and_whitespace_parse_the_same(self, tmp_path_factory, img, gaps,
+                                                    last):
+        px = np.round(img.pixels * 255).astype(np.uint8).tobytes()
+        header = "P5" + gaps[0] + str(img.width) + gaps[1] + str(img.height) + gaps[2] + "255"
+        path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+        path.write_bytes((header + last).encode("ascii") + px)
+        assert np.array_equal(read_pgm(path).pixels, img.pixels)
+
+    @settings(deadline=None)
+    @given(quantized_images(), st.data())
+    def test_truncated_raster_raises(self, tmp_path_factory, img, data):
+        path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+        write_pgm(path, img)
+        raw = path.read_bytes()
+        keep = data.draw(st.integers(len(raw) - img.width * img.height, len(raw) - 1))
+        path.write_bytes(raw[:keep])
+        with pytest.raises(FormatError, match="truncated"):
+            read_pgm(path)
+
+
 class TestMixtureFile:
     def test_round_trip(self, tmp_path):
         mix = GaussianMixture(
@@ -77,20 +126,3 @@ class TestMixtureFile:
         with pytest.raises(FormatError, match="line 2"):
             read_mixture(path)
 
-
-class TestPointsCsv:
-    def test_round_trip_with_labels(self, tmp_path):
-        pts = np.array([[1.0, 2.0], [3.0, -4.0]])
-        path = tmp_path / "p.csv"
-        write_points_csv(path, pts, labels=["A", "B"])
-        back, labels = read_points_csv(path)
-        assert np.array_equal(back, pts)
-        assert labels == ["A", "B"]
-
-    def test_round_trip_without_labels(self, tmp_path):
-        pts = np.array([[0.25, -1.5]])
-        path = tmp_path / "p.csv"
-        write_points_csv(path, pts)
-        back, labels = read_points_csv(path)
-        assert np.array_equal(back, pts)
-        assert labels is None

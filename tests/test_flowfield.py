@@ -215,10 +215,6 @@ class TestMarginalVelocity:
             atol=1e-12,
         )
 
-    def test_unclamped_terminal_time_raises(self):
-        with pytest.raises(TerminalTimeError, match="terminal-time singularity"):
-            marginal_velocity(np.zeros(2), 1.0, two_diracs(), clamp=False)
-
 
 class TestEndpointConditionalVelocity:
     def test_toward_data_end(self):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,17 +27,12 @@ from pdls.pipeline import (
     BASE_CONDITIONS,
     INIT_MODES,
     DualPaths,
-    NoiseEndLatent,
     PdlsConfig,
-    averaged_target,
     draw_noise,
     dual_invert,
-    initial_latent,
     invert_path,
     restore,
     steered_generate,
-    _invert_rows,
-    _PathStack,
 )
 
 GOLDEN_INVERT_TERMINAL = np.array([0.07076624882460193, 0.357820349991497])
@@ -80,33 +75,50 @@ class TestInvertPath:
         assert traj.grid.t_end == 0.0
 
 
+def one_row(structural, semantic):
+    """A one-row DualPaths on a one-step descending grid, from the node states
+    (2, dim) of its structural and semantic paths."""
+    states = np.stack([structural, semantic], axis=1).astype(float)
+    return DualPaths(Trajectory(make_grid(1, 1.0, 0.0), states), np.array([1]),
+                     (Condition.of("A"),))
+
+
 class TestDualInvert:
     def test_all_label_prompt_collapses_the_paths(self):
         mix = toy2d_mixture()
-        paths = dual_invert(np.array([1.8, 0.2]), mix, Condition.of("A", "B"),
-                            PdlsConfig(), noise_seed=3)
-        assert np.array_equal(paths.structural.states, paths.semantic.states)
+        paths = dual_invert(np.array([[1.8, 0.2]]), mix, [Condition.of("A", "B")],
+                            PdlsConfig(), [3])
+        states = paths.inversion.states
+        assert np.array_equal(states[:, 0], states[:, paths.pair[0]])
 
     def test_full_strength_makes_latents_identical(self):
         mix = toy2d_mixture()
-        paths = dual_invert(np.array([1.8, 0.2]), mix, Condition.of("A"),
-                            PdlsConfig(gamma=1.0), noise_seed=3)
+        paths = dual_invert(np.array([[1.8, 0.2]]), mix, [Condition.of("A")],
+                            PdlsConfig(gamma=1.0), [3])
         z0 = draw_noise(2, 3)
-        assert np.allclose(paths.structural.terminal, z0, atol=1e-9)
-        assert np.allclose(paths.semantic.terminal, z0, atol=1e-9)
+        end = paths.inversion.terminal
+        assert np.allclose(end[0], z0, atol=1e-9)
+        assert np.allclose(end[paths.pair[0]], z0, atol=1e-9)
 
-    def test_null_prompt_rejected(self):
-        with pytest.raises(ValueError, match="non-null prompt"):
-            dual_invert(np.zeros(2), toy2d_mixture(), Condition.null(),
-                        PdlsConfig(), 0)
+    def test_null_prompt_row_is_its_own_semantic_row(self):
+        paths = dual_invert(np.zeros((3, 2)), toy2d_mixture(),
+                            [Condition.of("A"), Condition.null(), Condition.of("B")],
+                            PdlsConfig(n_steps=4), [0, 1, 2])
+        assert paths.pair.tolist() == [3, 1, 4]
+        assert paths.inversion.states.shape == (5, 5, 2)
+
+    def test_one_point_is_not_a_batch(self):
+        with pytest.raises(ValueError, match="batch"):
+            dual_invert(np.array([1.8, 0.2]), toy2d_mixture(), [Condition.of("A")],
+                        PdlsConfig(), [3])
 
     def test_semantic_path_pins_the_prompted_component(self):
         mix = GaussianMixture([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]],
                               [0.0, 0.0], ["a", "b"])
-        obs = np.array([0.9, 0.05])
-        paths = dual_invert(obs, mix, Condition.of("a"), PdlsConfig(gamma=0.5),
-                            noise_seed=1)
-        for state, t in zip(paths.semantic.states, paths.semantic.grid.nodes):
+        obs = np.array([[0.9, 0.05]])
+        paths = dual_invert(obs, mix, [Condition.of("a")], PdlsConfig(gamma=0.5), [1])
+        semantic = paths.inversion.states[:, paths.pair[0]]
+        for state, t in zip(semantic, paths.inversion.grid.nodes):
             if t >= 1.0 - 1e-9 or t <= 1e-9:
                 continue
             m = posterior_endpoint_mean(state, float(t), mix, Condition.of("a"))
@@ -117,71 +129,39 @@ class TestDualInvert:
         r = responsibilities(mid, 0.5, mix)
         assert r[1] > 1e-6
 
-    def test_paths_must_share_grids(self):
-        mix = toy2d_mixture()
-        a = invert_path(np.ones(2), mix, Condition.null(), 0.5, 8, 0)
-        b = invert_path(np.ones(2), mix, Condition.null(), 0.5, 9, 0)
-        with pytest.raises(ValueError, match="share the same grid"):
-            DualPaths(a, b, Condition.of("A"))
-
 
 class TestAveragedTarget:
-    def _paths(self, s0, s1):
-        grid = make_grid(1, 1.0, 0.0)
-        a = Trajectory(grid, np.array([s0, s0], dtype=float))
-        b = Trajectory(grid, np.array([s1, s1], dtype=float))
-        return DualPaths(a, b, Condition.of("A"))
-
     def test_identical_paths_return_the_common_state(self):
-        paths = self._paths([1.0, 2.0], [1.0, 2.0])
-        assert np.allclose(averaged_target(paths, 0), [1.0, 2.0])
+        paths = one_row([[1.0, 2.0]] * 2, [[1.0, 2.0]] * 2)
+        assert np.allclose(paths.target(0), [[1.0, 2.0]])
 
     def test_midpoint(self):
-        paths = self._paths([0.0, 0.0], [2.0, 4.0])
-        assert np.allclose(averaged_target(paths, 1), [1.0, 2.0])
+        paths = one_row([[0.0, 0.0]] * 2, [[2.0, 4.0]] * 2)
+        assert np.allclose(paths.target(1), [[1.0, 2.0]])
 
     def test_equidistant_from_both_paths(self):
         mix = toy2d_mixture()
-        paths = dual_invert(np.array([1.6, 0.4]), mix, Condition.of("A"),
-                            PdlsConfig(), noise_seed=5)
-        for j in range(paths.structural.grid.n_steps + 1):
-            ybar = averaged_target(paths, j)
-            da = np.linalg.norm(ybar - paths.structural.states[j])
-            db = np.linalg.norm(ybar - paths.semantic.states[j])
+        paths = dual_invert(np.array([[1.6, 0.4]]), mix, [Condition.of("A")],
+                            PdlsConfig(), [5])
+        states = paths.inversion.states
+        for j in range(paths.inversion.grid.n_steps + 1):
+            ybar = paths.target(j)[0]
+            da = np.linalg.norm(ybar - states[j, 0])
+            db = np.linalg.norm(ybar - states[j, paths.pair[0]])
             assert da == pytest.approx(db, abs=1e-12)
 
     def test_index_out_of_range(self):
-        paths = self._paths([0.0, 0.0], [1.0, 1.0])
+        paths = one_row([[0.0, 0.0]] * 2, [[1.0, 1.0]] * 2)
         with pytest.raises(IndexError):
-            averaged_target(paths, 5)
-
-    def test_stacked_batch_gathers_the_averaged_targets(self):
-        mix = toy2d_mixture()
-        obs = np.array([[1.7, 0.3], [-1.5, 0.2], [1.5, 0.0], [0.2, -0.4]])
-        prompts = [Condition.of("A"), Condition.null(), Condition.of("B"), Condition.of("A")]
-        stack = _invert_rows(obs, mix, prompts, PdlsConfig(n_steps=8), [7, 8, 4, 7])
-        copied = _PathStack.of(list(stack.rows))
-        for j in range(9):
-            want = averaged_target(list(stack.rows), j)
-            assert np.array_equal(stack.target(j), want)
-            assert np.array_equal(copied.target(j), want)
+            paths.target(5)
 
 
 class TestInitialLatent:
     def test_modes(self):
-        grid = make_grid(1, 1.0, 0.0)
-        a = Trajectory(grid, np.array([[9.0, 9.0], [1.0, 0.0]]))
-        b = Trajectory(grid, np.array([[9.0, 9.0], [3.0, 2.0]]))
-        paths = DualPaths(a, b, Condition.of("A"))
-        assert np.allclose(initial_latent(paths, "structural"), [1.0, 0.0])
-        assert np.allclose(initial_latent(paths, "semantic"), [3.0, 2.0])
-        assert np.allclose(initial_latent(paths, "mixed"), [2.0, 1.0])
-
-    def test_noise_end_requires_descending_trajectory(self):
-        grid = make_grid(1, 0.0, 1.0)
-        traj = Trajectory(grid, np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="descending"):
-            NoiseEndLatent.from_trajectory(traj)
+        paths = one_row([[9.0, 9.0], [1.0, 0.0]], [[9.0, 9.0], [3.0, 2.0]])
+        assert np.allclose(paths.latents("structural"), [[1.0, 0.0]])
+        assert np.allclose(paths.latents("semantic"), [[3.0, 2.0]])
+        assert np.allclose(paths.latents("mixed"), [[2.0, 1.0]])
 
 
 class TestSteeredGenerate:
@@ -189,21 +169,21 @@ class TestSteeredGenerate:
         from pdls.flowfield import marginal_velocity
 
         mix = toy2d_mixture()
-        paths = dual_invert(np.array([1.7, 0.3]), mix, Condition.of("A"),
-                            PdlsConfig(eta_max=0.0), noise_seed=2)
+        paths = dual_invert(np.array([[1.7, 0.3]]), mix, [Condition.of("A")],
+                            PdlsConfig(eta_max=0.0), [2])
         gen = steered_generate(paths, mix, PdlsConfig(eta_max=0.0))
         grid = make_grid(28, 0.0, 1.0)
         plain = integrate(
-            paths.structural.terminal, grid,
+            paths.inversion.terminal[0], grid,
             lambda x, t, k: marginal_velocity(x, t, mix, Condition.of("A")),
         )
-        assert np.allclose(gen.states, plain.states, atol=1e-12)
+        assert np.allclose(gen.states[:, 0], plain.states, atol=1e-12)
 
     def test_mismatched_grid_rejected(self):
         mix = toy2d_mixture()
         grid = make_grid(4, 0.9, 0.1)
-        traj = Trajectory(grid, np.zeros((5, 2)))
-        paths = DualPaths(traj, traj, Condition.of("A"))
+        traj = Trajectory(grid, np.zeros((5, 1, 2)))
+        paths = DualPaths(traj, np.array([0]), (Condition.of("A"),))
         with pytest.raises(ValueError, match="reversal of the generation grid"):
             steered_generate(paths, mix, PdlsConfig(n_steps=4))
 
@@ -217,12 +197,11 @@ class TestSteeredGenerate:
         z0 = np.array([-0.5, 0.25])
         n = 16
         grid = make_grid(n, 1.0, 0.0)
-        line = np.array([z0 + t * (obs - z0) for t in grid.nodes])
-        traj = Trajectory(grid, line)
-        paths = DualPaths(traj, traj, Condition.of("d"))
+        line = np.array([[z0 + t * (obs - z0)] for t in grid.nodes])
+        paths = DualPaths(Trajectory(grid, line), np.array([0]), (Condition.of("d"),))
         cfg = PdlsConfig(eta_max=1.0, schedule_kind="constant", n_steps=n)
         gen = steered_generate(paths, mix, cfg)
-        assert np.linalg.norm(gen.terminal - obs) < 1e-9
+        assert np.linalg.norm(gen.terminal[0] - obs) < 1e-9
 
     @pytest.mark.xfail(
         strict=True,
@@ -273,7 +252,7 @@ class TestRestore:
     def test_null_prompt_collapses_to_single_path(self):
         mix = toy2d_mixture()
         res = restore(np.array([1.5, 0.0]), mix, Condition.null(), PdlsConfig(), seed=4)
-        assert np.array_equal(res.paths.structural.states, res.paths.semantic.states)
+        assert np.array_equal(res.structural.states, res.semantic.states)
 
     def test_diagnostics_cover_every_node(self):
         mix = toy2d_mixture()
@@ -299,21 +278,21 @@ class TestRestore:
         for x, prompt, seed, res in zip(obs, prompts, seeds, results):
             one = restore(x, mix, prompt, PdlsConfig(), seed)
             for got, want in ((res.restored, one.restored),
-                              (res.paths.structural.states, one.paths.structural.states),
-                              (res.paths.semantic.states, one.paths.semantic.states),
+                              (res.structural.states, one.structural.states),
+                              (res.semantic.states, one.semantic.states),
                               (res.generated.states, one.generated.states)):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             assert np.allclose(np.array(res.diagnostics), np.array(one.diagnostics),
                                rtol=1e-12, atol=1e-14)
-        assert results[2].paths.semantic is results[2].paths.structural
+        assert results[2].semantic is results[2].structural
         assert np.allclose(results[0].restored, GOLDEN_RESTORED, atol=1e-9)
 
     def test_batch_trajectories_are_views_of_the_stacked_states(self):
         mix = toy2d_mixture()
         obs = np.array([[1.7, 0.3], [-1.5, 0.2]])
         a, b = restore(obs, mix, [Condition.of("A"), Condition.of("B")], PdlsConfig(), [1, 2])
-        for x, y in ((a.generated, b.generated), (a.paths.structural, b.paths.semantic)):
+        for x, y in ((a.generated, b.generated), (a.structural, b.semantic)):
             assert x.states.base is not None
             assert x.states.base is y.states.base
 
@@ -345,35 +324,36 @@ def manifest_batch():
 def full_space_restore(obs, mixture, prompts, config, seeds):
     """restore() composed from the public full-space invert_path and steered_generate.
 
-    Gives each row's DualPaths and the (n_steps + 1, n, d) generated states.
+    Gives the batch's DualPaths and the (n_steps + 1, n, d) generated states.
     """
     structural = invert_path(obs, mixture, Condition.null(), config.gamma,
                              config.n_steps, seeds)
+    n = len(prompts)
     rows = [i for i, p in enumerate(prompts) if not p.is_null]
-    semantic = {}
+    states, pair = structural.states, np.arange(n)
     if rows:
         inv = invert_path(obs[rows], mixture, [prompts[i] for i in rows], config.gamma,
                           config.n_steps, [seeds[i] for i in rows])
-        semantic = {i: Trajectory(inv.grid, inv.states[:, j]) for j, i in enumerate(rows)}
-    paths = []
-    for i, prompt in enumerate(prompts):
-        s = Trajectory(structural.grid, structural.states[:, i])
-        paths.append(DualPaths(s, semantic.get(i, s), prompt))
+        states = np.concatenate([states, inv.states], axis=1)
+        pair[rows] = np.arange(n, n + len(rows))
+    paths = DualPaths(Trajectory(structural.grid, states), pair, tuple(prompts))
     return paths, steered_generate(paths, mixture, config).states
 
 
 def assert_restores_match(results, paths, generated):
     """restore()'s results equal a full-space composition's rows within 1e-12 of
     each row's largest magnitude: restored, lifted trajectories, latent norms."""
-    for i, (res, want) in enumerate(zip(results, paths)):
+    states = paths.inversion.states
+    for i, res in enumerate(results):
+        j = paths.pair[i]
         for got, ref in ((res.restored, generated[-1, i]),
                          (res.generated.states, generated[:, i]),
-                         (res.paths.structural.states, want.structural.states),
-                         (res.paths.semantic.states, want.semantic.states)):
+                         (res.structural.states, states[:, i]),
+                         (res.semantic.states, states[:, j])):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        for got, ref in ((res.structural_latent_norm, want.structural.terminal),
-                         (res.semantic_latent_norm, want.semantic.terminal)):
+        for got, ref in ((res.structural_latent_norm, states[-1, i]),
+                         (res.semantic_latent_norm, states[-1, j])):
             assert abs(got - np.linalg.norm(ref)) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -429,10 +409,8 @@ def restore_cases(draw):
 def exponent_conditioning(mixture, paths, generated):
     """kappa = max (||x||^2 + t^2 ||mu_k||^2) / s_k^2 over every state the field sees."""
     kappa = 0.0
-    grid = paths[0].structural.grid
-    for states, nodes in ((np.stack([p.structural.states for p in paths], axis=1), grid.nodes),
-                          (np.stack([p.semantic.states for p in paths], axis=1), grid.nodes),
-                          (generated, grid.nodes[::-1])):
+    inv_nodes = paths.inversion.grid.nodes
+    for states, nodes in ((paths.inversion.states, inv_nodes), (generated, inv_nodes[::-1])):
         for x, t in zip(states, np.minimum(nodes, 1.0 - EPS_T)):
             s2 = (1.0 - t) ** 2 + t**2 * mixture.variances
             sq = np.sum(x * x, axis=1)[:, None] + t**2 * mixture.mean_sq[None, :]
@@ -440,9 +418,18 @@ def exponent_conditioning(mixture, paths, generated):
     return kappa
 
 
+# An observation whose squares underflow: unscaled, its norm is off, and so
+# is the unit length of its direction (by up to 8e-7).
+TINY_CASE = (np.full((1, 5), 3.75e-159),
+             GaussianMixture([0.4, 0.6], [[1.0, -0.5, 0.3, 0.0, 1.2],
+                                          [-0.7, 0.2, 0.9, -1.1, 0.4]], [0.2, 0.35], ["A", "B"]))
+
+
 class TestReducedCoordinates:
     @settings(max_examples=100, deadline=None)
     @given(restore_cases())
+    @example(TINY_CASE + ([Condition.of("A")], PdlsConfig(), [0]))
+    @example(TINY_CASE + ([Condition.null()], PdlsConfig(), [0]))
     def test_restore_equals_the_full_space_composition(self, case):
         obs, mixture, prompts, config, seeds = case
         paths, generated = full_space_restore(obs, mixture, prompts, config, seeds)
@@ -471,20 +458,20 @@ class TestReducedCoordinates:
         mix = toy2d_mixture()
         res = restore(np.array([1.7, 0.3]), mix, Condition.of("A"), PdlsConfig(), seed=7)
         assert res._frame is None
-        assert res.paths.structural.states.base is res._stack.inversion.states
+        assert res.structural.states.base is res._paths.inversion.states
 
     def test_trajectories_are_lifted_once_on_first_access(self):
         obs, mixture, labels, seeds = manifest_batch()
         results = restore(obs[:3], mixture, [Condition.of(labels[0]), Condition.null(),
                                              Condition.of(labels[2])], PdlsConfig(), seeds[:3])
         for res in results:
-            assert "paths" not in vars(res) and "generated" not in vars(res)
-            assert res.paths is res.paths and res.generated is res.generated
+            assert not {"structural", "semantic", "generated"} & set(vars(res))
+            assert res.structural is res.structural and res.generated is res.generated
             assert res.generated.states.shape == (29, 1024)
-            assert res.paths.structural.states.shape == (29, 1024)
+            assert res.structural.states.shape == (29, 1024)
             err = np.max(np.abs(res.generated.terminal - res.restored))
             assert err <= 1e-14 * np.max(np.abs(res.restored))
-        assert results[1].paths.semantic is results[1].paths.structural
+        assert results[1].semantic is results[1].structural
 
 
 @pytest.mark.parametrize("task", ["toy2d", "manifest"])
