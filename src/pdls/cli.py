@@ -2,15 +2,27 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.
+
+main() holds numpy's OpenBLAS at one thread for the whole run and puts its
+thread count back on exit. A restore's matrix products are small (a step is
+a few (rows, K + 2) x (K + 2, K) GEMMs), and a second OpenBLAS thread only
+spins on them, and keeps spinning for a while after each larger product
+(such as metrics' nearest means), which doubled the CPU time of a run for
+no gain in wall time. A library caller owns its BLAS, so restore() pins
+nothing. Where numpy's BLAS is not scipy-openblas, the run is not pinned.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import hashlib
 import json
 import sys
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -189,15 +201,17 @@ def _run_image_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
     mdir = Path(args.manifest).parent
     if args.mixture:
         mixture = fileio.read_mixture(args.mixture)
+        mixture_id = hashlib.sha256(Path(args.mixture).read_bytes()).hexdigest()[:16]
     else:
         mixture = datasets.shapes32_mixture(args.n_per_class, args.demo_seed,
                                             args.bandwidth)
+        mixture_id = f"shapes32:{args.n_per_class},{args.demo_seed},{args.bandwidth}"
     seeds = parse_seeds(args.seeds)
     task = manifest["operator"].split(":")[0]
-    # The operator and its noise level name the experiment too, so that bench
-    # keeps runs on differently degraded inputs apart.
+    # The operator, its noise level and the mixture name the experiment too,
+    # so that bench keeps runs on other inputs or another mixture apart.
     config = config_hash(cfg, {"prompt": args.prompt, "operator": manifest["operator"],
-                               "sigma_y": manifest.get("sigma_y")})
+                               "sigma_y": manifest.get("sigma_y"), "mixture": mixture_id})
     jobs, inputs = [], []
     for rec in manifest["records"]:
         observed = fileio.read_pgm(mdir / rec["observed"])
@@ -473,20 +487,74 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
+
+    Looked up on the first main() call, so importing pdls loads nothing.
+    None for any other BLAS (MKL, Accelerate, another OpenBLAS build),
+    whose threads main() cannot pin.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+# OpenBLAS's thread count is process-wide, so the pin is too: the first of
+# overlapping main() calls saves the count and sets 1, the last puts it back.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread inside the block, then put its count back."""
+    global _pin_depth, _pin_saved
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_saved)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except DriftDivergedError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (fileio.FormatError, OSError) as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with _one_blas_thread():
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except DriftDivergedError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except (fileio.FormatError, OSError) as exc:
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except (ValueError, KeyError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -135,8 +135,14 @@ class Downsample:
 @dataclass(frozen=True)
 class FreeformMask:
     mask: ImageGrid  # 1 = masked (dropped), 0 = observed
+    # (coverage, seed) of make_freeform_mask, where the mask was drawn by it
+    drawn_with: tuple[float, int] | None = None
 
     def descriptor(self) -> str:
+        """The parameters that draw this mask again; only its coverage for any other mask."""
+        if self.drawn_with is not None:
+            coverage, seed = self.drawn_with
+            return f"inpaint:coverage={coverage},seed={seed}"
         frac = float(self.mask.pixels.mean())
         return f"inpaint:coverage={frac:.4f}"
 
@@ -243,9 +249,8 @@ def parse_descriptor(text: str, image_shape: tuple[int, int] | None = None) -> D
             if image_shape is None:
                 raise ValueError("inpaint descriptor needs a target image shape")
             h, w = image_shape
-            return FreeformMask(make_freeform_mask(w, h,
-                                                   float(kv.get("coverage", 0.15)),
-                                                   int(kv.get("seed", 0))))
+            coverage, seed = float(kv.get("coverage", 0.15)), int(kv.get("seed", 0))
+            return FreeformMask(make_freeform_mask(w, h, coverage, seed), (coverage, seed))
     except ValueError:
         raise
     raise ValueError(f"unknown operator {name!r}")

@@ -361,8 +361,11 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     n = config.n_steps
     nodes = generated.grid.nodes
     etas = [float(eta(schedule, float(t))) for t in nodes]
-    dists = np.stack([np.linalg.norm(generated.states[k] - paths.target(n - k), axis=1)
-                      for k in range(n + 1)])
+    # Generation node k is inversion node n - k: the averaged targets
+    # (DualPaths.target) of every node as one gather from the reversed states.
+    inv = paths.inversion.states[::-1]
+    targets = 0.5 * (inv[:, :len(prompts)] + inv[:, paths.pair])
+    dists = np.linalg.norm(generated.states - targets, axis=2)
     latents = paths.inversion.terminal
     restored = generated.terminal if frame is None else frame.lift(generated.terminal)
     results = [RestoreResult(

@@ -3,14 +3,20 @@ runs, benchmark aggregation, and exit codes."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pdls import cli, pipeline
 from pdls.cli import aggregate, build_parser, main
 from pdls.datasets import shapes32_mixture
 from pdls.degrade import ImageGrid
-from pdls.fileio import read_mixture, write_pgm
+from pdls.fileio import read_mixture, write_mixture, write_pgm
 
 
 def run(*argv):
@@ -229,6 +235,28 @@ class TestBench:
         assert len(summary) == 2
         assert {r["n"] for r in summary} == {"2"}
 
+    @pytest.mark.parametrize("flag", ["--bandwidth", "--mixture"])
+    def test_restores_on_different_mixtures_give_two_rows(self, tmp_path, flag):
+        deg = tmp_path / "deg"
+        assert run("degrade", "--out", deg, "--op", "gblur:size=7,sigma=1.5", "--demo",
+                   "--n-per-class", 2, "--limit", 2) == 0
+        metrics = []
+        for i, bandwidth in enumerate((1e-4, 1e-2)):
+            value = bandwidth
+            if flag == "--mixture":
+                value = tmp_path / f"mix{i}"
+                write_mixture(value, shapes32_mixture(2, 0, bandwidth))
+            res = tmp_path / f"res{i}"
+            assert run("restore", "--out", res, "--manifest", deg / "manifest.json",
+                       "--n-per-class", 2, "--steps", 4, flag, value) == 0
+            metrics.append(res / "metrics.csv")
+        out = tmp_path / "bench"
+        assert run("bench", "--out", out, "--metrics", *metrics) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            summary = list(csv.DictReader(fh))
+        assert len(summary) == 2
+        assert {r["n"] for r in summary} == {"2"}
+
     def test_trajectory_plot_has_three_polylines(self, tmp_path):
         a = self._toy_metrics(tmp_path, "a")
         out = tmp_path / "bench"
@@ -255,3 +283,115 @@ class TestBench:
         assert run("bench", "--out", out, "--metrics", res / "metrics.csv",
                    "--strip", 2) == 0
         assert (out / "strip.pgm").exists()
+
+
+needs_openblas = pytest.mark.skipif(cli._openblas_threads() is None,
+                                    reason="numpy's BLAS is not scipy-openblas")
+
+
+@pytest.fixture
+def blas_threads():
+    """get() of numpy's OpenBLAS thread count, set to 3 for the test, then put back."""
+    get, put = cli._openblas_threads()
+    before = get()
+    put(3)  # a count main() must put back, whatever this machine's default is
+    try:
+        yield get
+    finally:
+        put(before)
+
+
+def spy_on_restore(monkeypatch, get, before=None):
+    """Record the OpenBLAS thread count at each cli.restore call, in the returned list."""
+    seen, real = [], cli.restore
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        if before is not None:
+            before()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "restore", spy)
+    return seen
+
+
+@needs_openblas
+class TestBlasPin:
+    """main() holds numpy's OpenBLAS at one thread and puts the count back."""
+
+    TOY = ("restore", "--task", "toy2d", "--seeds", "0:2", "--steps", 4)
+
+    def test_one_thread_inside_and_restored_after_success(self, tmp_path, monkeypatch,
+                                                          blas_threads):
+        seen = spy_on_restore(monkeypatch, blas_threads)
+        assert run(*self.TOY, "--out", tmp_path / "out") == 0
+        assert seen == [1]
+        assert blas_threads() == 3
+
+    @pytest.mark.parametrize("case", ["config", "usage", "numerical", "io"])
+    def test_restored_after_a_failing_exit(self, tmp_path, monkeypatch, blas_threads, case):
+        seen = spy_on_restore(monkeypatch, blas_threads)
+        out = ("--out", tmp_path / "out", "--steps", 4)
+        if case == "config":  # an image task needs --manifest
+            assert run("restore", *out) == 2
+        elif case == "usage":  # argparse rejects the choice and exits 2
+            with pytest.raises(SystemExit) as exc:
+                run("restore", *out, "--init", "nonsense")
+            assert exc.value.code == 2
+        elif case == "numerical":  # as in test_cli_exits_3_when_the_field_diverges
+            field = pipeline.marginal_velocity
+            monkeypatch.setattr(pipeline, "marginal_velocity", lambda *a: field(*a) * np.nan)
+            assert run("restore", *out, "--task", "toy2d", "--seeds", "0:4") == 3
+            assert seen == [1]
+        else:
+            assert run("restore", *out, "--manifest", tmp_path / "missing.json") == 4
+        assert blas_threads() == 3
+
+    def test_overlapping_runs_restore_the_count(self, tmp_path, monkeypatch, blas_threads):
+        # Every run waits inside its pin until all three are there.
+        barrier = threading.Barrier(3, timeout=60)
+        seen = spy_on_restore(monkeypatch, blas_threads, barrier.wait)
+        codes = {}
+
+        def one(i):
+            codes[i] = run(*self.TOY, "--out", tmp_path / f"out{i}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=one, args=(i,)) for i in range(3)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert codes == {0: 0, 1: 0, 2: 0}
+        assert seen == [1, 1, 1]
+        assert blas_threads() == 3
+
+    def test_import_does_no_lookup(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = "import pdls.cli as c; print(c._openblas_threads.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "0"
+
+    def test_without_the_lookup_a_run_is_not_pinned(self, tmp_path, monkeypatch,
+                                                    blas_threads):
+        deg = tmp_path / "deg"
+        assert run("degrade", "--out", deg, "--op", "gblur:size=7,sigma=1.5", "--demo",
+                   "--n-per-class", 2) == 0
+        argv = ["restore", "--manifest", str(deg / "manifest.json"), "--n-per-class", "2",
+                "--seeds", "0:2"]
+        args = build_parser().parse_args(argv + ["--out", str(tmp_path / "direct")])
+        assert args.func(args) == 0
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        seen = spy_on_restore(monkeypatch, blas_threads)
+        assert main(argv + ["--out", str(tmp_path / "main")]) == 0
+        assert seen == [3]
+        for path in (tmp_path / "direct").iterdir():
+            assert path.read_bytes() == (tmp_path / "main" / path.name).read_bytes()

@@ -3,9 +3,12 @@ contraction identity."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pdls.control import SteeringSchedule, blend_drift, eta, lqr_control
-from pdls.flowfield import TerminalTimeError
+from pdls.flowfield import EPS_T, TerminalTimeError
 
 
 class TestSchedule:
@@ -85,6 +88,22 @@ class TestLqrControl:
             lhs = np.linalg.norm(x_next - y)
             rhs = (1 - dt / (1 - t)) * np.linalg.norm(x - y)
             assert abs(lhs - rhs) < 1e-12
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_contraction_identity_on_batches(self, data):
+        # The identity row by row for a batch (n, d), at any t up to
+        # 1 - EPS_T, where the gain 1/(1-t) is largest, and any step that
+        # does not pass t = 1.
+        n, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        x, y = (data.draw(arrays(float, (n, d), elements=st.floats(-3.0, 3.0)))
+                for _ in range(2))
+        t = data.draw(st.one_of(st.just(1.0 - EPS_T), st.floats(0.0, 1.0 - EPS_T)))
+        dt = data.draw(st.floats(0.0, 1.0)) * (1.0 - t)
+        x_next = x + dt * lqr_control(x, y, t)
+        lhs = np.linalg.norm(x_next - y, axis=1)
+        rhs = (1 - dt / (1 - t)) * np.linalg.norm(x - y, axis=1)
+        assert np.all(np.abs(lhs - rhs) < 1e-12)
 
 
 class TestBlend:

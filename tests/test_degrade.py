@@ -202,6 +202,28 @@ class TestDescriptors:
             parsed = parse_descriptor(op.descriptor(), image_shape=(32, 32))
             assert parsed == op
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_every_descriptor_kind_round_trips(self, data):
+        odd = st.integers(0, 4).map(lambda i: 2 * i + 1)
+        shape = (data.draw(st.integers(4, 24)), data.draw(st.integers(4, 24)))
+        op = data.draw(st.one_of(
+            st.just(Identity()),
+            st.builds(GaussianBlur, odd, st.floats(0.3, 3.0)),
+            st.builds(MotionBlur, odd, st.floats(0.05, 1.0), st.floats(0.0, 360.0)),
+            st.builds(Downsample, st.integers(1, 16)),
+            st.builds(lambda coverage, seed: FreeformMask(
+                make_freeform_mask(shape[1], shape[0], coverage, seed), (coverage, seed)),
+                st.floats(0.05, 0.5), st.integers(0, 1 << 16))))
+        parsed = parse_descriptor(op.descriptor(), image_shape=shape)
+        assert type(parsed) is type(op)
+        assert parsed.descriptor() == op.descriptor()
+        if isinstance(op, FreeformMask):
+            assert parsed.drawn_with == op.drawn_with
+            assert np.array_equal(parsed.mask.pixels, op.mask.pixels)
+        else:
+            assert parsed == op
+
     def test_large_kernel_descriptor(self):
         op = parse_descriptor("gblur:size=61,sigma=3.0")
         assert op == GaussianBlur(61, 3.0)

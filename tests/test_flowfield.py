@@ -3,7 +3,7 @@ property checks over random mixtures, and basic validation behavior."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
@@ -11,6 +11,7 @@ from scipy.special import logsumexp
 from pdls.datasets import exemplar_mixture, shapes32_dataset
 from pdls.degrade import GaussianBlur, NoiseModel, apply
 from pdls.flowfield import (
+    _MAX_NODES,
     EPS_T,
     Condition,
     GaussianMixture,
@@ -172,7 +173,7 @@ class TestGemmPrecision:
 
     def test_squared_distances_within_the_cancellation_bound(self):
         mixture, x, t = self._case()
-        sq = _sq_distances(x, t, mixture.means, mixture.mean_sq)
+        sq = _sq_distances(x, t, mixture.means, (t * t) * mixture.mean_sq)
         expected, _, _ = direct_field(x, t, mixture)
         eps = np.finfo(float).eps
         bound = 4.0 * np.sqrt(mixture.dim) * eps * (
@@ -463,3 +464,76 @@ class TestAffineVelocity:
         mixture, x, t = TestGemmPrecision()._case()
         for cond in (Condition.null(), Condition.of("disk")):
             self._check(x, t, mixture, cond)
+
+
+def cold(mixture):
+    """A copy of mixture with empty caches."""
+    return GaussianMixture(mixture.weights, mixture.means, mixture.variances, mixture.labels)
+
+
+def inline_velocity(x, t, mixture, cond):
+    """marginal_velocity at t < 1 - EPS_T with its per-time constants computed at
+    every call, as the field computed them before they were cached."""
+    xb = np.atleast_2d(x)
+    logw = np.broadcast_to(mixture.log_weights(cond), (len(xb), mixture.n_components))
+    var = mixture.variances
+    s2 = (1.0 - t) ** 2 + t**2 * var
+    sq = _sq_distances(xb, t, mixture.means, (t * t) * mixture.mean_sq)
+    logp = logw - 0.5 * mixture._ambient_dim * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
+    r = np.exp(logp - _logsumexp_rows(logp))
+    coef = t * var / s2
+    out = ((r * ((1.0 - t * coef) / (1.0 - t))) @ mixture.means
+           + ((r @ coef - 1.0) / (1.0 - t))[:, None] * xb)
+    return out.reshape(np.shape(x))
+
+
+def field_values(x, t, mixture, cond):
+    """Responsibilities, endpoint mean and velocity at (x, t), or the error each raises."""
+    out = []
+    for fn in (responsibilities, posterior_endpoint_mean, marginal_velocity):
+        try:
+            out.append(fn(x, t, mixture, cond))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestNodeCache:
+    """Each mixture keeps the field's per-time constants, which must not move a bit."""
+
+    @settings(deadline=None)
+    @given(field_cases(), st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    @example((two_diracs(), Condition.null(), np.array([[1.0, 0.0], [-1.0, 0.0]]), 0.5), 1.0)
+    @example((two_diracs(), Condition.of("a"), np.array([0.2, 0.1]), 0.5), 1.0)
+    def test_warm_cache_is_bitwise_the_cold_one(self, case, t):
+        mixture, cond, x, _ = case
+        first = field_values(x, t, mixture, cond)
+        mixture._node(0.5)
+        warm = field_values(x, t, mixture, cond)
+        fresh = field_values(x, t, cold(mixture), cond)
+        for a, b, c in zip(first, warm, fresh):
+            assert type(a) is type(b) is type(c)
+            if isinstance(a, str):
+                assert a == b == c
+            else:
+                assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    @settings(deadline=None)
+    @given(field_cases())
+    def test_cached_velocity_is_bitwise_the_inline_expressions(self, case):
+        mixture, cond, x, t = case
+        assume(t < 1.0 - EPS_T)
+        want = inline_velocity(x, t, mixture, cond)
+        assert np.array_equal(marginal_velocity(x, t, mixture, cond), want)
+        assert np.array_equal(marginal_velocity(x, t, mixture, cond), want)
+
+    def test_bounded_over_many_times(self):
+        mixture = two_diracs()
+        x = np.array([[0.3, -0.2], [1.5, 0.4]])
+        times = np.linspace(0.0, 1.0 - EPS_T, 3000)
+        first = [marginal_velocity(x, float(t), mixture) for t in times[:5]]
+        for t in times:
+            marginal_velocity(x, float(t), mixture)
+            assert len(mixture._nodes) <= _MAX_NODES
+        again = [marginal_velocity(x, float(t), mixture) for t in times[:5]]
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
