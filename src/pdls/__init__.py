@@ -6,7 +6,7 @@ decay schedule, degradation operators, metrics, and a CLI benchmark
 harness.
 """
 
-from .control import SteeringSchedule, blend_drift, eta, lqr_control
+from .control import blend_drift, eta, lqr_control
 from .datasets import exemplar_mixture, shapes32_dataset, shapes32_mixture, toy2d_mixture
 from .degrade import (
     Downsample,

@@ -139,9 +139,6 @@ def cmd_degrade(args) -> int:
     op = degrade.parse_descriptor(args.op, image_shape=shape)
     records = []
     for i, (img, label, name) in enumerate(items):
-        if isinstance(op, degrade.Downsample) and (
-                img.height % op.factor or img.width % op.factor):
-            raise ValueError("factor must divide dimensions")
         noise = degrade.NoiseModel(args.sigma_y, seed=args.seed + i)
         observed = degrade.apply(op, img, noise)
         obs_name = f"{name}_observed.pgm"
@@ -259,15 +256,14 @@ def _run_toy_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
 
     # --sigma-y stays out of the hash, which keeps existing toy2d hashes valid.
     config = config_hash(cfg, {"prompt": args.prompt})
+    reports = metrics.report([r.restored for r in results], [clean for _, clean, _, _ in cases],
+                             mixture, [label for _, _, label, _ in cases])
     rows = []
-    for (seed, clean, label, _), result in zip(cases, results):
-        err = float(np.mean((result.restored - clean) ** 2))
+    for (seed, *_), rep in zip(cases, reports):
         rows.append({
             "task": "toy2d", "input": f"seed{seed}", "seed": seed, "config": config,
-            "mse": err, "psnr_db": metrics.psnr(result.restored, clean),
-            "ssim": None,
-            "class_acc": metrics.class_accuracy(result.restored, mixture, label),
-            "recon_path": "",
+            "mse": rep.mse, "psnr_db": rep.psnr_db, "ssim": None,
+            "class_acc": rep.class_accuracy, "recon_path": "",
         })
     # trajectory dump for the first seed feeds the bench plot
     first = results[0]

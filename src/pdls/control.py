@@ -9,12 +9,11 @@ i.e. the velocity of the straight line reaching the target at t=1. One
 Euler step with this control contracts the distance to a fixed target by
 exactly (1 - dt/(1-t)). Its strength is modulated by a cosine decay
 schedule eta(t) = eta_max/2 * (1 + cos(pi t)), strongest at t=0 and zero
-at t=1.
+at t=1, or held at eta_max. eta_max and the schedule kind are a
+PdlsConfig's, which checks them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,27 +22,13 @@ from .flowfield import EPS_T, TerminalTimeError
 SCHEDULE_KINDS = ("cosine", "constant")
 
 
-@dataclass(frozen=True)
-class SteeringSchedule:
-    """Guidance strength profile: cosine decay or constant."""
-
-    eta_max: float
-    kind: str = "cosine"
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta_max <= 1.0:
-            raise ValueError("eta_max must lie in [0, 1]")
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-
-def eta(schedule: SteeringSchedule, t: float) -> float:
-    """Guidance strength at time t in [0, 1]."""
+def eta(config, t: float) -> float:
+    """Guidance strength at time t in [0, 1] of a PdlsConfig's eta_max and schedule_kind."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("time out of range")
-    if schedule.kind == "constant":
-        return schedule.eta_max
-    return 0.5 * schedule.eta_max * (1.0 + np.cos(np.pi * t))
+    if config.schedule_kind == "constant":
+        return config.eta_max
+    return 0.5 * config.eta_max * (1.0 + np.cos(np.pi * t))
 
 
 def lqr_control(x, target, t):

@@ -26,6 +26,11 @@ class ImageGrid:
             raise ValueError("image must be 2-D")
         object.__setattr__(self, "pixels", np.clip(px, 0.0, 1.0))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ImageGrid):
+            return NotImplemented
+        return np.array_equal(self.pixels, other.pixels)
+
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
@@ -234,23 +239,20 @@ def parse_descriptor(text: str, image_shape: tuple[int, int] | None = None) -> D
             if not val:
                 raise ValueError(f"malformed operator descriptor {text!r}")
             kv[key.strip()] = val.strip()
-    try:
-        if name == "id":
-            return Identity()
-        if name == "gblur":
-            return GaussianBlur(size=int(kv.get("size", 7)), sigma=float(kv.get("sigma", 1.5)))
-        if name == "mblur":
-            return MotionBlur(size=int(kv.get("size", 7)),
-                              intensity=float(kv.get("intensity", 0.5)),
-                              angle=float(kv.get("angle", 45.0)))
-        if name == "sr":
-            return Downsample(factor=int(kv.get("factor", 8)))
-        if name == "inpaint":
-            if image_shape is None:
-                raise ValueError("inpaint descriptor needs a target image shape")
-            h, w = image_shape
-            coverage, seed = float(kv.get("coverage", 0.15)), int(kv.get("seed", 0))
-            return FreeformMask(make_freeform_mask(w, h, coverage, seed), (coverage, seed))
-    except ValueError:
-        raise
+    if name == "id":
+        return Identity()
+    if name == "gblur":
+        return GaussianBlur(size=int(kv.get("size", 7)), sigma=float(kv.get("sigma", 1.5)))
+    if name == "mblur":
+        return MotionBlur(size=int(kv.get("size", 7)),
+                          intensity=float(kv.get("intensity", 0.5)),
+                          angle=float(kv.get("angle", 45.0)))
+    if name == "sr":
+        return Downsample(factor=int(kv.get("factor", 8)))
+    if name == "inpaint":
+        if image_shape is None:
+            raise ValueError("inpaint descriptor needs a target image shape")
+        h, w = image_shape
+        coverage, seed = float(kv.get("coverage", 0.15)), int(kv.get("seed", 0))
+        return FreeformMask(make_freeform_mask(w, h, coverage, seed), (coverage, seed))
     raise ValueError(f"unknown operator {name!r}")

@@ -132,8 +132,8 @@ def _nearest_means(x, mixture: GaussianMixture) -> np.ndarray:
 
 def report(reconstruction, reference, mixture: GaussianMixture | None = None,
            true_label=None):
-    """MSE, PSNR, SSIM (images of at least 11x11) and, given a mixture and
-    a label, class accuracy of a reconstruction against its reference.
+    """MSE, PSNR, SSIM (images of at least 11x11, not vectors) and, given a
+    mixture and a label, class accuracy of a reconstruction against its reference.
 
     One pair of ImageGrids gives one MetricsReport. Sequences of pairs of one
     shape, with one true label per pair (or none), give a list, and their
@@ -152,7 +152,8 @@ def report(reconstruction, reference, mixture: GaussianMixture | None = None,
     b = np.stack([_pixels(r) for r in refs])
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    scores = ssim(a, b) if min(b.shape[1:]) >= SSIM_WINDOW else [None] * len(refs)
+    images = b.ndim == 3 and min(b.shape[1:]) >= SSIM_WINDOW
+    scores = ssim(a, b) if images else [None] * len(refs)
     accuracies = [None] * len(refs)
     scored = [i for i, label in enumerate(labels) if label is not None]
     if mixture is not None and scored:

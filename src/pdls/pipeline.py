@@ -24,8 +24,10 @@ DualPaths as one batch, and each step's averaged targets are one gather
 from the stacked inversion states. The field evaluates each step as one
 batch with one condition per row; an integration resolves its rows'
 conditions to log-weight rows once, not at every step. restore() takes one
-observation or a batch of them (one prompt and one seed per row) and runs
-the whole batch through these two calls.
+observation or a batch of them (one prompt and one seed per row), draws
+each row's z0 from its seed (the only draw of a restore), and runs the
+whole batch through these two calls. All three take their parameters from
+one PdlsConfig.
 
 Every drift of a restore is affine in x, with terms only in the mixture
 means, the row's observation y_i and its noise draw z0_i, so row i stays in
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import SCHEDULE_KINDS, SteeringSchedule, blend_drift, eta, lqr_control
+from .control import SCHEDULE_KINDS, blend_drift, eta, lqr_control
 from .flowfield import (
     Condition,
     GaussianMixture,
@@ -92,7 +94,7 @@ class PdlsConfig:
 
 
 def draw_noise(dim: int, seed: int) -> np.ndarray:
-    """The z0 draw shared by both inversion paths."""
+    """The z0 draw of a seed, shared by both inversion paths of its row."""
     return np.random.default_rng(seed).standard_normal(dim)
 
 
@@ -110,34 +112,29 @@ def _resolve_conditions(mixture: GaussianMixture, conds):
     return np.stack([mixture.log_weights(c) for c in conds])
 
 
-def invert_path(observed, mixture: GaussianMixture, cond, gamma: float,
-                n_steps: int, noise_seed, *, _z0=None) -> Trajectory:
+def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
+                z0) -> Trajectory:
     """Controlled inversion from the observed sample at t=1 down to t=0.
 
     Drift = blend of the marginal velocity (under cond) with the straight
-    line toward z0 at the noise end, weight gamma. At gamma=1 Euler tracks
-    the line exactly and the terminal state equals z0. observed is one
-    point (d,) with one cond and one noise_seed, or a batch (n, d) with one
-    Condition or one per row and one noise seed per row. restore() passes
-    the draws it made of noise_seed as _z0 (through dual_invert), in
-    observed's coordinates.
+    line toward the noise draw z0 at the noise end, weight config.gamma, in
+    config.n_steps Euler steps. At gamma=1 Euler tracks the line exactly and
+    the terminal state equals z0. observed is one point (d,) with one cond,
+    or a batch (n, d) with one Condition or one per row; z0 is shaped like
+    observed.
     """
-    observed = np.asarray(observed, dtype=float)
-    if _z0 is not None:
-        z0 = _z0
-    elif observed.ndim == 1:
-        z0 = draw_noise(observed.size, noise_seed)
-    else:
-        z0 = np.stack([draw_noise(observed.shape[1], s) for s in noise_seed])
-    grid = make_grid(n_steps, 1.0, 0.0)
+    observed, z0 = np.asarray(observed, dtype=float), np.asarray(z0, dtype=float)
+    if z0.shape != observed.shape:
+        raise ValueError("z0 must have the shape of observed")
+    grid = make_grid(config.n_steps, 1.0, 0.0)
     cond = _resolve_conditions(mixture, cond)
 
     def drift(x, t, k):
         guided = endpoint_conditional_velocity(x, t, z0, 0)
-        if gamma == 1.0:
+        if config.gamma == 1.0:
             return guided
         base = marginal_velocity(x, t, mixture, cond)
-        return blend_drift(base, guided, gamma)
+        return blend_drift(base, guided, config.gamma)
 
     return integrate(observed, grid, drift)
 
@@ -155,10 +152,11 @@ class DualPaths:
     pair: np.ndarray
     prompts: tuple
 
-    def target(self, step_index: int) -> np.ndarray:
-        """(n, dim) averaged targets: each row's midpoint of its two stored states at one node."""
-        s = self.inversion.states[step_index]
-        return 0.5 * (s[:len(self.pair)] + s[self.pair])
+    def target(self, j) -> np.ndarray:
+        """Averaged targets, each row's midpoint of its two stored states: (n, dim)
+        at node index j, or (nodes, n, dim) at the nodes of a slice j."""
+        s = self.inversion.states[j]
+        return 0.5 * (s[..., :len(self.pair), :] + s[..., self.pair, :])
 
     def latents(self, init_mode: str) -> np.ndarray:
         """(n, dim) initial latents of init_mode from each row's two noise-end states."""
@@ -174,23 +172,23 @@ class DualPaths:
 
 
 def dual_invert(observed, mixture: GaussianMixture, prompts, config: PdlsConfig,
-                seeds, *, _z0=None) -> DualPaths:
+                z0) -> DualPaths:
     """Both inversions of every row of a batch (n, dim), run as one stacked batch.
 
     Rows 0..n-1 are the structural (null) paths; one semantic row follows
-    for each non-null prompt, with the same z0. A null-prompt row's
-    semantic path is its structural path. restore() passes the rows' draws
-    of their seeds as _z0, in observed's coordinates.
+    for each non-null prompt, with the same noise draw: row i of z0 (n, dim).
+    A null-prompt row's semantic path is its structural path.
     """
-    observed = np.asarray(observed, dtype=float)
+    observed, z0 = np.asarray(observed, dtype=float), np.asarray(z0, dtype=float)
     n = len(observed)
-    if observed.ndim != 2 or len(prompts) != n or len(seeds) != n:
-        raise ValueError("dual_invert needs a batch (n, d) with one prompt and one seed per row")
+    if observed.ndim != 2 or len(prompts) != n:
+        raise ValueError("dual_invert needs a batch (n, d) with one prompt per row")
+    if z0.shape != observed.shape:
+        raise ValueError("dual_invert needs one noise draw z0 (n, d) per row")
     semantic = [i for i, p in enumerate(prompts) if not p.is_null]
     source = np.concatenate([np.arange(n), semantic]).astype(int)
     conds = [Condition.null()] * n + [prompts[i] for i in semantic]
-    inv = invert_path(observed[source], mixture, conds, config.gamma, config.n_steps,
-                      [seeds[i] for i in source], _z0=None if _z0 is None else _z0[source])
+    inv = invert_path(observed[source], mixture, conds, config, z0[source])
     pair = np.arange(n)
     pair[semantic] = np.arange(n, n + len(semantic))
     return DualPaths(inv, pair, tuple(prompts))
@@ -209,7 +207,6 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
 
     base_cond = _resolve_conditions(mixture, [p if config.base_condition == "prompt"
                                               else Condition.null() for p in paths.prompts])
-    schedule = SteeringSchedule(config.eta_max, config.schedule_kind)
 
     def drift(x, t, k):
         # Steer toward the stored node this step lands on: targeting the
@@ -218,7 +215,7 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
         j = n - k - 1
         assert abs(inv_nodes[j] - gen_grid.nodes[k + 1]) < 1e-12, \
             "reverse lookup missed a stored node"
-        weight = float(eta(schedule, t))
+        weight = float(eta(config, t))
         if weight == 0.0:
             return marginal_velocity(x, t, mixture, base_cond)
         control = lqr_control(x, paths.target(j), t)
@@ -354,18 +351,14 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     frame = _Frame.of(mixture, batch, z0)
     if frame is not None:
         batch, z0, mixture = frame.coords(batch), frame.coords(z0), frame.mixture
-    paths = dual_invert(batch, mixture, prompts, config, seeds, _z0=z0)
+    paths = dual_invert(batch, mixture, prompts, config, z0)
     generated = steered_generate(paths, mixture, config)
 
-    schedule = SteeringSchedule(config.eta_max, config.schedule_kind)
     n = config.n_steps
     nodes = generated.grid.nodes
-    etas = [float(eta(schedule, float(t))) for t in nodes]
-    # Generation node k is inversion node n - k: the averaged targets
-    # (DualPaths.target) of every node as one gather from the reversed states.
-    inv = paths.inversion.states[::-1]
-    targets = 0.5 * (inv[:, :len(prompts)] + inv[:, paths.pair])
-    dists = np.linalg.norm(generated.states - targets, axis=2)
+    etas = [float(eta(config, float(t))) for t in nodes]
+    # Generation node k is inversion node n - k.
+    dists = np.linalg.norm(generated.states - paths.target(slice(None, None, -1)), axis=2)
     latents = paths.inversion.terminal
     restored = generated.terminal if frame is None else frame.lift(generated.terminal)
     results = [RestoreResult(

@@ -2,12 +2,13 @@
 
 The inputs are those of tests/test_pipeline.py's manifest_batch(): every
 shapes32 exemplar blurred by GaussianBlur(7, 1.5) with NoiseModel(0.01,
-seed=i), restored with seed i under the default PdlsConfig, once with label
-prompts and once with null prompts. Each restore is composed from the
-public full-space invert_path and steered_generate, with the direct
-(n, K, d) form of the field (direct_field in tests/test_flowfield.py) in
-place of pipeline.marginal_velocity. The file keeps each row's restored
-point and its two latent norms. Run from the root of a pdls checkout; it
+seed=i), restored with the noise draw of seed i under the default
+PdlsConfig, once with label prompts and once with null prompts. Each
+restore is composed from the public full-space invert_path and
+steered_generate, with the direct (n, K, d) form of the field
+(direct_field in tests/test_flowfield.py) in place of
+pipeline.marginal_velocity. The file keeps each row's restored point and
+its two latent norms. Run from the root of a pdls checkout; it
 takes about 12 s on a 2-core machine:
 
     PYTHONPATH=src python3 tests/data/make_manifest_oracle.py
@@ -24,7 +25,7 @@ TESTS = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(TESTS))
 
 from test_flowfield import direct_field  # noqa: E402
-from test_pipeline import full_space_restore, manifest_batch  # noqa: E402
+from test_pipeline import draws, full_space_restore, manifest_batch  # noqa: E402
 
 from pdls import pipeline  # noqa: E402
 from pdls.flowfield import EPS_T, Condition  # noqa: E402
@@ -60,10 +61,11 @@ def direct_velocity(x, t, mixture, cond):
 def main() -> int:
     obs, mixture, labels, seeds = manifest_batch()
     pipeline.marginal_velocity = direct_velocity
+    z0 = draws(seeds, obs.shape[1])
     arrays = {}
     for kind, prompts in (("label", [Condition.of(lb) for lb in labels]),
                           ("null", [Condition.null()] * len(labels))):
-        paths, generated = full_space_restore(obs, mixture, prompts, PdlsConfig(), seeds)
+        paths, generated = full_space_restore(obs, mixture, prompts, PdlsConfig(), z0)
         arrays[f"{kind}_restored"] = generated[-1]
         end = paths.inversion.terminal
         arrays[f"{kind}_norms"] = np.array([[np.linalg.norm(end[i]), np.linalg.norm(end[j])]

@@ -8,7 +8,7 @@ from math import comb
 
 import numpy as np
 
-from pdls.control import SteeringSchedule, eta, lqr_control
+from pdls.control import eta, lqr_control
 from pdls.datasets import exemplar_mixture, shapes32_dataset, toy2d_mixture
 from pdls.degrade import (
     Downsample,
@@ -47,10 +47,10 @@ def _report(num, name, ok):
 def test_criterion_01_schedule_exactness():
     ok = True
     for eta_max in (0.1, 0.5, 1.0):
-        sched = SteeringSchedule(eta_max)
-        ok &= abs(eta(sched, 0.0) - eta_max) <= 1e-12
-        ok &= abs(eta(sched, 0.5) - eta_max / 2) <= 1e-12
-        ok &= abs(eta(sched, 1.0)) <= 1e-12
+        cfg = PdlsConfig(eta_max=eta_max)
+        ok &= abs(eta(cfg, 0.0) - eta_max) <= 1e-12
+        ok &= abs(eta(cfg, 0.5) - eta_max / 2) <= 1e-12
+        ok &= abs(eta(cfg, 1.0)) <= 1e-12
     _report(1, "schedule exactness", ok)
 
 
@@ -80,11 +80,10 @@ def test_criterion_03_exact_arrival():
     mix = toy2d_mixture()
     obs = np.array([1.9, 0.1])
     target = np.array([-0.7, 1.3])
+    z0 = draw_noise(2, 17)
     ok = True
     for n in (7, 28, 100):
-        traj = invert_path(obs, mix, Condition.null(), gamma=1.0,
-                           n_steps=n, noise_seed=17)
-        z0 = draw_noise(2, 17)
+        traj = invert_path(obs, mix, Condition.null(), PdlsConfig(gamma=1.0, n_steps=n), z0)
         ok &= np.linalg.norm(traj.terminal - z0) / np.linalg.norm(z0) < 1e-9
         grid = make_grid(n, 0.0, 1.0)
         steered = integrate(np.array([0.4, -0.2]), grid,

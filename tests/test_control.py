@@ -7,48 +7,49 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pdls.control import SteeringSchedule, blend_drift, eta, lqr_control
+from pdls.control import blend_drift, eta, lqr_control
 from pdls.flowfield import EPS_T, TerminalTimeError
+from pdls.pipeline import PdlsConfig
 
 
 class TestSchedule:
     def test_pinned_values(self):
-        sched = SteeringSchedule(0.5)
-        assert eta(sched, 0.0) == pytest.approx(0.5, abs=1e-15)
-        assert eta(sched, 0.5) == pytest.approx(0.25, abs=1e-15)
-        assert eta(sched, 1.0) == pytest.approx(0.0, abs=1e-15)
+        cfg = PdlsConfig(eta_max=0.5)
+        assert eta(cfg, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert eta(cfg, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert eta(cfg, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_endpoints_for_several_strengths(self):
         for eta_max in (0.1, 0.5, 1.0):
-            sched = SteeringSchedule(eta_max)
-            assert abs(eta(sched, 0.0) - eta_max) < 1e-12
-            assert abs(eta(sched, 0.5) - eta_max / 2) < 1e-12
-            assert abs(eta(sched, 1.0)) < 1e-12
+            cfg = PdlsConfig(eta_max=eta_max)
+            assert abs(eta(cfg, 0.0) - eta_max) < 1e-12
+            assert abs(eta(cfg, 0.5) - eta_max / 2) < 1e-12
+            assert abs(eta(cfg, 1.0)) < 1e-12
 
     def test_half_turn_symmetry(self):
-        sched = SteeringSchedule(0.8)
+        cfg = PdlsConfig(eta_max=0.8)
         for t in np.linspace(0, 1, 21):
-            assert eta(sched, t) + eta(sched, 1 - t) == pytest.approx(0.8, abs=1e-12)
+            assert eta(cfg, t) + eta(cfg, 1 - t) == pytest.approx(0.8, abs=1e-12)
 
     def test_monotone_decay(self):
-        sched = SteeringSchedule(1.0)
-        vals = [eta(sched, t) for t in np.linspace(0, 1, 50)]
+        cfg = PdlsConfig(eta_max=1.0)
+        vals = [eta(cfg, t) for t in np.linspace(0, 1, 50)]
         assert np.all(np.diff(vals) < 0)
 
     def test_constant_kind(self):
-        sched = SteeringSchedule(0.3, kind="constant")
+        cfg = PdlsConfig(eta_max=0.3, schedule_kind="constant")
         for t in (0.0, 0.4, 1.0):
-            assert eta(sched, t) == 0.3
+            assert eta(cfg, t) == 0.3
 
     def test_time_out_of_range(self):
         with pytest.raises(ValueError, match="time out of range"):
-            eta(SteeringSchedule(0.5), 1.2)
+            eta(PdlsConfig(eta_max=0.5), 1.2)
 
     def test_strength_validation(self):
         with pytest.raises(ValueError, match="eta_max"):
-            SteeringSchedule(1.5)
-        with pytest.raises(ValueError, match="schedule kind"):
-            SteeringSchedule(0.5, kind="linear")
+            PdlsConfig(eta_max=1.5)
+        with pytest.raises(ValueError, match="schedule_kind"):
+            PdlsConfig(eta_max=0.5, schedule_kind="linear")
 
 
 class TestLqrControl:

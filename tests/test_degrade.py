@@ -218,11 +218,7 @@ class TestDescriptors:
         parsed = parse_descriptor(op.descriptor(), image_shape=shape)
         assert type(parsed) is type(op)
         assert parsed.descriptor() == op.descriptor()
-        if isinstance(op, FreeformMask):
-            assert parsed.drawn_with == op.drawn_with
-            assert np.array_equal(parsed.mask.pixels, op.mask.pixels)
-        else:
-            assert parsed == op
+        assert parsed == op
 
     def test_large_kernel_descriptor(self):
         op = parse_descriptor("gblur:size=61,sigma=3.0")
@@ -251,6 +247,15 @@ class TestImageGrid:
         img = ImageGrid(np.array([[-0.5, 0.5], [1.5, 1.0]]))
         assert img.pixels.min() == 0.0
         assert img.pixels.max() == 1.0
+
+    def test_equality_compares_pixels(self):
+        assert ImageGrid(np.zeros((2, 2))) == ImageGrid(np.zeros((2, 2)))
+        assert ImageGrid(np.zeros((2, 2))) != ImageGrid(np.eye(2))
+        assert ImageGrid(np.zeros((2, 2))) != ImageGrid(np.zeros((2, 3)))
+        mask = parse_descriptor("inpaint:coverage=0.15,seed=2", image_shape=(8, 8))
+        assert mask == parse_descriptor("inpaint:coverage=0.15,seed=2", image_shape=(8, 8))
+        assert mask != parse_descriptor("inpaint:coverage=0.15,seed=3", image_shape=(8, 8))
+        assert mask != FreeformMask(mask.mask)
 
     def test_vector_round_trip(self):
         rng = np.random.default_rng(6)

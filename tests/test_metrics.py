@@ -175,6 +175,20 @@ class TestBatchedReport:
         assert [r.ssim for r in reps] == [None, None]
         assert reps[0].psnr_db == math.inf and reps[1].mse == pytest.approx(0.0625)
 
+    def test_vector_pairs_have_no_ssim(self):
+        # Points, as a toy restore scores them: a stack of 12 points of 16
+        # coordinates is not one 12x16 image.
+        rng = np.random.default_rng(3)
+        xs, refs = rng.uniform(0, 1, (2, 12, 16))
+        mixture = GaussianMixture([0.5, 0.5], rng.uniform(0, 1, (2, 16)), [0.1, 0.1], ["a", "b"])
+        labels = ["a", "b"] * 6
+        reps = report(list(xs), list(refs), mixture, labels)
+        assert [r.ssim for r in reps] == [None] * 12
+        assert [r.mse for r in reps] == [float(np.mean((x - y) ** 2)) for x, y in zip(xs, refs)]
+        assert [r.psnr_db for r in reps] == [psnr(x, y) for x, y in zip(xs, refs)]
+        assert [r.class_accuracy for r in reps] == [
+            class_accuracy(x, mixture, lb) for x, lb in zip(xs, labels)]
+
     def test_class_accuracy_on_ties_and_near_ties(self):
         # Row i lies between means 2i ("a") and 2i + 1 ("b"): offsets e and a
         # permutation of e scaled by 1 + s, so the two distances tie or

@@ -43,16 +43,15 @@ class TestInvertPath:
     def test_full_strength_lands_on_the_noise_draw(self):
         mix = toy2d_mixture()
         obs = np.array([1.9, 0.1])
+        z0 = draw_noise(2, 42)
         for n in (7, 28, 100):
-            traj = invert_path(obs, mix, Condition.null(), gamma=1.0,
-                               n_steps=n, noise_seed=42)
-            z0 = draw_noise(2, 42)
+            traj = invert_path(obs, mix, Condition.null(), PdlsConfig(gamma=1.0, n_steps=n), z0)
             assert np.linalg.norm(traj.terminal - z0) / np.linalg.norm(z0) < 1e-9
 
     def test_zero_strength_from_a_dirac_mean_stays_put(self):
         mix = GaussianMixture([1.0], [[1.5, -0.5]], [0.0], ["d"])
         traj = invert_path(np.array([1.5, -0.5]), mix, Condition.null(),
-                           gamma=0.0, n_steps=200, noise_seed=0)
+                           PdlsConfig(gamma=0.0, n_steps=200), draw_noise(2, 0))
         # The marginal field vanishes on the Dirac mean, so the reverse
         # flow holds it fixed to first order.
         assert np.linalg.norm(traj.terminal - [1.5, -0.5]) < 1e-6
@@ -60,17 +59,18 @@ class TestInvertPath:
     def test_golden_regression(self):
         mix = toy2d_mixture()
         traj = invert_path(np.array([1.7, 0.3]), mix, Condition.null(),
-                           gamma=0.5, n_steps=28, noise_seed=7)
+                           PdlsConfig(gamma=0.5, n_steps=28), draw_noise(2, 7))
         assert np.allclose(traj.terminal, GOLDEN_INVERT_TERMINAL, atol=1e-9)
         # Doubling the step count moves the terminal only by a first-order
         # amount, so the locked value is step-size-consistent.
         fine = invert_path(np.array([1.7, 0.3]), mix, Condition.null(),
-                           gamma=0.5, n_steps=56, noise_seed=7)
+                           PdlsConfig(gamma=0.5, n_steps=56), draw_noise(2, 7))
         assert np.linalg.norm(traj.terminal - fine.terminal) < 0.05
 
     def test_grid_descends_over_full_interval(self):
         mix = toy2d_mixture()
-        traj = invert_path(np.array([1.7, 0.3]), mix, Condition.null(), 0.5, 10, 0)
+        traj = invert_path(np.array([1.7, 0.3]), mix, Condition.null(),
+                           PdlsConfig(gamma=0.5, n_steps=10), draw_noise(2, 0))
         assert traj.grid.t_start == 1.0
         assert traj.grid.t_end == 0.0
 
@@ -87,14 +87,14 @@ class TestDualInvert:
     def test_all_label_prompt_collapses_the_paths(self):
         mix = toy2d_mixture()
         paths = dual_invert(np.array([[1.8, 0.2]]), mix, [Condition.of("A", "B")],
-                            PdlsConfig(), [3])
+                            PdlsConfig(), draws([3], 2))
         states = paths.inversion.states
         assert np.array_equal(states[:, 0], states[:, paths.pair[0]])
 
     def test_full_strength_makes_latents_identical(self):
         mix = toy2d_mixture()
         paths = dual_invert(np.array([[1.8, 0.2]]), mix, [Condition.of("A")],
-                            PdlsConfig(gamma=1.0), [3])
+                            PdlsConfig(gamma=1.0), draws([3], 2))
         z0 = draw_noise(2, 3)
         end = paths.inversion.terminal
         assert np.allclose(end[0], z0, atol=1e-9)
@@ -103,20 +103,26 @@ class TestDualInvert:
     def test_null_prompt_row_is_its_own_semantic_row(self):
         paths = dual_invert(np.zeros((3, 2)), toy2d_mixture(),
                             [Condition.of("A"), Condition.null(), Condition.of("B")],
-                            PdlsConfig(n_steps=4), [0, 1, 2])
+                            PdlsConfig(n_steps=4), draws([0, 1, 2], 2))
         assert paths.pair.tolist() == [3, 1, 4]
         assert paths.inversion.states.shape == (5, 5, 2)
 
     def test_one_point_is_not_a_batch(self):
         with pytest.raises(ValueError, match="batch"):
             dual_invert(np.array([1.8, 0.2]), toy2d_mixture(), [Condition.of("A")],
-                        PdlsConfig(), [3])
+                        PdlsConfig(), draw_noise(2, 3))
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 3), (2, 2, 1)])
+    def test_noise_draws_of_the_wrong_shape_are_rejected(self, shape):
+        with pytest.raises(ValueError, match="noise draw"):
+            dual_invert(np.zeros((2, 2)), toy2d_mixture(), [Condition.of("A")] * 2,
+                        PdlsConfig(), np.ones(shape))
 
     def test_semantic_path_pins_the_prompted_component(self):
         mix = GaussianMixture([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]],
                               [0.0, 0.0], ["a", "b"])
         obs = np.array([[0.9, 0.05]])
-        paths = dual_invert(obs, mix, [Condition.of("a")], PdlsConfig(gamma=0.5), [1])
+        paths = dual_invert(obs, mix, [Condition.of("a")], PdlsConfig(gamma=0.5), draws([1], 2))
         semantic = paths.inversion.states[:, paths.pair[0]]
         for state, t in zip(semantic, paths.inversion.grid.nodes):
             if t >= 1.0 - 1e-9 or t <= 1e-9:
@@ -142,13 +148,21 @@ class TestAveragedTarget:
     def test_equidistant_from_both_paths(self):
         mix = toy2d_mixture()
         paths = dual_invert(np.array([[1.6, 0.4]]), mix, [Condition.of("A")],
-                            PdlsConfig(), [5])
+                            PdlsConfig(), draws([5], 2))
         states = paths.inversion.states
         for j in range(paths.inversion.grid.n_steps + 1):
             ybar = paths.target(j)[0]
             da = np.linalg.norm(ybar - states[j, 0])
             db = np.linalg.norm(ybar - states[j, paths.pair[0]])
             assert da == pytest.approx(db, abs=1e-12)
+
+    def test_a_slice_gives_the_targets_of_its_nodes(self):
+        states = np.arange(24.0).reshape(4, 3, 2)
+        paths = DualPaths(Trajectory(make_grid(3, 1.0, 0.0), states), np.array([2, 1]),
+                          (Condition.of("A"), Condition.null()))
+        for j in (slice(None), slice(None, None, -1), slice(1, 3)):
+            want = np.stack([paths.target(i) for i in range(4)[j]])
+            assert np.array_equal(paths.target(j), want)
 
     def test_index_out_of_range(self):
         paths = one_row([[0.0, 0.0]] * 2, [[1.0, 1.0]] * 2)
@@ -170,7 +184,7 @@ class TestSteeredGenerate:
 
         mix = toy2d_mixture()
         paths = dual_invert(np.array([[1.7, 0.3]]), mix, [Condition.of("A")],
-                            PdlsConfig(eta_max=0.0), [2])
+                            PdlsConfig(eta_max=0.0), draws([2], 2))
         gen = steered_generate(paths, mix, PdlsConfig(eta_max=0.0))
         grid = make_grid(28, 0.0, 1.0)
         plain = integrate(
@@ -304,6 +318,8 @@ class TestRestore:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="gamma"):
             PdlsConfig(gamma=2.0)
+        with pytest.raises(ValueError, match="eta_max"):
+            PdlsConfig(eta_max=1.5)
         with pytest.raises(ValueError, match="init_mode"):
             PdlsConfig(init_mode="other")
         with pytest.raises(ValueError, match="base_condition"):
@@ -321,19 +337,23 @@ def manifest_batch():
     return obs, shapes32_mixture(), [label for _, label in data], list(range(len(data)))
 
 
-def full_space_restore(obs, mixture, prompts, config, seeds):
-    """restore() composed from the public full-space invert_path and steered_generate.
+def draws(seeds, dim):
+    """(n, dim) noise draws of the seeds, as restore() makes them."""
+    return np.stack([draw_noise(dim, s) for s in seeds])
+
+
+def full_space_restore(obs, mixture, prompts, config, z0):
+    """restore() composed from the public full-space invert_path and steered_generate,
+    with the noise draws z0 (n, d).
 
     Gives the batch's DualPaths and the (n_steps + 1, n, d) generated states.
     """
-    structural = invert_path(obs, mixture, Condition.null(), config.gamma,
-                             config.n_steps, seeds)
+    structural = invert_path(obs, mixture, Condition.null(), config, z0)
     n = len(prompts)
     rows = [i for i, p in enumerate(prompts) if not p.is_null]
     states, pair = structural.states, np.arange(n)
     if rows:
-        inv = invert_path(obs[rows], mixture, [prompts[i] for i in rows], config.gamma,
-                          config.n_steps, [seeds[i] for i in rows])
+        inv = invert_path(obs[rows], mixture, [prompts[i] for i in rows], config, z0[rows])
         states = np.concatenate([states, inv.states], axis=1)
         pair[rows] = np.arange(n, n + len(rows))
     paths = DualPaths(Trajectory(structural.grid, states), pair, tuple(prompts))
@@ -432,7 +452,8 @@ class TestReducedCoordinates:
     @example(TINY_CASE + ([Condition.null()], PdlsConfig(), [0]))
     def test_restore_equals_the_full_space_composition(self, case):
         obs, mixture, prompts, config, seeds = case
-        paths, generated = full_space_restore(obs, mixture, prompts, config, seeds)
+        paths, generated = full_space_restore(obs, mixture, prompts, config,
+                                              draws(seeds, obs.shape[1]))
         assume(exponent_conditioning(mixture, paths, generated) <= 1e3)
         results = restore(obs, mixture, prompts, config, seeds)
         assert results[0]._frame is not None
@@ -449,7 +470,8 @@ class TestReducedCoordinates:
         else:
             obs, label = 0.5 * (mixture.means[[3]] + mixture.means[[40]]), labels[3]
         for prompt in (Condition.of(label), Condition.null()):
-            paths, generated = full_space_restore(obs, mixture, [prompt], PdlsConfig(), [11])
+            paths, generated = full_space_restore(obs, mixture, [prompt], PdlsConfig(),
+                                                  draws([11], obs.shape[1]))
             results = restore(obs, mixture, [prompt], PdlsConfig(), [11])
             assert_restores_match(results, paths, generated)
             assert not results[0]._frame.dirs[0, 0].any()
