@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.
 
+restore has one driver for both tasks: a task only builds its jobs, (input
+id, observation, reference, label, seed) tuples, which run through one
+restore() and one metrics.report call. bench reads each row's recon_path
+relative to its own metrics file.
+
 main() holds numpy's OpenBLAS at one thread for the whole run and puts its
 thread count back on exit. A restore's matrix products are small (a step is
 a few (rows, K + 2) x (K + 2, K) GEMMs), and a second OpenBLAS thread only
@@ -29,8 +34,9 @@ import numpy as np
 
 from . import datasets, degrade, fileio, metrics
 from .flowfield import Condition, sample_mixture
-from .integrate import DriftDivergedError, trajectory_to_csv
-from .pipeline import PdlsConfig, restore
+from .control import SCHEDULE_KINDS
+from .integrate import DriftDivergedError, trajectory_from_csv, trajectory_to_csv
+from .pipeline import BASE_CONDITIONS, INIT_MODES, PdlsConfig, restore
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -69,7 +75,7 @@ def read_config_file(path) -> dict:
 def build_config(args) -> PdlsConfig:
     """PdlsConfig defaults, overridden by the --config file, then by flags."""
     file_vals = read_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_vals) - set(_CONFIG_FIELDS) - {"seed"}
+    unknown = set(file_vals) - set(_CONFIG_FIELDS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     defaults = PdlsConfig()
@@ -82,11 +88,15 @@ def build_config(args) -> PdlsConfig:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Either 'a:b' (half-open range) or a comma list."""
+    """Either 'a:b' (half-open range) or a comma list, of at least one seed."""
     if ":" in text:
         a, b = text.split(":")
-        return list(range(int(a), int(b)))
-    return [int(s) for s in text.split(",")]
+        seeds = list(range(int(a), int(b)))
+    else:
+        seeds = [int(s) for s in text.split(",")]
+    if not seeds:
+        raise ValueError(f"--seeds {text!r} names no seed")
+    return seeds
 
 
 # ---------------------------------------------------------------- demo
@@ -193,7 +203,10 @@ def _read_manifest(path) -> dict:
     return manifest
 
 
-def _run_image_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
+def _image_jobs(args, seeds):
+    """The image task: one job per manifest record and seed."""
+    if not args.manifest:
+        raise ValueError("image tasks need --manifest (from 'pdls degrade')")
     manifest = _read_manifest(args.manifest)
     mdir = Path(args.manifest).parent
     if args.mixture:
@@ -203,121 +216,80 @@ def _run_image_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
         mixture = datasets.shapes32_mixture(args.n_per_class, args.demo_seed,
                                             args.bandwidth)
         mixture_id = f"shapes32:{args.n_per_class},{args.demo_seed},{args.bandwidth}"
-    seeds = parse_seeds(args.seeds)
-    task = manifest["operator"].split(":")[0]
-    # The operator, its noise level and the mixture name the experiment too,
-    # so that bench keeps runs on other inputs or another mixture apart.
-    config = config_hash(cfg, {"prompt": args.prompt, "operator": manifest["operator"],
-                               "sigma_y": manifest.get("sigma_y"), "mixture": mixture_id})
-    jobs, inputs = [], []
+    jobs = []
     for rec in manifest["records"]:
         observed = fileio.read_pgm(mdir / rec["observed"])
         source = fileio.read_pgm(mdir / rec["source"])
         x_obs = _restore_input(observed, manifest["operator"],
                                (rec["height"], rec["width"]))
-        for seed in seeds:
-            jobs.append((rec, source, seed))
-            inputs.append(x_obs)
-    if not jobs:
-        return []
-    results = restore(np.stack(inputs), mixture,
-                      [_prompt_for(args, rec["label"]) for rec, _, _ in jobs], cfg,
-                      [seed for _, _, seed in jobs])
-
-    recons = [degrade.ImageGrid.from_vector(result.restored, rec["height"], rec["width"])
-              for (rec, _, _), result in zip(jobs, results)]
-    reports = metrics.report(recons, [source for _, source, _ in jobs], mixture,
-                             [rec["label"] for rec, _, _ in jobs])
-    rows = []
-    for (rec, _, seed), recon, rep in zip(jobs, recons, reports):
-        name = f"{rec['id']}_s{seed}_recon.pgm"
-        fileio.write_pgm(out / name, recon)
-        rows.append({
-            "task": task, "input": rec["id"], "seed": seed, "config": config,
-            "mse": rep.mse, "psnr_db": rep.psnr_db, "ssim": rep.ssim,
-            "class_acc": rep.class_accuracy, "recon_path": name,
-        })
-    _write_diagnostics(out / "diagnostics.csv", results[0].diagnostics)
-    return rows
+        jobs.extend((rec["id"], x_obs, source, rec["label"], seed) for seed in seeds)
+    # The operator, its noise level and the mixture name the experiment too,
+    # so that bench keeps runs on other inputs or another mixture apart.
+    extra = {"operator": manifest["operator"], "sigma_y": manifest.get("sigma_y"),
+             "mixture": mixture_id}
+    return manifest["operator"].split(":")[0], mixture, extra, jobs
 
 
-def _run_toy_restores(args, cfg: PdlsConfig, out: Path) -> list[dict]:
+def _toy_jobs(args, seeds):
+    """The toy2d task: one job per seed, a mixture sample seen through --sigma-y noise."""
     mixture = fileio.read_mixture(args.mixture) if args.mixture else datasets.toy2d_mixture()
-    seeds = parse_seeds(args.seeds)
-    cases = []
+    jobs = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         clean, labels = sample_mixture(mixture, 1, rng)
-        clean, label = clean[0], labels[0]
-        observed = clean + args.sigma_y * rng.standard_normal(clean.shape)
-        cases.append((seed, clean, label, observed))
-    results = restore(np.stack([obs for *_, obs in cases]), mixture,
-                      [_prompt_for(args, label) for _, _, label, _ in cases], cfg, seeds)
-
+        observed = clean[0] + args.sigma_y * rng.standard_normal(clean[0].shape)
+        jobs.append((f"seed{seed}", observed, clean[0], labels[0], seed))
     # --sigma-y stays out of the hash, which keeps existing toy2d hashes valid.
-    config = config_hash(cfg, {"prompt": args.prompt})
-    reports = metrics.report([r.restored for r in results], [clean for _, clean, _, _ in cases],
-                             mixture, [label for _, _, label, _ in cases])
-    rows = []
-    for (seed, *_), rep in zip(cases, reports):
-        rows.append({
-            "task": "toy2d", "input": f"seed{seed}", "seed": seed, "config": config,
-            "mse": rep.mse, "psnr_db": rep.psnr_db, "ssim": None,
-            "class_acc": rep.class_accuracy, "recon_path": "",
-        })
-    # trajectory dump for the first seed feeds the bench plot
-    first = results[0]
-    (out / "structural_path.csv").write_text(trajectory_to_csv(first.structural))
-    (out / "semantic_path.csv").write_text(trajectory_to_csv(first.semantic))
-    (out / "steered_path.csv").write_text(trajectory_to_csv(first.generated))
-    _write_diagnostics(out / "diagnostics.csv", first.diagnostics)
-    return rows
+    return "toy2d", mixture, {}, jobs
 
 
-def _write_diagnostics(path, diag) -> None:
+_METRIC_COLUMNS = ("mse", "psnr_db", "ssim", "class_acc")
+_METRICS_HEADER = ("task", "input", "seed", "config", *_METRIC_COLUMNS, "recon_path")
+
+
+def _write_csv(path, header, rows) -> None:
+    """A header line, then the rows; None is written as an empty field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "t", "eta", "dist_to_target"])
-        writer.writerows(diag)
-
-
-def _write_metrics(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "input", "seed", "config", "mse", "psnr_db",
-                         "ssim", "class_acc", "recon_path"])
-        for r in rows:
-            writer.writerow([r["task"], r["input"], r["seed"], r["config"],
-                             repr(r["mse"]), repr(r["psnr_db"]),
-                             "" if r["ssim"] is None else repr(r["ssim"]),
-                             "" if r["class_acc"] is None else r["class_acc"],
-                             r["recon_path"]])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_restore(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = build_config(args)
-    if args.task == "toy2d":
-        rows = _run_toy_restores(args, cfg, out)
-    else:
-        if not args.manifest:
-            raise ValueError("image tasks need --manifest (from 'pdls degrade')")
-        rows = _run_image_restores(args, cfg, out)
-    _write_metrics(out / "metrics.csv", rows)
+    seeds = parse_seeds(args.seeds)
+    images = args.task == "image"
+    task, mixture, extra, jobs = (_image_jobs if images else _toy_jobs)(args, seeds)
+    config = config_hash(cfg, {"prompt": args.prompt, **extra})
+    rows = []
+    if jobs:
+        ids, observed, refs, labels, job_seeds = zip(*jobs)
+        results = restore(np.stack(observed), mixture,
+                          [_prompt_for(args, label) for label in labels], cfg, list(job_seeds))
+        recons = [degrade.ImageGrid.from_vector(r.restored, ref.height, ref.width)
+                  if images else r.restored for r, ref in zip(results, refs)]
+        reports = metrics.report(recons, refs, mixture, labels)
+        for input_id, seed, recon, rep in zip(ids, job_seeds, recons, reports):
+            recon_path = f"{input_id}_s{seed}_recon.pgm" if images else ""
+            if images:
+                fileio.write_pgm(out / recon_path, recon)
+            rows.append((task, input_id, seed, config, rep.mse, rep.psnr_db, rep.ssim,
+                         rep.class_accuracy, recon_path))
+        first = results[0]
+        if not images:  # the first seed's paths feed the bench plot
+            for name, path in (("structural", first.structural), ("semantic", first.semantic),
+                               ("steered", first.generated)):
+                (out / f"{name}_path.csv").write_text(trajectory_to_csv(path))
+        _write_csv(out / "diagnostics.csv", ("step", "t", "eta", "dist_to_target"),
+                   first.diagnostics)
+    _write_csv(out / "metrics.csv", _METRICS_HEADER, rows)
     print(f"restored {len(rows)} runs; metrics in {out / 'metrics.csv'}")
     return 0
 
 
 # ---------------------------------------------------------------- bench
-
-
-def _read_metrics(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-_METRIC_COLUMNS = ("mse", "psnr_db", "ssim", "class_acc")
 
 
 def aggregate(rows: list[dict]) -> list[dict]:
@@ -387,13 +359,15 @@ def cmd_bench(args) -> int:
         if not Path(mpath).exists():
             missing.append(mpath)
             continue
-        batch = _read_metrics(mpath)
-        rows.extend(batch)
+        with open(mpath, newline="") as fh:
+            batch = list(csv.DictReader(fh))
         for r in batch:
+            # A recon path is relative to the directory of its own metrics file.
             if r["recon_path"]:
-                p = Path(mpath).parent / r["recon_path"]
-                if not p.exists():
-                    missing.append(str(p))
+                r["recon_path"] = Path(mpath).parent / r["recon_path"]
+                if not r["recon_path"].exists():
+                    missing.append(str(r["recon_path"]))
+        rows.extend(batch)
     if missing:
         print("missing runs:\n" + "\n".join(missing), file=sys.stderr)
         return EXIT_IO
@@ -409,7 +383,6 @@ def cmd_bench(args) -> int:
 
     traj_dir = Path(args.trajectories) if args.trajectories else None
     if traj_dir:
-        from .integrate import trajectory_from_csv
         named = []
         for name in ("structural", "semantic", "steered"):
             p = traj_dir / f"{name}_path.csv"
@@ -418,8 +391,7 @@ def cmd_bench(args) -> int:
         if named:
             write_toy2d_svg(out / "trajectories.svg", named)
     if args.strip:
-        src = Path(args.metrics[0]).parent
-        imgs = [fileio.read_pgm(src / r["recon_path"]) for r in rows[: args.strip]
+        imgs = [fileio.read_pgm(r["recon_path"]) for r in rows[: args.strip]
                 if r["recon_path"]]
         if imgs:
             write_image_strip(out / "strip.pgm", imgs)
@@ -462,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float)
     p.add_argument("--eta-max", dest="eta_max", type=float)
     p.add_argument("--steps", dest="n_steps", type=int)
-    p.add_argument("--init", choices=["structural", "semantic", "mixed"])
-    p.add_argument("--base", choices=["prompt", "null"])
-    p.add_argument("--schedule", choices=["cosine", "constant"])
+    p.add_argument("--init", choices=INIT_MODES)
+    p.add_argument("--base", choices=BASE_CONDITIONS)
+    p.add_argument("--schedule", choices=SCHEDULE_KINDS)
     p.add_argument("--prompt", default="auto", help="'auto', 'none', or a label")
     p.add_argument("--seeds", default="0:1")
     p.add_argument("--sigma-y", type=float, default=0.01, help="toy2d observation noise")

@@ -8,7 +8,7 @@ normalized to unit sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.ndimage import convolve as _ndi_convolve
@@ -229,8 +229,18 @@ def make_freeform_mask(width: int, height: int, coverage: float, seed: int) -> I
     return ImageGrid(mask.astype(float))
 
 
+# Descriptor name -> operator whose dataclass fields are its parameters.
+_OPERATORS = {"id": Identity, "gblur": GaussianBlur, "mblur": MotionBlur, "sr": Downsample}
+# The inpaint parameters are those of make_freeform_mask, which draws the mask.
+_INPAINT_DEFAULTS = {"coverage": 0.15, "seed": 0}
+
+
 def parse_descriptor(text: str, image_shape: tuple[int, int] | None = None) -> DegradationOperator:
-    """Parse CLI operator descriptors like 'gblur:size=61,sigma=3.0' or 'id'."""
+    """Parse CLI operator descriptors like 'gblur:size=61,sigma=3.0' or 'id'.
+
+    A parameter left out takes the operator's default; one the operator does
+    not have is an error.
+    """
     name, _, rest = text.partition(":")
     kv = {}
     if rest:
@@ -239,20 +249,20 @@ def parse_descriptor(text: str, image_shape: tuple[int, int] | None = None) -> D
             if not val:
                 raise ValueError(f"malformed operator descriptor {text!r}")
             kv[key.strip()] = val.strip()
-    if name == "id":
-        return Identity()
-    if name == "gblur":
-        return GaussianBlur(size=int(kv.get("size", 7)), sigma=float(kv.get("sigma", 1.5)))
-    if name == "mblur":
-        return MotionBlur(size=int(kv.get("size", 7)),
-                          intensity=float(kv.get("intensity", 0.5)),
-                          angle=float(kv.get("angle", 45.0)))
-    if name == "sr":
-        return Downsample(factor=int(kv.get("factor", 8)))
     if name == "inpaint":
-        if image_shape is None:
-            raise ValueError("inpaint descriptor needs a target image shape")
-        h, w = image_shape
-        coverage, seed = float(kv.get("coverage", 0.15)), int(kv.get("seed", 0))
-        return FreeformMask(make_freeform_mask(w, h, coverage, seed), (coverage, seed))
-    raise ValueError(f"unknown operator {name!r}")
+        defaults = _INPAINT_DEFAULTS
+    elif name in _OPERATORS:
+        defaults = {f.name: f.default for f in fields(_OPERATORS[name])}
+    else:
+        raise ValueError(f"unknown operator {name!r}")
+    unknown = set(kv) - set(defaults)
+    if unknown:
+        raise ValueError(f"{name} has no parameter {sorted(unknown)}, only {sorted(defaults)}")
+    params = {key: type(default)(kv.get(key, default)) for key, default in defaults.items()}
+    if name != "inpaint":
+        return _OPERATORS[name](**params)
+    if image_shape is None:
+        raise ValueError("inpaint descriptor needs a target image shape")
+    h, w = image_shape
+    coverage, seed = params["coverage"], params["seed"]
+    return FreeformMask(make_freeform_mask(w, h, coverage, seed), (coverage, seed))

@@ -213,8 +213,6 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
         # same-time node would chase a point the paths have already left,
         # leaving an exact one-step lag in the retraced trajectory.
         j = n - k - 1
-        assert abs(inv_nodes[j] - gen_grid.nodes[k + 1]) < 1e-12, \
-            "reverse lookup missed a stored node"
         weight = float(eta(config, t))
         if weight == 0.0:
             return marginal_velocity(x, t, mixture, base_cond)

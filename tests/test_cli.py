@@ -16,7 +16,7 @@ from pdls import cli, pipeline
 from pdls.cli import aggregate, build_parser, main
 from pdls.datasets import shapes32_mixture
 from pdls.degrade import ImageGrid
-from pdls.fileio import read_mixture, write_mixture, write_pgm
+from pdls.fileio import read_mixture, read_pgm, write_mixture, write_pgm
 
 
 def run(*argv):
@@ -78,6 +78,11 @@ class TestDegrade:
                    "--images", src) == 2
         assert "factor must divide dimensions" in capsys.readouterr().err
 
+    def test_unknown_operator_parameter_is_a_config_error(self, tmp_path, capsys):
+        assert run("degrade", "--out", tmp_path / "deg", "--op", "gblur:sigma=3,siz=61",
+                   "--demo", "--n-per-class", 1) == 2
+        assert "has no parameter ['siz']" in capsys.readouterr().err
+
 
 class TestRestore:
     def test_toy_task_writes_metrics_and_paths(self, tmp_path):
@@ -138,6 +143,28 @@ class TestRestore:
         assert run("restore", "--out", tmp_path / "x", "--task", "toy2d",
                    "--config", cfgfile) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_seed_is_not_a_config_key(self, tmp_path, capsys):
+        # Seeds come only from --seeds.
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("seed=5\n")
+        assert run("restore", "--out", tmp_path / "x", "--task", "toy2d",
+                   "--config", cfgfile) == 2
+        assert "unknown config keys: ['seed']" in capsys.readouterr().err
+
+    def test_empty_seed_range_is_a_config_error(self, tmp_path, capsys):
+        deg = tmp_path / "deg"
+        assert run("degrade", "--out", deg, "--op", "id", "--demo",
+                   "--n-per-class", 1, "--limit", 1) == 0
+        for task in (("--manifest", deg / "manifest.json", "--seeds", "0:0"),
+                     ("--task", "toy2d", "--seeds", "3:3")):
+            assert run("restore", "--out", tmp_path / "x", *task) == 2
+            assert "--seeds" in capsys.readouterr().err
+        # A manifest without records is no error: it restores nothing.
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"operator": "id", "records": []}')
+        assert run("restore", "--out", tmp_path / "e", "--manifest", empty) == 0
+        assert (tmp_path / "e" / "metrics.csv").read_text().count("\n") == 1
 
     def test_config_file_applies_values(self, tmp_path):
         cfgfile = tmp_path / "cfg"
@@ -283,6 +310,28 @@ class TestBench:
         assert run("bench", "--out", out, "--metrics", res / "metrics.csv",
                    "--strip", 2) == 0
         assert (out / "strip.pgm").exists()
+
+    def test_strip_reads_each_row_from_its_own_run(self, tmp_path):
+        # Two runs of one manifest share file names; each tile must come from its own run.
+        deg = tmp_path / "deg"
+        assert run("degrade", "--out", deg, "--op", "gblur:size=7,sigma=1.5",
+                   "--demo", "--n-per-class", 1) == 0
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for res, steps in zip(runs, (4, 12)):
+            assert run("restore", "--out", res, "--manifest", deg / "manifest.json",
+                       "--n-per-class", 2, "--steps", steps) == 0
+        out = tmp_path / "bench"
+        assert run("bench", "--out", out, "--metrics", *[r / "metrics.csv" for r in runs],
+                   "--strip", 6) == 0
+        strip = read_pgm(out / "strip.pgm").pixels
+        expected = []
+        for res in runs:
+            with open(res / "metrics.csv", newline="") as fh:
+                expected += [read_pgm(res / r["recon_path"]).pixels for r in csv.DictReader(fh)]
+        assert len(expected) == 6 and strip.shape == (32, 6 * 33 - 1)
+        assert not np.array_equal(expected[0], expected[3])
+        for i, tile in enumerate(expected):
+            assert np.array_equal(strip[:, 33 * i: 33 * i + 32], tile)
 
 
 needs_openblas = pytest.mark.skipif(cli._openblas_threads() is None,

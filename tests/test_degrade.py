@@ -241,6 +241,19 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="malformed operator"):
             parse_descriptor("gblur:size")
 
+    @pytest.mark.parametrize("text", ["gblur:sigma=3,siz=61", "mblur:size=7,angel=30",
+                                      "sr:scale=4", "inpaint:coverage=0.15,sed=2", "id:foo=1"])
+    def test_unknown_parameter(self, text):
+        with pytest.raises(ValueError, match="has no parameter"):
+            parse_descriptor(text, image_shape=(32, 32))
+
+    def test_left_out_parameters_take_the_operator_defaults(self):
+        assert parse_descriptor("gblur:sigma=3") == GaussianBlur(sigma=3.0)
+        assert parse_descriptor("mblur") == MotionBlur()
+        assert parse_descriptor("sr") == Downsample()
+        assert parse_descriptor("inpaint", image_shape=(32, 32)).descriptor() == \
+            "inpaint:coverage=0.15,seed=0"
+
 
 class TestImageGrid:
     def test_clamps_on_construction(self):
