@@ -1,9 +1,16 @@
 """Forward measurement models y = A x + n.
 
 Linear operators (Gaussian blur, motion blur, block-average downsampling,
-freeform masking) plus an additive Gaussian noise model. Convolutions use
-reflect padding so constant images are preserved exactly; kernels are
-normalized to unit sum.
+freeform masking) plus an additive Gaussian noise model. Kernels are
+normalized to unit sum. Convolutions pad by reflection about the image edge
+(d c b a | a b c d | d c b a, numpy's "symmetric" and scipy.ndimage's
+"reflect"), so constant images are preserved exactly. A kernel may be larger
+than the image: the padding then repeats that reflection with period twice
+the image side. Weights of magnitude at most machine epsilon are left out of
+the sum, as scipy.ndimage leaves them out of its footprint, so a blur equals
+``scipy.ndimage.convolve(img, kernel, mode="reflect")`` bitwise wherever
+ndimage is sound (its reflect padding reads outside its buffer once the
+kernel's half-width reaches about four times the image's shorter side).
 """
 
 from __future__ import annotations
@@ -11,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.ndimage import convolve as _ndi_convolve
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,20 @@ DegradationOperator = GaussianBlur | MotionBlur | Downsample | FreeformMask | Id
 
 
 def _convolve_reflect(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    return _ndi_convolve(img, kernel, mode="reflect")
+    """Convolve with an odd-sized kernel under reflect padding (see the module docstring).
+
+    The weights of the flipped kernel are added in C order into a zero
+    array, the order in which ndimage sums each output pixel.
+    """
+    kh, kw = kernel.shape
+    h, w = img.shape
+    padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="symmetric")
+    out = np.zeros((h, w))
+    eps = np.finfo(float).eps
+    for (a, b), wt in np.ndenumerate(kernel[::-1, ::-1]):
+        if abs(wt) > eps:
+            out += wt * padded[a:a + h, b:b + w]
+    return out
 
 
 def block_average(img: np.ndarray, factor: int) -> np.ndarray:

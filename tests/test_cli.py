@@ -23,6 +23,15 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_python(code: str, *argv) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports pdls from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+
+
 class TestDemo:
     def test_writes_images_and_mixtures(self, tmp_path):
         out = tmp_path / "demo"
@@ -421,13 +430,8 @@ class TestBlasPin:
         assert blas_threads() == 3
 
     def test_import_does_no_lookup(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         code = "import pdls.cli as c; print(c._openblas_threads.cache_info().currsize)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        assert out.stdout.strip() == "0"
+        assert run_python(code).stdout.strip() == "0"
 
     def test_without_the_lookup_a_run_is_not_pinned(self, tmp_path, monkeypatch,
                                                     blas_threads):
@@ -444,3 +448,37 @@ class TestBlasPin:
         assert seen == [3]
         for path in (tmp_path / "direct").iterdir():
             assert path.read_bytes() == (tmp_path / "main" / path.name).read_bytes()
+
+
+class TestWithoutScipy:
+    """scipy is a test dependency only: the package neither imports nor needs it."""
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, pdls; a = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+                "import pdls.cli; b = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+                "print(a, b)")
+        assert run_python(code).stdout.strip() == "[] []"
+
+    def test_runs_with_scipy_unimportable(self, tmp_path):
+        code = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is fenced off")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy.ndimage
+except ImportError:
+    pass
+else:
+    raise AssertionError("scipy was importable")
+from pdls.cli import main
+out = sys.argv[1]
+print(main(["degrade", "--out", out + "/deg", "--demo", "--n-per-class", "2",
+            "--op", "gblur:size=7,sigma=1.5"]),
+      main(["restore", "--out", out + "/toy", "--task", "toy2d"]))
+"""
+        assert run_python(code, tmp_path).stdout.split()[-2:] == ["0", "0"]

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.ndimage import convolve
 
 from pdls.degrade import (
     Downsample,
@@ -14,6 +15,7 @@ from pdls.degrade import (
     ImageGrid,
     MotionBlur,
     NoiseModel,
+    _convolve_reflect,
     apply,
     block_average,
     block_replicate,
@@ -161,6 +163,53 @@ class TestApply:
         out = apply(Identity(), img, NoiseModel(0.3, seed=0))
         assert out.pixels.max() <= 1.0
         assert out.pixels.min() >= 0.0
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def images_and_kernels(draw):
+    """An image of 1-40 px per side and an odd kernel whose half-widths are at
+    most the image's shorter side, with weights at and around machine epsilon."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kh, kw = (2 * draw(st.integers(0, min(h, w))) + 1 for _ in range(2))
+    weights = st.one_of(st.floats(-1.0, 1.0),
+                        st.sampled_from([0.0, EPS, -EPS, EPS / 2, 1.01 * EPS, -1.01 * EPS]))
+    img = draw(arrays(float, (h, w), elements=st.floats(-1.0, 1.0)))
+    return img, draw(arrays(float, (kh, kw), elements=weights))
+
+
+def reflected(n: int, index: np.ndarray) -> np.ndarray:
+    """Positions in 0..n-1 of the samples at index under reflect padding (period 2n)."""
+    index = np.mod(index, 2 * n)
+    return np.where(index < n, index, 2 * n - 1 - index)
+
+
+class TestConvolution:
+    @settings(deadline=None)
+    @given(images_and_kernels())
+    @example((np.random.default_rng(0).uniform(0, 1, (32, 32)), gaussian_kernel(61, 3.0)))
+    def test_bitwise_equal_to_ndimage(self, case):
+        img, kernel = case
+        assert np.array_equal(_convolve_reflect(img, kernel),
+                              convolve(img, kernel, mode="reflect"))
+
+    def test_kernel_far_larger_than_the_image(self):
+        # ndimage's reflect padding reads outside its buffer at this size and
+        # returned NaNs or garbage that changed from call to call.
+        img = ImageGrid(np.random.default_rng(0).uniform(0, 1, (5, 7)))
+        op = GaussianBlur(61, 12.0)
+        out = apply(op, img).pixels
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(apply(op, img).pixels, out)
+        r = op.size // 2
+        padded = img.pixels[np.ix_(reflected(5, np.arange(-r, 5 + r)),
+                                   reflected(7, np.arange(-r, 7 + r)))]
+        direct = np.zeros((5, 7))
+        for (a, b), wt in np.ndenumerate(op.kernel()[::-1, ::-1]):
+            direct += wt * padded[a:a + 5, b:b + 7]
+        assert np.array_equal(out, np.clip(direct, 0.0, 1.0))
 
 
 class TestBlocks:

@@ -2,16 +2,11 @@
 convolution oracle, batched reports, class accuracy."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.signal import convolve2d
 
-import pdls
 from pdls.datasets import shapes32_dataset, shapes32_mixture
 from pdls.degrade import GaussianBlur, ImageGrid, MotionBlur, NoiseModel, apply, gaussian_kernel
 from pdls.flowfield import GaussianMixture
@@ -217,13 +212,3 @@ class TestBatchedReport:
         with pytest.raises(ValueError, match="one label per reference"):
             report([img, img], [img, img], None, ["a"])
         assert report([], []) == []
-
-
-def test_importing_pdls_leaves_scipy_signal_unloaded():
-    # scipy.signal alone takes most of a second to import; SSIM does not need it.
-    src = str(Path(pdls.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, pdls; print('scipy.signal' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
-    assert done.stdout.strip() == "False"
