@@ -200,6 +200,13 @@ def _read_manifest(path) -> dict:
     missing = {"operator", "records"} - set(manifest if isinstance(manifest, dict) else ())
     if missing:
         raise fileio.FormatError(f"manifest {path} lacks {sorted(missing)}")
+    if not isinstance(manifest["records"], list):
+        raise fileio.FormatError(f"manifest {path}: records is not a list")
+    for i, rec in enumerate(manifest["records"]):
+        missing = ({"id", "label", "observed", "source", "height", "width"}
+                   - set(rec if isinstance(rec, dict) else ()))
+        if missing:
+            raise fileio.FormatError(f"manifest {path}: record {i} lacks {sorted(missing)}")
     return manifest
 
 

@@ -65,6 +65,8 @@ def write_mixture(path, mixture: GaussianMixture) -> None:
 
 
 def read_mixture(path) -> GaussianMixture:
+    """Read a file write_mixture wrote. A malformed record, an empty file or
+    records that make no valid mixture are a FormatError naming the file."""
     weights, means, variances, labels = [], [], [], []
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -74,7 +76,7 @@ def read_mixture(path) -> GaussianMixture:
         for part in line.split():
             key, _, val = part.partition("=")
             if not val:
-                raise FormatError(f"malformed mixture record on line {ln}")
+                raise FormatError(f"mixture {path}: malformed record on line {ln}")
             fields[key] = val
         try:
             weights.append(float(fields["weight"]))
@@ -82,6 +84,13 @@ def read_mixture(path) -> GaussianMixture:
             labels.append(fields["label"])
             means.append([float(v) for v in fields["mean"].split(",")])
         except (KeyError, ValueError) as exc:
-            raise FormatError(f"malformed mixture record on line {ln}") from exc
-    return GaussianMixture(weights, means, variances, labels)
-
+            raise FormatError(f"mixture {path}: malformed record on line {ln}") from exc
+        if len(means[-1]) != len(means[0]):
+            raise FormatError(f"mixture {path}: mean on line {ln} has {len(means[-1])} "
+                              f"values, the first record's {len(means[0])}")
+    if not labels:
+        raise FormatError(f"mixture {path}: no components")
+    try:
+        return GaussianMixture(weights, means, variances, labels)
+    except ValueError as exc:
+        raise FormatError(f"mixture {path}: {exc}") from exc

@@ -52,9 +52,10 @@ from typing import Hashable, NamedTuple
 
 import numpy as np
 
-# Terminal-time guard: marginal_velocity clamps t into [0, 1 - EPS_T] so the
-# 1/(1-t) gain stays finite. Integration grids keep their exact endpoint
-# nodes; drifts are only evaluated at a step's start node.
+# Terminal-time guard: every field function clamps t into [0, 1 - EPS_T], so
+# the 1/(1-t) gain stays finite and a Dirac's s_k^2 stays positive.
+# Integration grids keep their exact endpoint nodes; drifts are only
+# evaluated at a step's start node.
 EPS_T = 1e-3
 
 # Times whose field constants a mixture keeps (GaussianMixture._node). A
@@ -138,23 +139,22 @@ class GaussianMixture:
 
 
 class _Node(NamedTuple):
-    """What the field needs at one time t of components idx, s_k^2 = (1-t)^2 + t^2 sigma_k^2."""
+    """What the field needs at one time t < 1, s_k^2 = (1-t)^2 + t^2 sigma_k^2 > 0."""
 
     log_norm: np.ndarray  # 0.5 d log(2 pi s_k^2), d the ambient dimension
     two_s2: np.ndarray  # 2 s_k^2
     t2_mean_sq: np.ndarray  # t^2 ||mu_k||^2
-    coef: np.ndarray  # c_k = t sigma_k^2 / s_k^2, 0 for a Dirac at t = 1
-    vel_coef: np.ndarray | None  # (1 - t c_k) / (1 - t); None at t = 1
+    coef: np.ndarray  # c_k = t sigma_k^2 / s_k^2
+    vel_coef: np.ndarray  # (1 - t c_k) / (1 - t)
 
     @classmethod
-    def of(cls, mixture: GaussianMixture, t: float, idx=slice(None)) -> "_Node":
-        var = mixture.variances[idx]
+    def of(cls, mixture: GaussianMixture, t: float) -> "_Node":
+        var = mixture.variances
         s2 = (1.0 - t) ** 2 + t**2 * var
-        with np.errstate(divide="ignore"):  # a Dirac at t = 1, whose posterior is terminal
-            log_norm = 0.5 * mixture._ambient_dim * np.log(2.0 * np.pi * s2)
-        coef = t * var / np.where(s2 == 0, 1.0, s2)  # x = t mu for a Dirac at t = 1
-        vel_coef = (1.0 - t * coef) / (1.0 - t) if t < 1.0 else None
-        return cls(log_norm, 2.0 * s2, (t * t) * mixture.mean_sq[idx], coef, vel_coef)
+        log_norm = 0.5 * mixture._ambient_dim * np.log(2.0 * np.pi * s2)
+        coef = t * var / s2
+        vel_coef = (1.0 - t * coef) / (1.0 - t)
+        return cls(log_norm, 2.0 * s2, (t * t) * mixture.mean_sq, coef, vel_coef)
 
 
 @dataclass(frozen=True)
@@ -244,50 +244,18 @@ def _sq_distances(xb, t, means, t2_mean_sq):
     return x_sq[:, None] - (2.0 * t) * (xb @ means.T) + t2_mean_sq
 
 
-def _gaussian_posterior(xb, t, mixture: GaussianMixture, logw, idx=None):
-    """Responsibilities (n, K) from log w_k + log N(x; t mu_k, s_k^2 I), s_k^2 > 0, of
-    all components, or of the components idx (uncached)."""
-    if idx is None:
-        node, means = mixture._node(t), mixture.means
-    else:
-        node, means = _Node.of(mixture, t, idx), mixture.means[idx]
-    sq = _sq_distances(xb, t, means, node.t2_mean_sq)
-    logp = logw - node.log_norm - sq / node.two_s2
-    return np.exp(logp - _logsumexp_rows(logp))
-
-
-def _terminal_posterior(xb, mixture: GaussianMixture, logw):
-    """Responsibilities at t >= 1 of a mixture with Dirac components.
-
-    Dirac components make the terminal posterior collapse onto exact means;
-    a row whose condition keeps no Dirac is an ordinary Gaussian posterior.
-    """
-    out = np.zeros((xb.shape[0], mixture.n_components))
-    for i, (pt, row) in enumerate(zip(xb, logw)):
-        idx = np.flatnonzero(np.isfinite(row))
-        mu, var = mixture.means[idx], mixture.variances[idx]
-        if not np.any(var == 0):
-            out[i, idx] = _gaussian_posterior(pt[None, :], 1.0, mixture, row[idx], idx)[0]
-            continue
-        distinct = np.unique(np.hstack([mu, var[:, None]]), axis=0).shape[0] > 1
-        hit = np.all(mu == pt, axis=1) & (var == 0)
-        if np.any(hit):
-            out[i, idx[np.argmax(hit)]] = 1.0
-        elif idx.size > 1 and distinct:
-            raise ValueError("degenerate posterior at terminal time")
-        else:
-            out[i, idx] = 1.0 / idx.size
-    return out
-
-
 def _posterior(xb, t, mixture: GaussianMixture, cond):
-    """Responsibilities (n, K) over all K components; excluded ones get exactly 0."""
+    """Responsibilities (n, K) from log w_k + log N(x; t mu_k, s_k^2 I) over all K
+    components (excluded ones get exactly 0), the node they used and its time:
+    t clamped into [0, 1 - EPS_T]."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("time out of range")
+    t = min(t, 1.0 - EPS_T)
+    node = mixture._node(t)
     logw = _log_weight_rows(mixture, cond, xb.shape[0])
-    if t >= 1.0 and np.any(mixture.variances == 0):
-        return _terminal_posterior(xb, mixture, logw)
-    return _gaussian_posterior(xb, t, mixture, logw)
+    sq = _sq_distances(xb, t, mixture.means, node.t2_mean_sq)
+    logp = logw - node.log_norm - sq / node.two_s2
+    return np.exp(logp - _logsumexp_rows(logp)), node, t
 
 
 def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
@@ -297,10 +265,10 @@ def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
     s_k^2 = (1-t)^2 + t^2 sigma_k^2. Accepts a single point or a batch. With
     one Condition the columns are the components it selects; with one
     condition per row they are all K components, 0 where a row's condition
-    excludes them.
+    excludes them. Times past 1 - EPS_T are clamped to it (see EPS_T).
     """
     xb, single = _check_points(x, mixture)
-    r = _posterior(xb, t, mixture, cond)
+    r, _, _ = _posterior(xb, t, mixture, cond)
     if isinstance(cond, Condition):
         r = r[:, np.isfinite(mixture.log_weights(cond))]
     return r[0] if single else r
@@ -313,10 +281,11 @@ def posterior_endpoint_mean(x, t, mixture: GaussianMixture, cond=Condition.null(
         E[X_1 | x, k] = mu_k + c_k (x - t mu_k),   c_k = t sigma_k^2 / s_k^2,
     mixed by the responsibilities r, which is two GEMMs:
         (r * (1 - t c)) @ mu + (r @ c) x.
+    Times past 1 - EPS_T are clamped to it (see EPS_T).
     Accepts a single point or a batch, under one Condition or one per row.
     """
     xb, single = _check_points(x, mixture)
-    r, node = _posterior(xb, t, mixture, cond), mixture._node(t)
+    r, node, t = _posterior(xb, t, mixture, cond)
     out = (r * (1.0 - t * node.coef)) @ mixture.means + (r @ node.coef)[:, None] * xb
     return out[0] if single else out
 
@@ -331,37 +300,25 @@ def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
     Times past 1 - EPS_T are clamped to it (see EPS_T).
     Accepts a single point or a batch, under one Condition or one per row.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("time out of range")
-    t = min(t, 1.0 - EPS_T)
     xb, single = _check_points(x, mixture)
-    r, node = _posterior(xb, t, mixture, cond), mixture._node(t)
+    r, node, t = _posterior(xb, t, mixture, cond)
     out = ((r * node.vel_coef) @ mixture.means
            + ((r @ node.coef - 1.0) / (1.0 - t))[:, None] * xb)
     return out[0] if single else out
 
 
-def endpoint_conditional_velocity(x, t, target, target_time):
-    """Forward-time velocity of the straight line through (x, t) and (target, target_time).
-
-    target_time must be 0 (noise end) or 1 (data end). The field is singular
-    at the target's own time.
+def endpoint_conditional_velocity(x, t, target):
+    """Forward-time velocity (x - target) / t of the straight line through (x, t) and
+    (target, 0), the noise end. It is singular at t = 0; the line toward the data
+    end is control.lqr_control.
     """
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
     if x.shape != target.shape:
         raise ValueError("target dimension mismatch")
-    if target_time not in (0, 1, 0.0, 1.0):
-        raise ValueError("target_time must be 0 or 1")
-    if target_time == 1:
-        denom = 1.0 - t
-        direction = target - x
-    else:
-        denom = t
-        direction = x - target
-    if denom < EPS_T - 1e-12:
+    if t < EPS_T - 1e-12:
         raise TerminalTimeError("conditional field singular")
-    return direction / denom
+    return (x - target) / t
 
 
 def sample_mixture(mixture: GaussianMixture, n: int, rng: np.random.Generator,

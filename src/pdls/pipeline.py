@@ -130,7 +130,7 @@ def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
     cond = _resolve_conditions(mixture, cond)
 
     def drift(x, t, k):
-        guided = endpoint_conditional_velocity(x, t, z0, 0)
+        guided = endpoint_conditional_velocity(x, t, z0)
         if config.gamma == 1.0:
             return guided
         base = marginal_velocity(x, t, mixture, cond)

@@ -111,9 +111,8 @@ class TestRestore:
         assert run("restore", "--out", a, "--task", "toy2d", "--steps", 8) == 0
         assert run("restore", "--out", b, "--task", "toy2d", "--steps", 8,
                    "--eta-max", 0, "--init", "mixed") == 0
-        ha = next(csv.DictReader(open(a / "metrics.csv")))["config"]
-        hb = next(csv.DictReader(open(b / "metrics.csv")))["config"]
-        assert ha != hb
+        with open(a / "metrics.csv", newline="") as fa, open(b / "metrics.csv", newline="") as fb:
+            assert next(csv.DictReader(fa))["config"] != next(csv.DictReader(fb))["config"]
 
     def test_image_task_from_manifest(self, tmp_path):
         deg = tmp_path / "deg"
@@ -145,6 +144,36 @@ class TestRestore:
         manifest.write_text(text)
         assert run("restore", "--out", tmp_path / "x", "--manifest", manifest) == 4
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("records, missing", [
+        ('[{"id": "a", "label": "disk", "source": "a.pgm", "height": 32, "width": 32}]',
+         "record 0 lacks ['observed']"),
+        ('[{"id": "a", "label": "disk", "observed": "a.pgm", "source": "a.pgm", '
+         '"height": 32, "width": 32}, 7]', "record 1 lacks"),
+        ('{"id": "a"}', "records is not a list"),
+    ], ids=["no-observed", "not-an-object", "records-not-a-list"])
+    def test_malformed_manifest_record_is_an_io_error(self, tmp_path, capsys, records, missing):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(f'{{"operator": "id", "records": {records}}}')
+        assert run("restore", "--out", tmp_path / "x", "--manifest", manifest) == 4
+        err = capsys.readouterr().err
+        assert str(manifest) in err and missing in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("weight=0.5 variance=0 label=a mean=1,2\n"
+         "weight=0.5 variance=0 label=b mean=1,2,3\n",
+         "mean on line 2 has 3 values, the first record's 2"),
+        ("# pdls mixture definition\n", "no components"),
+        ("weight=0.5 variance=0 label=a mean=1,2\n"
+         "weight=0.4 variance=0 label=b mean=3,4\n", "weights must sum to 1"),
+    ], ids=["ragged-means", "no-components", "weights-not-summing-to-one"])
+    def test_malformed_mixture_is_an_io_error(self, tmp_path, capsys, text, message):
+        mixture = tmp_path / "bad.mix"
+        mixture.write_text(text)
+        assert run("restore", "--out", tmp_path / "x", "--task", "toy2d",
+                   "--mixture", mixture) == 4
+        err = capsys.readouterr().err
+        assert str(mixture) in err and message in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg"

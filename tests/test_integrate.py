@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pdls.flowfield import GaussianMixture, endpoint_conditional_velocity, marginal_velocity
+from pdls.control import lqr_control
+from pdls.flowfield import GaussianMixture, marginal_velocity
 from pdls.integrate import (
     DriftDivergedError,
     TimeGrid,
@@ -59,14 +60,13 @@ class TestIntegrate:
         x0 = np.array([[0.3, 0.4], [0.0, 0.0], [1.0, -1.0]])
 
         def drift(x, t, k):
-            return endpoint_conditional_velocity(x, t, targets, 1)
+            return lqr_control(x, targets, t)
 
         batch = integrate(x0, grid, drift)
         assert batch.states.shape == (7, 3, 2)
         assert batch.dim == 2
         for i in range(3):
-            one = integrate(x0[i], grid, lambda x, t, k: endpoint_conditional_velocity(
-                x, t, targets[i], 1))
+            one = integrate(x0[i], grid, lambda x, t, k: lqr_control(x, targets[i], t))
             assert np.array_equal(batch.states[:, i], one.states)
     def test_straight_line_field_arrives_exactly(self):
         target = np.array([2.0, -1.0])
@@ -74,7 +74,7 @@ class TestIntegrate:
             grid = make_grid(n, 0.0, 1.0)
             traj = integrate(
                 np.array([0.3, 0.4]), grid,
-                lambda x, t, k: endpoint_conditional_velocity(x, t, target, 1),
+                lambda x, t, k: lqr_control(x, target, t),
             )
             assert np.linalg.norm(traj.terminal - target) / np.linalg.norm(target) < 1e-9
 
