@@ -200,6 +200,8 @@ def _read_manifest(path) -> dict:
     missing = {"operator", "records"} - set(manifest if isinstance(manifest, dict) else ())
     if missing:
         raise fileio.FormatError(f"manifest {path} lacks {sorted(missing)}")
+    if not isinstance(manifest["operator"], str):
+        raise fileio.FormatError(f"manifest {path}: operator is not a string")
     if not isinstance(manifest["records"], list):
         raise fileio.FormatError(f"manifest {path}: records is not a list")
     for i, rec in enumerate(manifest["records"]):
@@ -207,6 +209,10 @@ def _read_manifest(path) -> dict:
                    - set(rec if isinstance(rec, dict) else ()))
         if missing:
             raise fileio.FormatError(f"manifest {path}: record {i} lacks {sorted(missing)}")
+        wrong = ([k for k in ("id", "label", "observed", "source") if not isinstance(rec[k], str)]
+                 + [k for k in ("height", "width") if type(rec[k]) is not int or rec[k] < 1])
+        if wrong:
+            raise fileio.FormatError(f"manifest {path}: record {i} has wrongly typed {wrong}")
     return manifest
 
 
@@ -224,11 +230,16 @@ def _image_jobs(args, seeds):
                                             args.bandwidth)
         mixture_id = f"shapes32:{args.n_per_class},{args.demo_seed},{args.bandwidth}"
     jobs = []
-    for rec in manifest["records"]:
+    for i, rec in enumerate(manifest["records"]):
         observed = fileio.read_pgm(mdir / rec["observed"])
         source = fileio.read_pgm(mdir / rec["source"])
         x_obs = _restore_input(observed, manifest["operator"],
                                (rec["height"], rec["width"]))
+        size = rec["height"] * rec["width"]
+        if x_obs.size != size or source.pixels.size != size:
+            raise fileio.FormatError(
+                f"manifest {args.manifest}: record {i}'s observation lifts to {x_obs.size} "
+                f"and its source has {source.pixels.size} pixels, not height x width = {size}")
         jobs.extend((rec["id"], x_obs, source, rec["label"], seed) for seed in seeds)
     # The operator, its noise level and the mixture name the experiment too,
     # so that bench keeps runs on other inputs or another mixture apart.

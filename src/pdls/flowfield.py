@@ -19,11 +19,11 @@ log space; component likelihoods near t=1 span hundreds of orders of
 magnitude otherwise.
 
 Every field function takes one point (d,) or a batch (n, d), under one
-Condition or one condition per row. A condition is a row of log-weights
-with -inf for the components it excludes (GaussianMixture.log_weights), so
-the rows of one batch can carry different conditions; a caller that
-evaluates one batch many times passes those (n, K) rows themselves and
-resolves its conditions once. Squared distances are expanded as
+Condition shared by every row or under (n, K) log-weight rows, one per
+point. A condition is a row of log-weights with -inf for the components it
+excludes (GaussianMixture.log_weights), so the rows of one batch can carry
+different conditions, and a caller that evaluates one batch many times
+stacks its rows once. Squared distances are expanded as
 ||x||^2 - 2t x.mu^T + t^2 ||mu||^2 and the endpoint mean (or, folded into
 the same coefficients, the velocity) is mixed by a second matrix product,
 so a batch costs two (n, d) x (d, K) GEMMs and builds no (n, K, d)
@@ -73,14 +73,16 @@ class GaussianMixture:
     Components with variance 0 are exemplars (Dirac masses); a small shared
     variance acts as a kernel bandwidth smoothing the exemplar field. The
     field reads caches built here (squared mean norms, log-weights per
-    condition and constants per time), so a mixture's arrays are not to be
-    changed after creation.
+    condition and constants per time), so it keeps read-only copies of its
+    arrays, which a caller's later writes to the originals leave unchanged.
     """
 
     def __init__(self, weights, means, variances, labels):
-        weights = np.asarray(weights, dtype=float)
-        means = np.atleast_2d(np.asarray(means, dtype=float))
-        variances = np.asarray(variances, dtype=float)
+        weights = np.array(weights, dtype=float)
+        means = np.atleast_2d(np.array(means, dtype=float))
+        variances = np.array(variances, dtype=float)
+        for a in (weights, means, variances):
+            a.flags.writeable = False
         labels = tuple(labels)
         n = len(labels)
         if weights.shape != (n,) or means.shape[0] != n or variances.shape != (n,):
@@ -199,18 +201,13 @@ def _check_points(x, mixture):
 
 
 def _log_weight_rows(mixture: GaussianMixture, cond, n: int) -> np.ndarray:
-    """(n, K) log-weights of one condition for every row, or of one condition per row.
-
-    One condition per row is a sequence of Conditions, or their stacked
-    (n, K) log-weight rows.
-    """
+    """(n, K) log-weights: one Condition's for every row, or cond's own (n, K) rows."""
     if isinstance(cond, Condition):
         return np.broadcast_to(mixture.log_weights(cond), (n, mixture.n_components))
-    rows = cond if isinstance(cond, np.ndarray) else np.stack(
-        [mixture.log_weights(c) for c in cond])
-    if rows.shape != (n, mixture.n_components):
-        raise ValueError(f"{len(rows)} conditions for a batch of {n} points")
-    return rows
+    if not (isinstance(cond, np.ndarray) and cond.shape == (n, mixture.n_components)):
+        raise ValueError(f"cond must be a Condition or ({n}, {mixture.n_components}) "
+                         f"log-weight rows, not {getattr(cond, 'shape', type(cond).__name__)}")
+    return cond
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -263,8 +260,8 @@ def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
 
     Computed with log-sum-exp over log w_k + log N(x; t mu_k, s_k^2 I) where
     s_k^2 = (1-t)^2 + t^2 sigma_k^2. Accepts a single point or a batch. With
-    one Condition the columns are the components it selects; with one
-    condition per row they are all K components, 0 where a row's condition
+    one Condition the columns are the components it selects; with (n, K)
+    log-weight rows they are all K components, 0 where a row's -inf
     excludes them. Times past 1 - EPS_T are clamped to it (see EPS_T).
     """
     xb, single = _check_points(x, mixture)
@@ -282,7 +279,7 @@ def posterior_endpoint_mean(x, t, mixture: GaussianMixture, cond=Condition.null(
     mixed by the responsibilities r, which is two GEMMs:
         (r * (1 - t c)) @ mu + (r @ c) x.
     Times past 1 - EPS_T are clamped to it (see EPS_T).
-    Accepts a single point or a batch, under one Condition or one per row.
+    Accepts a single point or a batch, under one Condition or (n, K) log-weight rows.
     """
     xb, single = _check_points(x, mixture)
     r, node, t = _posterior(xb, t, mixture, cond)
@@ -298,7 +295,7 @@ def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
         (r * (1 - t c) / (1 - t)) @ mu + ((r @ c - 1) / (1 - t)) x,
     one GEMM and one (n, d) update.
     Times past 1 - EPS_T are clamped to it (see EPS_T).
-    Accepts a single point or a batch, under one Condition or one per row.
+    Accepts a single point or a batch, under one Condition or (n, K) log-weight rows.
     """
     xb, single = _check_points(x, mixture)
     r, node, t = _posterior(xb, t, mixture, cond)

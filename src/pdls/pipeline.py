@@ -21,9 +21,10 @@ one stacked inversion holding every row's structural path plus a semantic
 row for each non-null prompt (pair maps each row to its semantic row, a
 null-prompt row to itself). steered_generate() generates every row of a
 DualPaths as one batch, and each step's averaged targets are one gather
-from the stacked inversion states. The field evaluates each step as one
-batch with one condition per row; an integration resolves its rows'
-conditions to log-weight rows once, not at every step. restore() takes one
+from the stacked inversion states. dual_invert() resolves the stacked
+rows' conditions once, to the (rows, K) log-weight rows the DualPaths
+keeps, and every field evaluation of both calls takes rows of these: one
+batch per step, one condition per row. restore() takes one
 observation or a batch of them (one prompt and one seed per row), draws
 each row's z0 from its seed (the only draw of a restore), and runs the
 whole batch through these two calls. All three take their parameters from
@@ -98,20 +99,6 @@ def draw_noise(dim: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(dim)
 
 
-def _resolve_conditions(mixture: GaussianMixture, conds):
-    """A batch's conditions, resolved once for a whole integration.
-
-    Gives the Condition every row shares, or the (n, K) log-weight rows of
-    one condition per row, which the field takes in place of the sequence.
-    """
-    if isinstance(conds, (Condition, np.ndarray)):
-        return conds
-    conds = list(conds)
-    if all(c == conds[0] for c in conds):
-        return conds[0]
-    return np.stack([mixture.log_weights(c) for c in conds])
-
-
 def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
                 z0) -> Trajectory:
     """Controlled inversion from the observed sample at t=1 down to t=0.
@@ -120,14 +107,13 @@ def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
     line toward the noise draw z0 at the noise end, weight config.gamma, in
     config.n_steps Euler steps. At gamma=1 Euler tracks the line exactly and
     the terminal state equals z0. observed is one point (d,) with one cond,
-    or a batch (n, d) with one Condition or one per row; z0 is shaped like
-    observed.
+    or a batch (n, d) with one Condition or (n, K) log-weight rows (see
+    flowfield); z0 is shaped like observed.
     """
     observed, z0 = np.asarray(observed, dtype=float), np.asarray(z0, dtype=float)
     if z0.shape != observed.shape:
         raise ValueError("z0 must have the shape of observed")
     grid = make_grid(config.n_steps, 1.0, 0.0)
-    cond = _resolve_conditions(mixture, cond)
 
     def drift(x, t, k):
         guided = endpoint_conditional_velocity(x, t, z0)
@@ -145,12 +131,14 @@ class DualPaths:
 
     inversion holds the structural paths in rows 0..n-1 of its states
     (n_steps + 1, rows, dim); pair[i] is row i's semantic row (i itself
-    when both paths are one, as for a null prompt), and prompts[i] its prompt.
+    when both paths are one, as for a null prompt). log_weights (rows, K)
+    holds each stored row's condition as mixture log-weights: the null
+    condition's for rows 0..n-1, row i's prompt's for pair[i].
     """
 
     inversion: Trajectory
     pair: np.ndarray
-    prompts: tuple
+    log_weights: np.ndarray
 
     def target(self, j) -> np.ndarray:
         """Averaged targets, each row's midpoint of its two stored states: (n, dim)
@@ -187,11 +175,12 @@ def dual_invert(observed, mixture: GaussianMixture, prompts, config: PdlsConfig,
         raise ValueError("dual_invert needs one noise draw z0 (n, d) per row")
     semantic = [i for i, p in enumerate(prompts) if not p.is_null]
     source = np.concatenate([np.arange(n), semantic]).astype(int)
-    conds = [Condition.null()] * n + [prompts[i] for i in semantic]
-    inv = invert_path(observed[source], mixture, conds, config, z0[source])
+    log_weights = np.stack([mixture.log_weights(Condition.null())] * n
+                           + [mixture.log_weights(prompts[i]) for i in semantic])
+    inv = invert_path(observed[source], mixture, log_weights, config, z0[source])
     pair = np.arange(n)
     pair[semantic] = np.arange(n, n + len(semantic))
-    return DualPaths(inv, pair, tuple(prompts))
+    return DualPaths(inv, pair, log_weights)
 
 
 def steered_generate(paths: DualPaths, mixture: GaussianMixture,
@@ -205,8 +194,9 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
     if not np.allclose(inv_nodes[::-1], gen_grid.nodes, rtol=0, atol=1e-12):
         raise ValueError("paths were not produced on the reversal of the generation grid")
 
-    base_cond = _resolve_conditions(mixture, [p if config.base_condition == "prompt"
-                                              else Condition.null() for p in paths.prompts])
+    # A null-prompt row's pair is the row itself, so "prompt" gives it the null row.
+    base_cond = paths.log_weights[paths.pair if config.base_condition == "prompt"
+                                  else slice(len(paths.pair))]
 
     def drift(x, t, k):
         # Steer toward the stored node this step lands on: targeting the

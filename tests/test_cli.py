@@ -159,6 +159,26 @@ class TestRestore:
         err = capsys.readouterr().err
         assert str(manifest) in err and missing in err
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"height": "32"}, "record 0 has wrongly typed ['height']"),
+        ({"operator": 5}, "operator is not a string"),
+        ({"observed": "small.pgm"}, "record 0's observation lifts to 900"),
+        ({"source": "small.pgm"}, "its source has 9 pixels"),
+    ], ids=["string-height", "int-operator", "wrong-size-observed", "wrong-size-source"])
+    def test_wrongly_typed_or_sized_manifest_value_is_an_io_error(self, tmp_path, capsys,
+                                                                   edit, message):
+        deg = tmp_path / "deg"
+        assert run("degrade", "--out", deg, "--op", "sr:factor=8", "--demo",
+                   "--n-per-class", 1, "--limit", 1) == 0
+        write_pgm(deg / "small.pgm", ImageGrid(np.zeros((3, 3))))
+        manifest = json.loads((deg / "manifest.json").read_text())
+        for key, value in edit.items():
+            (manifest if key == "operator" else manifest["records"][0])[key] = value
+        (deg / "manifest.json").write_text(json.dumps(manifest))
+        assert run("restore", "--out", tmp_path / "x", "--manifest", deg / "manifest.json",
+                   "--n-per-class", 1, "--steps", 2) == 4
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, message", [
         ("weight=0.5 variance=0 label=a mean=1,2\n"
          "weight=0.5 variance=0 label=b mean=1,2,3\n",

@@ -194,11 +194,12 @@ class TestMarginalVelocity:
         # per-row conditions, and warns of nothing on the way.
         mixed = GaussianMixture([0.2, 0.4, 0.4], [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
                                 [0.0, 0.5, 0.5], ["a", "b", "b"])
+        rows = np.stack([mixed.log_weights(c)
+                         for c in (Condition.of("b"), Condition.of("a"), Condition.null())])
         cases = [
             (two_diracs(), np.array([0.4, 0.2]), Condition.null()),
             (two_diracs(), np.array([[1.0, 0.0], [0.3, 0.3]]), Condition.null()),
-            (mixed, np.array([[0.3, 0.2], [1.0, 0.0], [0.5, -0.5]]),
-             [Condition.of("b"), Condition.of("a"), Condition.null()]),
+            (mixed, np.array([[0.3, 0.2], [1.0, 0.0], [0.5, -0.5]]), rows),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -207,6 +208,13 @@ class TestMarginalVelocity:
                     late = [fn(x, t, cold(mixture), cond) for t in (1.0, 1.0 - EPS_T / 2)]
                     want = fn(x, 1.0 - EPS_T, cold(mixture), cond)
                     assert all(np.array_equal(got, want) for got in late)
+
+    @pytest.mark.parametrize("fn", [responsibilities, posterior_endpoint_mean,
+                                    marginal_velocity])
+    def test_a_list_of_conditions_is_rejected(self, fn):
+        x = np.array([[0.3, 0.2], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"Condition or \(2, 2\) log-weight rows, not list"):
+            fn(x, 0.5, two_diracs(), [Condition.of("a"), Condition.null()])
 
 
 class TestEndpointConditionalVelocity:
@@ -240,6 +248,19 @@ class TestMixtureValidation:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError, match="matching lengths"):
             GaussianMixture([1.0], [[0.0], [1.0]], [0.1, 0.1], ["a", "b"])
+
+    def test_mixture_keeps_read_only_copies_of_its_arrays(self):
+        weights, variances = np.array([0.5, 0.5]), np.array([0.05, 0.05])
+        means = np.array([[2.0, 0.0], [-2.0, 0.0]])
+        mix = GaussianMixture(weights, means, variances, ["A", "B"])
+        x = np.array([0.5, 0.3])
+        want = marginal_velocity(x, 0.5, mix)
+        weights[:], means[0], variances[:] = [0.9, 0.1], [5.0, 0.0], 0.2
+        assert np.array_equal(marginal_velocity(x, 0.5, mix), want)
+        assert np.array_equal(mix.mean_sq, [4.0, 4.0])
+        for name in ("weights", "means", "variances"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(mix, name)[0] = 1.0
 
     def test_unknown_condition_label(self):
         with pytest.raises(ValueError, match="not in mixture"):
@@ -362,8 +383,9 @@ class TestFieldProperties:
     @given(batch_cases())
     def test_per_row_conditions_equal_one_call_per_condition(self, case):
         mixture, conds, x, t = case
-        means = posterior_endpoint_mean(x, t, mixture, conds)
-        r = responsibilities(x, t, mixture, conds)
+        rows = np.stack([mixture.log_weights(c) for c in conds])
+        means = posterior_endpoint_mean(x, t, mixture, rows)
+        r = responsibilities(x, t, mixture, rows)
         assert r.shape == (len(x), mixture.n_components)
         tol = 1e-12 * _scale(mixture, x)
         for cond in set(conds):
@@ -437,10 +459,7 @@ class TestAffineVelocity:
     @given(batch_cases())
     def test_equals_the_endpoint_mean_form_per_row(self, case):
         mixture, conds, x, t = case
-        self._check(x, t, mixture, conds)
-        rows = np.stack([mixture.log_weights(c) for c in conds])
-        assert np.array_equal(marginal_velocity(x, t, mixture, rows),
-                              marginal_velocity(x, t, mixture, conds))
+        self._check(x, t, mixture, np.stack([mixture.log_weights(c) for c in conds]))
 
     def test_shapes32_batch_near_the_terminal_time(self):
         mixture, x, t = TestGemmPrecision()._case()

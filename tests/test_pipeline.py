@@ -107,6 +107,17 @@ class TestDualInvert:
         assert paths.pair.tolist() == [3, 1, 4]
         assert paths.inversion.states.shape == (5, 5, 2)
 
+    def test_log_weights_hold_null_rows_then_each_prompts_row(self):
+        mix = GaussianMixture([0.2, 0.3, 0.5], [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+                              [0.1, 0.1, 0.1], ["A", "B", "B"])
+        prompts = [Condition.of("B"), Condition.null(), Condition.of("A"), Condition.of("A", "B")]
+        paths = dual_invert(np.zeros((4, 2)), mix, prompts, PdlsConfig(n_steps=4),
+                            draws(range(4), 2))
+        assert paths.log_weights.shape == (len(paths.inversion.states[0]), 3)
+        for i, prompt in enumerate(prompts):
+            assert np.array_equal(paths.log_weights[i], mix.log_weights(Condition.null()))
+            assert np.array_equal(paths.log_weights[paths.pair[i]], mix.log_weights(prompt))
+
     def test_one_point_is_not_a_batch(self):
         with pytest.raises(ValueError, match="batch"):
             dual_invert(np.array([1.8, 0.2]), toy2d_mixture(), [Condition.of("A")],
@@ -212,7 +223,8 @@ class TestSteeredGenerate:
         n = 16
         grid = make_grid(n, 1.0, 0.0)
         line = np.array([[z0 + t * (obs - z0)] for t in grid.nodes])
-        paths = DualPaths(Trajectory(grid, line), np.array([0]), (Condition.of("d"),))
+        paths = DualPaths(Trajectory(grid, line), np.array([0]),
+                          np.stack([mix.log_weights(Condition.of("d"))]))
         cfg = PdlsConfig(eta_max=1.0, schedule_kind="constant", n_steps=n)
         gen = steered_generate(paths, mix, cfg)
         assert np.linalg.norm(gen.terminal[0] - obs) < 1e-9
@@ -352,11 +364,13 @@ def full_space_restore(obs, mixture, prompts, config, z0):
     n = len(prompts)
     rows = [i for i, p in enumerate(prompts) if not p.is_null]
     states, pair = structural.states, np.arange(n)
+    conds = [Condition.null()] * n + [prompts[i] for i in rows]
+    log_weights = np.stack([mixture.log_weights(c) for c in conds])
     if rows:
-        inv = invert_path(obs[rows], mixture, [prompts[i] for i in rows], config, z0[rows])
+        inv = invert_path(obs[rows], mixture, log_weights[n:], config, z0[rows])
         states = np.concatenate([states, inv.states], axis=1)
         pair[rows] = np.arange(n, n + len(rows))
-    paths = DualPaths(Trajectory(structural.grid, states), pair, tuple(prompts))
+    paths = DualPaths(Trajectory(structural.grid, states), pair, log_weights)
     return paths, steered_generate(paths, mixture, config).states
 
 
