@@ -128,6 +128,8 @@ def cmd_demo(args) -> int:
 
 def _load_inputs(args):
     """(ImageGrid, label, name) triples from --demo or an image directory."""
+    if args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, not {args.limit}")
     if args.demo:
         dataset = datasets.shapes32_dataset(args.n_per_class, args.demo_seed)
         items = [(img, label, f"{label}_{i:03d}") for i, (img, label) in enumerate(dataset)]
@@ -250,6 +252,8 @@ def _image_jobs(args, seeds):
 
 def _toy_jobs(args, seeds):
     """The toy2d task: one job per seed, a mixture sample seen through --sigma-y noise."""
+    if not 0.0 <= args.sigma_y < np.inf:
+        raise ValueError("sigma_y must be finite and non-negative")
     mixture = fileio.read_mixture(args.mixture) if args.mixture else datasets.toy2d_mixture()
     jobs = []
     for seed in seeds:
@@ -378,14 +382,23 @@ def cmd_bench(args) -> int:
             missing.append(mpath)
             continue
         with open(mpath, newline="") as fh:
-            batch = list(csv.DictReader(fh))
-        for r in batch:
-            # A recon path is relative to the directory of its own metrics file.
-            if r["recon_path"]:
-                r["recon_path"] = Path(mpath).parent / r["recon_path"]
-                if not r["recon_path"].exists():
-                    missing.append(str(r["recon_path"]))
-        rows.extend(batch)
+            reader = csv.DictReader(fh)
+            lacking = [c for c in _METRICS_HEADER if c not in (reader.fieldnames or ())]
+            if lacking:
+                raise fileio.FormatError(f"metrics {mpath} lacks columns {lacking}")
+            for r in reader:
+                try:
+                    for col in _METRIC_COLUMNS:
+                        r[col] = float(r[col]) if r[col] else None
+                except ValueError as exc:
+                    raise fileio.FormatError(
+                        f"metrics {mpath}, line {reader.line_num}: {exc}") from exc
+                # A recon path is relative to the directory of its own metrics file.
+                if r["recon_path"]:
+                    r["recon_path"] = Path(mpath).parent / r["recon_path"]
+                    if not r["recon_path"].exists():
+                        missing.append(str(r["recon_path"]))
+                rows.append(r)
     if missing:
         print("missing runs:\n" + "\n".join(missing), file=sys.stderr)
         return EXIT_IO
@@ -405,7 +418,10 @@ def cmd_bench(args) -> int:
         for name in ("structural", "semantic", "steered"):
             p = traj_dir / f"{name}_path.csv"
             if p.exists():
-                named.append((name, trajectory_from_csv(p.read_text()).states))
+                try:
+                    named.append((name, trajectory_from_csv(p.read_text()).states))
+                except ValueError as exc:
+                    raise fileio.FormatError(f"trajectory {p}: {exc}") from exc
         if named:
             write_toy2d_svg(out / "trajectories.svg", named)
     if args.strip:

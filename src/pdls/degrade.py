@@ -62,8 +62,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_y < 0:
-            raise ValueError("sigma_y must be non-negative")
+        if not 0.0 <= self.sigma_y < np.inf:
+            raise ValueError("sigma_y must be finite and non-negative")
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:

@@ -23,7 +23,8 @@ def write_pgm(path, image: ImageGrid) -> None:
 
 
 def read_pgm(path) -> ImageGrid:
-    """Read a binary PGM; values are rescaled to [0, 1] by the file's maxval."""
+    """Read a binary PGM; values are rescaled to [0, 1] by the file's maxval.
+    A malformed file is a FormatError naming it."""
     data = Path(path).read_bytes()
     pos = 0
 
@@ -34,22 +35,24 @@ def read_pgm(path) -> ImageGrid:
         pos = re.compile(rb"(?:\s|#[^\r\n]*[\r\n])*").match(data, pos).end()
         m = re.compile(rb"[^\s#]+").match(data, pos)
         if m is None:
-            raise FormatError(f"malformed PGM header at byte {pos}")
+            raise FormatError(f"PGM {path}: malformed header at byte {pos}")
         pos = m.end()
         return m.group()
 
     if token() != b"P5":
-        raise FormatError("malformed PGM header at byte 0: expected magic P5")
+        raise FormatError(f"PGM {path}: malformed header at byte 0: expected magic P5")
     try:
         width, height, maxval = int(token()), int(token()), int(token())
     except ValueError as exc:
-        raise FormatError(f"malformed PGM header at byte {pos}") from exc
+        raise FormatError(f"PGM {path}: malformed header at byte {pos}") from exc
+    if width <= 0 or height <= 0:
+        raise FormatError(f"PGM {path}: size {width} x {height} is not positive")
     if maxval <= 0 or maxval > 255:
-        raise FormatError(f"unsupported PGM maxval {maxval}")
+        raise FormatError(f"PGM {path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace after maxval
     raster = data[pos:pos + width * height]
     if len(raster) < width * height:
-        raise FormatError(f"truncated PGM raster at byte {pos + len(raster)}")
+        raise FormatError(f"PGM {path}: truncated raster at byte {pos + len(raster)}")
     px = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     return ImageGrid(px.astype(float) / maxval)
 

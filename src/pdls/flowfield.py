@@ -89,12 +89,12 @@ class GaussianMixture:
             raise ValueError("component fields must have matching lengths")
         if n == 0:
             raise ValueError("mixture needs at least one component")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError("weights must be finite and strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-        if np.any(variances < 0):
-            raise ValueError("variances must be non-negative")
+        if not np.all(np.isfinite(variances) & (variances >= 0)):
+            raise ValueError("variances must be finite and non-negative")
         if not np.all(np.isfinite(means)):
             raise ValueError("means must be finite")
         self.weights = weights

@@ -37,9 +37,11 @@ restore() integrates in orthonormal coordinates of that span: a basis Q0 of
 the means from one QR kept on the mixture, plus y_i and z0_i orthogonalised
 against it twice. The unchanged field runs on the (n, K + 2) coordinates
 under a mixture of the means' coordinates, so a step costs O(n K (K + 2)),
-not O(n K d). restored is lifted to the full space at once; a result's
+not O(n K d). Where K + 2 >= d (toy2d) the frame is the identity: the
+coordinates are the points themselves and the mixture is the caller's.
+Either way restored is lifted to the full space at once; a result's
 structural, semantic and generated trajectories are built (and lifted) on
-first access. Where K + 2 >= d (toy2d) a restore runs in the full space.
+first access.
 
 At the default 28 steps, reduced and full-space restores agree within
 1e-12 relative on restored, the trajectories and the latent norms; the
@@ -249,6 +251,8 @@ class _Frame:
     Row i's basis is q0 (d, K), an orthonormal basis of the means, and
     dirs[i] (2, d), its own directions (0 where y_i or z0_i already lies
     in the span before it). mixture is the mixture in these coordinates.
+    Where K + 2 >= d the frame is the identity: q0 = I (d, d), no
+    directions, and the caller's mixture.
     """
 
     q0: np.ndarray
@@ -256,10 +260,10 @@ class _Frame:
     mixture: GaussianMixture
 
     @classmethod
-    def of(cls, mixture: GaussianMixture, observed, z0) -> "_Frame | None":
-        """The frame of rows observed (n, d) with draws z0, or None where K + 2 >= d."""
+    def of(cls, mixture: GaussianMixture, observed, z0) -> "_Frame":
+        """The frame of rows observed (n, d) with draws z0."""
         if mixture.n_components + 2 >= mixture.dim:
-            return None
+            return cls(np.eye(mixture.dim), np.zeros((len(observed), 0, mixture.dim)), mixture)
         if mixture._reduced is None:
             q0 = np.linalg.qr(mixture.means.T)[0]
             means = np.hstack([mixture.means @ q0, np.zeros((mixture.n_components, 2))])
@@ -284,8 +288,7 @@ class _Frame:
 @dataclass(frozen=True)
 class RestoreResult:
     """One restored row. structural, semantic and generated hold (n_steps + 1, d)
-    states, built on first access (and lifted, for a restore in reduced
-    coordinates) and kept."""
+    states, lifted from the batch's frame on first access and kept."""
 
     restored: np.ndarray
     # diagnostics rows: (step, t, eta, dist_to_target)
@@ -294,15 +297,12 @@ class RestoreResult:
     semantic_latent_norm: float
     _paths: DualPaths = field(repr=False, compare=False)
     _generated: Trajectory = field(repr=False, compare=False)
-    _frame: _Frame | None = field(repr=False, compare=False)
+    _frame: _Frame = field(repr=False, compare=False)
     _row: int = field(repr=False, compare=False)
 
     def _lifted(self, traj: Trajectory, j: int) -> Trajectory:
         """Row j of the batch trajectory traj, in the full space."""
-        states = traj.states[:, j]
-        if self._frame is not None:
-            states = self._frame.lift(states, self._row)
-        return Trajectory(traj.grid, states)
+        return Trajectory(traj.grid, self._frame.lift(traj.states[:, j], self._row))
 
     @functools.cached_property
     def structural(self) -> Trajectory:
@@ -324,9 +324,9 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     observed is one point (d,) with one prompt and one seed, giving one
     RestoreResult, or a batch (n, d) with one prompt and one seed per row,
     giving a list of n. The whole batch runs as one stacked inversion and
-    one generation, in reduced coordinates where K + 2 < d (see the module
-    docstring). A null prompt collapses to single-path restoration (both
-    stored paths are the structural one).
+    one generation in the batch's frame (see the module docstring). A null
+    prompt collapses to single-path restoration (both stored paths are the
+    structural one).
     """
     observed = np.asarray(observed, dtype=float)
     single = observed.ndim == 1
@@ -337,10 +337,8 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
 
     z0 = np.stack([draw_noise(batch.shape[1], s) for s in seeds])
     frame = _Frame.of(mixture, batch, z0)
-    if frame is not None:
-        batch, z0, mixture = frame.coords(batch), frame.coords(z0), frame.mixture
-    paths = dual_invert(batch, mixture, prompts, config, z0)
-    generated = steered_generate(paths, mixture, config)
+    paths = dual_invert(frame.coords(batch), frame.mixture, prompts, config, frame.coords(z0))
+    generated = steered_generate(paths, frame.mixture, config)
 
     n = config.n_steps
     nodes = generated.grid.nodes
@@ -348,7 +346,7 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     # Generation node k is inversion node n - k.
     dists = np.linalg.norm(generated.states - paths.target(slice(None, None, -1)), axis=2)
     latents = paths.inversion.terminal
-    restored = generated.terminal if frame is None else frame.lift(generated.terminal)
+    restored = frame.lift(generated.terminal)
     results = [RestoreResult(
         restored=restored[i],
         diagnostics=tuple(zip(range(n + 1), nodes.tolist(), etas, dists[:, i].tolist())),

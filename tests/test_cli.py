@@ -92,6 +92,31 @@ class TestDegrade:
                    "--demo", "--n-per-class", 1) == 2
         assert "has no parameter ['siz']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma_y", ["nan", "inf", "-0.1"])
+    def test_noise_level_that_is_not_finite_is_a_config_error(self, tmp_path, capsys,
+                                                              sigma_y):
+        out = tmp_path / "deg"
+        assert run("degrade", "--out", out, "--op", "id", "--demo", "--n-per-class", 1,
+                   "--sigma-y", sigma_y) == 2
+        assert "sigma_y must be finite and non-negative" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_negative_limit_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "deg"
+        assert run("degrade", "--out", out, "--op", "id", "--demo", "--n-per-class", 1,
+                   "--limit", -1) == 2
+        assert "--limit must be >= 0" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("size", [b"0 0", b"-2 3"])
+    def test_image_of_no_positive_size_is_an_io_error(self, tmp_path, capsys, size):
+        src = tmp_path / "imgs"
+        src.mkdir()
+        bad = src / "bad_000.pgm"
+        bad.write_bytes(b"P5\n" + size + b"\n255\n")
+        assert run("degrade", "--out", tmp_path / "deg", "--op", "id", "--images", src) == 4
+        assert str(bad) in capsys.readouterr().err
+
 
 class TestRestore:
     def test_toy_task_writes_metrics_and_paths(self, tmp_path):
@@ -186,7 +211,14 @@ class TestRestore:
         ("# pdls mixture definition\n", "no components"),
         ("weight=0.5 variance=0 label=a mean=1,2\n"
          "weight=0.4 variance=0 label=b mean=3,4\n", "weights must sum to 1"),
-    ], ids=["ragged-means", "no-components", "weights-not-summing-to-one"])
+        ("weight=nan variance=0 label=a mean=1,2\n"
+         "weight=nan variance=0 label=b mean=3,4\n", "weights must be finite"),
+        ("weight=0.5 variance=0 label=a mean=1,2\n"
+         "weight=0.5 variance=inf label=b mean=3,4\n", "variances must be finite"),
+        ("weight=0.5 variance=nan label=a mean=1,2\n"
+         "weight=0.5 variance=0 label=b mean=3,4\n", "variances must be finite"),
+    ], ids=["ragged-means", "no-components", "weights-not-summing-to-one", "nan-weights",
+            "inf-variance", "nan-variance"])
     def test_malformed_mixture_is_an_io_error(self, tmp_path, capsys, text, message):
         mixture = tmp_path / "bad.mix"
         mixture.write_text(text)
@@ -194,6 +226,13 @@ class TestRestore:
                    "--mixture", mixture) == 4
         err = capsys.readouterr().err
         assert str(mixture) in err and message in err
+
+    @pytest.mark.parametrize("sigma_y", ["nan", "inf", "-1"])
+    def test_toy_noise_level_that_is_not_finite_is_a_config_error(self, tmp_path, capsys,
+                                                                  sigma_y):
+        assert run("restore", "--out", tmp_path / "x", "--task", "toy2d",
+                   "--sigma-y", sigma_y) == 2
+        assert "sigma_y must be finite and non-negative" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg"
@@ -356,6 +395,28 @@ class TestBench:
         assert run("bench", "--out", out, "--metrics",
                    tmp_path / "missing.csv") == 4
         assert "missing runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("task,input,seed,config,mse,psnr_db,ssim,class_acc\ntoy2d,a,0,c,0.1,1,,1\n",
+         "lacks columns ['recon_path']"),
+        ("task,input,seed,config,mse,psnr_db,ssim,class_acc,recon_path\n"
+         "toy2d,a,0,c,abc,1,,1,\n", "line 2: could not convert string to float: 'abc'"),
+    ], ids=["no-recon-path", "non-numeric-metric"])
+    def test_malformed_metrics_file_is_an_io_error(self, tmp_path, capsys, text, message):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(text)
+        assert run("bench", "--out", tmp_path / "bench", "--metrics", metrics) == 4
+        err = capsys.readouterr().err
+        assert str(metrics) in err and message in err
+
+    def test_malformed_trajectory_file_is_an_io_error(self, tmp_path, capsys):
+        a = self._toy_metrics(tmp_path, "a")
+        path = a / "semantic_path.csv"
+        path.write_text("t,x0,x1\n0.0,1,2\n0.5,1,2\n0.25,1,2\n")
+        assert run("bench", "--out", tmp_path / "bench", "--metrics", a / "metrics.csv",
+                   "--trajectories", a) == 4
+        err = capsys.readouterr().err
+        assert str(path) in err and "strictly monotone" in err
 
     def test_image_strip(self, tmp_path):
         deg = tmp_path / "deg"

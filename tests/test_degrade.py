@@ -145,6 +145,11 @@ class TestApply:
         b = apply(Identity(), img, NoiseModel(0.05, seed=9))
         assert np.array_equal(a.pixels, b.pixels)
 
+    @pytest.mark.parametrize("sigma_y", [-0.1, np.nan, np.inf])
+    def test_noise_level_must_be_finite_and_non_negative(self, sigma_y):
+        with pytest.raises(ValueError, match="sigma_y must be finite and non-negative"):
+            NoiseModel(sigma_y)
+
     def test_mask_zeroes_masked_pixels(self):
         mask = np.zeros((8, 8))
         mask[:4] = 1.0

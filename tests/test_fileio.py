@@ -51,6 +51,14 @@ class TestPgm:
         with pytest.raises(FormatError, match="magic"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("size", [b"-2 3", b"0 0", b"3 0"])
+    def test_size_that_is_not_positive_raises(self, tmp_path, size):
+        path = tmp_path / "s.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes([0] * 9))
+        with pytest.raises(FormatError, match="is not positive") as info:
+            read_pgm(path)
+        assert str(path) in str(info.value)
+
 
 @st.composite
 def quantized_images(draw):

@@ -245,6 +245,16 @@ class TestMixtureValidation:
         with pytest.raises(ValueError, match="non-negative"):
             GaussianMixture([1.0], [[0.0]], [-0.1], ["a"])
 
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.inf, 0.5]])
+    def test_weights_must_be_finite(self, weights):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            GaussianMixture(weights, [[0.0], [1.0]], [0.1, 0.1], ["a", "b"])
+
+    @pytest.mark.parametrize("variance", [np.nan, np.inf])
+    def test_variances_must_be_finite(self, variance):
+        with pytest.raises(ValueError, match="variances must be finite"):
+            GaussianMixture([0.5, 0.5], [[0.0], [1.0]], [0.1, variance], ["a", "b"])
+
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError, match="matching lengths"):
             GaussianMixture([1.0], [[0.0], [1.0]], [0.1, 0.1], ["a", "b"])

@@ -314,14 +314,6 @@ class TestRestore:
         assert results[2].semantic is results[2].structural
         assert np.allclose(results[0].restored, GOLDEN_RESTORED, atol=1e-9)
 
-    def test_batch_trajectories_are_views_of_the_stacked_states(self):
-        mix = toy2d_mixture()
-        obs = np.array([[1.7, 0.3], [-1.5, 0.2]])
-        a, b = restore(obs, mix, [Condition.of("A"), Condition.of("B")], PdlsConfig(), [1, 2])
-        for x, y in ((a.generated, b.generated), (a.structural, b.semantic)):
-            assert x.states.base is not None
-            assert x.states.base is y.states.base
-
     def test_batch_needs_one_prompt_and_seed_per_row(self):
         mix = toy2d_mixture()
         with pytest.raises(ValueError, match="one prompt and one seed per row"):
@@ -413,7 +405,10 @@ def test_a_whole_manifest_is_within_1e12_of_the_direct_form():
 
 @st.composite
 def restore_cases(draw):
-    """A small mixture with unequal variances and K + 2 < d, a batch, prompts, a config.
+    """A small mixture with unequal variances, a batch, prompts, a config.
+
+    d runs from 1 to K + 5, so both frames are drawn: the identity where
+    K + 2 >= d and reduced coordinates where K + 2 < d.
 
     Cases whose exponent is ill-conditioned anywhere along the full-space
     paths are rejected later, as batch_cases in test_flowfield does. The
@@ -422,7 +417,7 @@ def restore_cases(draw):
     steps but 500 at 2.
     """
     k = draw(st.integers(2, 3))
-    d = draw(st.integers(k + 3, k + 5))
+    d = draw(st.integers(1, k + 5))
     means = draw(arrays(float, (k, d), elements=st.floats(-2.0, 2.0)))
     variances = draw(st.floats(0.1, 0.5)) + np.concatenate(
         [[0.0], draw(arrays(float, k - 1, elements=st.floats(0.05, 0.5)))])
@@ -470,7 +465,6 @@ class TestReducedCoordinates:
                                               draws(seeds, obs.shape[1]))
         assume(exponent_conditioning(mixture, paths, generated) <= 1e3)
         results = restore(obs, mixture, prompts, config, seeds)
-        assert results[0]._frame is not None
         assert_restores_match(results, paths, generated)
 
     @pytest.mark.parametrize("observation", ["exemplar", "midpoint"])
@@ -491,10 +485,23 @@ class TestReducedCoordinates:
             assert not results[0]._frame.dirs[0, 0].any()
 
     def test_toy2d_restores_in_the_full_space(self):
+        # K + 2 >= d: the frame is the identity, and restore() is the
+        # full-space composition exactly.
         mix = toy2d_mixture()
-        res = restore(np.array([1.7, 0.3]), mix, Condition.of("A"), PdlsConfig(), seed=7)
-        assert res._frame is None
-        assert res.structural.states.base is res._paths.inversion.states
+        obs = np.array([[1.7, 0.3], [-1.5, 0.2], [1.5, 0.0]])
+        prompts, seeds = [Condition.of("A"), Condition.of("B"), Condition.null()], [7, 8, 4]
+        results = restore(obs, mix, prompts, PdlsConfig(), seeds)
+        frame = results[0]._frame
+        assert np.array_equal(frame.q0, np.eye(2))
+        assert frame.dirs.shape == (3, 0, 2)
+        assert frame.mixture is mix
+        paths, generated = full_space_restore(obs, mix, prompts, PdlsConfig(), draws(seeds, 2))
+        states = paths.inversion.states
+        for i, res in enumerate(results):
+            assert np.array_equal(res.restored, generated[-1, i])
+            assert np.array_equal(res.generated.states, generated[:, i])
+            assert np.array_equal(res.structural.states, states[:, i])
+            assert np.array_equal(res.semantic.states, states[:, paths.pair[i]])
 
     def test_trajectories_are_lifted_once_on_first_access(self):
         obs, mixture, labels, seeds = manifest_batch()
