@@ -103,10 +103,10 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def cmd_demo(args) -> int:
+    dataset = datasets.shapes32_dataset(args.n_per_class, args.seed)
     out = Path(args.out)
     img_dir = out / "shapes32"
     img_dir.mkdir(parents=True, exist_ok=True)
-    dataset = datasets.shapes32_dataset(args.n_per_class, args.seed)
     index = []
     counts: dict[str, int] = {}
     for img, label in dataset:
@@ -351,13 +351,13 @@ def write_toy2d_svg(path, named_paths) -> None:
 
     colors = {"structural": "#1f77b4", "semantic": "#d62728", "steered": "#2ca02c"}
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}">']
-    for name, states in named_paths:
+    for i, (name, states) in enumerate(named_paths):
         color = colors.get(name, "#444444")
         pix = [to_px(p) for p in states]
         parts.append(_svg_polyline(pix, color))
         for x, y in pix:
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="{color}"/>')
-        parts.append(f'<text x="8" y="{16 * (len(parts) % 8 + 1)}" fill="{color}">{name}</text>')
+        parts.append(f'<text x="8" y="{16 * (i + 1)}" fill="{color}">{name}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts))
 
@@ -435,7 +435,9 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------- entry
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; every main() call reuses it."""
     parser = argparse.ArgumentParser(prog="pdls",
                                      description="Dual-path flow inversion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

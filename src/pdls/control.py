@@ -43,11 +43,6 @@ def lqr_control(x, target, t):
 
 
 def blend_drift(base, guided, weight):
-    """base + weight * (guided - base), weight in [0, 1]."""
-    base = np.asarray(base, dtype=float)
-    guided = np.asarray(guided, dtype=float)
-    if base.shape != guided.shape:
-        raise ValueError("drift dimension mismatch")
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError("blend weight must lie in [0, 1]")
+    """base + weight * (guided - base): a PdlsConfig's weight, in [0, 1], on
+    two drifts of the state's shape."""
     return base + weight * (guided - base)

@@ -32,51 +32,36 @@ def toy2d_mixture() -> GaussianMixture:
     )
 
 
-def _intensities(rng):
-    bg = rng.uniform(0.05, 0.15)
-    fg = rng.uniform(0.75, 0.95)
-    return bg, fg
-
-
-def _render_disk(rng) -> np.ndarray:
-    bg, fg = _intensities(rng)
-    yy, xx = np.mgrid[0:32, 0:32].astype(float)
-    img = np.full((32, 32), bg)
-    img[(yy - 16.0) ** 2 + (xx - 16.0) ** 2 <= 8.0**2] = fg
-    return img
-
-
-def _render_square(rng) -> np.ndarray:
-    bg, fg = _intensities(rng)
-    img = np.full((32, 32), bg)
-    img[9:23, 9:23] = fg
-    return img
-
-
-def _render_cross(rng) -> np.ndarray:
-    bg, fg = _intensities(rng)
-    img = np.full((32, 32), bg)
-    img[13:19, 5:27] = fg
-    img[5:27, 13:19] = fg
-    return img
-
-
-_RENDERERS = {"disk": _render_disk, "square": _render_square, "cross": _render_cross}
-
-
 def shapes32_dataset(n_per_class: int = 30, seed: int = 0):
-    """List of (ImageGrid, label) exemplars, deterministic per seed."""
+    """List of (ImageGrid, label) exemplars, deterministic per seed.
+
+    Each exemplar is its class's mask in a foreground intensity on a
+    background one, drawn per exemplar (background first) from one rng.
+    """
+    if n_per_class < 1:
+        raise ValueError(f"n_per_class must be >= 1, not {n_per_class}")
+    yy, xx = np.mgrid[0:32, 0:32]
+
+    def box(r0, r1, c0, c1):
+        return (r0 <= yy) & (yy < r1) & (c0 <= xx) & (xx < c1)
+
+    masks = {"disk": (yy - 16) ** 2 + (xx - 16) ** 2 <= 8**2,
+             "square": box(9, 23, 9, 23),
+             "cross": box(13, 19, 5, 27) | box(5, 27, 13, 19)}
     rng = np.random.default_rng(seed)
     out = []
     for cls in SHAPE_CLASSES:
         for _ in range(n_per_class):
-            out.append((ImageGrid(_RENDERERS[cls](rng)), cls))
+            bg, fg = rng.uniform(0.05, 0.15), rng.uniform(0.75, 0.95)
+            out.append((ImageGrid(np.where(masks[cls], fg, bg)), cls))
     return out
 
 
 def exemplar_mixture(dataset, bandwidth: float = DEFAULT_BANDWIDTH) -> GaussianMixture:
     """Equal-weight mixture with one (kernel-smoothed) component per exemplar."""
     n = len(dataset)
+    if n == 0:
+        raise ValueError("an exemplar mixture needs at least one exemplar")
     return GaussianMixture(
         weights=np.full(n, 1.0 / n),
         means=np.stack([img.flatten() for img, _ in dataset]),

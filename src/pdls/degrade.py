@@ -66,14 +66,18 @@ class NoiseModel:
             raise ValueError("sigma_y must be finite and non-negative")
 
 
+def _check_size(size: int) -> None:
+    if size < 1 or size % 2 == 0:
+        raise ValueError(f"kernel size must be odd and >= 1, not {size}")
+
+
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Separable Gaussian kernel sampled at pixel centers, normalized to sum 1."""
-    if size % 2 == 0:
-        raise ValueError("kernel size must be odd")
+    _check_size(size)
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, not {sigma}")
     if size == 1:
         return np.array([[1.0]])
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     r = np.arange(size) - (size - 1) / 2
     g = np.exp(-(r**2) / (2.0 * sigma**2))
     k = np.outer(g, g)
@@ -83,10 +87,11 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 def motion_kernel(size: int, intensity: float, angle: float = 45.0) -> np.ndarray:
     """Line-segment kernel: length max(1, round(intensity*size)) pixels through
     the center at the given angle (degrees), bilinearly splatted, unit sum."""
-    if size % 2 == 0:
-        raise ValueError("kernel size must be odd")
+    _check_size(size)
     if not 0.0 < intensity <= 1.0:
         raise ValueError("intensity must lie in (0, 1]")
+    if not np.isfinite(angle):
+        raise ValueError(f"angle must be finite, not {angle}")
     length = max(1, int(np.floor(intensity * size + 0.5)))
     k = np.zeros((size, size))
     c = (size - 1) / 2

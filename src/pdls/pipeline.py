@@ -20,12 +20,12 @@ Both inversions of a batch are one DualPaths: dual_invert() runs them as
 one stacked inversion holding every row's structural path plus a semantic
 row for each non-null prompt (pair maps each row to its semantic row, a
 null-prompt row to itself). steered_generate() generates every row of a
-DualPaths as one batch, and each step's averaged targets are one gather
-from the stacked inversion states. dual_invert() resolves the stacked
-rows' conditions once, to the (rows, K) log-weight rows the DualPaths
-keeps, and every field evaluation of both calls takes rows of these: one
-batch per step, one condition per row. restore() takes one
-observation or a batch of them (one prompt and one seed per row), draws
+DualPaths as one batch, and gathers every node's averaged targets from
+the stacked inversion states once, before it integrates. dual_invert()
+resolves the stacked rows' conditions once, to the (rows, K) log-weight
+rows the DualPaths keeps, and every field evaluation of both calls takes
+rows of these: one batch per step, one condition per row. restore() takes
+one observation or a batch of them (one prompt and one seed per row), draws
 each row's z0 from its seed (the only draw of a restore), and runs the
 whole batch through these two calls. All three take their parameters from
 one PdlsConfig.
@@ -61,6 +61,7 @@ import numpy as np
 
 from .control import SCHEDULE_KINDS, blend_drift, eta, lqr_control
 from .flowfield import (
+    EPS_T,
     Condition,
     GaussianMixture,
     endpoint_conditional_velocity,
@@ -86,8 +87,10 @@ class PdlsConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0.0 <= self.eta_max <= 1.0:
             raise ValueError("eta_max must lie in [0, 1]")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        # The inversion's last drift runs at t = 1 / n_steps, which the
+        # conditional field needs at or above EPS_T.
+        if not 1 <= self.n_steps <= round(1 / EPS_T):
+            raise ValueError(f"n_steps must lie in [1, 1 / EPS_T = {round(1 / EPS_T)}]")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}")
         if self.base_condition not in BASE_CONDITIONS:
@@ -200,15 +203,17 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
     base_cond = paths.log_weights[paths.pair if config.base_condition == "prompt"
                                   else slice(len(paths.pair))]
 
+    # Generation node k is inversion node n - k. Step k steers toward the
+    # stored node it lands on, row k + 1: targeting the same-time node would
+    # chase a point the paths have already left, leaving an exact one-step
+    # lag in the retraced trajectory.
+    targets = paths.target(slice(None, None, -1))
+
     def drift(x, t, k):
-        # Steer toward the stored node this step lands on: targeting the
-        # same-time node would chase a point the paths have already left,
-        # leaving an exact one-step lag in the retraced trajectory.
-        j = n - k - 1
         weight = float(eta(config, t))
         if weight == 0.0:
             return marginal_velocity(x, t, mixture, base_cond)
-        control = lqr_control(x, paths.target(j), t)
+        control = lqr_control(x, targets[k + 1], t)
         if weight == 1.0:
             return control
         base = marginal_velocity(x, t, mixture, base_cond)

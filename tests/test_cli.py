@@ -4,6 +4,7 @@ runs, benchmark aggregation, and exit codes."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -54,6 +55,12 @@ class TestDemo:
         assert np.array_equal(written.means, builtin.means)
         assert np.array_equal(written.variances, builtin.variances)
         assert written.labels == builtin.labels
+
+    def test_no_exemplar_per_class_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        assert run("demo", "--out", out, "--n-per-class", 0) == 2
+        assert "n_per_class must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDegrade:
@@ -106,6 +113,26 @@ class TestDegrade:
         assert run("degrade", "--out", out, "--op", "id", "--demo", "--n-per-class", 1,
                    "--limit", -1) == 2
         assert "--limit must be >= 0" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("op, message", [
+        ("gblur:size=-1", "kernel size must be odd and >= 1"),
+        ("gblur:size=-5", "kernel size must be odd and >= 1"),
+        ("gblur:sigma=nan", "sigma must be finite and positive"),
+        ("mblur:size=-3", "kernel size must be odd and >= 1"),
+        ("mblur:angle=nan", "angle must be finite"),
+    ])
+    def test_blur_parameter_that_blanks_the_image_is_a_config_error(self, tmp_path, capsys,
+                                                                     op, message):
+        out = tmp_path / "deg"
+        assert run("degrade", "--out", out, "--op", op, "--demo", "--n-per-class", 1) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_no_exemplar_per_class_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "deg"
+        assert run("degrade", "--out", out, "--op", "id", "--demo", "--n-per-class", 0) == 2
+        assert "n_per_class must be >= 1" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("size", [b"0 0", b"-2 3"])
@@ -233,6 +260,20 @@ class TestRestore:
         assert run("restore", "--out", tmp_path / "x", "--task", "toy2d",
                    "--sigma-y", sigma_y) == 2
         assert "sigma_y must be finite and non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_per_class", [0, -1])
+    def test_no_exemplar_per_class_is_a_config_error(self, tmp_path, capsys, n_per_class):
+        deg = tmp_path / "deg"
+        assert run("degrade", "--out", deg, "--op", "id", "--demo", "--n-per-class", 1) == 0
+        assert run("restore", "--out", tmp_path / "r", "--manifest", deg / "manifest.json",
+                   "--n-per-class", n_per_class) == 2
+        assert "n_per_class must be >= 1" in capsys.readouterr().err
+
+    def test_step_count_past_the_field_bound_is_a_config_error(self, tmp_path, capsys):
+        assert run("restore", "--task", "toy2d", "--out", tmp_path / "r",
+                   "--steps", 1001) == 2
+        assert "n_steps must lie in [1, 1 / EPS_T = 1000]" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "metrics.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg"
@@ -390,6 +431,17 @@ class TestBench:
         assert svg.count("<polyline") == 3
         assert svg.count("<circle") == 3 * 9  # three 8-step paths, 9 nodes each
 
+    @pytest.mark.parametrize("steps", range(1, 17))
+    def test_trajectory_labels_do_not_overlap(self, tmp_path, steps):
+        run_dir = tmp_path / "r"
+        assert run("restore", "--task", "toy2d", "--out", run_dir, "--steps", steps) == 0
+        out = tmp_path / "bench"
+        assert run("bench", "--out", out, "--metrics", run_dir / "metrics.csv",
+                   "--trajectories", run_dir) == 0
+        svg = (out / "trajectories.svg").read_text()
+        ys = [float(y) for y in re.findall(r'<text x="8" y="([^"]+)"', svg)]
+        assert len(ys) == 3 and len(set(ys)) == 3
+
     def test_missing_metrics_file_fails(self, tmp_path, capsys):
         out = tmp_path / "bench"
         assert run("bench", "--out", out, "--metrics",
@@ -451,6 +503,14 @@ class TestBench:
         assert not np.array_equal(expected[0], expected[3])
         for i, tile in enumerate(expected):
             assert np.array_equal(strip[:, 33 * i: 33 * i + 32], tile)
+
+
+def test_runs_in_one_process_share_one_parser(tmp_path):
+    code = ("import sys, pdls.cli as c\n"
+            "for run in ('a', 'b'):\n"
+            "    assert c.main(['restore', '--task', 'toy2d', '--out', sys.argv[1] + run]) == 0\n"
+            "print(c.build_parser.cache_info().currsize)")
+    assert run_python(code, tmp_path / "r").stdout.strip().splitlines()[-1] == "1"
 
 
 needs_openblas = pytest.mark.skipif(cli._openblas_threads() is None,

@@ -122,11 +122,3 @@ class TestBlend:
         for w in (0.1, 0.37, 0.9):
             assert np.allclose(blend_drift(base, guided, w),
                                (1 - w) * base + w * guided, atol=1e-14)
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError, match="blend weight"):
-            blend_drift(np.zeros(2), np.zeros(2), 1.1)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            blend_drift(np.zeros(2), np.zeros(3), 0.5)

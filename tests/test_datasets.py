@@ -1,6 +1,9 @@
 """Builtin demo asset tests."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from pdls.datasets import (
     SHAPE_CLASSES,
@@ -52,3 +55,24 @@ def test_exemplar_mixture_structure():
     assert np.allclose(mix.variances, 0.01)
     full = shapes32_mixture(n_per_class=2)
     assert np.array_equal(full.means, mix.means)
+
+
+@pytest.mark.parametrize("n_per_class, seed, digest", [
+    (30, 0, "31c648594a05d8d7"),
+    (2, 1, "37e3fb7fc25c1fb6"),
+])
+def test_shapes32_pixels_are_pinned(n_per_class, seed, digest):
+    # Every benchmark reference and the manifest oracle rest on these pixels.
+    pixels = np.stack([img.pixels for img, _ in shapes32_dataset(n_per_class, seed)])
+    assert hashlib.sha256(pixels.tobytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("n_per_class", [0, -1])
+def test_shapes32_needs_an_exemplar_per_class(n_per_class):
+    with pytest.raises(ValueError, match="n_per_class must be >= 1"):
+        shapes32_dataset(n_per_class)
+
+
+def test_exemplar_mixture_needs_an_exemplar():
+    with pytest.raises(ValueError, match="at least one exemplar"):
+        exemplar_mixture([])

@@ -48,6 +48,17 @@ class TestGaussianKernel:
         with pytest.raises(ValueError, match="sigma"):
             gaussian_kernel(3, 0.0)
 
+    @pytest.mark.parametrize("size", [-1, -3, 0])
+    def test_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match="kernel size must be odd and >= 1"):
+            gaussian_kernel(size, 1.5)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_sigma_that_is_not_finite_and_positive_rejected(self, size, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            gaussian_kernel(size, sigma)
+
 
 class TestMotionKernel:
     def test_minimum_length_is_single_pixel(self):
@@ -72,6 +83,16 @@ class TestMotionKernel:
             motion_kernel(7, 0.0)
         with pytest.raises(ValueError, match="intensity"):
             motion_kernel(7, 1.5)
+
+    @pytest.mark.parametrize("size", [-3, -1, 0])
+    def test_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match="kernel size must be odd and >= 1"):
+            motion_kernel(size, 0.5)
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf])
+    def test_angle_that_is_not_finite_rejected(self, angle):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            motion_kernel(7, 0.5, angle)
 
 
 class TestApply:

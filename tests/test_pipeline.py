@@ -208,7 +208,7 @@ class TestSteeredGenerate:
         mix = toy2d_mixture()
         grid = make_grid(4, 0.9, 0.1)
         traj = Trajectory(grid, np.zeros((5, 1, 2)))
-        paths = DualPaths(traj, np.array([0]), (Condition.of("A"),))
+        paths = DualPaths(traj, np.array([0]), np.stack([mix.log_weights(Condition.of("A"))]))
         with pytest.raises(ValueError, match="reversal of the generation grid"):
             steered_generate(paths, mix, PdlsConfig(n_steps=4))
 
@@ -330,6 +330,17 @@ class TestRestore:
             PdlsConfig(base_condition="other")
         with pytest.raises(ValueError, match="schedule_kind"):
             PdlsConfig(schedule_kind="other")
+
+    def test_step_count_is_bounded_by_the_conditional_field(self):
+        # The inversion's last drift runs at t = 1 / n_steps, which must not
+        # fall below EPS_T.
+        limit = round(1 / EPS_T)
+        with pytest.raises(ValueError, match=r"n_steps .*EPS_T"):
+            PdlsConfig(n_steps=limit + 1)
+        res = restore(np.array([1.7, 0.3]), toy2d_mixture(), Condition.of("A"),
+                      PdlsConfig(n_steps=limit), seed=7)
+        assert np.all(np.isfinite(res.restored))
+        assert len(res.diagnostics) == limit + 1
 
 
 def manifest_batch():
