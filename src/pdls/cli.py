@@ -10,10 +10,10 @@ relative to its own metrics file.
 
 main() holds numpy's OpenBLAS at one thread for the whole run and puts its
 thread count back on exit. A restore's matrix products are small (a step is
-a few (rows, K + 2) x (K + 2, K) GEMMs), and a second OpenBLAS thread only
-spins on them, and keeps spinning for a while after each larger product
-(such as metrics' nearest means), which doubled the CPU time of a run for
-no gain in wall time. A library caller owns its BLAS, so restore() pins
+a few (rows, r + 2) x (r + 2, K) GEMMs, r the rank of the means), and a
+second OpenBLAS thread only spins on them, and keeps spinning for a while
+after each larger product (such as metrics' nearest means), which doubled
+the CPU time of a run for no gain in wall time. A library caller owns its BLAS, so restore() pins
 nothing. Where numpy's BLAS is not scipy-openblas, the run is not pinned.
 """
 

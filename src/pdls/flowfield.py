@@ -39,10 +39,11 @@ t^2 ||mu_k||^2, the gains c_k and the velocity coefficients
 (1 - t c_k) / (1 - t)) is built once per time on the mixture, by the same
 expressions, and kept in a bounded cache keyed on t: an integration on a
 fixed grid evaluates the field at the same few dozen times in every call,
-and at the (n, K + 2) sizes of a reduced-coordinate restore an evaluation
-costs numpy calls, not arithmetic (a 2-row shapes32 evaluation took
-77-115 us with the constants built per call, 47-51 us cached, on one
-OpenBLAS thread of a 2-vCPU machine).
+and at the (n, r + 2) sizes of a reduced-coordinate restore an evaluation
+costs numpy calls, not arithmetic (a 2-row shapes32 evaluation on the
+K + 2 = 92 coordinates of an earlier frame took 77-115 us with the
+constants built per call, 47-51 us cached, on one OpenBLAS thread of a
+2-vCPU machine).
 """
 
 from __future__ import annotations

@@ -26,30 +26,35 @@ resolves the stacked rows' conditions once, to the (rows, K) log-weight
 rows the DualPaths keeps, and every field evaluation of both calls takes
 rows of these: one batch per step, one condition per row. restore() takes
 one observation or a batch of them (one prompt and one seed per row), draws
-each row's z0 from its seed (the only draw of a restore), and runs the
-whole batch through these two calls. All three take their parameters from
-one PdlsConfig.
+z0 once per distinct seed (the only draws of a restore) and gives each row
+its seed's draw, and runs the whole batch through these two calls. All
+three take their parameters from one PdlsConfig.
 
 Every drift of a restore is affine in x, with terms only in the mixture
 means, the row's observation y_i and its noise draw z0_i, so row i stays in
-span{mu_1..mu_K, y_i, z0_i}. Where K + 2 < d (shapes32: 92 < 1024),
-restore() integrates in orthonormal coordinates of that span: a basis Q0 of
-the means from one QR kept on the mixture, plus y_i and z0_i orthogonalised
-against it twice. The unchanged field runs on the (n, K + 2) coordinates
-under a mixture of the means' coordinates, so a step costs O(n K (K + 2)),
-not O(n K d). Where K + 2 >= d (toy2d) the frame is the identity: the
-coordinates are the points themselves and the mixture is the caller's.
-Either way restored is lifted to the full space at once; a result's
-structural, semantic and generated trajectories are built (and lifted) on
-first access.
+span{mu_1..mu_K, y_i, z0_i}. Where K + 2 < d, restore() integrates in
+orthonormal coordinates of that span: Q0, the left singular vectors of the
+means above numpy's matrix_rank tolerance, built by one SVD on first use
+and kept on the mixture, plus y_i and z0_i orthogonalised against it twice.
+With r the means' rank, the unchanged field runs on (n, r + 2) coordinates
+under a mixture of the means' coordinates, so a step costs O(n K (r + 2)),
+not O(n K d) (shapes32: r + 2 = 6, d = 1024). Where K + 2 >= d (toy2d) the
+frame is the identity: the coordinates are the points themselves and the
+mixture is the caller's. Either way restored is lifted to the full space at
+once; a result's structural, semantic and generated trajectories, its
+diagnostics and its latent norms are built on first access.
 
-At the default 28 steps, reduced and full-space restores agree within
-1e-12 relative on restored, the trajectories and the latent norms; the
-reduced ones are the closer to the direct (n, K, d) form. The promise does
-not cover the diagnostics' dist_to_target, a difference of nearly equal
-states (worst measured row 2.2e-12 at gblur sigma 1.5, 1.3e-11 at 3.0), nor
-few steps: the first inversion step scales the field's rounding by
-dt / (1 - t) at t = 1 - EPS_T, and at 2 steps the agreement is about 2e-12.
+At the default 28 steps, restored and the latent norms agree with the
+direct (n, K, d) form of the field within 1e-12 relative (restored within
+2.9e-13 on a whole shapes32 manifest at gblur sigma 1.5). On small
+mixtures the trajectories agree as closely with the full-space
+composition, but on that manifest the worst inversion trajectory is
+within 1.8e-11 of the direct form only, about as close as the full-space
+batched field gets (1.5e-11): the first inversion step scales the field's
+rounding by dt / (1 - t) at t = 1 - EPS_T. The promise does not cover the
+diagnostics' dist_to_target, a difference of nearly equal states (worst
+measured row 3.5e-11 at gblur sigma 1.5, 1.4e-12 at 3.0), nor few steps:
+at 2 steps the agreement is about 2e-12.
 """
 
 from __future__ import annotations
@@ -253,11 +258,11 @@ def _directions(v, q0, u=None) -> np.ndarray:
 class _Frame:
     """Orthonormal coordinates of a batch's rows: the span of the means, y_i and z0_i.
 
-    Row i's basis is q0 (d, K), an orthonormal basis of the means, and
-    dirs[i] (2, d), its own directions (0 where y_i or z0_i already lies
-    in the span before it). mixture is the mixture in these coordinates.
-    Where K + 2 >= d the frame is the identity: q0 = I (d, d), no
-    directions, and the caller's mixture.
+    Row i's basis is q0 (d, r), an orthonormal basis of the means (r their
+    rank), and dirs[i] (2, d), its own directions (0 where y_i or z0_i
+    already lies in the span before it). mixture is the mixture in these
+    coordinates. Where K + 2 >= d the frame is the identity: q0 = I (d, d),
+    no directions, and the caller's mixture.
     """
 
     q0: np.ndarray
@@ -270,7 +275,9 @@ class _Frame:
         if mixture.n_components + 2 >= mixture.dim:
             return cls(np.eye(mixture.dim), np.zeros((len(observed), 0, mixture.dim)), mixture)
         if mixture._reduced is None:
-            q0 = np.linalg.qr(mixture.means.T)[0]
+            # The left singular vectors above numpy's matrix_rank tolerance.
+            u, s, _ = np.linalg.svd(mixture.means.T, full_matrices=False)
+            q0 = u[:, s > s[0] * max(mixture.means.shape) * np.finfo(float).eps]
             means = np.hstack([mixture.means @ q0, np.zeros((mixture.n_components, 2))])
             reduced = GaussianMixture(mixture.weights, means, mixture.variances,
                                       mixture.labels)
@@ -281,11 +288,11 @@ class _Frame:
         return cls(q0, np.stack([y, _directions(z0, q0, y)], axis=1), reduced)
 
     def coords(self, x) -> np.ndarray:
-        """(n, K + 2) coordinates of the rows x (n, d), row i in row i's basis."""
+        """(n, r + 2) coordinates of the rows x (n, d), row i in row i's basis."""
         return np.concatenate([x @ self.q0, np.einsum("nd,njd->nj", x, self.dirs)], axis=1)
 
     def lift(self, c, i=slice(None)) -> np.ndarray:
-        """Full-space points of coordinates c (m, K + 2): row j in row j's basis, or in row i's."""
+        """Full-space points of coordinates c (m, r + 2): row j in row j's basis, or in row i's."""
         k = self.q0.shape[1]
         return c[:, :k] @ self.q0.T + (c[:, None, k:] @ self.dirs[i])[:, 0]
 
@@ -293,17 +300,15 @@ class _Frame:
 @dataclass(frozen=True)
 class RestoreResult:
     """One restored row. structural, semantic and generated hold (n_steps + 1, d)
-    states, lifted from the batch's frame on first access and kept."""
+    states, lifted from the batch's frame on first access and kept; the
+    diagnostics and the latent norms are likewise built on first access."""
 
     restored: np.ndarray
-    # diagnostics rows: (step, t, eta, dist_to_target)
-    diagnostics: tuple
-    structural_latent_norm: float
-    semantic_latent_norm: float
     _paths: DualPaths = field(repr=False, compare=False)
     _generated: Trajectory = field(repr=False, compare=False)
     _frame: _Frame = field(repr=False, compare=False)
     _row: int = field(repr=False, compare=False)
+    _config: PdlsConfig = field(repr=False, compare=False)
 
     def _lifted(self, traj: Trajectory, j: int) -> Trajectory:
         """Row j of the batch trajectory traj, in the full space."""
@@ -322,16 +327,35 @@ class RestoreResult:
     def generated(self) -> Trajectory:
         return self._lifted(self._generated, self._row)
 
+    @functools.cached_property
+    def diagnostics(self) -> tuple:
+        """(step, t, eta, dist_to_target) at every generation node."""
+        # Generation node k is inversion node n - k.
+        s = self._paths.inversion.states[::-1]
+        target = 0.5 * (s[:, self._row] + s[:, self._paths.pair[self._row]])
+        dists = np.linalg.norm(self._generated.states[:, self._row] - target, axis=1)
+        nodes = self._generated.grid.nodes
+        etas = [float(eta(self._config, float(t))) for t in nodes]
+        return tuple(zip(range(len(nodes)), nodes.tolist(), etas, dists.tolist()))
+
+    @functools.cached_property
+    def structural_latent_norm(self) -> float:
+        return float(np.linalg.norm(self._paths.inversion.terminal[self._row]))
+
+    @functools.cached_property
+    def semantic_latent_norm(self) -> float:
+        return float(np.linalg.norm(self._paths.inversion.terminal[self._paths.pair[self._row]]))
+
 
 def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed):
-    """Full pipeline: dual inversion, then steered generation, plus diagnostics.
+    """Full pipeline: dual inversion, then steered generation.
 
     observed is one point (d,) with one prompt and one seed, giving one
     RestoreResult, or a batch (n, d) with one prompt and one seed per row,
-    giving a list of n. The whole batch runs as one stacked inversion and
-    one generation in the batch's frame (see the module docstring). A null
-    prompt collapses to single-path restoration (both stored paths are the
-    structural one).
+    giving a list of n. Each distinct seed is drawn once. The whole batch
+    runs as one stacked inversion and one generation in the batch's frame
+    (see the module docstring). A null prompt collapses to single-path
+    restoration (both stored paths are the structural one).
     """
     observed = np.asarray(observed, dtype=float)
     single = observed.ndim == 1
@@ -340,23 +364,12 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     if len(prompts) != len(batch) or len(seeds) != len(batch):
         raise ValueError("a batch needs one prompt and one seed per row")
 
-    z0 = np.stack([draw_noise(batch.shape[1], s) for s in seeds])
+    noise = {s: draw_noise(batch.shape[1], s) for s in dict.fromkeys(seeds)}
+    z0 = np.stack([noise[s] for s in seeds])
     frame = _Frame.of(mixture, batch, z0)
     paths = dual_invert(frame.coords(batch), frame.mixture, prompts, config, frame.coords(z0))
     generated = steered_generate(paths, frame.mixture, config)
-
-    n = config.n_steps
-    nodes = generated.grid.nodes
-    etas = [float(eta(config, float(t))) for t in nodes]
-    # Generation node k is inversion node n - k.
-    dists = np.linalg.norm(generated.states - paths.target(slice(None, None, -1)), axis=2)
-    latents = paths.inversion.terminal
     restored = frame.lift(generated.terminal)
-    results = [RestoreResult(
-        restored=restored[i],
-        diagnostics=tuple(zip(range(n + 1), nodes.tolist(), etas, dists[:, i].tolist())),
-        structural_latent_norm=float(np.linalg.norm(latents[i])),
-        semantic_latent_norm=float(np.linalg.norm(latents[paths.pair[i]])),
-        _paths=paths, _generated=generated, _frame=frame, _row=i,
-    ) for i in range(len(prompts))]
+    results = [RestoreResult(restored[i], paths, generated, frame, i, config)
+               for i in range(len(prompts))]
     return results[0] if single else results

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from pdls import pipeline
 from pdls.cli import main as cli_main
-from pdls.datasets import shapes32_dataset, shapes32_mixture, toy2d_mixture
+from pdls.datasets import exemplar_mixture, shapes32_dataset, shapes32_mixture, toy2d_mixture
 from pdls.degrade import GaussianBlur, NoiseModel, apply
 from pdls.flowfield import (
     EPS_T,
@@ -419,7 +419,9 @@ def restore_cases(draw):
     """A small mixture with unequal variances, a batch, prompts, a config.
 
     d runs from 1 to K + 5, so both frames are drawn: the identity where
-    K + 2 >= d and reduced coordinates where K + 2 < d.
+    K + 2 >= d and reduced coordinates where K + 2 < d. The means have a
+    drawn rank r in [0, K] (coefficients (K, r) times a basis (r, d)), so
+    the reduced frame's basis is drawn narrower than K as well.
 
     Cases whose exponent is ill-conditioned anywhere along the full-space
     paths are rejected later, as batch_cases in test_flowfield does. The
@@ -429,7 +431,9 @@ def restore_cases(draw):
     """
     k = draw(st.integers(2, 3))
     d = draw(st.integers(1, k + 5))
-    means = draw(arrays(float, (k, d), elements=st.floats(-2.0, 2.0)))
+    r = draw(st.integers(0, k))
+    means = (draw(arrays(float, (k, r), elements=st.floats(-1.0, 1.0)))
+             @ draw(arrays(float, (r, d), elements=st.floats(-2.0, 2.0))))
     variances = draw(st.floats(0.1, 0.5)) + np.concatenate(
         [[0.0], draw(arrays(float, k - 1, elements=st.floats(0.05, 0.5)))])
     weights = draw(arrays(float, k, elements=st.floats(0.1, 1.0)))
@@ -478,6 +482,48 @@ class TestReducedCoordinates:
         results = restore(obs, mixture, prompts, config, seeds)
         assert_restores_match(results, paths, generated)
 
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_means_of_rank_below_two(self, rank):
+        # All-zero means, or one mean repeated K times, at d > K + 2: the
+        # basis of the means is rank columns wide.
+        k, d = 3, 8
+        means = np.zeros((k, d)) if rank == 0 else np.tile(np.linspace(-1.0, 1.0, d), (k, 1))
+        mixture = GaussianMixture([0.2, 0.3, 0.5], means, [0.2, 0.3, 0.4], ["A", "B", "B"])
+        obs = np.array([[0.3, -0.2, 0.5, 0.1, -0.4, 0.2, 0.0, 0.6], [0.1] * d])
+        prompts, seeds = [Condition.of("B"), Condition.null()], [3, 4]
+        results = restore(obs, mixture, prompts, PdlsConfig(), seeds)
+        assert results[0]._frame.q0.shape == (d, rank)
+        assert all(np.all(np.isfinite(res.restored)) for res in results)
+        paths, generated = full_space_restore(obs, mixture, prompts, PdlsConfig(),
+                                              draws(seeds, d))
+        assert_restores_match(results, paths, generated)
+
+    def test_shapes32_basis_has_the_rank_of_the_means(self):
+        # Every exemplar is bg * 1 + (fg - bg) * mask of its class, so the
+        # 90 means have rank 4.
+        obs, mixture, labels, seeds = manifest_batch()
+        frame = restore(obs[:1], mixture, [Condition.null()], PdlsConfig(n_steps=2),
+                        seeds[:1])[0]._frame
+        assert frame.q0.shape == (1024, 4)
+        assert np.max(np.abs(frame.q0.T @ frame.q0 - np.eye(4))) <= 1e-14
+        assert frame.mixture.dim == 6
+
+    def test_the_basis_is_built_once_on_first_use(self, monkeypatch):
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        data = shapes32_dataset(n_per_class=2)
+        for mixture in (shapes32_mixture(), exemplar_mixture(data)):
+            assert mixture._reduced is None
+        assert not calls
+        mixture = shapes32_mixture()
+        obs = np.stack([img.flatten() for img, _ in data[:2]])
+        config = PdlsConfig(n_steps=2)
+        first = restore(obs, mixture, [Condition.null()] * 2, config, [0, 1])[0]._frame
+        assert mixture._reduced is not None
+        second = restore(obs, mixture, [Condition.null()] * 2, config, [0, 1])[0]._frame
+        assert second.q0 is first.q0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("observation", ["exemplar", "midpoint"])
     def test_observations_in_the_span_of_the_means(self, observation):
         # The observation's own direction is rounding noise here; normalised,
@@ -518,14 +564,56 @@ class TestReducedCoordinates:
         obs, mixture, labels, seeds = manifest_batch()
         results = restore(obs[:3], mixture, [Condition.of(labels[0]), Condition.null(),
                                              Condition.of(labels[2])], PdlsConfig(), seeds[:3])
+        lazy = {"structural", "semantic", "generated", "diagnostics",
+                "structural_latent_norm", "semantic_latent_norm"}
         for res in results:
-            assert not {"structural", "semantic", "generated"} & set(vars(res))
+            assert not lazy & set(vars(res))
             assert res.structural is res.structural and res.generated is res.generated
             assert res.generated.states.shape == (29, 1024)
             assert res.structural.states.shape == (29, 1024)
             err = np.max(np.abs(res.generated.terminal - res.restored))
             assert err <= 1e-14 * np.max(np.abs(res.restored))
         assert results[1].semantic is results[1].structural
+
+
+class TestBatchSharing:
+    @pytest.mark.parametrize("seeds, n_draws", [([7] * 90, 1), ([0, 1, 0], 2)])
+    def test_each_distinct_seed_is_drawn_once(self, monkeypatch, seeds, n_draws):
+        calls = []
+        monkeypatch.setattr(pipeline, "draw_noise",
+                            lambda d, s: calls.append(s) or draw_noise(d, s))
+        obs = np.tile([1.7, 0.3], (len(seeds), 1))
+        restore(obs, toy2d_mixture(), [Condition.of("A")] * len(seeds),
+                PdlsConfig(n_steps=2), seeds)
+        assert len(calls) == n_draws
+
+    def test_equal_rows_restore_bitwise_equal(self):
+        obs, mixture, labels, seeds = manifest_batch()
+        prompts = [Condition.of(lb) for lb in labels]
+        for i in (31, 89):
+            obs[i], prompts[i], seeds[i] = obs[0], prompts[0], seeds[0]
+        results = restore(obs, mixture, prompts, PdlsConfig(), seeds)
+        assert np.array_equal(results[31].restored, results[0].restored)
+        assert np.array_equal(results[89].restored, results[0].restored)
+
+    def test_row_diagnostics_equal_the_batch_forms(self):
+        obs, mixture, labels, seeds = manifest_batch()
+        prompts = [Condition.null() if i % 3 == 0 else Condition.of(lb)
+                   for i, lb in enumerate(labels)]
+        config = PdlsConfig(init_mode="mixed")
+        results = restore(obs, mixture, prompts, config, seeds)
+        paths, generated = results[0]._paths, results[0]._generated
+        dists = np.linalg.norm(generated.states - paths.target(slice(None, None, -1)), axis=2)
+        latents = paths.inversion.terminal
+        nodes = generated.grid.nodes
+        etas = [float(pipeline.eta(config, float(t))) for t in nodes]
+        for i, res in enumerate(results):
+            steps, times, row_etas, row_dists = zip(*res.diagnostics)
+            assert steps == tuple(range(config.n_steps + 1))
+            assert np.array_equal(times, nodes) and list(row_etas) == etas
+            assert np.array_equal(row_dists, dists[:, i])
+            assert res.structural_latent_norm == float(np.linalg.norm(latents[i]))
+            assert res.semantic_latent_norm == float(np.linalg.norm(latents[paths.pair[i]]))
 
 
 @pytest.mark.parametrize("task", ["toy2d", "manifest"])
