@@ -89,11 +89,15 @@ def build_config(args) -> PdlsConfig:
 
 def parse_seeds(text: str) -> list[int]:
     """Either 'a:b' (half-open range) or a comma list, of at least one seed."""
-    if ":" in text:
-        a, b = text.split(":")
-        seeds = list(range(int(a), int(b)))
-    else:
-        seeds = [int(s) for s in text.split(",")]
+    try:
+        if ":" in text:
+            a, b = text.split(":")
+            seeds = list(range(int(a), int(b)))
+        else:
+            seeds = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--seeds {text!r} is neither a range a:b nor a comma list "
+                         "of integers") from None
     if not seeds:
         raise ValueError(f"--seeds {text!r} names no seed")
     return seeds

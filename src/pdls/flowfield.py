@@ -33,6 +33,15 @@ Responsibilities are normalised by _logsumexp_rows, a replica of
 scipy.special.logsumexp's arithmetic for real rows: scipy's own function
 spends most of its time on array-API dispatch at the (1-180, K) sizes of a
 restore, and the replica keeps its results bitwise, so outputs do not move.
+Where every row's maximum is finite and occurs once (all evaluations of a
+shapes32 restore but its t = 0 one, where equally weighted components tie),
+the replica's count of maxima is 1, and dividing by it and adding its log
+(+0.0) change no bit: a single-maximum branch leaves them out, with the
+errstate and the finiteness pass they need, and returns the general
+branch's bits. The general branch also normalises the rows under its
+errstate, so a point so far out that every component's log-density is -inf
+gets NaN responsibilities, which integrate's finiteness check reports,
+instead of a numpy warning.
 
 What depends on t alone (the log-normaliser 0.5 d log(2 pi s_k^2), 2 s_k^2,
 t^2 ||mu_k||^2, the gains c_k and the velocity coefficients
@@ -195,44 +204,58 @@ def _check_points(x, mixture):
     """Accept a single point (d,) or a batch (n, d); return (batch, was_single)."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    batch = np.atleast_2d(x)
-    if batch.shape[1] != mixture.dim:
+    batch = x[None] if single else x
+    if batch.ndim != 2 or batch.shape[1] != mixture.dim:
         raise ValueError(f"point dimension {x.shape} does not match mixture dim {mixture.dim}")
     return batch, single
 
 
 def _log_weight_rows(mixture: GaussianMixture, cond, n: int) -> np.ndarray:
-    """(n, K) log-weights: one Condition's for every row, or cond's own (n, K) rows."""
+    """(n, K) log-weights: cond's own (n, K) rows, or one Condition's for every row."""
+    if isinstance(cond, np.ndarray) and cond.shape == (n, mixture.n_components):
+        return cond
     if isinstance(cond, Condition):
         return np.broadcast_to(mixture.log_weights(cond), (n, mixture.n_components))
-    if not (isinstance(cond, np.ndarray) and cond.shape == (n, mixture.n_components)):
-        raise ValueError(f"cond must be a Condition or ({n}, {mixture.n_components}) "
-                         f"log-weight rows, not {getattr(cond, 'shape', type(cond).__name__)}")
-    return cond
+    raise ValueError(f"cond must be a Condition or ({n}, {mixture.n_components}) "
+                     f"log-weight rows, not {getattr(cond, 'shape', type(cond).__name__)}")
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) as an (n, 1) column, bitwise as scipy 1.17 computes it.
+def _logsumexp_rows(a: np.ndarray, subtract: bool = False) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) as an (n, 1) column, bitwise as scipy 1.17 computes it,
+    or with subtract, a minus that column (the rows normalised in log space).
 
     This is scipy.special.logsumexp(a, axis=1, keepdims=True) for real a:
     the row maxima are taken out of the sum and counted (m), the rest is
     summed shifted (s), and the result is log1p(s / m) + log(m) + max.
     Where that is not finite, the unshifted log(sum(exp(a))) is used. The
     reductions are the ufuncs np.max and np.sum call, without their dispatch.
+
+    Where every row's maximum is finite and occurs once (m = 1), s / m is s
+    and log(m) is +0.0 exactly, and log1p(s) >= +0.0 is finite, so the
+    result is log1p(s) + max bitwise, with no floating-point error to
+    silence and none to patch up: that branch runs no errstate and no
+    finiteness pass. Ties and non-finite maxima (the t = 0 node of a field
+    whose components all tie, an -inf row, +inf or NaN entries) take the
+    general branch, which also does subtract's a minus the column under its
+    errstate, so an -inf row's -inf - -inf gives NaN without a warning.
     """
     a_max = np.maximum.reduce(a, axis=1, keepdims=True)
     is_max = a == a_max
+    if np.count_nonzero(is_max) == len(a) and np.isfinite(a_max).all():
+        s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
+        out = np.log1p(s) + a_max
+        return a - out if subtract else out
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.add.reduce(is_max, axis=1, keepdims=True, dtype=a.dtype)
         s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
-    finite = np.isfinite(out)
-    if not finite.all():
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            direct = np.log(np.add.reduce(np.exp(a), axis=1, keepdims=True))
-        out = np.where(finite, out, direct)
-    return out
+        finite = np.isfinite(out)
+        if not finite.all():
+            with np.errstate(over="ignore"):
+                direct = np.log(np.add.reduce(np.exp(a), axis=1, keepdims=True))
+            out = np.where(finite, out, direct)
+        return a - out if subtract else out
 
 
 def _sq_distances(xb, t, means, t2_mean_sq):
@@ -253,7 +276,7 @@ def _posterior(xb, t, mixture: GaussianMixture, cond):
     logw = _log_weight_rows(mixture, cond, xb.shape[0])
     sq = _sq_distances(xb, t, mixture.means, node.t2_mean_sq)
     logp = logw - node.log_norm - sq / node.two_s2
-    return np.exp(logp - _logsumexp_rows(logp)), node, t
+    return np.exp(_logsumexp_rows(logp, subtract=True)), node, t
 
 
 def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):

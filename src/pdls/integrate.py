@@ -100,10 +100,9 @@ def integrate(x0, grid: TimeGrid,
     states = np.empty((grid.n_steps + 1,) + x.shape)
     states[0] = x
     nodes = grid.nodes
-    for k in range(grid.n_steps):
-        dt = nodes[k + 1] - nodes[k]
-        v = np.asarray(drift(x, float(nodes[k]), k), dtype=float)
-        if v.shape != x.shape or not np.all(np.isfinite(v)):
+    for k, (t, dt) in enumerate(zip(nodes[:-1].tolist(), np.diff(nodes).tolist())):
+        v = np.asarray(drift(x, t, k), dtype=float)
+        if v.shape != x.shape or not np.isfinite(v).all():
             raise DriftDivergedError(f"drift diverged at step {k}")
         x = x + dt * v
         states[k + 1] = x

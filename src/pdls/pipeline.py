@@ -48,13 +48,13 @@ At the default 28 steps, restored and the latent norms agree with the
 direct (n, K, d) form of the field within 1e-12 relative (restored within
 2.9e-13 on a whole shapes32 manifest at gblur sigma 1.5). On small
 mixtures the trajectories agree as closely with the full-space
-composition, but on that manifest the worst inversion trajectory is
-within 1.8e-11 of the direct form only, about as close as the full-space
-batched field gets (1.5e-11): the first inversion step scales the field's
-rounding by dt / (1 - t) at t = 1 - EPS_T. The promise does not cover the
-diagnostics' dist_to_target, a difference of nearly equal states (worst
-measured row 3.5e-11 at gblur sigma 1.5, 1.4e-12 at 3.0), nor few steps:
-at 2 steps the agreement is about 2e-12.
+composition, but on that manifest the worst inversion trajectory (row 4)
+is within 1.8e-11 of the direct form only, about as close as the
+full-space batched field gets (1.5e-11): the first inversion step scales
+the field's rounding by dt / (1 - t) at t = 1 - EPS_T. The promise does
+not cover the diagnostics' dist_to_target, a difference of nearly equal
+states (worst measured row 3.5e-11 at gblur sigma 1.5, 1.4e-12 at 3.0),
+nor few steps: at 2 steps the agreement is about 2e-12.
 """
 
 from __future__ import annotations
@@ -213,9 +213,10 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
     # chase a point the paths have already left, leaving an exact one-step
     # lag in the retraced trajectory.
     targets = paths.target(slice(None, None, -1))
+    weights = [float(eta(config, t)) for t in gen_grid.nodes[:-1].tolist()]
 
     def drift(x, t, k):
-        weight = float(eta(config, t))
+        weight = weights[k]
         if weight == 0.0:
             return marginal_velocity(x, t, mixture, base_cond)
         control = lqr_control(x, targets[k + 1], t)

@@ -290,6 +290,19 @@ class TestRestore:
                    "--config", cfgfile) == 2
         assert "unknown config keys: ['seed']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds", ["1:2:3", "0:x", "a,b", "0,,1"])
+    def test_malformed_seeds_are_a_config_error(self, tmp_path, capsys, seeds):
+        assert run("restore", "--out", tmp_path / "x", "--task", "toy2d", "--seeds", seeds) == 2
+        assert capsys.readouterr().err == (f"config error: --seeds {seeds!r} is neither a "
+                                           "range a:b nor a comma list of integers\n")
+
+    def test_a_huge_toy_noise_level_is_a_numerical_failure(self, tmp_path, capsys):
+        # Every component's log-density is -inf; the field's NaN reaches the
+        # drift check with no numpy warning (which the suite turns into an error).
+        assert run("restore", "--out", tmp_path / "x", "--task", "toy2d", "--seeds", "0:1",
+                   "--sigma-y", "1e308") == 3
+        assert capsys.readouterr().err == "numerical failure: drift diverged at step 0\n"
+
     def test_empty_seed_range_is_a_config_error(self, tmp_path, capsys):
         deg = tmp_path / "deg"
         assert run("degrade", "--out", deg, "--op", "id", "--demo",

@@ -425,22 +425,43 @@ _LSE_ENTRIES = st.one_of(st.sampled_from([0.0, 1.0, -2.5, -np.inf, np.inf, np.na
 
 @st.composite
 def logsumexp_rows(draw):
-    """An (n, K) array drawn from _LSE_ENTRIES, sometimes with a row of only -inf."""
-    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    a = draw(arrays(float, (n, k), elements=_LSE_ENTRIES))
-    if draw(st.booleans()):
-        a[draw(st.integers(0, n - 1))] = -np.inf
+    """An (n, K) array, K up to 96 (a shapes32 field has 90 components).
+
+    Its bulk values come from a drawn numpy seed and scale, and each row is
+    of one kind: one finite maximum over finite and -inf entries (the
+    replica's single-maximum branch), up to six entries drawn from
+    _LSE_ENTRIES (ties, +-inf, NaN), or only -inf.
+    """
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 96))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-1.0, 1.0, (n, k)) * draw(st.sampled_from([1.0, 30.0, 1e5]))
+    for row in a:
+        kind = draw(st.sampled_from(["single", "entries", "-inf"]))
+        if kind == "single":
+            row[rng.random(k) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = -np.inf
+            top, gap = np.max(row), draw(st.floats(0.0, 50.0))
+            row[rng.integers(k)] = (gap if top == -np.inf
+                                    else max(top + gap, np.nextafter(top, np.inf)))
+        elif kind == "entries":
+            m = draw(st.integers(1, min(k, 6)))
+            row[rng.choice(k, m, replace=False)] = draw(arrays(float, m, elements=_LSE_ENTRIES))
+        else:
+            row[:] = -np.inf
     return a
 
 
 class TestLogsumexpReplica:
     @settings(deadline=None, max_examples=500)
     @given(logsumexp_rows())
+    @example(np.array([[0.0, -1.0, -np.inf], [2.0, np.nextafter(2.0, 0.0), 1.0]]))
+    @example(np.array([[1.0, 1.0], [np.nan, 0.0]]))  # one maximum per row on average
     def test_bitwise_equal_to_scipy(self, a):
         got = _logsumexp_rows(a)
         want = logsumexp(a, axis=1, keepdims=True)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(_logsumexp_rows(a, subtract=True), a - want, equal_nan=True)
 
     def test_non_finite_rows(self):
         a = np.array([[-np.inf, -np.inf], [np.inf, 0.0], [np.nan, 1.0], [3.0, 3.0]])

@@ -1,15 +1,23 @@
-"""The benchmark's trace hooks must name attributes that exist in pdls.
+"""The benchmark's trace hooks must name attributes that exist in pdls, and a
+restore must call them.
 
 benchmarks/tracing.py replaces public functions by module and attribute
 name and reports a missing one as absent instead of failing, so a rename
-in pdls would silently drop per-layer metrics. This test loads that file
-by path, unchanged, and resolves every hook target.
+in pdls would silently drop per-layer metrics. These tests load that file
+by path, unchanged, resolve every hook target, and count the calls a
+restore makes through the pipeline's hooked names.
 """
 
 import functools
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+from pdls import pipeline
+from pdls.datasets import shapes32_dataset, shapes32_mixture
+from pdls.flowfield import Condition
+from pdls.pipeline import PdlsConfig, restore
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -31,3 +39,26 @@ def test_every_trace_hook_resolves():
         except AttributeError:
             missing.append(f"{module}.{attr}")
     assert not missing, missing
+
+
+def test_a_restore_reaches_every_pipeline_hook(monkeypatch):
+    # The per-layer metrics count calls of these names, so a drift that
+    # stopped calling one through pdls.pipeline would leave its layer at 0.
+    names = [attr for module, attr, *_ in load_tracing()._hooks() if module == "pdls.pipeline"]
+    assert {"marginal_velocity", "eta", "lqr_control", "blend_drift", "integrate",
+            "invert_path", "steered_generate"} <= set(names)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    image, label = shapes32_dataset(n_per_class=1)[0]
+    config = PdlsConfig(n_steps=6)
+    restore(image.flatten(), shapes32_mixture(), Condition.of(label), config, 0)
+    assert calls["marginal_velocity"] == 2 * config.n_steps
+    assert all(calls[name] >= 1 for name in names), calls
