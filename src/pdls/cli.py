@@ -83,7 +83,12 @@ def build_config(args) -> PdlsConfig:
     for key, name in _CONFIG_FIELDS.items():
         default = getattr(defaults, name)
         flag = getattr(args, key, None)
-        kwargs[name] = type(default)(file_vals.get(key, default) if flag is None else flag)
+        value = file_vals.get(key, default) if flag is None else flag
+        try:
+            kwargs[name] = type(default)(value)
+        except ValueError:  # only a file's text can fail: flags and defaults are typed
+            raise ValueError(f"config file {args.config}: {key} must be "
+                             f"{type(default).__name__}, not {value!r}") from None
     return PdlsConfig(**kwargs)
 
 
@@ -100,7 +105,21 @@ def parse_seeds(text: str) -> list[int]:
                          "of integers") from None
     if not seeds:
         raise ValueError(f"--seeds {text!r} names no seed")
+    if min(seeds) < 0:
+        raise ValueError(f"--seeds {text!r} names a negative seed")
     return seeds
+
+
+def _seed(text: str) -> int:
+    """The argparse type of a single seed flag: a non-negative integer, as numpy's
+    generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative; a seed is >= 0")
+    return seed
 
 
 # ---------------------------------------------------------------- demo
@@ -148,15 +167,15 @@ def _load_inputs(args):
 
 
 def cmd_degrade(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     items = _load_inputs(args)
     shape = items[0][0].pixels.shape
     op = degrade.parse_descriptor(args.op, image_shape=shape)
+    observations = [degrade.apply(op, img, degrade.NoiseModel(args.sigma_y, seed=args.seed + i))
+                    for i, (img, _, _) in enumerate(items)]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     records = []
-    for i, (img, label, name) in enumerate(items):
-        noise = degrade.NoiseModel(args.sigma_y, seed=args.seed + i)
-        observed = degrade.apply(op, img, noise)
+    for (img, label, name), observed in zip(items, observations):
         obs_name = f"{name}_observed.pgm"
         src_name = f"{name}_source.pgm"
         fileio.write_pgm(out / obs_name, observed)
@@ -282,13 +301,13 @@ def _write_csv(path, header, rows) -> None:
 
 
 def cmd_restore(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = build_config(args)
     seeds = parse_seeds(args.seeds)
     images = args.task == "image"
     task, mixture, extra, jobs = (_image_jobs if images else _toy_jobs)(args, seeds)
     config = config_hash(cfg, {"prompt": args.prompt, **extra})
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     if jobs:
         ids, observed, refs, labels, job_seeds = zip(*jobs)
@@ -338,11 +357,6 @@ def aggregate(rows: list[dict]) -> list[dict]:
     return table
 
 
-def _svg_polyline(points, color) -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
-
-
 def write_toy2d_svg(path, named_paths) -> None:
     """Overlay of (name, states-array) 2-D paths: one polyline + markers each."""
     allpts = np.vstack([s for _, s in named_paths])
@@ -358,7 +372,8 @@ def write_toy2d_svg(path, named_paths) -> None:
     for i, (name, states) in enumerate(named_paths):
         color = colors.get(name, "#444444")
         pix = [to_px(p) for p in states]
-        parts.append(_svg_polyline(pix, color))
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in pix)
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         for x, y in pix:
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="{color}"/>')
         parts.append(f'<text x="8" y="{16 * (i + 1)}" fill="{color}">{name}</text>')
@@ -377,8 +392,8 @@ def write_image_strip(path, images: list[degrade.ImageGrid]) -> None:
 
 
 def cmd_bench(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if args.strip < 0:
+        raise ValueError(f"--strip must be >= 0, not {args.strip}")
     rows = []
     missing = []
     for mpath in args.metrics:
@@ -406,33 +421,29 @@ def cmd_bench(args) -> int:
     if missing:
         print("missing runs:\n" + "\n".join(missing), file=sys.stderr)
         return EXIT_IO
-    table = aggregate(rows)
-    cols = ["task", "config", "n"] + [f"{c}_{s}" for c in _METRIC_COLUMNS
-                                      for s in ("mean", "std", "dropped")]
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(table)
-    for entry in table:
-        print(" ".join(f"{k}={v}" for k, v in entry.items()))
-
-    traj_dir = Path(args.trajectories) if args.trajectories else None
-    if traj_dir:
-        named = []
+    named = []
+    if args.trajectories:
         for name in ("structural", "semantic", "steered"):
-            p = traj_dir / f"{name}_path.csv"
+            p = Path(args.trajectories) / f"{name}_path.csv"
             if p.exists():
                 try:
                     named.append((name, trajectory_from_csv(p.read_text()).states))
                 except ValueError as exc:
                     raise fileio.FormatError(f"trajectory {p}: {exc}") from exc
-        if named:
-            write_toy2d_svg(out / "trajectories.svg", named)
-    if args.strip:
-        imgs = [fileio.read_pgm(r["recon_path"]) for r in rows[: args.strip]
-                if r["recon_path"]]
-        if imgs:
-            write_image_strip(out / "strip.pgm", imgs)
+    imgs = [fileio.read_pgm(r["recon_path"]) for r in rows[: args.strip] if r["recon_path"]]
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    table = aggregate(rows)
+    cols = ["task", "config", "n"] + [f"{c}_{s}" for c in _METRIC_COLUMNS
+                                      for s in ("mean", "std", "dropped")]
+    _write_csv(out / "summary.csv", cols, [[entry.get(c) for c in cols] for entry in table])
+    for entry in table:
+        print(" ".join(f"{k}={v}" for k, v in entry.items()))
+    if named:
+        write_toy2d_svg(out / "trajectories.svg", named)
+    if imgs:
+        write_image_strip(out / "strip.pgm", imgs)
     return 0
 
 
@@ -449,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="write builtin demo assets")
     p.add_argument("--out", required=True)
     p.add_argument("--n-per-class", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--bandwidth", type=float, default=datasets.DEFAULT_BANDWIDTH)
     p.set_defaults(func=cmd_demo)
 
@@ -457,10 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--op", required=True, help="e.g. gblur:size=7,sigma=1.5")
     p.add_argument("--sigma-y", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--images", help="directory of PGM inputs")
     p.add_argument("--demo", action="store_true", help="use builtin shapes32 inputs")
-    p.add_argument("--demo-seed", type=int, default=0)
+    p.add_argument("--demo-seed", type=_seed, default=0)
     p.add_argument("--n-per-class", type=int, default=30)
     p.add_argument("--limit", type=int, default=0)
     p.set_defaults(func=cmd_degrade)
@@ -480,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", default="auto", help="'auto', 'none', or a label")
     p.add_argument("--seeds", default="0:1")
     p.add_argument("--sigma-y", type=float, default=0.01, help="toy2d observation noise")
-    p.add_argument("--demo-seed", type=int, default=0)
+    p.add_argument("--demo-seed", type=_seed, default=0)
     p.add_argument("--n-per-class", type=int, default=30)
     p.add_argument("--bandwidth", type=float, default=datasets.DEFAULT_BANDWIDTH,
                    help="kernel bandwidth for the builtin exemplar mixture")

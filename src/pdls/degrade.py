@@ -79,7 +79,11 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     if size == 1:
         return np.array([[1.0]])
     r = np.arange(size) - (size - 1) / 2
-    g = np.exp(-(r**2) / (2.0 * sigma**2))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            g = np.exp(-(r**2) / (2.0 * sigma**2))
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"sigma {sigma} overflows a size-{size} kernel") from None
     k = np.outer(g, g)
     return k / k.sum()
 
@@ -111,20 +115,27 @@ def motion_kernel(size: int, intensity: float, angle: float = 45.0) -> np.ndarra
     return k / k.sum()
 
 
+class _Parametric:
+    """An operator whose descriptor is its _OPERATORS name and its dataclass fields."""
+
+    def descriptor(self) -> str:
+        """The text parse_descriptor reads back into this operator."""
+        name = next(key for key, cls in _OPERATORS.items() if cls is type(self))
+        params = ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return f"{name}:{params}" if params else name
+
+
 @dataclass(frozen=True)
-class GaussianBlur:
+class GaussianBlur(_Parametric):
     size: int = 7
     sigma: float = 1.5
 
     def kernel(self) -> np.ndarray:
         return gaussian_kernel(self.size, self.sigma)
 
-    def descriptor(self) -> str:
-        return f"gblur:size={self.size},sigma={self.sigma}"
-
 
 @dataclass(frozen=True)
-class MotionBlur:
+class MotionBlur(_Parametric):
     size: int = 7
     intensity: float = 0.5
     angle: float = 45.0
@@ -132,20 +143,14 @@ class MotionBlur:
     def kernel(self) -> np.ndarray:
         return motion_kernel(self.size, self.intensity, self.angle)
 
-    def descriptor(self) -> str:
-        return f"mblur:size={self.size},intensity={self.intensity},angle={self.angle}"
-
 
 @dataclass(frozen=True)
-class Downsample:
+class Downsample(_Parametric):
     factor: int = 8
 
     def __post_init__(self):
         if self.factor < 1:
             raise ValueError("factor must be >= 1")
-
-    def descriptor(self) -> str:
-        return f"sr:factor={self.factor}"
 
 
 @dataclass(frozen=True)
@@ -164,9 +169,8 @@ class FreeformMask:
 
 
 @dataclass(frozen=True)
-class Identity:
-    def descriptor(self) -> str:
-        return "id"
+class Identity(_Parametric):
+    """y = x: the operator of a plain denoising task."""
 
 
 DegradationOperator = GaussianBlur | MotionBlur | Downsample | FreeformMask | Identity
@@ -248,8 +252,6 @@ def make_freeform_mask(width: int, height: int, coverage: float, seed: int) -> I
             cx = np.clip(cx + radius * np.cos(heading), 0, width - 1)
         if stamps > max_stamps:
             raise RuntimeError("could not reach requested mask coverage")
-    if not mask.any():
-        mask[int(rng.integers(height)), int(rng.integers(width))] = True
     return ImageGrid(mask.astype(float))
 
 

@@ -126,9 +126,6 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def label_set(self) -> frozenset:
-        return frozenset(self.labels)
-
     def log_weights(self, cond: "Condition") -> np.ndarray:
         """(K,) log-weights under cond, -inf for the components it excludes (cached)."""
         row = self._log_w_rows.get(cond)
@@ -191,7 +188,7 @@ class Condition:
         """Indices of the mixture components this condition keeps."""
         if self.labels is None:
             return np.arange(mixture.n_components)
-        unknown = self.labels - mixture.label_set()
+        unknown = self.labels - set(mixture.labels)
         if unknown:
             raise ValueError(f"condition labels not in mixture: {sorted(map(str, unknown))}")
         idx = np.array([i for i, lb in enumerate(mixture.labels) if lb in self.labels])

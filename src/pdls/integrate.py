@@ -121,9 +121,11 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 def trajectory_from_csv(text: str) -> Trajectory:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
     if not header or header[0] != "t":
         raise ValueError("malformed trajectory CSV header")
     rows = [list(map(float, r)) for r in reader if r]
+    if not rows:
+        raise ValueError("trajectory CSV has no rows")
     arr = np.asarray(rows)
     return Trajectory(TimeGrid(arr[:, 0]), arr[:, 1:])

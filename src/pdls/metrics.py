@@ -101,9 +101,7 @@ def class_accuracy(reconstruction, mixture: GaussianMixture, true_label) -> int:
     """1 iff the nearest component mean carries true_label; ties break to the
     lowest component index."""
     x = np.asarray(reconstruction, dtype=float)
-    if any(lb is None for lb in mixture.labels):
-        raise ValueError("mixture components must be labeled")
-    return int(mixture.labels[_nearest_mean(x, mixture)] == true_label)
+    return int(mixture.labels[_nearest_means(x[None], mixture)[0]] == true_label)
 
 
 def _nearest_means(x, mixture: GaussianMixture) -> np.ndarray:

@@ -331,9 +331,7 @@ class RestoreResult:
     @functools.cached_property
     def diagnostics(self) -> tuple:
         """(step, t, eta, dist_to_target) at every generation node."""
-        # Generation node k is inversion node n - k.
-        s = self._paths.inversion.states[::-1]
-        target = 0.5 * (s[:, self._row] + s[:, self._paths.pair[self._row]])
+        target = self._paths.target(slice(None, None, -1))[:, self._row]
         dists = np.linalg.norm(self._generated.states[:, self._row] - target, axis=1)
         nodes = self._generated.grid.nodes
         etas = [float(eta(self._config, float(t))) for t in nodes]

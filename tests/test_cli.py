@@ -18,6 +18,7 @@ from pdls.cli import aggregate, build_parser, main
 from pdls.datasets import shapes32_mixture
 from pdls.degrade import ImageGrid
 from pdls.fileio import read_mixture, read_pgm, write_mixture, write_pgm
+from pdls.flowfield import Condition
 
 
 def run(*argv):
@@ -324,6 +325,38 @@ class TestRestore:
         assert run("restore", "--out", out, "--task", "toy2d",
                    "--config", cfgfile, "--seeds", "0:1") == 0
 
+    @pytest.mark.parametrize("prompt, condition", [("none", Condition.null()),
+                                                   ("square", Condition.of("square"))])
+    def test_a_fixed_prompt_conditions_every_record_on_it(self, tmp_path, monkeypatch,
+                                                          prompt, condition):
+        deg = tmp_path / "deg"
+        assert run("degrade", "--out", deg, "--op", "gblur:size=7,sigma=1.5",
+                   "--demo", "--n-per-class", 1) == 0
+        calls, real = [], cli.restore
+
+        def spy(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, "restore", spy)
+        assert run("restore", "--out", tmp_path / "res", "--manifest", deg / "manifest.json",
+                   "--n-per-class", 2, "--steps", 6, "--seeds", "0:2", "--prompt", prompt) == 0
+        [((_, _, prompts, _, _), results)] = calls
+        assert prompts == [condition] * 6  # 3 records x 2 seeds
+        # The same restore, built from the manifest's files without the CLI.
+        manifest = json.loads((deg / "manifest.json").read_text())
+        observed = [read_pgm(deg / r["observed"]).flatten() for r in manifest["records"]]
+        want = pipeline.restore(np.repeat(observed, 2, axis=0), shapes32_mixture(2, 0),
+                                [condition] * 6, pipeline.PdlsConfig(n_steps=6), [0, 1] * 3)
+        for got, expected in zip(results, want, strict=True):
+            assert np.array_equal(got.restored, expected.restored)
+
+    def test_unknown_prompt_label_is_a_config_error(self, tmp_path, capsys):
+        assert run("restore", "--out", tmp_path / "toy", "--task", "toy2d",
+                   "--prompt", "triangle") == 2
+        assert capsys.readouterr().err == ("config error: condition labels not in mixture: "
+                                           "['triangle']\n")
+
     def test_config_hash_values_are_pinned(self, tmp_path):
         # New metric rows group with existing run directories in 'bench' only
         # while these hashes stay fixed.
@@ -516,6 +549,65 @@ class TestBench:
         assert not np.array_equal(expected[0], expected[3])
         for i, tile in enumerate(expected):
             assert np.array_equal(strip[:, 33 * i: 33 * i + 32], tile)
+
+
+# Flag values the CLI rejects before it makes --out: (argv without --out, exit
+# code, text the one error line names). {cfg} is a config file holding
+# n_steps=2.5, {metrics} a toy run's metrics file, and {traj} a directory whose
+# steered_path.csv is empty ("empty-trajectory") or a header alone.
+_REJECTED = {
+    "negative-seeds": (("restore", "--task", "toy2d", "--seeds=-1,2"), 2, "--seeds '-1,2'"),
+    "negative-seed-range": (("restore", "--task", "toy2d", "--seeds=-2:0"), 2, "--seeds"),
+    "demo-negative-seed": (("demo", "--seed", "-1"), 2, "argument --seed: '-1'"),
+    "degrade-negative-demo-seed": (("degrade", "--op", "id", "--demo", "--demo-seed", "-1"),
+                                   2, "argument --demo-seed: '-1'"),
+    "degrade-negative-seed": (("degrade", "--op", "id", "--demo", "--seed", "-3",
+                               "--n-per-class", "1"), 2, "argument --seed: '-3'"),
+    "restore-negative-demo-seed": (("restore", "--task", "toy2d", "--demo-seed", "-4"),
+                                   2, "argument --demo-seed: '-4'"),
+    "gblur-huge-sigma": (("degrade", "--op", "gblur:sigma=1e200", "--demo",
+                          "--n-per-class", "1"), 2, "sigma 1e+200 overflows"),
+    "gblur-tiny-sigma": (("degrade", "--op", "gblur:sigma=1e-200", "--demo",
+                          "--n-per-class", "1"), 2, "sigma 1e-200 overflows"),
+    "config-not-an-int": (("restore", "--task", "toy2d", "--config", "{cfg}"), 2,
+                          "config file {cfg}: n_steps must be int, not '2.5'"),
+    "negative-strip": (("bench", "--metrics", "{metrics}", "--strip", "-1"), 2, "--strip"),
+    "empty-trajectory": (("bench", "--metrics", "{metrics}", "--trajectories", "{traj}"), 4,
+                         "{traj}/steered_path.csv: malformed trajectory CSV header"),
+    "header-only-trajectory": (("bench", "--metrics", "{metrics}", "--trajectories", "{traj}"),
+                               4, "{traj}/steered_path.csv: trajectory CSV has no rows"),
+}
+
+
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy_run")
+    assert run("restore", "--out", out, "--task", "toy2d", "--seeds", "0:2", "--steps", 4) == 0
+    return out
+
+
+@pytest.mark.parametrize("case", _REJECTED)
+def test_rejected_flag_exits_with_one_error_line(tmp_path, capsys, toy_run, case):
+    argv, code, named = _REJECTED[case]
+    traj = tmp_path / "traj"
+    traj.mkdir()
+    (traj / "steered_path.csv").write_text("" if case == "empty-trajectory" else "t,x_0,x_1\n")
+    cfg = tmp_path / "cfg"
+    cfg.write_text("n_steps=2.5\n")
+    paths = {"cfg": cfg, "metrics": toy_run / "metrics.csv", "traj": traj}
+    out = tmp_path / "out"
+    try:
+        got = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+    except SystemExit as exc:  # argparse rejects a flag's type after its usage line
+        got = exc.code
+        usage, *lines = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: pdls ")
+        lines = [ln for ln in lines if not ln.startswith(" ")]
+    else:
+        lines = capsys.readouterr().err.splitlines()
+    assert got == code
+    assert len(lines) == 1 and named.format(**paths) in lines[0]
+    assert not out.exists()
 
 
 def test_runs_in_one_process_share_one_parser(tmp_path):

@@ -1,5 +1,7 @@
 """Degradation-operator tests: kernels, linearity, noise, masks, parsing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -58,6 +60,23 @@ class TestGaussianKernel:
     def test_sigma_that_is_not_finite_and_positive_rejected(self, size, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and positive"):
             gaussian_kernel(size, sigma)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1.35e154, 5e-155, 1e-200, 5e-324])
+    def test_sigma_that_overflows_the_kernel_rejected(self, sigma):
+        # sigma^2 overflows, r^2 / (2 sigma^2) overflows, or sigma^2 underflows to 0
+        # and the centre weight is 0 / 0.
+        with pytest.raises(ValueError, match=re.escape(f"sigma {sigma} overflows a size-7 kernel")):
+            gaussian_kernel(7, sigma)
+
+    def test_extreme_sigma_that_computes_keeps_its_kernel(self):
+        # 2 sigma^2 rounds to inf (every weight 1) or every off-centre weight
+        # underflows to 0; neither overflows, and size 1 computes nothing.
+        assert np.array_equal(gaussian_kernel(7, 1.3e154), np.full((7, 7), 1 / 49))
+        delta = np.zeros((7, 7))
+        delta[3, 3] = 1.0
+        assert np.array_equal(gaussian_kernel(7, 1e-150), delta)
+        assert np.array_equal(gaussian_kernel(1, 1e200), [[1.0]])
+        assert np.array_equal(gaussian_kernel(1, 1e-200), [[1.0]])
 
 
 class TestMotionKernel:

@@ -142,3 +142,9 @@ class TestTrajectoryCsv:
     def test_malformed_header_raises(self):
         with pytest.raises(ValueError, match="malformed trajectory"):
             trajectory_from_csv("time,x_0\n0.0,1.0\n")
+
+    def test_truncated_file_raises(self):
+        with pytest.raises(ValueError, match="malformed trajectory CSV header"):
+            trajectory_from_csv("")
+        with pytest.raises(ValueError, match="trajectory CSV has no rows"):
+            trajectory_from_csv("t,x_0,x_1\n")

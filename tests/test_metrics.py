@@ -30,6 +30,12 @@ def convolved_ssim(a, b, peak=1.0):
     return float(np.mean(num / den))
 
 
+def direct_accuracy(x, mixture, label):
+    """class_accuracy by the direct squared distances, the oracle for the expanded form."""
+    nearest = np.argmin(np.sum((mixture.means - x[None, :]) ** 2, axis=1))
+    return int(mixture.labels[nearest] == label)
+
+
 def degraded_pairs():
     """shapes32 sources and their blurred, noisy observations, as ImageGrids."""
     sources = [img for img, _ in shapes32_dataset(4, seed=1)]
@@ -182,13 +188,14 @@ class TestBatchedReport:
         assert [r.mse for r in reps] == [float(np.mean((x - y) ** 2)) for x, y in zip(xs, refs)]
         assert [r.psnr_db for r in reps] == [psnr(x, y) for x, y in zip(xs, refs)]
         assert [r.class_accuracy for r in reps] == [
-            class_accuracy(x, mixture, lb) for x, lb in zip(xs, labels)]
+            direct_accuracy(x, mixture, lb) for x, lb in zip(xs, labels)]
 
     def test_class_accuracy_on_ties_and_near_ties(self):
         # Row i lies between means 2i ("a") and 2i + 1 ("b"): offsets e and a
         # permutation of e scaled by 1 + s, so the two distances tie or
         # nearly tie. The expanded distances cannot order such pairs; the
-        # batch must still give class_accuracy's integer for every row.
+        # batch and class_accuracy must still give the direct form's integer
+        # for every row.
         rng = np.random.default_rng(0)
         xs, means = [], []
         for s in [0.0, 1e-12, -1e-12, 1e-10] * 25:
@@ -204,6 +211,7 @@ class TestBatchedReport:
         images = [ImageGrid(x.reshape(12, 12)) for x in xs]
         reports = report(images, images, mixture, ["a"] * len(xs))
         got = [rep.class_accuracy for rep in reports]
+        assert got == [direct_accuracy(x, mixture, "a") for x in xs]
         assert got == [class_accuracy(x, mixture, "a") for x in xs]
         assert 0 < sum(got) < len(xs) and got[-1] == 1
 
