@@ -1,7 +1,7 @@
 """Command-line driver: demo assets, degradation, restoration, benchmarks.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O error.
+Exit codes: 0 success (and --help), 2 configuration error (argparse's
+rejections included), 3 numerical failure, 4 I/O error.
 
 restore has one driver for both tasks: a task only builds its jobs, (input
 id, observation, reference, label, seed) tuples, which run through one
@@ -199,12 +199,18 @@ def cmd_degrade(args) -> int:
 # ---------------------------------------------------------------- restore
 
 
-def _prompt_for(args, label) -> Condition:
-    if args.prompt == "auto":
-        return Condition.of(label)
+def _prompts(args, mixture, labels) -> list[Condition]:
+    """Each job's prompt under --prompt, every label checked against the mixture's."""
     if args.prompt == "none":
-        return Condition.null()
-    return Condition.of(args.prompt)
+        return [Condition.null()] * len(labels)
+    if args.prompt != "auto":
+        labels = [args.prompt] * len(labels)
+    unknown = set(labels) - set(mixture.labels)
+    if unknown:
+        known = sorted(set(map(str, mixture.labels)))
+        raise ValueError(f"--prompt {args.prompt}: labels {sorted(map(str, unknown))} are not "
+                         f"in the mixture, whose labels are {known}")
+    return [Condition.of(label) for label in labels]
 
 
 def _restore_input(observed: degrade.ImageGrid, operator: str,
@@ -306,13 +312,13 @@ def cmd_restore(args) -> int:
     images = args.task == "image"
     task, mixture, extra, jobs = (_image_jobs if images else _toy_jobs)(args, seeds)
     config = config_hash(cfg, {"prompt": args.prompt, **extra})
+    prompts = _prompts(args, mixture, [label for _, _, _, label, _ in jobs])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     if jobs:
         ids, observed, refs, labels, job_seeds = zip(*jobs)
-        results = restore(np.stack(observed), mixture,
-                          [_prompt_for(args, label) for label in labels], cfg, list(job_seeds))
+        results = restore(np.stack(observed), mixture, prompts, cfg, list(job_seeds))
         recons = [degrade.ImageGrid.from_vector(r.restored, ref.height, ref.width)
                   if images else r.restored for r, ref in zip(results, refs)]
         reports = metrics.report(recons, refs, mixture, labels)
@@ -450,11 +456,19 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------- entry
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (and, through add_subparsers, subcommand parsers) whose
+    rejections raise ValueError, which main() reports as one config error line,
+    instead of printing the usage and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; every main() call reuses it."""
-    parser = argparse.ArgumentParser(prog="pdls",
-                                     description="Dual-path flow inversion toolkit")
+    parser = _Parser(prog="pdls", description="Dual-path flow inversion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("demo", help="write builtin demo assets")

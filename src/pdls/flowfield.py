@@ -23,16 +23,35 @@ Condition shared by every row or under (n, K) log-weight rows, one per
 point. A condition is a row of log-weights with -inf for the components it
 excludes (GaussianMixture.log_weights), so the rows of one batch can carry
 different conditions, and a caller that evaluates one batch many times
-stacks its rows once. Squared distances are expanded as
-||x||^2 - 2t x.mu^T + t^2 ||mu||^2 and the endpoint mean (or, folded into
-the same coefficients, the velocity) is mixed by a second matrix product,
-so a batch costs two (n, d) x (d, K) GEMMs and builds no (n, K, d)
-temporaries.
+stacks its rows once.
+
+What depends on t alone is folded into the constants of a node, built once
+per time on the mixture and kept in a bounded cache keyed on t. With
+s_k^2 = (1-t)^2 + t^2 sigma_k^2 and ||x - t mu_k||^2 expanded, the
+log-density of component k is
+
+    x.lin_k + ||x||^2 quad_k + const_k,   lin = mu^T 2t / 2s^2 (d, K),
+    quad = -1 / 2s^2,   const = -0.5 d log(2 pi s^2) - t^2 ||mu||^2 / 2s^2,
+
+one GEMM and three in-place adds, and the velocity is one GEMM r @ vmat,
+vmat = [(1 - t c) / (1 - t) mu | c / (1 - t)] (K, d + 1), c_k =
+t sigma_k^2 / s_k^2, and one (n, d) update, so a batch builds no (n, K, d)
+temporaries. An integration hands its grid's times to the mixture before
+its first step, which builds all their nodes in one vectorised pass over
+(T, K) arrays; a node built alone comes from the same function, bitwise
+equal. Near t = 1 the folded terms are of order ||x||^2 / 2s^2 (about 1e6
+on shapes32) before they cancel, so they round differently from distances
+scaled afterwards; a test holds the result to 3 times the float64 direct
+form's own error against tests/data/make_truth.py's longdouble restores.
+The fold scales x by up to 1 / EPS_T^2 before any term is summed, so
+pipeline.restore rejects observations whose exponent would overflow.
 
 Responsibilities are normalised by _logsumexp_rows, a replica of
 scipy.special.logsumexp's arithmetic for real rows: scipy's own function
 spends most of its time on array-API dispatch at the (1-180, K) sizes of a
-restore, and the replica keeps its results bitwise, so outputs do not move.
+restore, and the replica keeps its results bitwise. A plain max-shift
+softmax would save a few numpy calls more, but it failed 2 of the 12
+shapes32-manifest checks against benchmarks/references.npz (1e-12).
 Where every row's maximum is finite and occurs once (all evaluations of a
 shapes32 restore but its t = 0 one, where equally weighted components tie),
 the replica's count of maxima is 1, and dividing by it and adding its log
@@ -43,16 +62,11 @@ errstate, so a point so far out that every component's log-density is -inf
 gets NaN responsibilities, which integrate's finiteness check reports,
 instead of a numpy warning.
 
-What depends on t alone (the log-normaliser 0.5 d log(2 pi s_k^2), 2 s_k^2,
-t^2 ||mu_k||^2, the gains c_k and the velocity coefficients
-(1 - t c_k) / (1 - t)) is built once per time on the mixture, by the same
-expressions, and kept in a bounded cache keyed on t: an integration on a
-fixed grid evaluates the field at the same few dozen times in every call,
-and at the (n, r + 2) sizes of a reduced-coordinate restore an evaluation
-costs numpy calls, not arithmetic (a 2-row shapes32 evaluation on the
-K + 2 = 92 coordinates of an earlier frame took 77-115 us with the
-constants built per call, 47-51 us cached, on one OpenBLAS thread of a
-2-vCPU machine).
+At the (n, r + 2) sizes of a reduced-coordinate restore an evaluation costs
+numpy calls, not arithmetic: a 2-row shapes32 evaluation took 36-49 us with
+the distances scaled per call and 28-40 us folded (the best of 7 x 3 x 2,000
+calls in each of 5 interleaved runs, on one OpenBLAS thread of a 2-vCPU
+machine whose core speed varies about 1.5x).
 """
 
 from __future__ import annotations
@@ -68,8 +82,9 @@ import numpy as np
 # evaluated at a step's start node.
 EPS_T = 1e-3
 
-# Times whose field constants a mixture keeps (GaussianMixture._node). A
-# 28-step restore evaluates about 58; past the bound the cache starts over.
+# Times whose field constants a mixture keeps (GaussianMixture._node), each
+# node two (K, d)-sized matrices. A 28-step restore evaluates about 56; past
+# the bound the cache starts over.
 _MAX_NODES = 256
 
 
@@ -141,29 +156,49 @@ class GaussianMixture:
         """The field's constants at time t over all components (cached, built on first use)."""
         node = self._nodes.get(t)
         if node is None:
-            if len(self._nodes) >= _MAX_NODES:
-                self._nodes.clear()
-            node = self._nodes[t] = _Node.of(self, t)
+            self._add_nodes([t])
+            node = self._nodes[t]
         return node
+
+    def _add_nodes(self, times) -> None:
+        """Build, in one pass, the constants of each of times that has none yet,
+        clamped into [0, 1 - EPS_T] as the field clamps them. An integration
+        hands in its grid's times before its first step. Past _MAX_NODES the
+        cache starts over with these times."""
+        times = np.minimum(np.asarray(times, dtype=float), 1.0 - EPS_T)
+        times = list(dict.fromkeys(times.tolist()))
+        new = [t for t in times if t not in self._nodes]
+        if len(self._nodes) + len(new) > _MAX_NODES:
+            self._nodes.clear()
+            new = times
+        if new:
+            self._nodes.update(zip(new, _build_nodes(self, np.array(new))))
 
 
 class _Node(NamedTuple):
-    """What the field needs at one time t < 1, s_k^2 = (1-t)^2 + t^2 sigma_k^2 > 0."""
+    """What the field needs at one time t < 1, s_k^2 = (1-t)^2 + t^2 sigma_k^2 > 0,
+    with the time-only terms folded in (see the module docstring)."""
 
-    log_norm: np.ndarray  # 0.5 d log(2 pi s_k^2), d the ambient dimension
-    two_s2: np.ndarray  # 2 s_k^2
-    t2_mean_sq: np.ndarray  # t^2 ||mu_k||^2
-    coef: np.ndarray  # c_k = t sigma_k^2 / s_k^2
-    vel_coef: np.ndarray  # (1 - t c_k) / (1 - t)
+    lin: np.ndarray  # (d, K) mu^T 2t / 2s_k^2
+    quad: np.ndarray  # (K,) -1 / 2s_k^2
+    const: np.ndarray  # (K,) -0.5 d log(2 pi s_k^2) - t^2 ||mu_k||^2 / 2s_k^2, d ambient
+    coef: np.ndarray  # (K,) c_k = t sigma_k^2 / s_k^2
+    vmat: np.ndarray  # (K, d + 1) [(1 - t c_k) / (1 - t) mu_k | c_k / (1 - t)]
 
-    @classmethod
-    def of(cls, mixture: GaussianMixture, t: float) -> "_Node":
-        var = mixture.variances
-        s2 = (1.0 - t) ** 2 + t**2 * var
-        log_norm = 0.5 * mixture._ambient_dim * np.log(2.0 * np.pi * s2)
-        coef = t * var / s2
-        vel_coef = (1.0 - t * coef) / (1.0 - t)
-        return cls(log_norm, 2.0 * s2, (t * t) * mixture.mean_sq, coef, vel_coef)
+
+def _build_nodes(mixture: GaussianMixture, t: np.ndarray) -> list:
+    """The _Nodes of the times t (T,), each a view of (T, K) and (T, K, d) arrays built at once."""
+    t = t[:, None]
+    var, means = mixture.variances, mixture.means
+    s2 = (1.0 - t) ** 2 + t**2 * var
+    two_s2 = 2.0 * s2
+    log_norm = 0.5 * mixture._ambient_dim * np.log(2.0 * np.pi * s2)
+    const = -log_norm - (t * t) * mixture.mean_sq / two_s2
+    coef = t * var / s2
+    lin = means.T * ((2.0 * t) / two_s2)[:, None, :]
+    vmat = np.concatenate([((1.0 - t * coef) / (1.0 - t))[..., None] * means,
+                           (coef / (1.0 - t))[..., None]], axis=2)
+    return list(map(_Node, lin, -1.0 / two_s2, const, coef, vmat))
 
 
 @dataclass(frozen=True)
@@ -255,11 +290,13 @@ def _logsumexp_rows(a: np.ndarray, subtract: bool = False) -> np.ndarray:
         return a - out if subtract else out
 
 
-def _sq_distances(xb, t, means, t2_mean_sq):
-    """(n, K) squared distances ||x - t mu||^2 = ||x||^2 - 2t x.mu + t^2 ||mu||^2,
-    given t2_mean_sq = t^2 ||mu||^2."""
-    x_sq = np.einsum("nd,nd->n", xb, xb)
-    return x_sq[:, None] - (2.0 * t) * (xb @ means.T) + t2_mean_sq
+def _log_densities(xb, node: _Node):
+    """(n, K) log N(x; t mu_k, s_k^2 I) = x.lin + ||x||^2 quad + const, the expanded
+    squared distance ||x||^2 - 2t x.mu + t^2 ||mu||^2 with node's terms folded in."""
+    logp = xb @ node.lin
+    logp += np.einsum("nd,nd->n", xb, xb)[:, None] * node.quad
+    logp += node.const
+    return logp
 
 
 def _posterior(xb, t, mixture: GaussianMixture, cond):
@@ -271,9 +308,10 @@ def _posterior(xb, t, mixture: GaussianMixture, cond):
     t = min(t, 1.0 - EPS_T)
     node = mixture._node(t)
     logw = _log_weight_rows(mixture, cond, xb.shape[0])
-    sq = _sq_distances(xb, t, mixture.means, node.t2_mean_sq)
-    logp = logw - node.log_norm - sq / node.two_s2
-    return np.exp(_logsumexp_rows(logp, subtract=True)), node, t
+    logp = _log_densities(xb, node)
+    logp += logw
+    r = _logsumexp_rows(logp, subtract=True)
+    return np.exp(r, out=r), node, t
 
 
 def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
@@ -312,16 +350,17 @@ def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
     """Exact marginal velocity (posterior_endpoint_mean(x, t) - x) / (1 - t).
 
     The endpoint mean is affine in x, so the velocity is too, and it is
-    computed in that form with the 1/(1-t) folded into the coefficients:
-        (r * (1 - t c) / (1 - t)) @ mu + ((r @ c - 1) / (1 - t)) x,
-    one GEMM and one (n, d) update.
+    computed in that form with the 1/(1-t) folded into the node's (K, d + 1)
+    matrix [(1 - t c) / (1 - t) mu | c / (1 - t)]: one GEMM r @ vmat = [a | b]
+    and one (n, d) update a + (b - 1 / (1 - t)) x.
     Times past 1 - EPS_T are clamped to it (see EPS_T).
     Accepts a single point or a batch, under one Condition or (n, K) log-weight rows.
     """
     xb, single = _check_points(x, mixture)
     r, node, t = _posterior(xb, t, mixture, cond)
-    out = ((r * node.vel_coef) @ mixture.means
-           + ((r @ node.coef - 1.0) / (1.0 - t))[:, None] * xb)
+    y = r @ node.vmat
+    out = y[:, :-1]
+    out += (y[:, -1] - 1.0 / (1.0 - t))[:, None] * xb
     return out[0] if single else out
 
 

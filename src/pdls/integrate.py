@@ -93,19 +93,22 @@ def integrate(x0, grid: TimeGrid,
     """Explicit Euler along the grid; drift(x, t, k) is the forward-time velocity at node k.
 
     x0 is one point (d,) or a batch (n, d); drift gets and returns the same shape.
+    Each step is written in place into the trajectory's states, whose row k is
+    the x that drift gets, so drift must not write to it.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
+    x0 = np.asarray(x0, dtype=float)
+    if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
-    states = np.empty((grid.n_steps + 1,) + x.shape)
-    states[0] = x
+    states = np.empty((grid.n_steps + 1,) + x0.shape)
+    states[0] = x0
     nodes = grid.nodes
     for k, (t, dt) in enumerate(zip(nodes[:-1].tolist(), np.diff(nodes).tolist())):
+        x = states[k]
         v = np.asarray(drift(x, t, k), dtype=float)
         if v.shape != x.shape or not np.isfinite(v).all():
             raise DriftDivergedError(f"drift diverged at step {k}")
-        x = x + dt * v
-        states[k + 1] = x
+        np.multiply(v, dt, out=states[k + 1])
+        states[k + 1] += x
     return Trajectory(grid, states)
 
 

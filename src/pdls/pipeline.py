@@ -46,15 +46,18 @@ diagnostics and its latent norms are built on first access.
 
 At the default 28 steps, restored and the latent norms agree with the
 direct (n, K, d) form of the field within 1e-12 relative (restored within
-2.9e-13 on a whole shapes32 manifest at gblur sigma 1.5). On small
+4.0e-13 on a whole shapes32 manifest at gblur sigma 1.5). On small
 mixtures the trajectories agree as closely with the full-space
 composition, but on that manifest the worst inversion trajectory (row 4)
-is within 1.8e-11 of the direct form only, about as close as the
-full-space batched field gets (1.5e-11): the first inversion step scales
-the field's rounding by dt / (1 - t) at t = 1 - EPS_T. The promise does
-not cover the diagnostics' dist_to_target, a difference of nearly equal
-states (worst measured row 3.5e-11 at gblur sigma 1.5, 1.4e-12 at 3.0),
-nor few steps: at 2 steps the agreement is about 2e-12.
+is within 1.3e-11 of the direct form only (4.9e-12 at sigma 3.0): the
+first inversion step scales the field's rounding by dt / (1 - t) at
+t = 1 - EPS_T. Neither form is the exact answer there: against a restore
+recomputed in longdouble (tests/data/make_truth.py), row 4's inversion is
+2.8e-11 off and the direct form's 1.5e-11, and row 15's both 2.3e-11. The
+promise does not cover the diagnostics' dist_to_target, a difference of
+nearly equal states (worst measured row 3.3e-11 at gblur sigma 1.5,
+7.3e-12 at 3.0), nor few steps: at 2 steps the agreement on that manifest
+is about 1e-10.
 """
 
 from __future__ import annotations
@@ -72,10 +75,17 @@ from .flowfield import (
     endpoint_conditional_velocity,
     marginal_velocity,
 )
-from .integrate import Trajectory, integrate, make_grid
+from .integrate import DriftDivergedError, Trajectory, integrate, make_grid
 
 INIT_MODES = ("structural", "semantic", "mixed")
 BASE_CONDITIONS = ("prompt", "null")
+
+# The largest observation norm restore() integrates. For t <= 1 - EPS_T,
+# s_k^2 >= EPS_T^2, so where ||x|| and the means' norms are at most
+# _MAX_NORM, each of the field's folded exponent terms x.lin, ||x||^2 quad
+# and t^2 ||mu_k||^2 / 2s_k^2 is at most _MAX_NORM^2 / EPS_T^2 = max / 4, and
+# their sum does not overflow.
+_MAX_NORM = EPS_T * np.sqrt(np.finfo(float).max / 4)
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,7 @@ def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
     if z0.shape != observed.shape:
         raise ValueError("z0 must have the shape of observed")
     grid = make_grid(config.n_steps, 1.0, 0.0)
+    mixture._add_nodes(grid.nodes[:-1])
 
     def drift(x, t, k):
         guided = endpoint_conditional_velocity(x, t, z0)
@@ -201,8 +212,9 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
     n = inv_nodes.size - 1
     gen_grid = make_grid(n, 0.0, 1.0)
     # The generation grid must be the exact reversal of the inversion grid.
-    if not np.allclose(inv_nodes[::-1], gen_grid.nodes, rtol=0, atol=1e-12):
+    if not np.abs(inv_nodes[::-1] - gen_grid.nodes).max() <= 1e-12:
         raise ValueError("paths were not produced on the reversal of the generation grid")
+    mixture._add_nodes(gen_grid.nodes[:-1])
 
     # A null-prompt row's pair is the row itself, so "prompt" gives it the null row.
     base_cond = paths.log_weights[paths.pair if config.base_condition == "prompt"
@@ -362,6 +374,12 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     batch = np.atleast_2d(observed)
     if len(prompts) != len(batch) or len(seeds) != len(batch):
         raise ValueError("a batch needs one prompt and one seed per row")
+    # Past _MAX_NORM the field's exponent may overflow. Where ||x||^2 itself
+    # overflows every log-density is -inf and the first drift NaN, so the
+    # whole range is reported as that divergence.
+    big = np.max(np.abs(batch), initial=0.0)
+    if np.isfinite(big) and big * np.sqrt(batch.shape[1]) > _MAX_NORM:
+        raise DriftDivergedError("drift diverged at step 0")
 
     noise = {s: draw_noise(batch.shape[1], s) for s in dict.fromkeys(seeds)}
     z0 = np.stack([noise[s] for s in seeds])

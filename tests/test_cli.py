@@ -352,10 +352,13 @@ class TestRestore:
             assert np.array_equal(got.restored, expected.restored)
 
     def test_unknown_prompt_label_is_a_config_error(self, tmp_path, capsys):
+        # The prompt is resolved against the mixture before --out is made.
         assert run("restore", "--out", tmp_path / "toy", "--task", "toy2d",
                    "--prompt", "triangle") == 2
-        assert capsys.readouterr().err == ("config error: condition labels not in mixture: "
-                                           "['triangle']\n")
+        assert capsys.readouterr().err == (
+            "config error: --prompt triangle: labels ['triangle'] are not in the mixture, "
+            "whose labels are ['A', 'B']\n")
+        assert not (tmp_path / "toy").exists()
 
     def test_config_hash_values_are_pinned(self, tmp_path):
         # New metric rows group with existing run directories in 'bench' only
@@ -596,18 +599,31 @@ def test_rejected_flag_exits_with_one_error_line(tmp_path, capsys, toy_run, case
     cfg.write_text("n_steps=2.5\n")
     paths = {"cfg": cfg, "metrics": toy_run / "metrics.csv", "traj": traj}
     out = tmp_path / "out"
-    try:
-        got = main([a.format(**paths) for a in argv] + ["--out", str(out)])
-    except SystemExit as exc:  # argparse rejects a flag's type after its usage line
-        got = exc.code
-        usage, *lines = capsys.readouterr().err.splitlines()
-        assert usage.startswith("usage: pdls ")
-        lines = [ln for ln in lines if not ln.startswith(" ")]
-    else:
-        lines = capsys.readouterr().err.splitlines()
+    got = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
     assert got == code
     assert len(lines) == 1 and named.format(**paths) in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("restore", "--steps", "x"), ("restore", "--init", "nonsense"),
+                                  ("restore", "--bogus"), ("frobnicate",), ()],
+                         ids=["bad-type", "bad-choice", "unknown-flag", "unknown-command",
+                              "no-command"])
+def test_argparse_rejections_are_one_config_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)] if argv else []) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["restore", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pdls restore")
 
 
 def test_runs_in_one_process_share_one_parser(tmp_path):
@@ -667,10 +683,8 @@ class TestBlasPin:
         out = ("--out", tmp_path / "out", "--steps", 4)
         if case == "config":  # an image task needs --manifest
             assert run("restore", *out) == 2
-        elif case == "usage":  # argparse rejects the choice and exits 2
-            with pytest.raises(SystemExit) as exc:
-                run("restore", *out, "--init", "nonsense")
-            assert exc.value.code == 2
+        elif case == "usage":  # argparse rejects the choice
+            assert run("restore", *out, "--init", "nonsense") == 2
         elif case == "numerical":  # as in test_cli_exits_3_when_the_field_diverges
             field = pipeline.marginal_velocity
             monkeypatch.setattr(pipeline, "marginal_velocity", lambda *a: field(*a) * np.nan)

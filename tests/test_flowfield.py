@@ -23,9 +23,10 @@ from pdls.flowfield import (
     posterior_endpoint_mean,
     responsibilities,
     sample_mixture,
+    _log_densities,
     _logsumexp_rows,
-    _sq_distances,
 )
+from pdls.integrate import make_grid
 
 
 def two_diracs():
@@ -153,13 +154,17 @@ class TestGemmPrecision:
         return mixture, x, 1.0 - EPS_T
 
     def test_squared_distances_within_the_cancellation_bound(self):
+        # The node folds 1 / 2s^2 into the expansion's terms, so the squared
+        # distances' cancellation bound holds divided by 2s^2.
         mixture, x, t = self._case()
-        sq = _sq_distances(x, t, mixture.means, (t * t) * mixture.mean_sq)
-        expected, _, _ = direct_field(x, t, mixture)
+        got = _log_densities(x, mixture._node(t))
+        sq, _, _ = direct_field(x, t, mixture)
+        s2 = (1.0 - t) ** 2 + t**2 * mixture.variances
+        expected = -0.5 * mixture.dim * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
         eps = np.finfo(float).eps
         bound = 4.0 * np.sqrt(mixture.dim) * eps * (
-            np.sum(x * x, axis=1)[:, None] + t**2 * mixture.mean_sq[None, :])
-        assert np.all(np.abs(sq - expected) <= bound)
+            np.sum(x * x, axis=1)[:, None] + t**2 * mixture.mean_sq[None, :]) / (2.0 * s2)
+        assert np.all(np.abs(got - expected) <= bound)
 
     def test_collapsed_rows_agree_on_the_endpoint_mean(self):
         mixture, x, t = self._case()
@@ -504,18 +509,23 @@ def cold(mixture):
 
 
 def inline_velocity(x, t, mixture, cond):
-    """marginal_velocity at t < 1 - EPS_T with its per-time constants computed at
-    every call, as the field computed them before they were cached."""
+    """marginal_velocity at t < 1 - EPS_T with its folded per-time constants
+    computed at every call, by the expressions of flowfield._build_nodes."""
     xb = np.atleast_2d(x)
     logw = np.broadcast_to(mixture.log_weights(cond), (len(xb), mixture.n_components))
+    t = np.array(t)  # numpy's arithmetic, as on _build_nodes' (T, 1) times
     var = mixture.variances
     s2 = (1.0 - t) ** 2 + t**2 * var
-    sq = _sq_distances(xb, t, mixture.means, (t * t) * mixture.mean_sq)
-    logp = logw - 0.5 * mixture._ambient_dim * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
+    two_s2 = 2.0 * s2
+    const = (-0.5 * mixture._ambient_dim * np.log(2.0 * np.pi * s2)
+             - (t * t) * mixture.mean_sq / two_s2)
+    logp = (xb @ (mixture.means.T * ((2.0 * t) / two_s2))
+            + np.einsum("nd,nd->n", xb, xb)[:, None] * (-1.0 / two_s2) + const + logw)
     r = np.exp(logp - _logsumexp_rows(logp))
     coef = t * var / s2
-    out = ((r * ((1.0 - t * coef) / (1.0 - t))) @ mixture.means
-           + ((r @ coef - 1.0) / (1.0 - t))[:, None] * xb)
+    y = r @ np.hstack([((1.0 - t * coef) / (1.0 - t))[:, None] * mixture.means,
+                       (coef / (1.0 - t))[:, None]])
+    out = y[:, :-1] + (y[:, -1] - 1.0 / (1.0 - t))[:, None] * xb
     return out.reshape(np.shape(x))
 
 
@@ -560,6 +570,25 @@ class TestNodeCache:
         want = inline_velocity(x, t, mixture, cond)
         assert np.array_equal(marginal_velocity(x, t, mixture, cond), want)
         assert np.array_equal(marginal_velocity(x, t, mixture, cond), want)
+
+    @settings(deadline=None)
+    @given(field_cases(), st.integers(1, 30))
+    def test_a_node_built_alone_is_bitwise_the_one_built_with_its_grid(self, case, n_steps):
+        mixture = case[0]
+        nodes = make_grid(n_steps, 1.0, 0.0).nodes[:-1]
+        grid = cold(mixture)
+        grid._add_nodes(nodes)
+        for t in np.minimum(nodes, 1.0 - EPS_T).tolist():
+            for a, b in zip(cold(mixture)._node(t), grid._nodes[t]):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_shapes32_nodes_built_alone_equal_those_built_with_their_grid(self):
+        mixture, _, _ = TestGemmPrecision()._case()
+        nodes = make_grid(28, 0.0, 1.0).nodes[:-1]
+        mixture._add_nodes(nodes)
+        for t in nodes.tolist():
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(cold(mixture)._node(t), mixture._nodes[t]))
 
     def test_bounded_over_many_times(self):
         mixture = two_diracs()

@@ -102,6 +102,17 @@ class TestIntegrate:
         # Round trip through the same field is first-order accurate.
         assert np.linalg.norm(back.terminal - [0.2, 0.1]) < 0.05
 
+    def test_a_drift_returning_its_input_steps_bitwise(self):
+        # Each step is written into the states in place; a drift that returns
+        # the state it was given must still step x + dt * v.
+        grid = make_grid(5, 0.0, 1.0)
+        x0 = np.random.default_rng(0).standard_normal((3, 4))
+        want = [x0]
+        for dt in np.diff(grid.nodes).tolist():
+            want.append(want[-1] + dt * want[-1])
+        traj = integrate(x0, grid, lambda x, t, k: x)
+        assert np.array_equal(traj.states, np.stack(want))
+
     def test_determinism(self):
         mix = GaussianMixture([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]], [0.1, 0.1], ["a", "b"])
         grid = make_grid(20, 0.0, 1.0)

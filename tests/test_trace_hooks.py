@@ -44,6 +44,9 @@ def test_every_trace_hook_resolves():
 def test_a_restore_reaches_every_pipeline_hook(monkeypatch):
     # The per-layer metrics count calls of these names, so a drift that
     # stopped calling one through pdls.pipeline would leave its layer at 0.
+    # The calls are counted on a second restore of the same config, so a
+    # cache kept across restores that skips a hooked name fails here on
+    # every run, whatever ran before.
     names = [attr for module, attr, *_ in load_tracing()._hooks() if module == "pdls.pipeline"]
     assert {"marginal_velocity", "eta", "lqr_control", "blend_drift", "integrate",
             "invert_path", "steered_generate"} <= set(names)
@@ -55,10 +58,11 @@ def test_a_restore_reaches_every_pipeline_hook(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    image, label = shapes32_dataset(n_per_class=1)[0]
+    mixture, config = shapes32_mixture(), PdlsConfig(n_steps=6)
+    restore(image.flatten(), mixture, Condition.of(label), config, 0)
     for name in names:
         monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
-    image, label = shapes32_dataset(n_per_class=1)[0]
-    config = PdlsConfig(n_steps=6)
-    restore(image.flatten(), shapes32_mixture(), Condition.of(label), config, 0)
+    restore(image.flatten(), mixture, Condition.of(label), config, 0)
     assert calls["marginal_velocity"] == 2 * config.n_steps
     assert all(calls[name] >= 1 for name in names), calls
