@@ -127,6 +127,7 @@ def _seed(text: str) -> int:
 
 def cmd_demo(args) -> int:
     dataset = datasets.shapes32_dataset(args.n_per_class, args.seed)
+    mixture = datasets.exemplar_mixture(dataset, args.bandwidth)
     out = Path(args.out)
     img_dir = out / "shapes32"
     img_dir.mkdir(parents=True, exist_ok=True)
@@ -139,8 +140,7 @@ def cmd_demo(args) -> int:
         fileio.write_pgm(img_dir / name, img)
         index.append({"file": f"shapes32/{name}", "label": label})
     fileio.write_mixture(out / "toy2d.mix", datasets.toy2d_mixture())
-    fileio.write_mixture(out / "shapes32.mix",
-                         datasets.exemplar_mixture(dataset, args.bandwidth))
+    fileio.write_mixture(out / "shapes32.mix", mixture)
     (out / "index.json").write_text(json.dumps(index, indent=1))
     print(f"wrote {len(dataset)} demo images and mixture files to {out}")
     return 0
@@ -313,21 +313,23 @@ def cmd_restore(args) -> int:
     task, mixture, extra, jobs = (_image_jobs if images else _toy_jobs)(args, seeds)
     config = config_hash(cfg, {"prompt": args.prompt, **extra})
     prompts = _prompts(args, mixture, [label for _, _, _, label, _ in jobs])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    results, recons, reports = [], [], []
     if jobs:
-        ids, observed, refs, labels, job_seeds = zip(*jobs)
+        _, observed, refs, labels, job_seeds = zip(*jobs)
         results = restore(np.stack(observed), mixture, prompts, cfg, list(job_seeds))
         recons = [degrade.ImageGrid.from_vector(r.restored, ref.height, ref.width)
                   if images else r.restored for r, ref in zip(results, refs)]
         reports = metrics.report(recons, refs, mixture, labels)
-        for input_id, seed, recon, rep in zip(ids, job_seeds, recons, reports):
-            recon_path = f"{input_id}_s{seed}_recon.pgm" if images else ""
-            if images:
-                fileio.write_pgm(out / recon_path, recon)
-            rows.append((task, input_id, seed, config, rep.mse, rep.psnr_db, rep.ssim,
-                         rep.class_accuracy, recon_path))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for (input_id, _, _, _, seed), recon, rep in zip(jobs, recons, reports):
+        recon_path = f"{input_id}_s{seed}_recon.pgm" if images else ""
+        if images:
+            fileio.write_pgm(out / recon_path, recon)
+        rows.append((task, input_id, seed, config, rep.mse, rep.psnr_db, rep.ssim,
+                     rep.class_accuracy, recon_path))
+    if results:
         first = results[0]
         if not images:  # the first seed's paths feed the bench plot
             for name, path in (("structural", first.structural), ("semantic", first.semantic),
@@ -425,8 +427,7 @@ def cmd_bench(args) -> int:
                         missing.append(str(r["recon_path"]))
                 rows.append(r)
     if missing:
-        print("missing runs:\n" + "\n".join(missing), file=sys.stderr)
-        return EXIT_IO
+        raise FileNotFoundError(f"missing runs: {', '.join(missing)}")
     named = []
     if args.trajectories:
         for name in ("structural", "semantic", "steered"):

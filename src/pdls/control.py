@@ -44,5 +44,10 @@ def lqr_control(x, target, t):
 
 def blend_drift(base, guided, weight):
     """base + weight * (guided - base): a PdlsConfig's weight, in [0, 1], on
-    two drifts of the state's shape."""
+    two drifts of the state's shape. Weight 0 gives base and weight 1 guided,
+    exactly and whatever the other drift holds."""
+    if weight == 0.0:
+        return base
+    if weight == 1.0:
+        return guided
     return base + weight * (guided - base)

@@ -36,15 +36,17 @@ log-density of component k is
 one GEMM and three in-place adds, and the velocity is one GEMM r @ vmat,
 vmat = [(1 - t c) / (1 - t) mu | c / (1 - t)] (K, d + 1), c_k =
 t sigma_k^2 / s_k^2, and one (n, d) update, so a batch builds no (n, K, d)
-temporaries. An integration hands its grid's times to the mixture before
-its first step, which builds all their nodes in one vectorised pass over
-(T, K) arrays; a node built alone comes from the same function, bitwise
-equal. Near t = 1 the folded terms are of order ||x||^2 / 2s^2 (about 1e6
-on shapes32) before they cancel, so they round differently from distances
-scaled afterwards; a test holds the result to 3 times the float64 direct
-form's own error against tests/data/make_truth.py's longdouble restores.
-The fold scales x by up to 1 / EPS_T^2 before any term is summed, so
-pipeline.restore rejects observations whose exponent would overflow.
+temporaries; the endpoint mean is read back off it, x + (1 - t) v. An
+integration hands its grid's times to the mixture before its first step,
+which builds all their nodes in one vectorised pass over (T, K) arrays; a
+node built alone comes from the same function, bitwise equal. Near t = 1
+the folded terms are of order ||x||^2 / 2s^2 (about 1e6 on shapes32)
+before they cancel, so they round differently from distances scaled
+afterwards; a test holds every row of a restore to 3 times the float64
+direct form's own error against tests/data/make_truth.py's longdouble
+restores, or to 1e-12 where that is more. The fold scales x by up to
+1 / EPS_T^2 before any term is summed, so pipeline.restore rejects
+observations whose exponent would overflow.
 
 Responsibilities are normalised by _logsumexp_rows, a replica of
 scipy.special.logsumexp's arithmetic for real rows: scipy's own function
@@ -176,13 +178,12 @@ class GaussianMixture:
 
 
 class _Node(NamedTuple):
-    """What the field needs at one time t < 1, s_k^2 = (1-t)^2 + t^2 sigma_k^2 > 0,
-    with the time-only terms folded in (see the module docstring)."""
+    """What the field needs at one time t < 1, s_k^2 = (1-t)^2 + t^2 sigma_k^2 > 0 and
+    c_k = t sigma_k^2 / s_k^2, with the time-only terms folded in (see the module docstring)."""
 
     lin: np.ndarray  # (d, K) mu^T 2t / 2s_k^2
     quad: np.ndarray  # (K,) -1 / 2s_k^2
     const: np.ndarray  # (K,) -0.5 d log(2 pi s_k^2) - t^2 ||mu_k||^2 / 2s_k^2, d ambient
-    coef: np.ndarray  # (K,) c_k = t sigma_k^2 / s_k^2
     vmat: np.ndarray  # (K, d + 1) [(1 - t c_k) / (1 - t) mu_k | c_k / (1 - t)]
 
 
@@ -198,7 +199,7 @@ def _build_nodes(mixture: GaussianMixture, t: np.ndarray) -> list:
     lin = means.T * ((2.0 * t) / two_s2)[:, None, :]
     vmat = np.concatenate([((1.0 - t * coef) / (1.0 - t))[..., None] * means,
                            (coef / (1.0 - t))[..., None]], axis=2)
-    return list(map(_Node, lin, -1.0 / two_s2, const, coef, vmat))
+    return list(map(_Node, lin, -1.0 / two_s2, const, vmat))
 
 
 @dataclass(frozen=True)
@@ -331,28 +332,22 @@ def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
 
 
 def posterior_endpoint_mean(x, t, mixture: GaussianMixture, cond=Condition.null()):
-    """E[X_1 | X_t = x] under the (conditioned) mixture.
-
-    Per component, Gaussian conditioning gives
-        E[X_1 | x, k] = mu_k + c_k (x - t mu_k),   c_k = t sigma_k^2 / s_k^2,
-    mixed by the responsibilities r, which is two GEMMs:
-        (r * (1 - t c)) @ mu + (r @ c) x.
-    Times past 1 - EPS_T are clamped to it (see EPS_T).
+    """E[X_1 | X_t = x] = x + (1 - t) marginal_velocity(x, t) under the
+    (conditioned) mixture, with t clamped into [0, 1 - EPS_T] as the field clamps it.
     Accepts a single point or a batch, under one Condition or (n, K) log-weight rows.
     """
-    xb, single = _check_points(x, mixture)
-    r, node, t = _posterior(xb, t, mixture, cond)
-    out = (r * (1.0 - t * node.coef)) @ mixture.means + (r @ node.coef)[:, None] * xb
-    return out[0] if single else out
+    v = marginal_velocity(x, t, mixture, cond)
+    return np.asarray(x, dtype=float) + (1.0 - min(t, 1.0 - EPS_T)) * v
 
 
 def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
-    """Exact marginal velocity (posterior_endpoint_mean(x, t) - x) / (1 - t).
+    """Exact marginal velocity (E[X_1 | X_t = x] - x) / (1 - t).
 
-    The endpoint mean is affine in x, so the velocity is too, and it is
-    computed in that form with the 1/(1-t) folded into the node's (K, d + 1)
-    matrix [(1 - t c) / (1 - t) mu | c / (1 - t)]: one GEMM r @ vmat = [a | b]
-    and one (n, d) update a + (b - 1 / (1 - t)) x.
+    Per component, Gaussian conditioning gives E[X_1 | x, k] = mu_k + c_k (x - t mu_k),
+    mixed by the responsibilities r. That is affine in x, so the velocity is
+    too, and it is computed in that form with the 1/(1-t) folded into the
+    node's vmat [(1 - t c) / (1 - t) mu | c / (1 - t)]: one GEMM r @ vmat =
+    [a | b] and one (n, d) update a + (b - 1 / (1 - t)) x.
     Times past 1 - EPS_T are clamped to it (see EPS_T).
     Accepts a single point or a batch, under one Condition or (n, K) log-weight rows.
     """

@@ -39,14 +39,6 @@ class TimeGrid:
     def n_steps(self) -> int:
         return self.nodes.size - 1
 
-    @property
-    def t_start(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.nodes[-1])
-
 
 def make_grid(n_steps: int, t_start: float, t_end: float) -> TimeGrid:
     """Uniform grid of n_steps+1 nodes from t_start to t_end, endpoints exact.

@@ -92,11 +92,6 @@ def ssim(a, b, peak: float = 1.0):
     return float(score) if a.ndim == 2 else score
 
 
-def _nearest_mean(x, mixture: GaussianMixture) -> int:
-    d2 = np.sum((mixture.means - x[None, :]) ** 2, axis=1)
-    return int(np.argmin(d2))  # argmin takes the first minimum on ties
-
-
 def class_accuracy(reconstruction, mixture: GaussianMixture, true_label) -> int:
     """1 iff the nearest component mean carries true_label; ties break to the
     lowest component index."""
@@ -105,15 +100,16 @@ def class_accuracy(reconstruction, mixture: GaussianMixture, true_label) -> int:
 
 
 def _nearest_means(x, mixture: GaussianMixture) -> np.ndarray:
-    """_nearest_mean of every row of x (n, d), from one matrix product.
+    """The index of the mixture mean nearest to each row of x (n, d), the
+    lowest index on ties, from one matrix product.
 
     The squared distances are expanded as ||x||^2 - 2 x.mu + ||mu||^2. Both
-    that form and the direct one are within about (2d + 6) eps (||x||^2 +
-    ||mu||^2) of the exact distance, so a row whose best two expanded
-    distances are further apart than 9 (d + 3) eps (||x||^2 + max ||mu||^2),
-    more than four such errors, has the same nearest mean either way. Any
-    other row (a tie, a near-tie, a non-finite point) is found by
-    _nearest_mean itself.
+    that form and the direct one ||x - mu||^2 are within about (2d + 6) eps
+    (||x||^2 + ||mu||^2) of the exact distance, so a row whose best two
+    expanded distances are further apart than 9 (d + 3) eps (||x||^2 + max
+    ||mu||^2), more than four such errors, has the same nearest mean either
+    way. The other rows (ties, near-ties, non-finite points) take the direct
+    distances, in one batch.
     """
     if any(lb is None for lb in mixture.labels):
         raise ValueError("mixture components must be labeled")
@@ -123,8 +119,8 @@ def _nearest_means(x, mixture: GaussianMixture) -> np.ndarray:
     if mixture.n_components > 1:
         best = np.partition(d2, 1, axis=1)
         bound = 9 * (x.shape[1] + 3) * np.finfo(float).eps * (x_sq + mixture.mean_sq.max())
-        for i in np.flatnonzero(~(best[:, 1] - best[:, 0] > bound)):
-            nearest[i] = _nearest_mean(x[i], mixture)
+        rows = np.flatnonzero(~(best[:, 1] - best[:, 0] > bound))
+        nearest[rows] = np.argmin(np.sum((x[rows, None] - mixture.means) ** 2, axis=2), axis=1)
     return nearest
 
 

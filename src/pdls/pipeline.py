@@ -13,7 +13,9 @@ A restore runs three integrations on one shared grid:
    averaged target (the midpoint of the two stored inversion states at the
    node the step lands on) at schedule strength eta(t).
 
-The inversion grid is the exact reversal of the generation grid, so the
+Each drift is control.blend_drift of the marginal field and a straight
+line, which is exactly the field at weight 0 and the line at weight 1. The
+inversion grid is the exact reversal of the generation grid, so the
 reverse pass looks up stored nodes by index and never interpolates in time.
 
 Both inversions of a batch are one DualPaths: dual_invert() runs them as
@@ -125,10 +127,10 @@ def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
 
     Drift = blend of the marginal velocity (under cond) with the straight
     line toward the noise draw z0 at the noise end, weight config.gamma, in
-    config.n_steps Euler steps. At gamma=1 Euler tracks the line exactly and
-    the terminal state equals z0. observed is one point (d,) with one cond,
-    or a batch (n, d) with one Condition or (n, K) log-weight rows (see
-    flowfield); z0 is shaped like observed.
+    config.n_steps Euler steps. At gamma=1 the drift is the line alone, so
+    Euler tracks it exactly and the terminal state equals z0. observed is one
+    point (d,) with one cond, or a batch (n, d) with one Condition or (n, K)
+    log-weight rows (see flowfield); z0 is shaped like observed.
     """
     observed, z0 = np.asarray(observed, dtype=float), np.asarray(z0, dtype=float)
     if z0.shape != observed.shape:
@@ -137,11 +139,8 @@ def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
     mixture._add_nodes(grid.nodes[:-1])
 
     def drift(x, t, k):
-        guided = endpoint_conditional_velocity(x, t, z0)
-        if config.gamma == 1.0:
-            return guided
-        base = marginal_velocity(x, t, mixture, cond)
-        return blend_drift(base, guided, config.gamma)
+        return blend_drift(marginal_velocity(x, t, mixture, cond),
+                           endpoint_conditional_velocity(x, t, z0), config.gamma)
 
     return integrate(observed, grid, drift)
 
@@ -228,14 +227,8 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
     weights = [float(eta(config, t)) for t in gen_grid.nodes[:-1].tolist()]
 
     def drift(x, t, k):
-        weight = weights[k]
-        if weight == 0.0:
-            return marginal_velocity(x, t, mixture, base_cond)
-        control = lqr_control(x, targets[k + 1], t)
-        if weight == 1.0:
-            return control
-        base = marginal_velocity(x, t, mixture, base_cond)
-        return blend_drift(base, control, weight)
+        return blend_drift(marginal_velocity(x, t, mixture, base_cond),
+                           lqr_control(x, targets[k + 1], t), weights[k])
 
     return integrate(paths.latents(config.init_mode), gen_grid, drift)
 

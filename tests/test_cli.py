@@ -1,17 +1,22 @@
 """End-to-end CLI tests: demo assets, degradation manifests, restoration
 runs, benchmark aggregation, and exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdls import cli, pipeline
 from pdls.cli import aggregate, build_parser, main
@@ -493,9 +498,10 @@ class TestBench:
 
     def test_missing_metrics_file_fails(self, tmp_path, capsys):
         out = tmp_path / "bench"
-        assert run("bench", "--out", out, "--metrics",
-                   tmp_path / "missing.csv") == 4
-        assert "missing runs" in capsys.readouterr().err
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("bench", "--out", out, "--metrics", a, b) == 4
+        assert capsys.readouterr().err == f"I/O error: missing runs: {a}, {b}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         ("task,input,seed,config,mse,psnr_db,ssim,class_acc\ntoy2d,a,0,c,0.1,1,,1\n",
@@ -554,10 +560,11 @@ class TestBench:
             assert np.array_equal(strip[:, 33 * i: 33 * i + 32], tile)
 
 
-# Flag values the CLI rejects before it makes --out: (argv without --out, exit
-# code, text the one error line names). {cfg} is a config file holding
-# n_steps=2.5, {metrics} a toy run's metrics file, and {traj} a directory whose
-# steered_path.csv is empty ("empty-trajectory") or a header alone.
+# Flag values the CLI fails on before it makes --out, a diverging restore among
+# them: (argv without --out, exit code, text the one error line names). {cfg}
+# is a config file holding n_steps=2.5, {metrics} a toy run's metrics file, and
+# {traj} a directory whose steered_path.csv is empty ("empty-trajectory") or a
+# header alone.
 _REJECTED = {
     "negative-seeds": (("restore", "--task", "toy2d", "--seeds=-1,2"), 2, "--seeds '-1,2'"),
     "negative-seed-range": (("restore", "--task", "toy2d", "--seeds=-2:0"), 2, "--seeds"),
@@ -575,6 +582,8 @@ _REJECTED = {
     "config-not-an-int": (("restore", "--task", "toy2d", "--config", "{cfg}"), 2,
                           "config file {cfg}: n_steps must be int, not '2.5'"),
     "negative-strip": (("bench", "--metrics", "{metrics}", "--strip", "-1"), 2, "--strip"),
+    "huge-toy-noise": (("restore", "--task", "toy2d", "--sigma-y", "1e300"), 3,
+                       "numerical failure: drift diverged at step 0"),
     "empty-trajectory": (("bench", "--metrics", "{metrics}", "--trajectories", "{traj}"), 4,
                          "{traj}/steered_path.csv: malformed trajectory CSV header"),
     "header-only-trajectory": (("bench", "--metrics", "{metrics}", "--trajectories", "{traj}"),
@@ -617,6 +626,108 @@ def test_argparse_rejections_are_one_config_error_line(tmp_path, capsys, argv):
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith("config error: ")
     assert not out.exists()
+
+
+# Flags for test_any_argv_exits_with_a_documented_code, per command: fixed
+# tokens, then each flag's values that pass its checks and its extreme
+# (+-inf, nan, 1e300, negative) or malformed ones; a tuple is several tokens
+# and {name} one of cli_assets' files. Sizes stay small (toy2d, one exemplar
+# per class, one image, at most 8 steps and 3 seeds): a huge blur size or seed
+# range would only cost memory and time.
+_BAD_FLOATS = ["-1e300", "inf", "-inf", "nan", "-1", "x", ""]
+_SEED = (["0", "3", str(2**70)], ["-1", "x", "1.5"])
+_WEIGHT = (["0", "0.5", "1"], ["1e300", *_BAD_FLOATS])
+_SIGMA_Y = (["0", "0.01", "1e150"], ["1e300", *_BAD_FLOATS])
+_CLI = {
+    "demo": ((), {"--n-per-class": (["1"], ["0", "-1", "2.5", "x"])},
+             {"--seed": _SEED, "--bandwidth": (["1e-4", "0", "1e300"], _BAD_FLOATS)}),
+    "degrade": (("--demo", "--n-per-class", "1"),
+                {"--op": (["id", "gblur:size=3,sigma=1.5", "mblur:size=5,intensity=0.5",
+                           "sr:factor=2", "inpaint:coverage=0.2,seed=1"],
+                          ["gblur:sigma=inf", "gblur:sigma=nan", "gblur:sigma=1e300",
+                           "gblur:sigma=-1", "gblur:size=-3", "gblur:size=x",
+                           "mblur:intensity=nan", "mblur:angle=inf", "sr:factor=0",
+                           "sr:factor=3", "inpaint:coverage=nan", "inpaint:coverage=1e300",
+                           "inpaint:seed=-1", "bogus", "gblur:size", ""])},
+                {"--limit": (["1", "0"], ["-1", "x"]), "--sigma-y": _SIGMA_Y, "--seed": _SEED,
+                 "--demo-seed": _SEED}),
+    "restore": (("--n-per-class", "1"),
+                {"--steps": (["1", "2", "8"], ["0", "-1", "x", "1e3"])},
+                {"--seeds": (["0:1", "0:3", "2:4", "5", "0,1,2", f"{2**70}:{2**70 + 1}"],
+                             ["-1:1", "3:3", "1:0", "0:1:2", "a,b", ""]),
+                 "--gamma": _WEIGHT, "--eta-max": _WEIGHT,
+                 "--schedule": (["cosine", "constant"], ["linear"]),
+                 "--init": (["structural", "semantic", "mixed"], ["x"]),
+                 "--base": (["prompt", "null"], ["x"]),
+                 "--prompt": (["auto", "none", "A", "disk"], ["Z", ""]),
+                 "--demo-seed": _SEED}),
+    "bench": ((), {"--metrics": ([("{toy}",), ("{image}",), ("{toy}", "{image}")],
+                                 [("{missing}",), ("{toy}", "{missing}"),
+                                  ("{missing}", "{toy_dir}")])},
+              {"--strip": (["0", "2"], ["-1", "x"]),
+               "--trajectories": (["{toy_dir}"], ["{missing}"])}),
+}
+_TASKS = {"toy2d": (("--task", "toy2d"), {"--sigma-y": _SIGMA_Y}),
+          "image": (("--manifest", "{manifest}"), {"--bandwidth": (["1e-4", "1e300"],
+                                                                   _BAD_FLOATS)})}
+
+
+@st.composite
+def cli_argv(draw, assets):
+    """argv (without --out) for demo, degrade, restore or bench, restore on either
+    task. Every flag takes a value that passes its checks, or an optional one is
+    left out, except one drawn flag (or none), which takes an extreme or
+    malformed value."""
+    command = draw(st.sampled_from(sorted(_CLI)))
+    fixed, required, optional = _CLI[command]
+    if command == "restore":
+        task_fixed, task_optional = _TASKS[draw(st.sampled_from(sorted(_TASKS)))]
+        fixed, optional = fixed + task_fixed, {**optional, **task_optional}
+    bad = draw(st.none() | st.sampled_from([*required, *optional]))
+    argv = [command, *fixed]
+    for name, (ok, wrong) in {**required, **optional}.items():
+        if name != bad and name in optional and draw(st.booleans()):
+            continue
+        value = draw(st.sampled_from(wrong if name == bad else ok))
+        if isinstance(value, tuple):
+            argv += [name, *value]
+        else:
+            argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    return [a.format(**assets) for a in argv]
+
+
+@pytest.fixture(scope="module")
+def cli_assets(tmp_path_factory):
+    base = tmp_path_factory.mktemp("assets")
+    assert run("degrade", "--out", base / "deg", "--op", "id", "--demo",
+               "--n-per-class", 1, "--limit", 1) == 0
+    assert run("restore", "--out", base / "image", "--manifest", base / "deg" / "manifest.json",
+               "--n-per-class", 1, "--steps", 4) == 0
+    assert run("restore", "--out", base / "toy", "--task", "toy2d", "--steps", 4) == 0
+    return base, {"manifest": str(base / "deg" / "manifest.json"),
+                  "toy": str(base / "toy" / "metrics.csv"), "toy_dir": str(base / "toy"),
+                  "image": str(base / "image" / "metrics.csv"),
+                  "missing": str(base / "missing.csv")}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_any_argv_exits_with_a_documented_code(cli_assets, data):
+    # Every run exits 0, 2, 3 or 4 with no exception; a failure prints one
+    # stderr line and makes no --out, and a success prints nothing there.
+    base, assets = cli_assets
+    argv = data.draw(cli_argv(assets))
+    with tempfile.TemporaryDirectory(dir=base) as scratch:
+        out = Path(scratch) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3, 4), (argv, code)
+        if code == 0:
+            assert lines == [] and out.is_dir(), argv
+        else:
+            assert len(lines) == 1 and not out.exists(), (argv, lines)
 
 
 def test_help_still_exits_0(capsys):

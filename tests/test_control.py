@@ -122,3 +122,19 @@ class TestBlend:
         for w in (0.1, 0.37, 0.9):
             assert np.allclose(blend_drift(base, guided, w),
                                (1 - w) * base + w * guided, atol=1e-14)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_exact_endpoints(self, data):
+        # Weight 0 gives base and weight 1 guided, bitwise (base + 1 * (guided
+        # - base) need not round back to guided), and a NaN in the drift a
+        # weight leaves out does not reach the result.
+        shape = data.draw(st.sampled_from([(3,), (2, 3)]))
+        base, guided = (data.draw(arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+                        for _ in range(2))
+        nan = np.full(shape, np.nan)
+        for weight in (0.0, 1.0, np.float64(0.0), np.float64(1.0)):
+            want = guided if weight else base
+            unused = (nan, guided) if weight else (base, nan)
+            assert blend_drift(base, guided, weight).tobytes() == want.tobytes()
+            assert blend_drift(*unused, weight).tobytes() == want.tobytes()

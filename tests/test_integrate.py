@@ -23,7 +23,7 @@ class TestMakeGrid:
     def test_descending_grid(self):
         grid = make_grid(1, 1.0, 0.0)
         assert grid.nodes.size == 2
-        assert grid.t_start > grid.t_end
+        assert grid.nodes[0] > grid.nodes[-1]
 
     def test_unclamped_grid_keeps_exact_endpoints(self):
         grid = make_grid(4, 0.0, 1.0)

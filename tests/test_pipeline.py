@@ -72,8 +72,8 @@ class TestInvertPath:
         mix = toy2d_mixture()
         traj = invert_path(np.array([1.7, 0.3]), mix, Condition.null(),
                            PdlsConfig(gamma=0.5, n_steps=10), draw_noise(2, 0))
-        assert traj.grid.t_start == 1.0
-        assert traj.grid.t_end == 0.0
+        assert traj.grid.nodes[0] == 1.0
+        assert traj.grid.nodes[-1] == 0.0
 
 
 def one_row(structural, semantic):
@@ -437,10 +437,13 @@ def test_manifest_trajectories_are_within_2e11_of_the_direct_form(monkeypatch):
 
 TRUTH = MANIFEST_ORACLE.with_name("truth.npz")
 # How much further from the extended-precision truth than the float64 direct
-# form the pipeline's rows may be, per array, taken as the worst row of each
-# over a case set. At the parent of the field's folded node constants the
-# worst ratio was 1.82 (the manifest's restored points), and 1.87 after
-# (the manifest's semantic trajectories).
+# form the pipeline may be, per array at the worst row of each over a case
+# set, and per row. A row within 1e-12 (the output rule) passes whatever its
+# direct-form error, which is under 1e-15 on some rows. At the parent of the
+# field's folded node constants the worst-row ratio was 1.82 (the manifest's
+# restored points), and 1.87 after (the manifest's semantic trajectories);
+# the largest row ratio above 1e-12 is 1.87 (manifest row 4's structural
+# path, 2.78e-11 against 1.49e-11).
 TRUTH_FACTOR = 3.0
 
 
@@ -456,7 +459,8 @@ def test_restores_are_as_close_to_the_truth_as_the_direct_form(monkeypatch):
     # tests/data/make_truth.py recomputes these rows in longdouble from the
     # same float64 inputs. The direct form of the field makes rounding errors
     # of its own, so the pipeline's worst row of each array is held to a
-    # multiple of the direct form's worst row.
+    # multiple of the direct form's worst row, and each row to that multiple
+    # of the direct form's error on it or to 1e-12, whichever is more.
     truth, cases = np.load(TRUTH), data_script("make_truth")
     direct = data_script("make_manifest_oracle").direct_velocity
     for name, (obs, mixture, prompts, seeds) in (("manifest", cases.manifest_cases()),
@@ -478,6 +482,7 @@ def test_restores_are_as_close_to_the_truth_as_the_direct_form(monkeypatch):
                                 for a in (got, ref))
                 print(f"{name} row {i} {kind}: pipeline {err:.2e}, "
                       f"direct form {ref_err:.2e} from the truth")
+                assert err <= max(TRUTH_FACTOR * ref_err, 1e-12), (name, i, kind, err, ref_err)
                 errs.setdefault(kind, []).append((err, ref_err))
         for kind, pairs in errs.items():
             worst, ref_worst = np.max(pairs, axis=0)
