@@ -32,8 +32,8 @@ def toy2d_mixture() -> GaussianMixture:
     )
 
 
-def shapes32_dataset(n_per_class: int = 30, seed: int = 0):
-    """List of (ImageGrid, label) exemplars, deterministic per seed.
+def _shapes32_pixels(n_per_class: int, seed: int):
+    """(3 n_per_class, 32, 32) exemplar pixels, class by class, and their labels.
 
     Each exemplar is its class's mask in a foreground intensity on a
     background one, drawn per exemplar (background first) from one rng.
@@ -45,31 +45,38 @@ def shapes32_dataset(n_per_class: int = 30, seed: int = 0):
     def box(r0, r1, c0, c1):
         return (r0 <= yy) & (yy < r1) & (c0 <= xx) & (xx < c1)
 
-    masks = {"disk": (yy - 16) ** 2 + (xx - 16) ** 2 <= 8**2,
-             "square": box(9, 23, 9, 23),
-             "cross": box(13, 19, 5, 27) | box(5, 27, 13, 19)}
+    masks = np.stack([(yy - 16) ** 2 + (xx - 16) ** 2 <= 8**2,  # in SHAPE_CLASSES order
+                      box(9, 23, 9, 23),
+                      box(13, 19, 5, 27) | box(5, 27, 13, 19)])
     rng = np.random.default_rng(seed)
-    out = []
-    for cls in SHAPE_CLASSES:
-        for _ in range(n_per_class):
-            bg, fg = rng.uniform(0.05, 0.15), rng.uniform(0.75, 0.95)
-            out.append((ImageGrid(np.where(masks[cls], fg, bg)), cls))
-    return out
+    bg, fg = rng.uniform([0.05, 0.75], [0.15, 0.95], size=(3 * n_per_class, 2)).T
+    pixels = np.where(np.repeat(masks, n_per_class, axis=0),
+                      fg[:, None, None], bg[:, None, None])
+    return pixels, [cls for cls in SHAPE_CLASSES for _ in range(n_per_class)]
+
+
+def shapes32_dataset(n_per_class: int = 30, seed: int = 0):
+    """List of (ImageGrid, label) exemplars, deterministic per seed."""
+    pixels, labels = _shapes32_pixels(n_per_class, seed)
+    return [(ImageGrid(px), label) for px, label in zip(pixels, labels)]
+
+
+def _equal_weight_mixture(means, labels, bandwidth: float) -> GaussianMixture:
+    n = len(labels)
+    return GaussianMixture(np.full(n, 1.0 / n), means, np.full(n, bandwidth), labels)
 
 
 def exemplar_mixture(dataset, bandwidth: float = DEFAULT_BANDWIDTH) -> GaussianMixture:
     """Equal-weight mixture with one (kernel-smoothed) component per exemplar."""
-    n = len(dataset)
-    if n == 0:
+    if len(dataset) == 0:
         raise ValueError("an exemplar mixture needs at least one exemplar")
-    return GaussianMixture(
-        weights=np.full(n, 1.0 / n),
-        means=np.stack([img.flatten() for img, _ in dataset]),
-        variances=np.full(n, bandwidth),
-        labels=[label for _, label in dataset],
-    )
+    return _equal_weight_mixture(np.stack([img.flatten() for img, _ in dataset]),
+                                 [label for _, label in dataset], bandwidth)
 
 
 def shapes32_mixture(n_per_class: int = 30, seed: int = 0,
                      bandwidth: float = DEFAULT_BANDWIDTH) -> GaussianMixture:
-    return exemplar_mixture(shapes32_dataset(n_per_class, seed), bandwidth)
+    """exemplar_mixture(shapes32_dataset(n_per_class, seed), bandwidth), built
+    from the rendered pixels, which lie in [0.05, 0.95], without the ImageGrids."""
+    pixels, labels = _shapes32_pixels(n_per_class, seed)
+    return _equal_weight_mixture(pixels.reshape(len(labels), -1), labels, bandwidth)

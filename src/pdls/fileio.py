@@ -15,41 +15,43 @@ class FormatError(ValueError):
     """Malformed input file."""
 
 
+# A PGM header is four tokens (magic, width, height, maxval), each after a run
+# of whitespace and '#' comments in any order; a comment runs to the end of
+# its line. A token the header lacks matches empty where it would start.
+_SEP = rb"(?:\s|#[^\r\n]*[\r\n])*"
+_PGM_HEADER = re.compile((_SEP + rb"([^\s#]*)") * 4)
+
+
 def write_pgm(path, image: ImageGrid) -> None:
     """Binary PGM (magic P5, maxval 255)."""
     px = np.round(image.pixels * 255.0).astype(np.uint8)
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + px.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(header + px.tobytes())
 
 
 def read_pgm(path) -> ImageGrid:
     """Read a binary PGM; values are rescaled to [0, 1] by the file's maxval.
     A malformed file is a FormatError naming it."""
-    data = Path(path).read_bytes()
-    pos = 0
-
-    def token():
-        # Whitespace and '#' comments, in any order, separate header tokens;
-        # a comment runs to the end of its line.
-        nonlocal pos
-        pos = re.compile(rb"(?:\s|#[^\r\n]*[\r\n])*").match(data, pos).end()
-        m = re.compile(rb"[^\s#]+").match(data, pos)
-        if m is None:
-            raise FormatError(f"PGM {path}: malformed header at byte {pos}")
-        pos = m.end()
-        return m.group()
-
-    if token() != b"P5":
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = _PGM_HEADER.match(data)
+    if not header[1]:
+        raise FormatError(f"PGM {path}: malformed header at byte {header.start(1)}")
+    if header[1] != b"P5":
         raise FormatError(f"PGM {path}: malformed header at byte 0: expected magic P5")
-    try:
-        width, height, maxval = int(token()), int(token()), int(token())
-    except ValueError as exc:
-        raise FormatError(f"PGM {path}: malformed header at byte {pos}") from exc
+    values = []
+    for g in (2, 3, 4):
+        try:
+            values.append(int(header[g]))  # a missing token is b"", which fails too
+        except ValueError as exc:
+            raise FormatError(f"PGM {path}: malformed header at byte {header.end(g)}") from exc
+    width, height, maxval = values
     if width <= 0 or height <= 0:
         raise FormatError(f"PGM {path}: size {width} x {height} is not positive")
     if maxval <= 0 or maxval > 255:
         raise FormatError(f"PGM {path}: unsupported maxval {maxval}")
-    pos += 1  # single whitespace after maxval
+    pos = header.end(4) + 1  # single whitespace after maxval
     raster = data[pos:pos + width * height]
     if len(raster) < width * height:
         raise FormatError(f"PGM {path}: truncated raster at byte {pos + len(raster)}")

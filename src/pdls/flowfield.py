@@ -84,10 +84,12 @@ import numpy as np
 # evaluated at a step's start node.
 EPS_T = 1e-3
 
-# Times whose field constants a mixture keeps (GaussianMixture._node), each
-# node two (K, d)-sized matrices. A 28-step restore evaluates about 56; past
-# the bound the cache starts over.
-_MAX_NODES = 256
+# Bytes of field constants a mixture keeps (GaussianMixture._node), each node
+# K (2d + 3) floats. A 28-step restore evaluates about 56 nodes, 11 KB each in
+# the reduced coordinates of a shapes32 restore (K = 90, d = 6) and 1.5 MB in
+# its full space (d = 1024); past the budget the cache starts over with the
+# times being added, one integration's grid, whatever their size.
+_MAX_NODE_BYTES = 1 << 22
 
 
 class TerminalTimeError(ValueError):
@@ -165,12 +167,13 @@ class GaussianMixture:
     def _add_nodes(self, times) -> None:
         """Build, in one pass, the constants of each of times that has none yet,
         clamped into [0, 1 - EPS_T] as the field clamps them. An integration
-        hands in its grid's times before its first step. Past _MAX_NODES the
-        cache starts over with these times."""
+        hands in its grid's times before its first step. Past _MAX_NODE_BYTES
+        the cache starts over with these times."""
         times = np.minimum(np.asarray(times, dtype=float), 1.0 - EPS_T)
         times = list(dict.fromkeys(times.tolist()))
         new = [t for t in times if t not in self._nodes]
-        if len(self._nodes) + len(new) > _MAX_NODES:
+        node_bytes = 8 * self.n_components * (2 * self.dim + 3)
+        if (len(self._nodes) + len(new)) * node_bytes > _MAX_NODE_BYTES:
             self._nodes.clear()
             new = times
         if new:

@@ -36,8 +36,10 @@ Every drift of a restore is affine in x, with terms only in the mixture
 means, the row's observation y_i and its noise draw z0_i, so row i stays in
 span{mu_1..mu_K, y_i, z0_i}. Where K + 2 < d, restore() integrates in
 orthonormal coordinates of that span: Q0, the left singular vectors of the
-means above numpy's matrix_rank tolerance, built by one SVD on first use
-and kept on the mixture, plus y_i and z0_i orthogonalised against it twice.
+means above numpy's matrix_rank tolerance, built on first use from the
+eigenvectors of the means' (K, K) Gram matrix (or, where the Gram spectrum
+cannot decide the rank, one SVD; see _means_basis) and kept on the
+mixture, plus y_i and z0_i orthogonalised against it twice.
 With r the means' rank, the unchanged field runs on (n, r + 2) coordinates
 under a mixture of the means' coordinates, so a step costs O(n K (r + 2)),
 not O(n K d) (shapes32: r + 2 = 6, d = 1024). Where K + 2 >= d (toy2d) the
@@ -48,18 +50,19 @@ diagnostics and its latent norms are built on first access.
 
 At the default 28 steps, restored and the latent norms agree with the
 direct (n, K, d) form of the field within 1e-12 relative (restored within
-4.0e-13 on a whole shapes32 manifest at gblur sigma 1.5). On small
+2.6e-13 on a whole shapes32 manifest at gblur sigma 1.5). On small
 mixtures the trajectories agree as closely with the full-space
 composition, but on that manifest the worst inversion trajectory (row 4)
-is within 1.3e-11 of the direct form only (4.9e-12 at sigma 3.0): the
+is within 1.4e-11 of the direct form only (4.8e-12 at sigma 3.0): the
 first inversion step scales the field's rounding by dt / (1 - t) at
-t = 1 - EPS_T. Neither form is the exact answer there: against a restore
-recomputed in longdouble (tests/data/make_truth.py), row 4's inversion is
-2.8e-11 off and the direct form's 1.5e-11, and row 15's both 2.3e-11. The
-promise does not cover the diagnostics' dist_to_target, a difference of
-nearly equal states (worst measured row 3.3e-11 at gblur sigma 1.5,
-7.3e-12 at 3.0), nor few steps: at 2 steps the agreement on that manifest
-is about 1e-10.
+t = 1 - EPS_T, so a basis that differs from another in its last bits moves
+these trajectories by up to 1e-12. Neither form is the exact answer there:
+against a restore recomputed in longdouble (tests/data/make_truth.py), row
+4's inversion is 2.9e-11 off and the direct form's 1.5e-11, and row 15's
+both 2.2e-11. The promise does not cover the diagnostics' dist_to_target,
+a difference of nearly equal states (worst row 2.7e-11 of its largest
+distance at gblur sigma 1.5, 6.7e-12 at 3.0), nor few steps: at 2 steps
+the agreement on that manifest is about 1e-10.
 """
 
 from __future__ import annotations
@@ -245,19 +248,53 @@ def _directions(v, q0, u=None) -> np.ndarray:
     as they are, except for a tiny row, whose squares would underflow in
     the norms and leave its direction off unit length.
     """
-    v = np.ldexp(v, -np.frexp(np.max(np.abs(v), axis=1))[1][:, None])
+    v = np.ldexp(v, -np.frexp(np.maximum(v.max(axis=1), -v.min(axis=1)))[1][:, None])
 
     def residual(r):
-        r = r - (r @ q0) @ q0.T
+        p = (r @ q0) @ q0.T
+        r = np.subtract(r, p, out=p)
         if u is not None:
-            r = r - np.einsum("nd,nd->n", r, u)[:, None] * u
+            p = np.einsum("nd,nd->n", r, u)[:, None] * u
+            r = np.subtract(r, p, out=p)
         return r
 
     first = residual(v)
     second = residual(first)
     norm = np.linalg.norm(second, axis=1)
     keep = norm > 0.5 * np.linalg.norm(first, axis=1)
-    return np.where(keep[:, None], second / np.where(keep, norm, 1.0)[:, None], 0.0)
+    second /= np.where(keep, norm, 1.0)[:, None]
+    second[~keep] = 0.0
+    return second
+
+
+def _means_basis(means) -> np.ndarray:
+    """(d, r) orthonormal basis of the means (K, d): their left singular vectors
+    above numpy's matrix_rank tolerance s_0 max(K, d) eps, s_0 the largest.
+
+    They come from eigh of the (K, K) Gram matrix G = M M^T, as M^T v / s
+    in descending order of s = sqrt(lambda), re-orthonormalised by one QR
+    (which takes out of each column the rounding it shares with the larger
+    ones) with the signs of diag(R). G's eigenvalues are only good to about
+    K d eps lambda_0, so the Gram basis keeps the directions above twice
+    that and cannot tell the singular values below it from 0. It is used
+    only where the means' residual off it is at most half the tolerance,
+    which bounds every dropped singular value under the tolerance; elsewhere
+    (the means have singular values between the tolerance and about
+    1e-5 s_0) the basis comes from the SVD of M^T, as matrix_rank cuts it.
+    """
+    k, d = means.shape
+    eps = np.finfo(float).eps
+    lam, v = np.linalg.eigh(means @ means.T)
+    lam, v = lam[::-1], v[:, ::-1]
+    keep = lam > 2 * k * d * eps * lam[0]
+    q, r = np.linalg.qr(means.T @ (v[:, keep] / np.sqrt(lam[keep])))
+    q *= np.where(np.diag(r) < 0, -1.0, 1.0)
+    tol = np.sqrt(max(lam[0], 0.0)) * max(k, d) * eps
+    residual = (means @ q) @ q.T
+    if np.linalg.norm(np.subtract(means, residual, out=residual)) <= 0.5 * tol:
+        return q
+    u, s, _ = np.linalg.svd(means.T, full_matrices=False)
+    return u[:, s > s[0] * max(k, d) * eps]
 
 
 @dataclass(frozen=True)
@@ -281,9 +318,7 @@ class _Frame:
         if mixture.n_components + 2 >= mixture.dim:
             return cls(np.eye(mixture.dim), np.zeros((len(observed), 0, mixture.dim)), mixture)
         if mixture._reduced is None:
-            # The left singular vectors above numpy's matrix_rank tolerance.
-            u, s, _ = np.linalg.svd(mixture.means.T, full_matrices=False)
-            q0 = u[:, s > s[0] * max(mixture.means.shape) * np.finfo(float).eps]
+            q0 = _means_basis(mixture.means)
             means = np.hstack([mixture.means @ q0, np.zeros((mixture.n_components, 2))])
             reduced = GaussianMixture(mixture.weights, means, mixture.variances,
                                       mixture.labels)

@@ -1,5 +1,7 @@
 """File-format tests: PGM images and mixture definitions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,114 @@ class TestPgmProperties:
         path.write_bytes(raw[:keep])
         with pytest.raises(FormatError, match="truncated"):
             read_pgm(path)
+
+
+def token_read_pgm(path):
+    """read_pgm's header grammar token by token, two regex matches per token: the
+    oracle for its one-pattern header (pixels, or the FormatError message)."""
+    data = path.read_bytes()
+    pos = 0
+
+    def token():
+        nonlocal pos
+        pos = re.match(rb"(?:\s|#[^\r\n]*[\r\n])*", data[pos:]).end() + pos
+        m = re.match(rb"[^\s#]+", data[pos:])
+        if m is None:
+            raise FormatError(f"PGM {path}: malformed header at byte {pos}")
+        pos += m.end()
+        return m.group()
+
+    try:
+        if token() != b"P5":
+            raise FormatError(f"PGM {path}: malformed header at byte 0: expected magic P5")
+        try:
+            width, height, maxval = int(token()), int(token()), int(token())
+        except ValueError as exc:
+            raise FormatError(f"PGM {path}: malformed header at byte {pos}") from exc
+        if width <= 0 or height <= 0:
+            raise FormatError(f"PGM {path}: size {width} x {height} is not positive")
+        if maxval <= 0 or maxval > 255:
+            raise FormatError(f"PGM {path}: unsupported maxval {maxval}")
+        raster = data[pos + 1:pos + 1 + width * height]
+        if len(raster) < width * height:
+            raise FormatError(f"PGM {path}: truncated raster at byte {pos + 1 + len(raster)}")
+    except FormatError as exc:
+        return str(exc)
+    return ImageGrid(np.frombuffer(raster, dtype=np.uint8).reshape(height, width) / maxval).pixels
+
+
+def read_or_message(path):
+    try:
+        return read_pgm(path).pixels
+    except FormatError as exc:
+        return str(exc)
+
+
+# Header bytes: a magic, then three numbers (some malformed or missing), each
+# after a separator run (possibly empty) of whitespace and comments with
+# either line end, and one byte where the raster would start.
+header_separators = st.lists(st.sampled_from(
+    [b" ", b"\t", b"\n", b"\r\n", b"\r", b"", b"#", b"# c\n", b"#c\r\n", b"#\x00\n"]),
+    min_size=1, max_size=3).map(b"".join)
+header_pieces = st.tuples(
+    st.sampled_from([b"P5"] * 6 + [b"P2", b"P", b"", b"#"]),
+    *[st.tuples(header_separators,
+                st.sampled_from([b"1", b"2", b"3"] * 3 + [b"255", b"256", b"0", b"-1", b"+2",
+                                                          b"1_0", b"x", b"", b"\xff"]))
+      for _ in range(3)],
+    st.sampled_from([b"", b" ", b"\n", b"\r\n", b"#"]),
+).map(lambda parts: parts[0] + b"".join(b"".join(p) for p in parts[1:4]) + parts[4])
+
+
+class TestPgmHeader:
+    """One precompiled pattern reads the header; grammar and messages are unchanged."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(header_pieces, st.binary(max_size=12))
+    def test_same_result_as_the_token_reader(self, tmp_path_factory, header, tail):
+        path = tmp_path_factory.getbasetemp() / "header.pgm"  # rewritten per example
+        path.write_bytes(header + tail)
+        got, want = read_or_message(path), token_read_pgm(path)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    @settings(deadline=None)
+    @given(quantized_images(), st.integers(1, 255), st.data())
+    def test_gaps_line_ends_and_maxval(self, tmp_path_factory, img, maxval, data):
+        # The raster write_pgm writes, its levels cut to maxval, under a header
+        # with runs of whitespace, CRLF line ends and comments.
+        gap = st.lists(st.sampled_from([" ", "\t", "\n", "\r\n", "  ", "# note\r\n",
+                                        "#\n", "#x y\r"]), min_size=1, max_size=4).map("".join)
+        levels = (np.round(img.pixels * 255).astype(int) % (maxval + 1)).astype(np.uint8)
+        path = tmp_path_factory.getbasetemp() / "maxval.pgm"  # rewritten per example
+        write_pgm(path, ImageGrid(levels / 255.0))
+        raster = path.read_bytes()[-img.width * img.height:]
+        assert raster == levels.tobytes()
+        header = "".join(["P5", data.draw(gap), str(img.width), data.draw(gap),
+                          str(img.height), data.draw(gap), str(maxval),
+                          data.draw(st.sampled_from(" \t\r\n"))])
+        path.write_bytes(header.encode("ascii") + raster)
+        assert np.array_equal(read_pgm(path).pixels, levels / maxval)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"P5\n4 4\n255\n" + bytes(7), "truncated raster at byte 18"),
+        (b"P2\n2 2\n255\n0 0 0 0\n", "malformed header at byte 0: expected magic P5"),
+        (b"P5\n-2 3\n255\n" + bytes(9), "size -2 x 3 is not positive"),
+        (b"P5\n3 0\n255\n", "size 3 x 0 is not positive"),
+        (b"P5\n2 2\n300\n" + bytes(4), "unsupported maxval 300"),
+        (b"P5 # open comment", "malformed header at byte 3"),
+        (b"P5\n2 x\n255\n", "malformed header at byte 6"),
+        (b"", "malformed header at byte 0"),
+    ])
+    def test_messages_are_unchanged(self, tmp_path, content, message):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(content)
+        with pytest.raises(FormatError) as info:
+            read_pgm(path)
+        assert str(info.value) == f"PGM {path}: {message}" == token_read_pgm(path)
 
 
 class TestMixtureFile:

@@ -12,8 +12,9 @@ from scipy.special import logsumexp
 
 from pdls.datasets import exemplar_mixture, shapes32_dataset
 from pdls.degrade import GaussianBlur, NoiseModel, apply
+from pdls import flowfield
 from pdls.flowfield import (
-    _MAX_NODES,
+    _MAX_NODE_BYTES,
     EPS_T,
     Condition,
     GaussianMixture,
@@ -27,6 +28,7 @@ from pdls.flowfield import (
     _logsumexp_rows,
 )
 from pdls.integrate import make_grid
+from pdls.pipeline import PdlsConfig, restore
 
 
 def two_diracs():
@@ -521,7 +523,9 @@ def inline_velocity(x, t, mixture, cond):
     computed at every call, by the expressions of flowfield._build_nodes."""
     xb = np.atleast_2d(x)
     logw = np.broadcast_to(mixture.log_weights(cond), (len(xb), mixture.n_components))
-    t = np.array(t)  # numpy's arithmetic, as on _build_nodes' (T, 1) times
+    # Array loops, as on _build_nodes' (T, 1) times: a 0-d t would give numpy
+    # scalars, whose (1 - t) ** 2 can round differently from the array square.
+    t = np.array([t])
     var = mixture.variances
     s2 = (1.0 - t) ** 2 + t**2 * var
     two_s2 = 2.0 * s2
@@ -598,13 +602,63 @@ class TestNodeCache:
             assert all(np.array_equal(a, b)
                        for a, b in zip(cold(mixture)._node(t), mixture._nodes[t]))
 
-    def test_bounded_over_many_times(self):
+    def test_bounded_over_many_times(self, monkeypatch):
+        # A budget of 256 two-Dirac nodes, so that the cache starts over.
         mixture = two_diracs()
+        monkeypatch.setattr(flowfield, "_MAX_NODE_BYTES", 256 * node_bytes(mixture, 1))
         x = np.array([[0.3, -0.2], [1.5, 0.4]])
         times = np.linspace(0.0, 1.0 - EPS_T, 3000)
         first = [marginal_velocity(x, float(t), mixture) for t in times[:5]]
         for t in times:
             marginal_velocity(x, float(t), mixture)
-            assert len(mixture._nodes) <= _MAX_NODES
+            assert cached_node_bytes(mixture) <= flowfield._MAX_NODE_BYTES
+            assert 1 <= len(mixture._nodes) <= 256
         again = [marginal_velocity(x, float(t), mixture) for t in times[:5]]
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    def test_full_space_grids_keep_within_the_budget_or_one_grid(self):
+        # Each full-space shapes32 node is 1.5 MB, so one 28-step grid is past
+        # the budget: the cache then holds that grid's nodes and nothing more.
+        mixture, x, _ = TestGemmPrecision()._case()
+        grid = node_bytes(mixture, 28)
+        assert grid > _MAX_NODE_BYTES
+        for start, end in ((1.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
+            nodes = make_grid(28, start, end).nodes[:-1]
+            mixture._add_nodes(nodes)
+            assert cached_node_bytes(mixture) <= max(_MAX_NODE_BYTES, grid)
+            assert set(mixture._nodes) == set(np.minimum(nodes, 1.0 - EPS_T).tolist())
+            for t in nodes[:3].tolist():
+                marginal_velocity(x[:2], t, mixture)
+            assert cached_node_bytes(mixture) <= max(_MAX_NODE_BYTES, grid)
+
+    def test_a_reduced_restore_keeps_every_node(self):
+        # In the r + 2 = 6 reduced coordinates a shapes32 node is about 11 KB,
+        # so both grids of a 28-step restore stay cached, and a second restore
+        # of the same config builds none.
+        mixture = exemplar_mixture(shapes32_dataset(), 1e-4)
+        x = mixture.means[[0, 40]] + 0.01
+        restore(x, mixture, [Condition.of("disk"), Condition.null()], PdlsConfig(), [0, 1])
+        reduced = mixture._reduced[1]
+        cached = dict(reduced._nodes)
+        times = np.concatenate([make_grid(28, 1.0, 0.0).nodes[:-1],
+                                make_grid(28, 0.0, 1.0).nodes[:-1]])
+        assert set(cached) == set(np.minimum(times, 1.0 - EPS_T).tolist())
+        assert cached_node_bytes(reduced) <= _MAX_NODE_BYTES
+        restore(x, mixture, [Condition.of("disk"), Condition.null()], PdlsConfig(), [2, 3])
+        assert reduced._nodes.keys() == cached.keys()
+        assert all(reduced._nodes[t] is node for t, node in cached.items())
+
+
+def node_bytes(mixture, n):
+    """Bytes of n nodes of mixture, from one built alone."""
+    return n * sum(a.nbytes for a in cold(mixture)._node(0.5))
+
+
+def cached_node_bytes(mixture):
+    """Bytes of the distinct arrays that the mixture's cached nodes are views of."""
+    bases = {}
+    for node in mixture._nodes.values():
+        for a in node:
+            base = a if a.base is None else a.base
+            bases[id(base)] = base
+    return sum(b.nbytes for b in bases.values())

@@ -170,6 +170,24 @@ class TestBatchedReport:
                 x.flatten(), mixture, label)
             assert abs(rep.ssim - one.ssim) <= 1e-12 * abs(one.ssim)
 
+    @pytest.mark.parametrize("shape", [(32, 32), (17, 40), (2,), (50,)])
+    def test_batch_is_bitwise_the_per_pair_scores(self, shape):
+        # Image stacks past one SSIM chunk, and (n, 2) toy2d points: every
+        # score equals mse, psnr and single-image ssim exactly.
+        rng = np.random.default_rng(7)
+        n = 37
+        refs = rng.uniform(0, 1, (n, *shape))
+        recons = np.clip(refs + 0.05 * rng.standard_normal(refs.shape), 0.0, 1.0)
+        recons[3] = refs[3]  # an exact reconstruction: psnr inf
+        if len(shape) == 2:
+            recons, refs = [ImageGrid(x) for x in recons], [ImageGrid(x) for x in refs]
+        reps = report(list(recons), list(refs))
+        for rep, x, y in zip(reps, recons, refs):
+            assert rep.mse == mse(x, y)
+            assert rep.psnr_db == psnr(x, y)
+            assert rep.ssim == (ssim(x, y) if len(shape) == 2 else None)
+        assert reps[3].psnr_db == math.inf
+
     def test_small_images_have_no_ssim(self):
         img = ImageGrid(np.full((8, 8), 0.25))
         reps = report([img, img], [img, ImageGrid(np.zeros((8, 8)))])

@@ -418,8 +418,9 @@ def test_a_whole_manifest_is_within_1e12_of_the_direct_form():
 
 def test_manifest_trajectories_are_within_2e11_of_the_direct_form(monkeypatch):
     # Row 4 has the worst inversion trajectories of the whole manifest
-    # (1.3e-11 of the direct form: the pipeline docstring's figure), row 45
-    # its worst restored point (4.0e-13); row 46 runs with a null prompt.
+    # (1.4e-11 of the direct form: the pipeline docstring's figure; 1.3e-11
+    # with the SVD basis), row 45 had the worst restored point with the SVD
+    # basis (2.9e-13); row 46 runs with a null prompt.
     rows = [4, 15, 45, 46]
     obs, mixture, labels, seeds = manifest_batch()
     obs, seeds = obs[rows], [seeds[i] for i in rows]
@@ -584,12 +585,25 @@ class TestReducedCoordinates:
         assert frame.mixture.dim == 6
 
     def test_the_basis_is_built_once_on_first_use(self, monkeypatch):
-        svd, calls = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        # shapes32's means have rank 4 and 13 orders of magnitude between
+        # their 4th and 5th singular values, so the basis comes from one eigh
+        # of their Gram matrix and no SVD runs.
+        calls = {"eigh": 0, "svd": 0}
+
+        def counted(name):
+            fn = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
         data = shapes32_dataset(n_per_class=2)
         for mixture in (shapes32_mixture(), exemplar_mixture(data)):
             assert mixture._reduced is None
-        assert not calls
+        assert calls == {"eigh": 0, "svd": 0}
         mixture = shapes32_mixture()
         obs = np.stack([img.flatten() for img, _ in data[:2]])
         config = PdlsConfig(n_steps=2)
@@ -597,7 +611,37 @@ class TestReducedCoordinates:
         assert mixture._reduced is not None
         second = restore(obs, mixture, [Condition.null()] * 2, config, [0, 1])[0]._frame
         assert second.q0 is first.q0
-        assert len(calls) == 1
+        assert calls == {"eigh": 1, "svd": 0}
+
+    @pytest.mark.parametrize("smallest", [1e-3, 1e-7, 1e-10, 0.0])
+    def test_the_basis_at_the_rank_edge(self, smallest):
+        # Five means of d = 12 with singular values 3, 2, 1 and 3 * smallest:
+        # the Gram spectrum resolves smallest = 1e-3 but not 1e-7 or 1e-10,
+        # which matrix_rank still keeps. smallest = 0 is exactly rank 3:
+        # dyadic means whose last two are sums of the first three.
+        k, d = 5, 12
+        if smallest:
+            rng = np.random.default_rng(5)
+            u = np.linalg.qr(rng.standard_normal((k, 4)))[0]
+            v = np.linalg.qr(rng.standard_normal((d, 4)))[0]
+            means = (u * (3.0 * np.array([1.0, 2 / 3, 1 / 3, smallest]))) @ v.T
+        else:
+            base = np.arange(3 * d).reshape(3, d) % 7 / 8.0
+            means = np.vstack([base, base[0] + base[1], base[1] + base[2]])
+        rank = np.linalg.matrix_rank(means)
+        assert rank == (4 if smallest else 3)
+        mixture = GaussianMixture(np.full(k, 0.2), means, np.full(k, 0.05), list("AABBB"))
+        obs = means[[0, 3]] + 0.1 * np.sin(np.arange(d))
+        prompts, seeds = [Condition.of("A"), Condition.null()], [3, 4]
+        results = restore(obs, mixture, prompts, PdlsConfig(), seeds)
+        q0 = results[0]._frame.q0
+        assert q0.shape == (d, rank)
+        assert np.max(np.abs(q0.T @ q0 - np.eye(rank))) <= 1e-14
+        tol = np.linalg.norm(means, 2) * max(k, d) * np.finfo(float).eps
+        assert np.linalg.norm(means - (means @ q0) @ q0.T, 2) <= tol
+        paths, generated = full_space_restore(obs, mixture, prompts, PdlsConfig(),
+                                              draws(seeds, d))
+        assert_restores_match(results, paths, generated)
 
     @pytest.mark.parametrize("observation", ["exemplar", "midpoint"])
     def test_observations_in_the_span_of_the_means(self, observation):
