@@ -30,7 +30,7 @@ class ImageGrid:
         px = np.asarray(self.pixels, dtype=float)
         if px.ndim != 2:
             raise ValueError("image must be 2-D")
-        object.__setattr__(self, "pixels", np.clip(px, 0.0, 1.0))
+        object.__setattr__(self, "pixels", px.clip(0.0, 1.0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ImageGrid):

@@ -64,15 +64,38 @@ errstate, so a point so far out that every component's log-density is -inf
 gets NaN responsibilities, which integrate's finiteness check reports,
 instead of a numpy warning.
 
+Where every row of the (n, K) log-weight rows keeps exactly one component
+k_i (a prompt of a label that holds one component, as each of toy2d's
+two does), the posterior is a point mass, and the softmax only recomputes
+it: the row's one finite entry is its maximum, so the single-maximum
+branch's s is 0, its log-sum is that maximum and r is e_k exactly (the
+general branch, taken when another row ties, gives the same), and
+r @ vmat is row k of vmat. marginal_velocity then takes node.vmat[k]
+through the same update and skips the log-densities, the softmax and the
+GEMM. The test is made per row: a batch with a row of two components and
+a row of none has n kept entries but no point mass, and takes the softmax,
+which gives the empty row NaN. It is made only on mixtures with a label
+of one component, which the mixture knows from construction, so a
+shapes32 mixture (30 components per label) pays nothing for it. The
+velocities are the softmax path's numbers; their bytes differ only in the
+sign of a zero where a mean has a -0.0 coordinate, which vmat[k] keeps and
+the GEMM's sum may turn into +0.0. In a batch of point masses, a row so
+far out that its log-density overflows (||x||^2 past the float range,
+which restore rejects before it integrates) gets its exact velocity
+instead of NaN.
+
 At the (n, r + 2) sizes of a reduced-coordinate restore an evaluation costs
 numpy calls, not arithmetic: a 2-row shapes32 evaluation took 36-49 us with
 the distances scaled per call and 28-40 us folded (the best of 7 x 3 x 2,000
 calls in each of 5 interleaved runs, on one OpenBLAS thread of a 2-vCPU
-machine whose core speed varies about 1.5x).
+machine whose core speed varies about 1.5x). A toy2d generation call on 10
+point-mass rows took 24.2 us through the softmax and 10.4 us as vmat rows,
+and the test added about 1 us to a mixed 20-row call (best of 7 x 3 x 3,000).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
@@ -133,8 +156,11 @@ class GaussianMixture:
         self.mean_sq = np.einsum("kd,kd->k", means, means)
         self._log_w = np.log(weights)
         self._log_w_rows: dict = {}
+        self._draw_tables: dict = {}
         self._nodes: dict = {}
         self._ambient_dim = means.shape[1]  # the log-normaliser's d; see pipeline._Frame
+        # Only a label of one component makes a prompt a point mass (see marginal_velocity).
+        self._one_component_label = 1 in Counter(labels).values()
         self._reduced = None  # pipeline's reduced frame of the means, built on first use
 
     @property
@@ -155,6 +181,19 @@ class GaussianMixture:
             row.flags.writeable = False
             self._log_w_rows[cond] = row
         return row
+
+    def _draw_table(self, cond: "Condition"):
+        """The indices of the components cond keeps and the cumulative distribution of
+        their renormalised weights, as Generator.choice builds it (cached)."""
+        table = self._draw_tables.get(cond)
+        if table is None:
+            idx = cond.select(self)
+            w = self.weights[idx]
+            cdf = (w / w.sum()).cumsum()
+            cdf /= cdf[-1]
+            cdf.flags.writeable = False
+            table = self._draw_tables[cond] = (idx, cdf)
+        return table
 
     def _node(self, t: float) -> "_Node":
         """The field's constants at time t over all components (cached, built on first use)."""
@@ -303,19 +342,31 @@ def _log_densities(xb, node: _Node):
     return logp
 
 
-def _posterior(xb, t, mixture: GaussianMixture, cond):
-    """Responsibilities (n, K) from log w_k + log N(x; t mu_k, s_k^2 I) over all K
-    components (excluded ones get exactly 0), the node they used and its time:
-    t clamped into [0, 1 - EPS_T]."""
+def _node_at(mixture: GaussianMixture, t):
+    """The node of time t and that time, clamped into [0, 1 - EPS_T]."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("time out of range")
     t = min(t, 1.0 - EPS_T)
-    node = mixture._node(t)
-    logw = _log_weight_rows(mixture, cond, xb.shape[0])
+    return mixture._node(t), t
+
+
+def _posterior(xb, node: _Node, logw):
+    """Responsibilities (n, K) from logw (n, K) + log N(x; t mu_k, s_k^2 I) over all K
+    components at node's t (excluded ones get exactly 0)."""
     logp = _log_densities(xb, node)
     logp += logw
     r = _logsumexp_rows(logp, subtract=True)
-    return np.exp(r, out=r), node, t
+    return np.exp(r, out=r)
+
+
+def _point_masses(logw):
+    """(n,) the one component each row of logw (n, K) keeps, or None unless every row
+    keeps exactly one, with a finite log-weight (see the module docstring)."""
+    kept = logw != -np.inf
+    if np.count_nonzero(kept) != len(logw):
+        return None
+    k = kept.argmax(axis=1)
+    return k if np.isfinite(logw[np.arange(len(k)), k]).all() else None
 
 
 def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
@@ -328,7 +379,8 @@ def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
     excludes them. Times past 1 - EPS_T are clamped to it (see EPS_T).
     """
     xb, single = _check_points(x, mixture)
-    r, _, _ = _posterior(xb, t, mixture, cond)
+    node, _ = _node_at(mixture, t)
+    r = _posterior(xb, node, _log_weight_rows(mixture, cond, len(xb)))
     if isinstance(cond, Condition):
         r = r[:, np.isfinite(mixture.log_weights(cond))]
     return r[0] if single else r
@@ -350,13 +402,16 @@ def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
     mixed by the responsibilities r. That is affine in x, so the velocity is
     too, and it is computed in that form with the 1/(1-t) folded into the
     node's vmat [(1 - t c) / (1 - t) mu | c / (1 - t)]: one GEMM r @ vmat =
-    [a | b] and one (n, d) update a + (b - 1 / (1 - t)) x.
+    [a | b] and one (n, d) update a + (b - 1 / (1 - t)) x. Where every row keeps
+    one component k_i, r is e_k and r @ vmat is vmat[k] (see the module docstring).
     Times past 1 - EPS_T are clamped to it (see EPS_T).
     Accepts a single point or a batch, under one Condition or (n, K) log-weight rows.
     """
     xb, single = _check_points(x, mixture)
-    r, node, t = _posterior(xb, t, mixture, cond)
-    y = r @ node.vmat
+    node, t = _node_at(mixture, t)
+    logw = _log_weight_rows(mixture, cond, len(xb))
+    k = _point_masses(logw) if mixture._one_component_label else None
+    y = _posterior(xb, node, logw) @ node.vmat if k is None else node.vmat[k]
     out = y[:, :-1]
     out += (y[:, -1] - 1.0 / (1.0 - t))[:, None] * xb
     return out[0] if single else out
@@ -378,12 +433,16 @@ def endpoint_conditional_velocity(x, t, target):
 
 def sample_mixture(mixture: GaussianMixture, n: int, rng: np.random.Generator,
                    cond: Condition = Condition.null()):
-    """Draw n samples (and their labels) from the conditioned mixture."""
-    idx = cond.select(mixture)
-    w = mixture.weights[idx]
-    w = w / w.sum()
-    comp = rng.choice(idx.size, size=n, p=w)
-    chosen = idx[comp]
+    """Draw n samples (and their labels) from the conditioned mixture.
+
+    The components are drawn as rng.choice(K, size=n, p=w) draws them, w the
+    renormalised weights of the K components cond keeps: bitwise, from the
+    same rng.random(n), searched in the cdf that choice builds. The cdf is
+    built once per mixture and condition instead of being rebuilt and its p
+    checked at every call.
+    """
+    idx, cdf = mixture._draw_table(cond)
+    chosen = idx[cdf.searchsorted(rng.random(n), side="right")]
     x = mixture.means[chosen] + np.sqrt(mixture.variances[chosen])[:, None] * rng.standard_normal(
         (n, mixture.dim)
     )

@@ -105,12 +105,11 @@ def integrate(x0, grid: TimeGrid,
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """One row per node: t, x_0, ..., x_{d-1}."""
+    """One row per node: t, x_0, ..., x_{d-1}, each float as its repr."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t"] + [f"x_{i}" for i in range(traj.dim)])
-    for t, row in zip(traj.grid.nodes, traj.states):
-        writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    writer.writerows(np.column_stack([traj.grid.nodes, traj.states]).tolist())
     return buf.getvalue()
 
 

@@ -305,18 +305,22 @@ class _Frame:
     rank), and dirs[i] (2, d), its own directions (0 where y_i or z0_i
     already lies in the span before it). mixture is the mixture in these
     coordinates. Where K + 2 >= d the frame is the identity: q0 = I (d, d),
-    no directions, and the caller's mixture.
+    no directions, and the caller's mixture; its coordinates and lifts are
+    the points plus 0.0, which is x @ I bitwise for finite x (both turn a
+    -0.0 into +0.0), without the products.
     """
 
     q0: np.ndarray
     dirs: np.ndarray
     mixture: GaussianMixture
+    identity: bool = False
 
     @classmethod
     def of(cls, mixture: GaussianMixture, observed, z0) -> "_Frame":
         """The frame of rows observed (n, d) with draws z0."""
         if mixture.n_components + 2 >= mixture.dim:
-            return cls(np.eye(mixture.dim), np.zeros((len(observed), 0, mixture.dim)), mixture)
+            return cls(np.eye(mixture.dim), np.zeros((len(observed), 0, mixture.dim)), mixture,
+                       identity=True)
         if mixture._reduced is None:
             q0 = _means_basis(mixture.means)
             means = np.hstack([mixture.means @ q0, np.zeros((mixture.n_components, 2))])
@@ -330,10 +334,14 @@ class _Frame:
 
     def coords(self, x) -> np.ndarray:
         """(n, r + 2) coordinates of the rows x (n, d), row i in row i's basis."""
+        if self.identity:
+            return x + 0.0
         return np.concatenate([x @ self.q0, np.einsum("nd,njd->nj", x, self.dirs)], axis=1)
 
     def lift(self, c, i=slice(None)) -> np.ndarray:
         """Full-space points of coordinates c (m, r + 2): row j in row j's basis, or in row i's."""
+        if self.identity:
+            return c + 0.0
         k = self.q0.shape[1]
         return c[:, :k] @ self.q0.T + (c[:, None, k:] @ self.dirs[i])[:, 0]
 

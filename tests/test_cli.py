@@ -3,6 +3,7 @@ runs, benchmark aggregation, and exit codes."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdls import cli, pipeline
+from pdls import cli, flowfield, pipeline
 from pdls.cli import aggregate, build_parser, main
 from pdls.datasets import shapes32_mixture
 from pdls.degrade import ImageGrid
@@ -355,6 +356,24 @@ class TestRestore:
                                 [condition] * 6, pipeline.PdlsConfig(n_steps=6), [0, 1] * 3)
         for got, expected in zip(results, want, strict=True):
             assert np.array_equal(got.restored, expected.restored)
+
+    @pytest.mark.parametrize("off", [("point_mass",), ("identity",), ("point_mass", "identity")])
+    def test_toy_shortcuts_move_no_byte(self, tmp_path, monkeypatch, off):
+        # The field's point-mass rows and the identity frame's plain copies
+        # write the same bytes as the softmax and the frame's products.
+        files = ("metrics.csv", "diagnostics.csv", "structural_path.csv",
+                 "semantic_path.csv", "steered_path.csv")
+        argv = ("restore", "--task", "toy2d", "--seeds", "0:20")
+        assert run(*argv, "--out", tmp_path / "on") == 0
+        if "point_mass" in off:
+            monkeypatch.setattr(flowfield, "_point_masses", lambda logw: None)
+        if "identity" in off:
+            frame_of = pipeline._Frame.of
+            monkeypatch.setattr(pipeline._Frame, "of", classmethod(
+                lambda cls, *a: dataclasses.replace(frame_of(*a), identity=False)))
+        assert run(*argv, "--out", tmp_path / "off") == 0
+        for name in files:
+            assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes()
 
     def test_unknown_prompt_label_is_a_config_error(self, tmp_path, capsys):
         # The prompt is resolved against the mixture before --out is made.

@@ -351,9 +351,14 @@ class TestDescriptors:
 
 class TestImageGrid:
     def test_clamps_on_construction(self):
-        img = ImageGrid(np.array([[-0.5, 0.5], [1.5, 1.0]]))
-        assert img.pixels.min() == 0.0
-        assert img.pixels.max() == 1.0
+        # The clamp is np.clip's, bit for bit: a -0.0 pixel keeps its sign
+        # and a NaN pixel stays NaN.
+        px = np.array([[-0.5, 0.5, -0.0], [1.5, 1.0, np.nan]])
+        img = ImageGrid(px)
+        assert np.nanmin(img.pixels) == 0.0
+        assert np.nanmax(img.pixels) == 1.0
+        assert img.pixels.tobytes() == np.clip(px, 0.0, 1.0).tobytes()
+        assert np.signbit(img.pixels[0, 2]) and np.isnan(img.pixels[1, 2])
 
     def test_equality_compares_pixels(self):
         assert ImageGrid(np.zeros((2, 2))) == ImageGrid(np.zeros((2, 2)))

@@ -662,3 +662,102 @@ def cached_node_bytes(mixture):
             base = a if a.base is None else a.base
             bases[id(base)] = base
     return sum(b.nbytes for b in bases.values())
+
+
+@st.composite
+def point_mass_cases(draw):
+    """A small mixture in which component 0 alone carries label "S", a batch (n, d),
+    (n, K) log-weight rows that each keep one component, and t on a grid from 0
+    past 1 - EPS_T."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    means = draw(arrays(float, (k, d), elements=st.floats(-3.0, 3.0)))
+    variances = draw(arrays(float, k, elements=st.one_of(st.just(0.0), st.floats(1e-4, 1.0))))
+    weights = draw(arrays(float, k, elements=st.floats(0.1, 1.0)))
+    labels = ["S"] + draw(st.lists(st.sampled_from("AB"), min_size=k - 1, max_size=k - 1))
+    mixture = GaussianMixture(weights / weights.sum(), means, variances, labels)
+    n = draw(st.integers(1, 4))
+    x = draw(arrays(float, (n, d), elements=st.floats(-4.0, 4.0)))
+    rows = np.full((n, k), -np.inf)
+    for i in range(n):
+        rows[i, draw(st.integers(0, k - 1))] = draw(st.floats(-5.0, 5.0))
+    t = draw(st.one_of(st.sampled_from(np.linspace(0.0, 1.0, 29).tolist()),
+                       st.floats(1.0 - EPS_T, 1.0)))
+    return mixture, x, rows, t
+
+
+def softmax_velocity(x, t, mixture, logw):
+    """marginal_velocity's arithmetic through the responsibilities, whatever the rows keep."""
+    t = min(t, 1.0 - EPS_T)
+    node = mixture._node(t)
+    logp = _log_densities(x, node) + logw
+    r = np.exp(_logsumexp_rows(logp, subtract=True))
+    y = r @ node.vmat
+    return y[:, :-1] + (y[:, -1] - 1.0 / (1.0 - t))[:, None] * x
+
+
+class TestPointMassRows:
+    """Rows that keep one component take vmat's row instead of the softmax."""
+
+    @settings(deadline=None)
+    @given(point_mass_cases())
+    def test_equal_to_the_softmax_path(self, case):
+        mixture, x, rows, t = case
+        assert mixture._one_component_label
+        assert flowfield._point_masses(rows) is not None
+        want = softmax_velocity(x, t, mixture, rows)
+        assert np.array_equal(marginal_velocity(x, t, mixture, rows), want)
+        assert np.array_equal(marginal_velocity(x[0], t, mixture, rows[:1]), want[0])
+        one = Condition.of("S")
+        assert np.array_equal(marginal_velocity(x, t, mixture, one),
+                              softmax_velocity(x, t, mixture, mixture.log_weights(one)))
+
+    def test_a_row_of_two_and_a_row_of_none_take_the_full_path(self):
+        # Two finite entries in two rows, but no row is a point mass: the
+        # all -inf row gets NaN, as the softmax gives it, without a warning.
+        mixture = GaussianMixture([0.5, 0.25, 0.25], [[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]],
+                                  [0.0, 0.1, 0.0], ["a", "b", "c"])
+        rows = np.array([[np.log(0.5), np.log(0.25), -np.inf], [-np.inf] * 3])
+        x = np.array([[0.3, -0.2], [0.1, 0.4]])
+        assert flowfield._point_masses(rows) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = marginal_velocity(x, 0.5, mixture, rows)
+        assert np.isnan(v[1]).all()
+        assert np.array_equal(v[0], softmax_velocity(x, 0.5, mixture, rows)[0])
+
+    def test_a_mixture_without_a_one_component_label_never_tests_its_rows(self, monkeypatch):
+        def fail(logw):
+            raise AssertionError("point-mass test run")
+
+        monkeypatch.setattr(flowfield, "_point_masses", fail)
+        mixture = GaussianMixture([0.25] * 4, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                                  [0.0] * 4, ["a", "a", "b", "b"])
+        assert not mixture._one_component_label
+        rows = np.array([[0.0, -np.inf, -np.inf, -np.inf]])
+        x = np.array([[0.3, -0.2]])
+        assert np.array_equal(marginal_velocity(x, 0.5, mixture, rows),
+                              softmax_velocity(x, 0.5, mixture, rows))
+
+
+def choice_sample(mixture, n, rng, cond):
+    """sample_mixture's draw with the components from Generator.choice, its oracle."""
+    idx = cond.select(mixture)
+    w = mixture.weights[idx]
+    chosen = idx[rng.choice(idx.size, size=n, p=w / w.sum())]
+    x = mixture.means[chosen] + np.sqrt(mixture.variances[chosen])[:, None] * rng.standard_normal(
+        (n, mixture.dim))
+    return x, [mixture.labels[i] for i in chosen]
+
+
+class TestSamplingStream:
+    @settings(deadline=None)
+    @given(st.data(), small_mixtures(), st.integers(0, 2**32), st.integers(0, 5))
+    def test_draws_are_generator_choices_bitwise(self, data, mixture, seed, n):
+        cond = data.draw(conditions(mixture))
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # the second draw reads the mixture's cached table
+            x, labels = sample_mixture(mixture, n, rng, cond)
+            want, want_labels = choice_sample(mixture, n, oracle, cond)
+            assert x.tobytes() == want.tobytes() and labels == want_labels
+        assert rng.random() == oracle.random()

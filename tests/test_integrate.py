@@ -1,7 +1,13 @@
 """Grid construction and Euler integration tests."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pdls.control import lqr_control
 from pdls.flowfield import GaussianMixture, marginal_velocity
@@ -135,7 +141,45 @@ class TestIntegrate:
             Trajectory(grid, np.zeros((3, 2)))
 
 
+def csv_module_rows(traj: Trajectory) -> str:
+    """The trajectory CSV as a csv.writer row per node of repr'd floats, the oracle
+    for trajectory_to_csv."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t"] + [f"x_{i}" for i in range(traj.dim)])
+    for t, row in zip(traj.grid.nodes, traj.states):
+        writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    return buf.getvalue()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trajectories(draw):
+    """A trajectory of 2-6 strictly increasing finite nodes and finite states,
+    -0.0, subnormals and values near the largest float included (the nodes
+    within +-1e300, so that TimeGrid's differences do not overflow)."""
+    n = draw(st.integers(2, 6))
+    nodes = np.sort(draw(arrays(float, n, elements=st.floats(-1e300, 1e300), unique=True)))
+    d = draw(st.integers(1, 3))
+    extremes = st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308])
+    states = draw(arrays(float, (n, d), elements=st.one_of(_FINITE, extremes)))
+    return Trajectory(TimeGrid(nodes), states)
+
+
 class TestTrajectoryCsv:
+    @settings(deadline=None)
+    @given(trajectories())
+    @example(Trajectory(TimeGrid(np.array([-0.0, 5e-324, 1.7e308])),
+                        np.array([[-0.0, 5e-324], [-1.7e308, 1.7e308], [2.5e-310, -1.0]])))
+    def test_bytes_are_the_csv_modules_and_round_trip_bitwise(self, traj):
+        text = trajectory_to_csv(traj)
+        assert text == csv_module_rows(traj)
+        back = trajectory_from_csv(text)
+        assert back.grid.nodes.tobytes() == traj.grid.nodes.tobytes()
+        assert back.states.tobytes() == traj.states.tobytes()
+
     def test_round_trip_is_exact(self):
         grid = make_grid(6, 0.0, 1.0)
         traj = integrate(np.array([0.5, -0.25]), grid,

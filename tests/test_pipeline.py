@@ -1,6 +1,7 @@
 """Dual-path inversion and steered-generation tests, including frozen
 regression values."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -678,6 +679,20 @@ class TestReducedCoordinates:
             assert np.array_equal(res.generated.states, generated[:, i])
             assert np.array_equal(res.structural.states, states[:, i])
             assert np.array_equal(res.semantic.states, states[:, paths.pair[i]])
+
+    @settings(deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 12), st.just(2)),
+                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from([-0.0, 0.0, -5e-324, 2.5e-310]))))
+    def test_the_identity_frame_is_its_products_bitwise(self, x):
+        # The identity frame's coordinates and lifts skip x @ I, which they
+        # match byte for byte: -0.0 comes out +0.0 either way.
+        frame = pipeline._Frame.of(toy2d_mixture(), x, x)
+        assert frame.identity
+        products = dataclasses.replace(frame, identity=False)
+        assert frame.coords(x).tobytes() == products.coords(x).tobytes()
+        assert frame.lift(x).tobytes() == products.lift(x).tobytes()
+        assert frame.lift(x[:1], 0).tobytes() == products.lift(x[:1], 0).tobytes()
 
     def test_trajectories_are_lifted_once_on_first_access(self):
         obs, mixture, labels, seeds = manifest_batch()
