@@ -284,11 +284,19 @@ def parse_descriptor(text: str, image_shape: tuple[int, int] | None = None) -> D
     unknown = set(kv) - set(defaults)
     if unknown:
         raise ValueError(f"{name} has no parameter {sorted(unknown)}, only {sorted(defaults)}")
-    params = {key: type(default)(kv.get(key, default)) for key, default in defaults.items()}
+    params = {}
+    for key, default in defaults.items():
+        try:
+            params[key] = type(default)(kv.get(key, default))
+        except ValueError:
+            raise ValueError(f"operator {text!r}: {key} must be {type(default).__name__}, "
+                             f"not {kv[key]!r}") from None
     if name != "inpaint":
         return _OPERATORS[name](**params)
     if image_shape is None:
         raise ValueError("inpaint descriptor needs a target image shape")
     h, w = image_shape
     coverage, seed = params["coverage"], params["seed"]
+    if seed < 0:
+        raise ValueError(f"operator {text!r}: seed must be >= 0, not {seed}")
     return FreeformMask(make_freeform_mask(w, h, coverage, seed), (coverage, seed))

@@ -23,7 +23,9 @@ Condition shared by every row or under (n, K) log-weight rows, one per
 point. A condition is a row of log-weights with -inf for the components it
 excludes (GaussianMixture.log_weights), so the rows of one batch can carry
 different conditions, and a caller that evaluates one batch many times
-stacks its rows once.
+stacks its rows once. The mixture keeps one record per condition, built by
+one Condition.select: the indices of the components it keeps, that (K,)
+log-weight row and the cdf sample_mixture draws from.
 
 What depends on t alone is folded into the constants of a node, built once
 per time on the mixture and kept in a bounded cache keyed on t. With
@@ -83,14 +85,6 @@ the GEMM's sum may turn into +0.0. In a batch of point masses, a row so
 far out that its log-density overflows (||x||^2 past the float range,
 which restore rejects before it integrates) gets its exact velocity
 instead of NaN.
-
-At the (n, r + 2) sizes of a reduced-coordinate restore an evaluation costs
-numpy calls, not arithmetic: a 2-row shapes32 evaluation took 36-49 us with
-the distances scaled per call and 28-40 us folded (the best of 7 x 3 x 2,000
-calls in each of 5 interleaved runs, on one OpenBLAS thread of a 2-vCPU
-machine whose core speed varies about 1.5x). A toy2d generation call on 10
-point-mass rows took 24.2 us through the softmax and 10.4 us as vmat rows,
-and the test added about 1 us to a mixed 20-row call (best of 7 x 3 x 3,000).
 """
 
 from __future__ import annotations
@@ -107,7 +101,7 @@ import numpy as np
 # evaluated at a step's start node.
 EPS_T = 1e-3
 
-# Bytes of field constants a mixture keeps (GaussianMixture._node), each node
+# Bytes of field constants a mixture keeps (_node_at), each node
 # K (2d + 3) floats. A 28-step restore evaluates about 56 nodes, 11 KB each in
 # the reduced coordinates of a shapes32 restore (K = 90, d = 6) and 1.5 MB in
 # its full space (d = 1024); past the budget the cache starts over with the
@@ -124,7 +118,7 @@ class GaussianMixture:
 
     Components with variance 0 are exemplars (Dirac masses); a small shared
     variance acts as a kernel bandwidth smoothing the exemplar field. The
-    field reads caches built here (squared mean norms, log-weights per
+    field reads caches built here (squared mean norms, one record per
     condition and constants per time), so it keeps read-only copies of its
     arrays, which a caller's later writes to the originals leave unchanged.
     """
@@ -155,13 +149,12 @@ class GaussianMixture:
         self.labels = labels
         self.mean_sq = np.einsum("kd,kd->k", means, means)
         self._log_w = np.log(weights)
-        self._log_w_rows: dict = {}
-        self._draw_tables: dict = {}
+        self._conditions: dict = {}
         self._nodes: dict = {}
         self._ambient_dim = means.shape[1]  # the log-normaliser's d; see pipeline._Frame
         # Only a label of one component makes a prompt a point mass (see marginal_velocity).
         self._one_component_label = 1 in Counter(labels).values()
-        self._reduced = None  # pipeline's reduced frame of the means, built on first use
+        self._reduced = None  # pipeline's frame: (basis, reduced mixture), or () for identity
 
     @property
     def n_components(self) -> int:
@@ -171,37 +164,25 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def log_weights(self, cond: "Condition") -> np.ndarray:
-        """(K,) log-weights under cond, -inf for the components it excludes (cached)."""
-        row = self._log_w_rows.get(cond)
-        if row is None:
+    def _condition(self, cond: "Condition") -> "_ConditionRecord":
+        """What cond keeps of the mixture, built by one cond.select (cached)."""
+        record = self._conditions.get(cond)
+        if record is None:
             idx = cond.select(self)
-            row = np.full(self.n_components, -np.inf)
-            row[idx] = self._log_w[idx]
-            row.flags.writeable = False
-            self._log_w_rows[cond] = row
-        return row
-
-    def _draw_table(self, cond: "Condition"):
-        """The indices of the components cond keeps and the cumulative distribution of
-        their renormalised weights, as Generator.choice builds it (cached)."""
-        table = self._draw_tables.get(cond)
-        if table is None:
-            idx = cond.select(self)
+            log_w = np.full(self.n_components, -np.inf)
+            log_w[idx] = self._log_w[idx]
             w = self.weights[idx]
             cdf = (w / w.sum()).cumsum()
             cdf /= cdf[-1]
-            cdf.flags.writeable = False
-            table = self._draw_tables[cond] = (idx, cdf)
-        return table
+            record = _ConditionRecord(idx, log_w, cdf)
+            for a in record:
+                a.flags.writeable = False
+            self._conditions[cond] = record
+        return record
 
-    def _node(self, t: float) -> "_Node":
-        """The field's constants at time t over all components (cached, built on first use)."""
-        node = self._nodes.get(t)
-        if node is None:
-            self._add_nodes([t])
-            node = self._nodes[t]
-        return node
+    def log_weights(self, cond: "Condition") -> np.ndarray:
+        """(K,) log-weights under cond, -inf for the components it excludes (cached)."""
+        return self._condition(cond).log_w
 
     def _add_nodes(self, times) -> None:
         """Build, in one pass, the constants of each of times that has none yet,
@@ -217,6 +198,14 @@ class GaussianMixture:
             new = times
         if new:
             self._nodes.update(zip(new, _build_nodes(self, np.array(new))))
+
+
+class _ConditionRecord(NamedTuple):
+    """A condition's share of the mixture, read by the field and by sample_mixture."""
+
+    idx: np.ndarray  # the indices of the components the condition keeps, ascending
+    log_w: np.ndarray  # (K,) their log-weights, -inf for the others
+    cdf: np.ndarray  # the cdf of their renormalised weights, as Generator.choice builds it
 
 
 class _Node(NamedTuple):
@@ -323,7 +312,7 @@ def _logsumexp_rows(a: np.ndarray, subtract: bool = False) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.add.reduce(is_max, axis=1, keepdims=True, dtype=a.dtype)
         s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
+        s /= m
         out = np.log1p(s) + np.log(m) + a_max
         finite = np.isfinite(out)
         if not finite.all():
@@ -343,11 +332,15 @@ def _log_densities(xb, node: _Node):
 
 
 def _node_at(mixture: GaussianMixture, t):
-    """The node of time t and that time, clamped into [0, 1 - EPS_T]."""
+    """The node of time t (cached on mixture) and that time, clamped into [0, 1 - EPS_T]."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("time out of range")
     t = min(t, 1.0 - EPS_T)
-    return mixture._node(t), t
+    node = mixture._nodes.get(t)
+    if node is None:
+        mixture._add_nodes([t])
+        node = mixture._nodes[t]
+    return node, t
 
 
 def _posterior(xb, node: _Node, logw):
@@ -382,17 +375,8 @@ def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
     node, _ = _node_at(mixture, t)
     r = _posterior(xb, node, _log_weight_rows(mixture, cond, len(xb)))
     if isinstance(cond, Condition):
-        r = r[:, np.isfinite(mixture.log_weights(cond))]
+        r = r[:, mixture._condition(cond).idx]
     return r[0] if single else r
-
-
-def posterior_endpoint_mean(x, t, mixture: GaussianMixture, cond=Condition.null()):
-    """E[X_1 | X_t = x] = x + (1 - t) marginal_velocity(x, t) under the
-    (conditioned) mixture, with t clamped into [0, 1 - EPS_T] as the field clamps it.
-    Accepts a single point or a batch, under one Condition or (n, K) log-weight rows.
-    """
-    v = marginal_velocity(x, t, mixture, cond)
-    return np.asarray(x, dtype=float) + (1.0 - min(t, 1.0 - EPS_T)) * v
 
 
 def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
@@ -441,7 +425,7 @@ def sample_mixture(mixture: GaussianMixture, n: int, rng: np.random.Generator,
     built once per mixture and condition instead of being rebuilt and its p
     checked at every call.
     """
-    idx, cdf = mixture._draw_table(cond)
+    idx, _, cdf = mixture._condition(cond)
     chosen = idx[cdf.searchsorted(rng.random(n), side="right")]
     x = mixture.means[chosen] + np.sqrt(mixture.variances[chosen])[:, None] * rng.standard_normal(
         (n, mixture.dim)

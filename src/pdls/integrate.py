@@ -22,7 +22,7 @@ class DriftDivergedError(RuntimeError):
     """Raised when the drift callback returns a non-finite vector."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     nodes: np.ndarray
 
@@ -56,7 +56,7 @@ def make_grid(n_steps: int, t_start: float, t_end: float) -> TimeGrid:
     return TimeGrid(np.linspace(t_start, t_end, n_steps + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A time grid plus the latent state at each node."""
 

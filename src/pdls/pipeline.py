@@ -34,18 +34,18 @@ three take their parameters from one PdlsConfig.
 
 Every drift of a restore is affine in x, with terms only in the mixture
 means, the row's observation y_i and its noise draw z0_i, so row i stays in
-span{mu_1..mu_K, y_i, z0_i}. Where K + 2 < d, restore() integrates in
-orthonormal coordinates of that span: Q0, the left singular vectors of the
-means above numpy's matrix_rank tolerance, built on first use from the
-eigenvectors of the means' (K, K) Gram matrix (or, where the Gram spectrum
-cannot decide the rank, one SVD; see _means_basis) and kept on the
-mixture, plus y_i and z0_i orthogonalised against it twice.
-With r the means' rank, the unchanged field runs on (n, r + 2) coordinates
-under a mixture of the means' coordinates, so a step costs O(n K (r + 2)),
-not O(n K d) (shapes32: r + 2 = 6, d = 1024). Where K + 2 >= d (toy2d) the
-frame is the identity: the coordinates are the points themselves and the
-mixture is the caller's. Either way restored is lifted to the full space at
-once; a result's structural, semantic and generated trajectories, its
+span{mu_1..mu_K, y_i, z0_i}. Where r + 2 < d, r the means' rank,
+restore() integrates in orthonormal coordinates of that span: Q0, the left
+singular vectors of the means above numpy's matrix_rank tolerance, built
+on first use from the eigenvectors of the means' Gram matrix (or, where
+the Gram spectrum cannot decide the rank, one SVD; see _means_basis)
+and kept on the mixture, plus y_i and z0_i orthogonalised against it
+twice. The unchanged field runs on (n, r + 2) coordinates under a mixture
+of the means' coordinates, so a step costs O(n K (r + 2)), not O(n K d)
+(shapes32: r + 2 = 6, d = 1024, whatever K). Where r + 2 >= d, and where
+d <= 3 (toy2d), the frame is the identity: the coordinates are the points
+themselves and the mixture is the caller's. Either way restored is lifted
+to the full space at once; a result's structural, semantic and generated trajectories, its
 diagnostics and its latent norms are built on first access.
 
 At the default 28 steps, restored and the latent norms agree with the
@@ -148,7 +148,7 @@ def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
     return integrate(observed, grid, drift)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPaths:
     """The dual paths of a batch of n rows, stacked along one descending grid.
 
@@ -271,10 +271,11 @@ def _means_basis(means) -> np.ndarray:
     """(d, r) orthonormal basis of the means (K, d): their left singular vectors
     above numpy's matrix_rank tolerance s_0 max(K, d) eps, s_0 the largest.
 
-    They come from eigh of the (K, K) Gram matrix G = M M^T, as M^T v / s
-    in descending order of s = sqrt(lambda), re-orthonormalised by one QR
-    (which takes out of each column the rounding it shares with the larger
-    ones) with the signs of diag(R). G's eigenvalues are only good to about
+    They come from eigh of the smaller Gram matrix, in descending order of
+    s = sqrt(lambda): of G = M M^T (K, K) as M^T v / s, or where K > d, of
+    G = M^T M (d, d) as its eigenvectors v. One QR re-orthonormalises them
+    (taking out of each column the rounding it shares with the larger ones)
+    with the signs of diag(R). G's eigenvalues are only good to about
     K d eps lambda_0, so the Gram basis keeps the directions above twice
     that and cannot tell the singular values below it from 0. It is used
     only where the means' residual off it is at most half the tolerance,
@@ -284,10 +285,11 @@ def _means_basis(means) -> np.ndarray:
     """
     k, d = means.shape
     eps = np.finfo(float).eps
-    lam, v = np.linalg.eigh(means @ means.T)
+    wide = k > d
+    lam, v = np.linalg.eigh(means.T @ means if wide else means @ means.T)
     lam, v = lam[::-1], v[:, ::-1]
     keep = lam > 2 * k * d * eps * lam[0]
-    q, r = np.linalg.qr(means.T @ (v[:, keep] / np.sqrt(lam[keep])))
+    q, r = np.linalg.qr(v[:, keep] if wide else means.T @ (v[:, keep] / np.sqrt(lam[keep])))
     q *= np.where(np.diag(r) < 0, -1.0, 1.0)
     tol = np.sqrt(max(lam[0], 0.0)) * max(k, d) * eps
     residual = (means @ q) @ q.T
@@ -297,17 +299,18 @@ def _means_basis(means) -> np.ndarray:
     return u[:, s > s[0] * max(k, d) * eps]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Frame:
     """Orthonormal coordinates of a batch's rows: the span of the means, y_i and z0_i.
 
     Row i's basis is q0 (d, r), an orthonormal basis of the means (r their
     rank), and dirs[i] (2, d), its own directions (0 where y_i or z0_i
     already lies in the span before it). mixture is the mixture in these
-    coordinates. Where K + 2 >= d the frame is the identity: q0 = I (d, d),
-    no directions, and the caller's mixture; its coordinates and lifts are
-    the points plus 0.0, which is x @ I bitwise for finite x (both turn a
-    -0.0 into +0.0), without the products.
+    coordinates. Where r + 2 >= d, and where d <= 3 (no basis is built), the
+    frame is the identity: q0 = I (d, d), no directions, and the caller's
+    mixture; the mixture keeps either decision. The identity's coordinates
+    and lifts are the points plus 0.0, which is x @ I bitwise for finite x
+    (both turn a -0.0 into +0.0), without the products.
     """
 
     q0: np.ndarray
@@ -318,16 +321,18 @@ class _Frame:
     @classmethod
     def of(cls, mixture: GaussianMixture, observed, z0) -> "_Frame":
         """The frame of rows observed (n, d) with draws z0."""
-        if mixture.n_components + 2 >= mixture.dim:
+        if mixture._reduced is None:
+            q0 = _means_basis(mixture.means) if mixture.dim > 3 else None
+            mixture._reduced = ()
+            if q0 is not None and q0.shape[1] + 2 < mixture.dim:
+                means = np.hstack([mixture.means @ q0, np.zeros((mixture.n_components, 2))])
+                reduced = GaussianMixture(mixture.weights, means, mixture.variances,
+                                          mixture.labels)
+                reduced._ambient_dim = mixture.dim  # its log-normaliser keeps the full d
+                mixture._reduced = (q0, reduced)
+        if not mixture._reduced:
             return cls(np.eye(mixture.dim), np.zeros((len(observed), 0, mixture.dim)), mixture,
                        identity=True)
-        if mixture._reduced is None:
-            q0 = _means_basis(mixture.means)
-            means = np.hstack([mixture.means @ q0, np.zeros((mixture.n_components, 2))])
-            reduced = GaussianMixture(mixture.weights, means, mixture.variances,
-                                      mixture.labels)
-            reduced._ambient_dim = mixture.dim  # its log-normaliser keeps the full d
-            mixture._reduced = (q0, reduced)
         q0, reduced = mixture._reduced
         y = _directions(observed, q0)
         return cls(q0, np.stack([y, _directions(z0, q0, y)], axis=1), reduced)
@@ -346,18 +351,20 @@ class _Frame:
         return c[:, :k] @ self.q0.T + (c[:, None, k:] @ self.dirs[i])[:, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RestoreResult:
     """One restored row. structural, semantic and generated hold (n_steps + 1, d)
     states, lifted from the batch's frame on first access and kept; the
-    diagnostics and the latent norms are likewise built on first access."""
+    diagnostics and the latent norms are likewise built on first access.
+    Results, like the paths, trajectories and frames they hold, compare and
+    hash by identity."""
 
     restored: np.ndarray
-    _paths: DualPaths = field(repr=False, compare=False)
-    _generated: Trajectory = field(repr=False, compare=False)
-    _frame: _Frame = field(repr=False, compare=False)
-    _row: int = field(repr=False, compare=False)
-    _config: PdlsConfig = field(repr=False, compare=False)
+    _paths: DualPaths = field(repr=False)
+    _generated: Trajectory = field(repr=False)
+    _frame: _Frame = field(repr=False)
+    _row: int = field(repr=False)
+    _config: PdlsConfig = field(repr=False)
 
     def _lifted(self, traj: Trajectory, j: int) -> Trajectory:
         """Row j of the batch trajectory traj, in the full space."""
@@ -410,6 +417,9 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
     batch = np.atleast_2d(observed)
     if len(prompts) != len(batch) or len(seeds) != len(batch):
         raise ValueError("a batch needs one prompt and one seed per row")
+    if batch.ndim != 2 or batch.shape[1] != mixture.dim:
+        raise ValueError(f"observations of shape {observed.shape} do not match "
+                         f"the mixture's dimension {mixture.dim}")
     # Past _MAX_NORM the field's exponent may overflow. Where ||x||^2 itself
     # overflows every log-density is -inf and the first drift NaN, so the
     # whole range is reported as that divergence.

@@ -101,6 +101,16 @@ class TestDegrade:
                    "--images", src) == 2
         assert "factor must divide dimensions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("op, message", [
+        ("inpaint:seed=1.5", "operator 'inpaint:seed=1.5': seed must be int, not '1.5'"),
+        ("inpaint:seed=-1", "operator 'inpaint:seed=-1': seed must be >= 0, not -1"),
+    ])
+    def test_a_bad_parameter_value_names_its_descriptor(self, tmp_path, capsys, op, message):
+        out = tmp_path / "deg"
+        assert run("degrade", "--out", out, "--op", op, "--demo", "--n-per-class", 1) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_operator_parameter_is_a_config_error(self, tmp_path, capsys):
         assert run("degrade", "--out", tmp_path / "deg", "--op", "gblur:sigma=3,siz=61",
                    "--demo", "--n-per-class", 1) == 2
@@ -374,6 +384,20 @@ class TestRestore:
         assert run(*argv, "--out", tmp_path / "off") == 0
         for name in files:
             assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes()
+
+    def test_a_mixture_of_another_dimension_is_a_config_error(self, tmp_path, capsys):
+        deg = tmp_path / "deg"
+        assert run("degrade", "--out", deg, "--op", "id", "--demo", "--n-per-class", 1) == 0
+        mixture = tmp_path / "d100.mix"
+        write_mixture(mixture, flowfield.GaussianMixture(
+            np.full(3, 1 / 3), np.zeros((3, 100)), np.full(3, 1e-4), ["disk", "square", "cross"]))
+        out = tmp_path / "r"
+        assert run("restore", "--out", out, "--manifest", deg / "manifest.json",
+                   "--mixture", mixture) == 2
+        assert capsys.readouterr().err == (
+            "config error: observations of shape (3, 1024) do not match the mixture's "
+            "dimension 100\n")
+        assert not out.exists()
 
     def test_unknown_prompt_label_is_a_config_error(self, tmp_path, capsys):
         # The prompt is resolved against the mixture before --out is made.

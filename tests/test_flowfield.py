@@ -21,11 +21,11 @@ from pdls.flowfield import (
     TerminalTimeError,
     endpoint_conditional_velocity,
     marginal_velocity,
-    posterior_endpoint_mean,
     responsibilities,
     sample_mixture,
     _log_densities,
     _logsumexp_rows,
+    _node_at,
 )
 from pdls.integrate import make_grid
 from pdls.pipeline import PdlsConfig, restore
@@ -37,6 +37,18 @@ def two_diracs():
 
 def standard_normal_target(dim=2):
     return GaussianMixture([1.0], [np.zeros(dim)], [1.0], ["z"])
+
+
+def posterior_endpoint_mean(x, t, mixture, cond=Condition.null()):
+    """E[X_1 | X_t = x] = x + (1 - t) v(x, t), with t clamped into [0, 1 - EPS_T]
+    as the field clamps it."""
+    v = marginal_velocity(x, t, mixture, cond)
+    return np.asarray(x, dtype=float) + (1.0 - min(t, 1.0 - EPS_T)) * v
+
+
+def node(mixture, t):
+    """The field's constants of mixture at time t (cached on it)."""
+    return _node_at(mixture, t)[0]
 
 
 def direct_field(x, t, mixture, cond=Condition.null()):
@@ -159,7 +171,7 @@ class TestGemmPrecision:
         # The node folds 1 / 2s^2 into the expansion's terms, so the squared
         # distances' cancellation bound holds divided by 2s^2.
         mixture, x, t = self._case()
-        got = _log_densities(x, mixture._node(t))
+        got = _log_densities(x, node(mixture, t))
         sq, _, _ = direct_field(x, t, mixture)
         s2 = (1.0 - t) ** 2 + t**2 * mixture.variances
         expected = -0.5 * mixture.dim * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
@@ -564,7 +576,7 @@ class TestNodeCache:
     def test_warm_cache_is_bitwise_the_cold_one(self, case, t):
         mixture, cond, x, _ = case
         first = field_values(x, t, mixture, cond)
-        mixture._node(0.5)
+        node(mixture, 0.5)
         warm = field_values(x, t, mixture, cond)
         fresh = field_values(x, t, cold(mixture), cond)
         for a, b, c in zip(first, warm, fresh):
@@ -591,7 +603,7 @@ class TestNodeCache:
         grid = cold(mixture)
         grid._add_nodes(nodes)
         for t in np.minimum(nodes, 1.0 - EPS_T).tolist():
-            for a, b in zip(cold(mixture)._node(t), grid._nodes[t]):
+            for a, b in zip(node(cold(mixture), t), grid._nodes[t]):
                 assert a.shape == b.shape and np.array_equal(a, b)
 
     def test_shapes32_nodes_built_alone_equal_those_built_with_their_grid(self):
@@ -600,7 +612,7 @@ class TestNodeCache:
         mixture._add_nodes(nodes)
         for t in nodes.tolist():
             assert all(np.array_equal(a, b)
-                       for a, b in zip(cold(mixture)._node(t), mixture._nodes[t]))
+                       for a, b in zip(node(cold(mixture), t), mixture._nodes[t]))
 
     def test_bounded_over_many_times(self, monkeypatch):
         # A budget of 256 two-Dirac nodes, so that the cache starts over.
@@ -651,7 +663,7 @@ class TestNodeCache:
 
 def node_bytes(mixture, n):
     """Bytes of n nodes of mixture, from one built alone."""
-    return n * sum(a.nbytes for a in cold(mixture)._node(0.5))
+    return n * sum(a.nbytes for a in node(cold(mixture), 0.5))
 
 
 def cached_node_bytes(mixture):
@@ -688,8 +700,7 @@ def point_mass_cases(draw):
 
 def softmax_velocity(x, t, mixture, logw):
     """marginal_velocity's arithmetic through the responsibilities, whatever the rows keep."""
-    t = min(t, 1.0 - EPS_T)
-    node = mixture._node(t)
+    node, t = _node_at(mixture, t)
     logp = _log_densities(x, node) + logw
     r = np.exp(_logsumexp_rows(logp, subtract=True))
     y = r @ node.vmat

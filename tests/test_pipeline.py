@@ -3,6 +3,7 @@ regression values."""
 
 import dataclasses
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from pdls.flowfield import (
     EPS_T,
     Condition,
     GaussianMixture,
-    posterior_endpoint_mean,
+    marginal_velocity,
     responsibilities,
     sample_mixture,
 )
@@ -140,7 +141,7 @@ class TestDualInvert:
         for state, t in zip(semantic, paths.inversion.grid.nodes):
             if t >= 1.0 - 1e-9 or t <= 1e-9:
                 continue
-            m = posterior_endpoint_mean(state, float(t), mix, Condition.of("a"))
+            m = state + (1.0 - t) * marginal_velocity(state, float(t), mix, Condition.of("a"))
             assert np.allclose(m, [1.0, 0.0], atol=1e-12)
         # The structural path keeps nonzero responsibility on the other
         # component for an observation between the two.
@@ -495,10 +496,10 @@ def test_restores_are_as_close_to_the_truth_as_the_direct_form(monkeypatch):
 def restore_cases(draw):
     """A small mixture with unequal variances, a batch, prompts, a config.
 
-    d runs from 1 to K + 5, so both frames are drawn: the identity where
-    K + 2 >= d and reduced coordinates where K + 2 < d. The means have a
-    drawn rank r in [0, K] (coefficients (K, r) times a basis (r, d)), so
-    the reduced frame's basis is drawn narrower than K as well.
+    d runs from 1 to K + 5 and the means have a drawn rank r in [0, K]
+    (coefficients (K, r) times a basis (r, d)), so both frames are drawn:
+    the identity where r + 2 >= d or d <= 3, and reduced coordinates
+    elsewhere, K + 2 >= d among them.
 
     Cases whose exponent is ill-conditioned anywhere along the full-space
     paths are rejected later, as batch_cases in test_flowfield does. The
@@ -585,6 +586,13 @@ class TestReducedCoordinates:
         assert np.max(np.abs(frame.q0.T @ frame.q0 - np.eye(4))) <= 1e-14
         assert frame.mixture.dim == 6
 
+    def test_shapes32_of_1023_exemplars_restores_at_rank_4(self):
+        # K + 2 >= d = 1024, but the means keep rank 4.
+        mixture = shapes32_mixture(n_per_class=341)
+        obs = manifest_batch()[0][:1]
+        frame = restore(obs, mixture, [Condition.null()], PdlsConfig(n_steps=2), [0])[0]._frame
+        assert not frame.identity and frame.q0.shape == (1024, 4)
+
     def test_the_basis_is_built_once_on_first_use(self, monkeypatch):
         # shapes32's means have rank 4 and 13 orders of magnitude between
         # their 4th and 5th singular values, so the basis comes from one eigh
@@ -661,8 +669,27 @@ class TestReducedCoordinates:
             assert_restores_match(results, paths, generated)
             assert not results[0]._frame.dirs[0, 0].any()
 
+    @pytest.mark.parametrize("k, d, rank", [(5, 6, 2), (8, 6, 2), (5, 6, 5)])
+    def test_many_means_restore_at_their_rank(self, k, d, rank):
+        # K + 2 >= d > 3: the frame is reduced where the means' rank r gives
+        # r + 2 < d (a basis from their (K, K) Gram matrix where K <= d, from
+        # their (d, d) one where K > d), and is the identity where it does not.
+        rng = np.random.default_rng(7)
+        means = rng.standard_normal((k, rank)) @ rng.standard_normal((rank, d))
+        mixture = GaussianMixture(np.full(k, 1.0 / k), means, np.full(k, 0.05),
+                                  ["A", "B"] * (k // 2) + ["A"] * (k % 2))
+        obs = means[[0, 1]] + 0.1 * np.sin(np.arange(d))
+        prompts, seeds = [Condition.of("A"), Condition.null()], [3, 4]
+        results = restore(obs, mixture, prompts, PdlsConfig(), seeds)
+        frame = results[0]._frame
+        assert frame.identity == (rank + 2 >= d)
+        assert frame.q0.shape == (d, d if frame.identity else rank)
+        paths, generated = full_space_restore(obs, mixture, prompts, PdlsConfig(),
+                                              draws(seeds, d))
+        assert_restores_match(results, paths, generated)
+
     def test_toy2d_restores_in_the_full_space(self):
-        # K + 2 >= d: the frame is the identity, and restore() is the
+        # d <= 3: the frame is the identity, and restore() is the
         # full-space composition exactly.
         mix = toy2d_mixture()
         obs = np.array([[1.7, 0.3], [-1.5, 0.2], [1.5, 0.0]])
@@ -710,7 +737,37 @@ class TestReducedCoordinates:
         assert results[1].semantic is results[1].structural
 
 
+def test_results_compare_and_hash_by_identity():
+    mix = toy2d_mixture()
+    one, two = (restore(np.array([1.7, 0.3]), mix, Condition.of("A"), PdlsConfig(), 0)
+                for _ in range(2))
+    for a, b in ((one, two), (one._paths, two._paths), (one.generated, two.generated),
+                 (one.generated.grid, two.generated.grid), (one._frame, two._frame)):
+        assert a == a and a != b and len({a, b}) == 2
+
+
+def test_a_mixture_of_another_dimension_is_rejected_first():
+    mixture = shapes32_mixture()
+    with pytest.raises(ValueError, match=r"observations of shape \(100,\) do not match "
+                                         "the mixture's dimension 1024"):
+        restore(np.zeros(100), mixture, Condition.null(), PdlsConfig(), 0)
+    with pytest.raises(ValueError, match=r"shape \(2, 32, 32\) do not match"):
+        restore(np.zeros((2, 32, 32)), mixture, [Condition.null()] * 2, PdlsConfig(), [0, 1])
+    assert mixture._reduced is None
+
+
 class TestBatchSharing:
+    def test_each_condition_is_selected_once(self, monkeypatch):
+        calls = Counter()
+        select = Condition.select
+        monkeypatch.setattr(Condition, "select",
+                            lambda cond, mixture: calls.update([cond]) or select(cond, mixture))
+        mix = toy2d_mixture()
+        x, _ = sample_mixture(mix, 3, np.random.default_rng(0))
+        prompts = [Condition.of("A"), Condition.null(), Condition.of("B")]
+        restore(x, mix, prompts, PdlsConfig(), [0, 1, 2])
+        assert calls == Counter(prompts)
+
     @pytest.mark.parametrize("seeds, n_draws", [([7] * 90, 1), ([0, 1, 0], 2)])
     def test_each_distinct_seed_is_drawn_once(self, monkeypatch, seeds, n_draws):
         calls = []
