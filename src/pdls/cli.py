@@ -1,20 +1,17 @@
 """Command-line driver: demo assets, degradation, restoration, benchmarks.
 
 Exit codes: 0 success (and --help), 2 configuration error (argparse's
-rejections included), 3 numerical failure, 4 I/O error.
+rejections included), 3 numerical failure, 4 I/O error; a rejected argv
+gets one error line and no --out (test_any_argv_exits_with_a_documented_code,
+test_rejected_flag_exits_with_one_error_line).
 
 restore has one driver for both tasks: a task only builds its jobs, (input
 id, observation, reference, label, seed) tuples, which run through one
-restore() and one metrics.report call. bench reads each row's recon_path
-relative to its own metrics file.
+restore() and one metrics.report call.
 
-main() holds numpy's OpenBLAS at one thread for the whole run and puts its
-thread count back on exit. A restore's matrix products are small (a step is
-a few (rows, r + 2) x (r + 2, K) GEMMs, r the rank of the means), and a
-second OpenBLAS thread only spins on them, and keeps spinning for a while
-after each larger product (such as metrics' nearest means), which doubled
-the CPU time of a run for no gain in wall time. A library caller owns its BLAS, so restore() pins
-nothing. Where numpy's BLAS is not scipy-openblas, the run is not pinned.
+main() holds numpy's OpenBLAS at one thread for the run and puts its count
+back on exit (TestBlasPin): a second thread only spins on a restore's small
+products. A library caller owns its BLAS, so restore() pins nothing.
 """
 
 from __future__ import annotations
@@ -111,8 +108,7 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def _seed(text: str) -> int:
-    """The argparse type of a single seed flag: a non-negative integer, as numpy's
-    generators take."""
+    """The argparse type of a single seed flag: a non-negative integer."""
     try:
         seed = int(text)
     except ValueError:
@@ -523,12 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
-
-    Looked up on the first main() call, so importing pdls loads nothing.
-    None for any other BLAS (MKL, Accelerate, another OpenBLAS build),
-    whose threads main() cannot pin.
-    """
+    """(get, set) of the thread count of numpy's scipy-openblas, looked up on the
+    first main() call (test_import_does_no_lookup); None for any other BLAS,
+    whose run is not pinned (test_without_the_lookup_a_run_is_not_pinned)."""
     try:
         from numpy._core import _multiarray_umath
     except ImportError:  # numpy < 2

@@ -3,14 +3,13 @@
 The steering controller is the closed-form minimizer of a quadratic
 control-effort + terminal-deviation objective along dZ_t = c dt:
 
-    c(x, t) = (target - x) / (1 - t)
+    c(x, t) = (target - x) / (1 - t),
 
-i.e. the velocity of the straight line reaching the target at t=1. One
-Euler step with this control contracts the distance to a fixed target by
-exactly (1 - dt/(1-t)). Its strength is modulated by a cosine decay
-schedule eta(t) = eta_max/2 * (1 + cos(pi t)), strongest at t=0 and zero
-at t=1, or held at eta_max. eta_max and the schedule kind are a
-PdlsConfig's, which checks them.
+the velocity of the straight line reaching the target at t=1. One Euler
+step with it contracts the distance to a fixed target by exactly
+(1 - dt/(1-t)) (test_contraction_identity). Its strength is the cosine
+decay eta(t) = eta_max/2 * (1 + cos(pi t)), zero at t=1, or eta_max held,
+as a PdlsConfig sets them.
 """
 
 from __future__ import annotations

@@ -2,11 +2,10 @@
 
 shapes32 is a procedurally generated 32x32 grayscale set of disks, squares
 and crosses (3 classes, 30 exemplars each by default). Each class has a
-fixed canonical geometry; exemplars within a class vary in foreground and
-background intensity. Keeping the geometry registered makes intra-class
-exemplar distances small relative to the class separation, so the exemplar
-velocity field has well-defined class basins. The set seeds the image
-benchmarks without any external downloads.
+fixed geometry and its exemplars vary in foreground and background
+intensity, so intra-class distances are small against the class
+separation and the exemplar field has well-defined class basins
+(test_shapes32_classes_are_well_separated).
 """
 
 from __future__ import annotations
@@ -33,11 +32,9 @@ def toy2d_mixture() -> GaussianMixture:
 
 
 def _shapes32_pixels(n_per_class: int, seed: int):
-    """(3 n_per_class, 32, 32) exemplar pixels, class by class, and their labels.
-
-    Each exemplar is its class's mask in a foreground intensity on a
-    background one, drawn per exemplar (background first) from one rng.
-    """
+    """(3 n_per_class, 32, 32) exemplar pixels, class by class, and their labels:
+    each class's mask in a foreground intensity on a background one, drawn per
+    exemplar (background first) from one rng (test_shapes32_pixels_are_pinned)."""
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, not {n_per_class}")
     yy, xx = np.mgrid[0:32, 0:32]

@@ -6,11 +6,12 @@ normalized to unit sum. Convolutions pad by reflection about the image edge
 (d c b a | a b c d | d c b a, numpy's "symmetric" and scipy.ndimage's
 "reflect"), so constant images are preserved exactly. A kernel may be larger
 than the image: the padding then repeats that reflection with period twice
-the image side. Weights of magnitude at most machine epsilon are left out of
-the sum, as scipy.ndimage leaves them out of its footprint, so a blur equals
-``scipy.ndimage.convolve(img, kernel, mode="reflect")`` bitwise wherever
-ndimage is sound (its reflect padding reads outside its buffer once the
-kernel's half-width reaches about four times the image's shorter side).
+the image side. Weights of magnitude at most machine epsilon are left out,
+as scipy.ndimage leaves them out of its footprint, so a blur equals
+``scipy.ndimage.convolve(img, kernel, mode="reflect")`` bitwise
+(test_bitwise_equal_to_ndimage) wherever ndimage is sound: its padding
+reads outside its buffer once the kernel's half-width reaches about four
+times the image's shorter side.
 """
 
 from __future__ import annotations
@@ -177,11 +178,8 @@ DegradationOperator = GaussianBlur | MotionBlur | Downsample | FreeformMask | Id
 
 
 def _convolve_reflect(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Convolve with an odd-sized kernel under reflect padding (see the module docstring).
-
-    The weights of the flipped kernel are added in C order into a zero
-    array, the order in which ndimage sums each output pixel.
-    """
+    """Convolve with an odd-sized kernel under reflect padding (see the module
+    docstring), adding the flipped kernel's weights in ndimage's C order."""
     kh, kw = kernel.shape
     h, w = img.shape
     padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="symmetric")
@@ -262,11 +260,8 @@ _INPAINT_DEFAULTS = {"coverage": 0.15, "seed": 0}
 
 
 def parse_descriptor(text: str, image_shape: tuple[int, int] | None = None) -> DegradationOperator:
-    """Parse CLI operator descriptors like 'gblur:size=61,sigma=3.0' or 'id'.
-
-    A parameter left out takes the operator's default; one the operator does
-    not have is an error.
-    """
+    """Parse CLI operator descriptors like 'gblur:size=61,sigma=3.0' or 'id'. A
+    parameter left out takes its default; one the operator lacks is an error."""
     name, _, rest = text.partition(":")
     kv = {}
     if rest:

@@ -1,90 +1,44 @@
 """Closed-form rectified-flow velocity fields for Gaussian-mixture targets.
 
 The flow interpolates linearly between an isotropic Gaussian source at t=0
-and a finite isotropic mixture at t=1:
-
-    X_t = (1 - t) * X_0 + t * X_1,   X_0 ~ N(0, I),  X_1 ~ mixture
-
-so the marginal at time t is itself a mixture,
-
-    X_t ~ sum_k w_k N(t * mu_k, ((1-t)^2 + t^2 * sigma_k^2) * I),
-
-and the exact marginal velocity is
+and a finite isotropic mixture at t=1, X_t = (1 - t) X_0 + t X_1, so the
+marginal at time t is the mixture sum_k w_k N(t mu_k, s_k^2 I), s_k^2 =
+(1-t)^2 + t^2 sigma_k^2, and the exact marginal velocity is
 
     v(x, t) = (E[X_1 | X_t = x] - x) / (1 - t).
 
-Exemplar datasets enter as zero-variance (Dirac) components, optionally
-smoothed with a small shared bandwidth. All density arithmetic is done in
-log space; component likelihoods near t=1 span hundreds of orders of
-magnitude otherwise.
-
 Every field function takes one point (d,) or a batch (n, d), under one
-Condition shared by every row or under (n, K) log-weight rows, one per
-point. A condition is a row of log-weights with -inf for the components it
-excludes (GaussianMixture.log_weights), so the rows of one batch can carry
-different conditions, and a caller that evaluates one batch many times
-stacks its rows once. The mixture keeps one record per condition, built by
-one Condition.select: the indices of the components it keeps, that (K,)
-log-weight row and the cdf sample_mixture draws from.
+Condition or (n, K) log-weight rows, one per point (-inf for the components
+a condition excludes); either equals one call per row (TestFieldProperties).
 
-What depends on t alone is folded into the constants of a node, built once
-per time on the mixture and kept in a bounded cache keyed on t. With
-s_k^2 = (1-t)^2 + t^2 sigma_k^2 and ||x - t mu_k||^2 expanded, the
-log-density of component k is
+What depends on t alone is folded into a node's constants (_Node), cached
+on the mixture per time, so the log-densities are one GEMM and the velocity
+one GEMM and one (n, d) update, with no (n, K, d) temporaries. That equals
+the direct form within 1e-12 (test_gemm_form_matches_the_direct_oracle),
+and a node is the same bits however it was built (TestNodeCache). Near
+t = 1 the folded terms cancel only after they are summed, so they round
+unlike distances scaled afterwards; a restore stays within 3 times the
+direct form's error of a longdouble recomputation, or within 1e-12
+(test_restores_are_as_close_to_the_truth_as_the_direct_form). The fold
+scales x by up to 1 / EPS_T^2 before any term is summed (see
+pipeline._MAX_NORM).
 
-    x.lin_k + ||x||^2 quad_k + const_k,   lin = mu^T 2t / 2s^2 (d, K),
-    quad = -1 / 2s^2,   const = -0.5 d log(2 pi s^2) - t^2 ||mu||^2 / 2s^2,
+Densities stay in log space, as near t=1 they span hundreds of orders of
+magnitude. _log_softmax_rows normalises them, bitwise a -
+scipy.special.logsumexp(a) without scipy's array-API dispatch, which
+dominates at a restore's sizes; a plain max-shift softmax moves bits past
+benchmarks/references.npz's 1e-12. A point so far out that every
+log-density is -inf gets NaN responsibilities, which integrate reports
+without a numpy warning (test_a_huge_observation_diverges_cleanly).
 
-one GEMM and three in-place adds, and the velocity is one GEMM r @ vmat,
-vmat = [(1 - t c) / (1 - t) mu | c / (1 - t)] (K, d + 1), c_k =
-t sigma_k^2 / s_k^2, and one (n, d) update, so a batch builds no (n, K, d)
-temporaries; the endpoint mean is read back off it, x + (1 - t) v. An
-integration hands its grid's times to the mixture before its first step,
-which builds all their nodes in one vectorised pass over (T, K) arrays; a
-node built alone comes from the same function, bitwise equal. Near t = 1
-the folded terms are of order ||x||^2 / 2s^2 (about 1e6 on shapes32)
-before they cancel, so they round differently from distances scaled
-afterwards; a test holds every row of a restore to 3 times the float64
-direct form's own error against tests/data/make_truth.py's longdouble
-restores, or to 1e-12 where that is more. The fold scales x by up to
-1 / EPS_T^2 before any term is summed, so pipeline.restore rejects
-observations whose exponent would overflow.
-
-Responsibilities are normalised by _logsumexp_rows, a replica of
-scipy.special.logsumexp's arithmetic for real rows: scipy's own function
-spends most of its time on array-API dispatch at the (1-180, K) sizes of a
-restore, and the replica keeps its results bitwise. A plain max-shift
-softmax would save a few numpy calls more, but it failed 2 of the 12
-shapes32-manifest checks against benchmarks/references.npz (1e-12).
-Where every row's maximum is finite and occurs once (all evaluations of a
-shapes32 restore but its t = 0 one, where equally weighted components tie),
-the replica's count of maxima is 1, and dividing by it and adding its log
-(+0.0) change no bit: a single-maximum branch leaves them out, with the
-errstate and the finiteness pass they need, and returns the general
-branch's bits. The general branch also normalises the rows under its
-errstate, so a point so far out that every component's log-density is -inf
-gets NaN responsibilities, which integrate's finiteness check reports,
-instead of a numpy warning.
-
-Where every row of the (n, K) log-weight rows keeps exactly one component
-k_i (a prompt of a label that holds one component, as each of toy2d's
-two does), the posterior is a point mass, and the softmax only recomputes
-it: the row's one finite entry is its maximum, so the single-maximum
-branch's s is 0, its log-sum is that maximum and r is e_k exactly (the
-general branch, taken when another row ties, gives the same), and
-r @ vmat is row k of vmat. marginal_velocity then takes node.vmat[k]
-through the same update and skips the log-densities, the softmax and the
-GEMM. The test is made per row: a batch with a row of two components and
-a row of none has n kept entries but no point mass, and takes the softmax,
-which gives the empty row NaN. It is made only on mixtures with a label
-of one component, which the mixture knows from construction, so a
-shapes32 mixture (30 components per label) pays nothing for it. The
-velocities are the softmax path's numbers; their bytes differ only in the
-sign of a zero where a mean has a -0.0 coordinate, which vmat[k] keeps and
-the GEMM's sum may turn into +0.0. In a batch of point masses, a row so
-far out that its log-density overflows (||x||^2 past the float range,
-which restore rejects before it integrates) gets its exact velocity
-instead of NaN.
+Where every row keeps one component k_i (toy2d's prompts), its one finite
+entry is its maximum, so the softmax gives e_k exactly and marginal_velocity
+takes vmat[k] without it: the softmax path's velocities up to the sign of a
+zero the GEMM may turn from -0.0 to +0.0, and exact where the softmax would
+overflow to NaN (test_equal_to_the_softmax_path). Any other row sends its
+batch through the softmax (test_a_row_of_two_and_a_row_of_none_take_the_full_path),
+and a mixture without a one-component label never tests its rows
+(test_a_mixture_without_a_one_component_label_never_tests_its_rows).
 """
 
 from __future__ import annotations
@@ -96,16 +50,14 @@ from typing import Hashable, NamedTuple
 import numpy as np
 
 # Terminal-time guard: every field function clamps t into [0, 1 - EPS_T], so
-# the 1/(1-t) gain stays finite and a Dirac's s_k^2 stays positive.
-# Integration grids keep their exact endpoint nodes; drifts are only
-# evaluated at a step's start node.
+# the 1/(1-t) gain stays finite and a Dirac's s_k^2 stays positive
+# (test_clamped_at_terminal_time). Drifts are only evaluated at a step's
+# start node, so grids keep their exact endpoints.
 EPS_T = 1e-3
 
-# Bytes of field constants a mixture keeps (_node_at), each node
-# K (2d + 3) floats. A 28-step restore evaluates about 56 nodes, 11 KB each in
-# the reduced coordinates of a shapes32 restore (K = 90, d = 6) and 1.5 MB in
-# its full space (d = 1024); past the budget the cache starts over with the
-# times being added, one integration's grid, whatever their size.
+# Bytes of field constants a mixture keeps, K (2d + 3) floats per node. Past
+# the budget the cache starts over with the times being added, one
+# integration's grid, whatever their size (TestNodeCache).
 _MAX_NODE_BYTES = 1 << 22
 
 
@@ -114,14 +66,10 @@ class TerminalTimeError(ValueError):
 
 
 class GaussianMixture:
-    """Isotropic Gaussian mixture with labeled components.
-
-    Components with variance 0 are exemplars (Dirac masses); a small shared
-    variance acts as a kernel bandwidth smoothing the exemplar field. The
-    field reads caches built here (squared mean norms, one record per
-    condition and constants per time), so it keeps read-only copies of its
-    arrays, which a caller's later writes to the originals leave unchanged.
-    """
+    """Isotropic Gaussian mixture with labeled components: variance 0 makes an
+    exemplar (Dirac mass), a small shared variance a kernel bandwidth. The field
+    reads caches built from the arrays, so the mixture keeps read-only copies
+    (test_mixture_keeps_read_only_copies_of_its_arrays)."""
 
     def __init__(self, weights, means, variances, labels):
         weights = np.array(weights, dtype=float)
@@ -152,7 +100,7 @@ class GaussianMixture:
         self._conditions: dict = {}
         self._nodes: dict = {}
         self._ambient_dim = means.shape[1]  # the log-normaliser's d; see pipeline._Frame
-        # Only a label of one component makes a prompt a point mass (see marginal_velocity).
+        # Only a label of one component makes a prompt a point mass (see the module docstring).
         self._one_component_label = 1 in Counter(labels).values()
         self._reduced = None  # pipeline's frame: (basis, reduced mixture), or () for identity
 
@@ -185,10 +133,8 @@ class GaussianMixture:
         return self._condition(cond).log_w
 
     def _add_nodes(self, times) -> None:
-        """Build, in one pass, the constants of each of times that has none yet,
-        clamped into [0, 1 - EPS_T] as the field clamps them. An integration
-        hands in its grid's times before its first step. Past _MAX_NODE_BYTES
-        the cache starts over with these times."""
+        """Build, in one pass, the nodes of those times, clamped as the field
+        clamps them, that have none yet (see _MAX_NODE_BYTES)."""
         times = np.minimum(np.asarray(times, dtype=float), 1.0 - EPS_T)
         times = list(dict.fromkeys(times.tolist()))
         new = [t for t in times if t not in self._nodes]
@@ -209,8 +155,7 @@ class _ConditionRecord(NamedTuple):
 
 
 class _Node(NamedTuple):
-    """What the field needs at one time t < 1, s_k^2 = (1-t)^2 + t^2 sigma_k^2 > 0 and
-    c_k = t sigma_k^2 / s_k^2, with the time-only terms folded in (see the module docstring)."""
+    """The field's constants at one time t < 1, c_k = t sigma_k^2 / s_k^2."""
 
     lin: np.ndarray  # (d, K) mu^T 2t / 2s_k^2
     quad: np.ndarray  # (K,) -1 / 2s_k^2
@@ -284,47 +229,32 @@ def _log_weight_rows(mixture: GaussianMixture, cond, n: int) -> np.ndarray:
                      f"log-weight rows, not {getattr(cond, 'shape', type(cond).__name__)}")
 
 
-def _logsumexp_rows(a: np.ndarray, subtract: bool = False) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) as an (n, 1) column, bitwise as scipy 1.17 computes it,
-    or with subtract, a minus that column (the rows normalised in log space).
+def _log_softmax_rows(a: np.ndarray) -> np.ndarray:
+    """The rows normalised in log space, bitwise a - scipy.special.logsumexp(a,
+    axis=1, keepdims=True) for real a (TestLogsumexpReplica).
 
-    This is scipy.special.logsumexp(a, axis=1, keepdims=True) for real a:
-    the row maxima are taken out of the sum and counted (m), the rest is
-    summed shifted (s), and the result is log1p(s / m) + log(m) + max.
-    Where that is not finite, the unshifted log(sum(exp(a))) is used. The
-    reductions are the ufuncs np.max and np.sum call, without their dispatch.
-
-    Where every row's maximum is finite and occurs once (m = 1), s / m is s
-    and log(m) is +0.0 exactly, and log1p(s) >= +0.0 is finite, so the
-    result is log1p(s) + max bitwise, with no floating-point error to
-    silence and none to patch up: that branch runs no errstate and no
-    finiteness pass. Ties and non-finite maxima (the t = 0 node of a field
-    whose components all tie, an -inf row, +inf or NaN entries) take the
-    general branch, which also does subtract's a minus the column under its
-    errstate, so an -inf row's -inf - -inf gives NaN without a warning.
+    As scipy does, the row maxima are counted (m) and the rest summed shifted
+    (s): the log-sum is log1p(s / m) + log(m) + max. Where every row's maximum
+    is finite and occurs once, s / m is s and log(m) +0.0, so log1p(s) + max
+    has the same bits and nothing to silence. Ties and non-finite maxima take
+    the general branch, under errstate: an all -inf row gives NaN without a
+    warning. Where scipy falls back to log(sum(exp(a))), the maximum is +-inf
+    or NaN, and a minus either log-sum is the same inf or NaN.
     """
     a_max = np.maximum.reduce(a, axis=1, keepdims=True)
     is_max = a == a_max
     if np.count_nonzero(is_max) == len(a) and np.isfinite(a_max).all():
         s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
-        out = np.log1p(s) + a_max
-        return a - out if subtract else out
+        return a - (np.log1p(s) + a_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.add.reduce(is_max, axis=1, keepdims=True, dtype=a.dtype)
         s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
         s /= m
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            with np.errstate(over="ignore"):
-                direct = np.log(np.add.reduce(np.exp(a), axis=1, keepdims=True))
-            out = np.where(finite, out, direct)
-        return a - out if subtract else out
+        return a - (np.log1p(s) + np.log(m) + a_max)
 
 
 def _log_densities(xb, node: _Node):
-    """(n, K) log N(x; t mu_k, s_k^2 I) = x.lin + ||x||^2 quad + const, the expanded
-    squared distance ||x||^2 - 2t x.mu + t^2 ||mu||^2 with node's terms folded in."""
+    """(n, K) log N(x; t mu_k, s_k^2 I) = x.lin + ||x||^2 quad + const."""
     logp = xb @ node.lin
     logp += np.einsum("nd,nd->n", xb, xb)[:, None] * node.quad
     logp += node.const
@@ -344,17 +274,16 @@ def _node_at(mixture: GaussianMixture, t):
 
 
 def _posterior(xb, node: _Node, logw):
-    """Responsibilities (n, K) from logw (n, K) + log N(x; t mu_k, s_k^2 I) over all K
-    components at node's t (excluded ones get exactly 0)."""
+    """(n, K) responsibilities under log-weight rows logw, exactly 0 where logw is -inf."""
     logp = _log_densities(xb, node)
     logp += logw
-    r = _logsumexp_rows(logp, subtract=True)
+    r = _log_softmax_rows(logp)
     return np.exp(r, out=r)
 
 
 def _point_masses(logw):
     """(n,) the one component each row of logw (n, K) keeps, or None unless every row
-    keeps exactly one, with a finite log-weight (see the module docstring)."""
+    keeps exactly one, with a finite log-weight."""
     kept = logw != -np.inf
     if np.count_nonzero(kept) != len(logw):
         return None
@@ -363,14 +292,9 @@ def _point_masses(logw):
 
 
 def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
-    """Posterior probability of each component given X_t = x.
-
-    Computed with log-sum-exp over log w_k + log N(x; t mu_k, s_k^2 I) where
-    s_k^2 = (1-t)^2 + t^2 sigma_k^2. Accepts a single point or a batch. With
-    one Condition the columns are the components it selects; with (n, K)
-    log-weight rows they are all K components, 0 where a row's -inf
-    excludes them. Times past 1 - EPS_T are clamped to it (see EPS_T).
-    """
+    """Posterior probability of each component given X_t = x, t clamped (see EPS_T):
+    the columns cond selects, or all K, 0 where a row of log-weights excludes
+    them. Each row sums to 1 (test_rows_normalize_over_many_draws)."""
     xb, single = _check_points(x, mixture)
     node, _ = _node_at(mixture, t)
     r = _posterior(xb, node, _log_weight_rows(mixture, cond, len(xb)))
@@ -380,17 +304,11 @@ def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
 
 
 def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
-    """Exact marginal velocity (E[X_1 | X_t = x] - x) / (1 - t).
+    """Exact marginal velocity (E[X_1 | X_t = x] - x) / (1 - t), t clamped (see EPS_T).
 
-    Per component, Gaussian conditioning gives E[X_1 | x, k] = mu_k + c_k (x - t mu_k),
-    mixed by the responsibilities r. That is affine in x, so the velocity is
-    too, and it is computed in that form with the 1/(1-t) folded into the
-    node's vmat [(1 - t c) / (1 - t) mu | c / (1 - t)]: one GEMM r @ vmat =
-    [a | b] and one (n, d) update a + (b - 1 / (1 - t)) x. Where every row keeps
-    one component k_i, r is e_k and r @ vmat is vmat[k] (see the module docstring).
-    Times past 1 - EPS_T are clamped to it (see EPS_T).
-    Accepts a single point or a batch, under one Condition or (n, K) log-weight rows.
-    """
+    Per component, E[X_1 | x, k] = mu_k + c_k (x - t mu_k), mixed by the
+    responsibilities r: affine in x, so with r @ vmat = [a | b] the velocity
+    is a + (b - 1 / (1 - t)) x."""
     xb, single = _check_points(x, mixture)
     node, t = _node_at(mixture, t)
     logw = _log_weight_rows(mixture, cond, len(xb))
@@ -403,9 +321,7 @@ def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
 
 def endpoint_conditional_velocity(x, t, target):
     """Forward-time velocity (x - target) / t of the straight line through (x, t) and
-    (target, 0), the noise end. It is singular at t = 0; the line toward the data
-    end is control.lqr_control.
-    """
+    (target, 0), the noise end, singular at t = 0 (control.lqr_control is the data end's)."""
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
     if x.shape != target.shape:
@@ -417,14 +333,9 @@ def endpoint_conditional_velocity(x, t, target):
 
 def sample_mixture(mixture: GaussianMixture, n: int, rng: np.random.Generator,
                    cond: Condition = Condition.null()):
-    """Draw n samples (and their labels) from the conditioned mixture.
-
-    The components are drawn as rng.choice(K, size=n, p=w) draws them, w the
-    renormalised weights of the K components cond keeps: bitwise, from the
-    same rng.random(n), searched in the cdf that choice builds. The cdf is
-    built once per mixture and condition instead of being rebuilt and its p
-    checked at every call.
-    """
+    """Draw n samples (and their labels) from the conditioned mixture: components
+    bitwise as rng.choice(K, size=n, p=w) draws them, w the weights cond keeps,
+    from the cdf choice builds (test_draws_are_generator_choices_bitwise)."""
     idx, _, cdf = mixture._condition(cond)
     chosen = idx[cdf.searchsorted(rng.random(n), side="right")]
     x = mixture.means[chosen] + np.sqrt(mixture.variances[chosen])[:, None] * rng.standard_normal(

@@ -1,11 +1,10 @@
 """Uniform time grids and explicit Euler integration in either direction.
 
 The step is signed: x_{k+1} = x_k + dt * drift(x_k, t_k, k) with
-dt = t_{k+1} - t_k, so one code path covers forward generation (t
-ascending) and inversion (t descending). The drift callback receives the
-step index, letting schedules and stored-path lookups hit grid nodes
-exactly instead of interpolating in time. The state may be one point (d,)
-or a batch (n, d) advanced together, one drift call per step.
+dt = t_{k+1} - t_k, so one code path covers generation (t ascending) and
+inversion (t descending). The drift gets the step index, so stored-path
+lookups hit grid nodes exactly. The state is one point (d,) or a batch
+(n, d), one drift call per step.
 """
 
 from __future__ import annotations
@@ -41,11 +40,8 @@ class TimeGrid:
 
 
 def make_grid(n_steps: int, t_start: float, t_end: float) -> TimeGrid:
-    """Uniform grid of n_steps+1 nodes from t_start to t_end, endpoints exact.
-
-    Nodes may sit at t = 0 or t = 1; the fields guard their own terminal
-    singularity (see flowfield.EPS_T), so target-end arrival is exact.
-    """
+    """Uniform grid of n_steps+1 nodes from t_start to t_end, endpoints exact, as
+    the fields guard their own singularities (see flowfield.EPS_T)."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     for t in (t_start, t_end):
@@ -82,12 +78,9 @@ class Trajectory:
 
 def integrate(x0, grid: TimeGrid,
               drift: Callable[[np.ndarray, float, int], np.ndarray]) -> Trajectory:
-    """Explicit Euler along the grid; drift(x, t, k) is the forward-time velocity at node k.
-
-    x0 is one point (d,) or a batch (n, d); drift gets and returns the same shape.
-    Each step is written in place into the trajectory's states, whose row k is
-    the x that drift gets, so drift must not write to it.
-    """
+    """Explicit Euler along the grid; drift(x, t, k) is the forward-time velocity
+    at node k, of x's shape. x is row k of the trajectory's states, written in
+    place, so drift must not write to it."""
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")

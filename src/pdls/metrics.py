@@ -3,16 +3,10 @@
 SSIM filters with an 11x11 Gaussian window, which is separable: over an
 (n, h, w) stack of images it is two matrix products, (Wr @ X) @ Wc^T, with
 banded matrices holding the 1-D window. That equals a per-image valid-mode
-2-D convolution (the form the tests check it against) up to rounding, and
-lets report() score a whole batch of reconstructions in one pass.
-
-A stack is scored a chunk of about _CHUNK pixels at a time (eight 32x32
-images), so that each of SSIM's temporaries is 64 KB, which the allocator
-reuses, rather than 740 KB for a 90-image manifest, which it maps and the
-kernel faults in afresh each time. Inside an in-process `pdls restore` of
-that manifest this took report() from 8.9 to 5.8 ms and from about 1,100
-page faults to 32 (medians of 30 runs on a 2-vCPU VM). Each image is
-scored on its own either way, so no bit moves.
+2-D convolution up to rounding (test_batch_matches_the_convolution_oracle).
+A stack is scored a chunk of about _CHUNK pixels at a time, so that SSIM's
+temporaries stay small enough for the allocator to reuse; each image is
+scored on its own either way (test_batch_is_bitwise_the_per_pair_scores).
 """
 
 from __future__ import annotations
@@ -74,11 +68,8 @@ def _window_matrix(n: int, window: np.ndarray) -> np.ndarray:
 
 
 def ssim(a, b, peak: float = 1.0):
-    """Mean local SSIM over an 11x11 Gaussian window (sigma 1.5), standard constants.
-
-    a and b are one image each, giving a float, or (n, h, w) stacks, giving
-    the (n,) SSIM of each pair.
-    """
+    """Mean local SSIM over an 11x11 Gaussian window (sigma 1.5), standard constants,
+    of two images (a float) or of each pair of two (n, h, w) stacks ((n,) scores)."""
     a, b = _pixels(a), _pixels(b)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
@@ -116,16 +107,13 @@ def class_accuracy(reconstruction, mixture: GaussianMixture, true_label) -> int:
 
 def _nearest_means(x, mixture: GaussianMixture) -> np.ndarray:
     """The index of the mixture mean nearest to each row of x (n, d), the
-    lowest index on ties, from one matrix product.
+    lowest index on ties (test_class_accuracy_on_ties_and_near_ties).
 
-    The squared distances are expanded as ||x||^2 - 2 x.mu + ||mu||^2. Both
-    that form and the direct one ||x - mu||^2 are within about (2d + 6) eps
-    (||x||^2 + ||mu||^2) of the exact distance, so a row whose best two
-    expanded distances are further apart than 9 (d + 3) eps (||x||^2 + max
-    ||mu||^2), more than four such errors, has the same nearest mean either
-    way. The other rows (ties, near-ties, non-finite points) take the direct
-    distances, in one batch.
-    """
+    The expanded squared distances ||x||^2 - 2 x.mu + ||mu||^2 and the direct
+    ones are within about (2d + 6) eps (||x||^2 + ||mu||^2) of the exact
+    distance, so a row whose best two expanded distances are further apart
+    than 9 (d + 3) eps (||x||^2 + max ||mu||^2), over four such errors, has the
+    same nearest mean either way; the other rows take the direct distances."""
     if any(lb is None for lb in mixture.labels):
         raise ValueError("mixture components must be labeled")
     x_sq = np.einsum("nd,nd->n", x, x)
@@ -142,12 +130,9 @@ def _nearest_means(x, mixture: GaussianMixture) -> np.ndarray:
 def report(reconstruction, reference, mixture: GaussianMixture | None = None,
            true_label=None):
     """MSE, PSNR, SSIM (images of at least 11x11, not vectors) and, given a
-    mixture and a label, class accuracy of a reconstruction against its reference.
-
-    One pair of ImageGrids gives one MetricsReport. Sequences of pairs of one
-    shape, with one true label per pair (or none), give a list, and their
-    SSIM is computed as one batch.
-    """
+    mixture and a label, class accuracy of a reconstruction against its reference:
+    one MetricsReport for a pair of ImageGrids, or a list for sequences of pairs
+    of one shape (test_batch_equals_one_report_per_pair)."""
     single = isinstance(reference, ImageGrid)
     if single:
         reconstruction, reference, true_label = [reconstruction], [reference], [true_label]

@@ -320,6 +320,21 @@ class TestRestore:
                    "--sigma-y", "1e308") == 3
         assert capsys.readouterr().err == "numerical failure: drift diverged at step 0\n"
 
+    @pytest.mark.parametrize("scale", [1e154, 1e160])
+    def test_means_past_the_norm_bound_are_a_config_error(self, tmp_path, capsys, scale):
+        # Means of +-scale e_1 (d = 5) would overflow the basis's Gram matrix
+        # or the field's exponent; restore() rejects them before any draw.
+        means = np.zeros((2, 5))
+        means[:, 0] = scale, -scale
+        mixture = tmp_path / "far.mix"
+        write_mixture(mixture, flowfield.GaussianMixture([0.5, 0.5], means, [0.1, 0.1], "AB"))
+        out = tmp_path / "x"
+        assert run("restore", "--out", out, "--task", "toy2d", "--mixture", mixture) == 2
+        assert capsys.readouterr().err == (
+            f"config error: mixture means of norm past _MAX_NORM = {pipeline._MAX_NORM:.4g} "
+            "would overflow the field's exponent\n")
+        assert not out.exists()
+
     def test_empty_seed_range_is_a_config_error(self, tmp_path, capsys):
         deg = tmp_path / "deg"
         assert run("degrade", "--out", deg, "--op", "id", "--demo",
@@ -379,8 +394,14 @@ class TestRestore:
             monkeypatch.setattr(flowfield, "_point_masses", lambda logw: None)
         if "identity" in off:
             frame_of = pipeline._Frame.of
-            monkeypatch.setattr(pipeline._Frame, "of", classmethod(
-                lambda cls, *a: dataclasses.replace(frame_of(*a), identity=False)))
+            def products(cls, mixture, observed, z0):
+                frame = frame_of(mixture, observed, z0)
+                assert frame.q0 is None
+                d = mixture.dim
+                n = len(observed)
+                return dataclasses.replace(frame, q0=np.eye(d), dirs=np.zeros((n, 0, d)))
+
+            monkeypatch.setattr(pipeline._Frame, "of", classmethod(products))
         assert run(*argv, "--out", tmp_path / "off") == 0
         for name in files:
             assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes()

@@ -591,7 +591,7 @@ class TestReducedCoordinates:
         mixture = shapes32_mixture(n_per_class=341)
         obs = manifest_batch()[0][:1]
         frame = restore(obs, mixture, [Condition.null()], PdlsConfig(n_steps=2), [0])[0]._frame
-        assert not frame.identity and frame.q0.shape == (1024, 4)
+        assert frame.q0.shape == (1024, 4)
 
     def test_the_basis_is_built_once_on_first_use(self, monkeypatch):
         # shapes32's means have rank 4 and 13 orders of magnitude between
@@ -669,11 +669,12 @@ class TestReducedCoordinates:
             assert_restores_match(results, paths, generated)
             assert not results[0]._frame.dirs[0, 0].any()
 
-    @pytest.mark.parametrize("k, d, rank", [(5, 6, 2), (8, 6, 2), (5, 6, 5)])
+    @pytest.mark.parametrize("k, d, rank", [(5, 6, 2), (8, 6, 2), (5, 6, 5), (7, 6, 6)])
     def test_many_means_restore_at_their_rank(self, k, d, rank):
         # K + 2 >= d > 3: the frame is reduced where the means' rank r gives
         # r + 2 < d (a basis from their (K, K) Gram matrix where K <= d, from
-        # their (d, d) one where K > d), and is the identity where it does not.
+        # their (d, d) one where K > d), and is the identity where it does
+        # not, holding no (d, d) array (7 full-rank means of d = 6 among them).
         rng = np.random.default_rng(7)
         means = rng.standard_normal((k, rank)) @ rng.standard_normal((rank, d))
         mixture = GaussianMixture(np.full(k, 1.0 / k), means, np.full(k, 0.05),
@@ -682,8 +683,10 @@ class TestReducedCoordinates:
         prompts, seeds = [Condition.of("A"), Condition.null()], [3, 4]
         results = restore(obs, mixture, prompts, PdlsConfig(), seeds)
         frame = results[0]._frame
-        assert frame.identity == (rank + 2 >= d)
-        assert frame.q0.shape == (d, d if frame.identity else rank)
+        if rank + 2 >= d:
+            assert frame.q0 is None and frame.dirs is None and frame.mixture is mixture
+        else:
+            assert frame.q0.shape == (d, rank)
         paths, generated = full_space_restore(obs, mixture, prompts, PdlsConfig(),
                                               draws(seeds, d))
         assert_restores_match(results, paths, generated)
@@ -696,9 +699,7 @@ class TestReducedCoordinates:
         prompts, seeds = [Condition.of("A"), Condition.of("B"), Condition.null()], [7, 8, 4]
         results = restore(obs, mix, prompts, PdlsConfig(), seeds)
         frame = results[0]._frame
-        assert np.array_equal(frame.q0, np.eye(2))
-        assert frame.dirs.shape == (3, 0, 2)
-        assert frame.mixture is mix
+        assert frame.q0 is None and frame.dirs is None and frame.mixture is mix
         paths, generated = full_space_restore(obs, mix, prompts, PdlsConfig(), draws(seeds, 2))
         states = paths.inversion.states
         for i, res in enumerate(results):
@@ -715,8 +716,8 @@ class TestReducedCoordinates:
         # The identity frame's coordinates and lifts skip x @ I, which they
         # match byte for byte: -0.0 comes out +0.0 either way.
         frame = pipeline._Frame.of(toy2d_mixture(), x, x)
-        assert frame.identity
-        products = dataclasses.replace(frame, identity=False)
+        assert frame.q0 is None
+        products = dataclasses.replace(frame, q0=np.eye(2), dirs=np.zeros((len(x), 0, 2)))
         assert frame.coords(x).tobytes() == products.coords(x).tobytes()
         assert frame.lift(x).tobytes() == products.lift(x).tobytes()
         assert frame.lift(x[:1], 0).tobytes() == products.lift(x[:1], 0).tobytes()
@@ -827,3 +828,43 @@ def test_cli_exits_3_when_the_field_diverges(tmp_path, monkeypatch, task):
     monkeypatch.setattr(pipeline, "marginal_velocity", lambda *a: field(*a) * np.nan)
     code = cli_main(["restore", "--out", str(tmp_path / "out"), "--steps", "4"] + args)
     assert code == 3
+
+
+@st.composite
+def any_restore(draw):
+    """A restore of any shape and scale: d in [1, 8], K in [1, 6], means and
+    observations of magnitude 1e-300 to 1e200 (or 0), zero and non-zero
+    variances, null and label prompts, repeated seeds and 1 to 4 steps."""
+
+    def scaled(shape):
+        unit = draw(arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+        return unit * 10.0 ** draw(st.floats(-300.0, 200.0))
+
+    k, d, n = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    weights = draw(arrays(float, k, elements=st.floats(0.1, 1.0)))
+    variances = draw(arrays(float, k, elements=st.sampled_from([0.0, 1e-4, 0.05, 1.0])))
+    labels = draw(st.lists(st.sampled_from("AB"), min_size=k, max_size=k))
+    mixture = GaussianMixture(weights / weights.sum(), scaled((k, d)), variances, labels)
+    prompts = [draw(st.sampled_from([Condition.null()] + [Condition.of(lb) for lb in labels]))
+               for _ in range(n)]
+    seeds = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return scaled((n, d)), mixture, prompts, PdlsConfig(n_steps=draw(st.integers(1, 4))), seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_restore())
+@example((np.array([[np.inf, 0.0, 0.0, 0.0, 0.0]]),) + TINY_CASE[1:] + (
+    [Condition.null()], PdlsConfig(n_steps=2), [0]))
+def test_restore_is_total(case):
+    # Every input restores to finite output, trajectories included, or is
+    # rejected; the suite turns any numpy warning into a failure.
+    try:
+        results = restore(*case)
+    except (ValueError, DriftDivergedError):
+        return
+    for res in results:
+        assert np.isfinite(res.restored).all()
+        for traj in (res.structural, res.semantic, res.generated):
+            assert np.isfinite(traj.states).all()
+        assert np.isfinite([row[3] for row in res.diagnostics]).all()
+        assert np.isfinite([res.structural_latent_norm, res.semantic_latent_norm]).all()
