@@ -12,31 +12,38 @@ as scipy.ndimage leaves them out of its footprint, so a blur equals
 (test_bitwise_equal_to_ndimage) wherever ndimage is sound: its padding
 reads outside its buffer once the kernel's half-width reaches about four
 times the image's shorter side.
+
+Operators and the noise model are values: they compare and hash by their
+parameters (test_value_records_compare_and_hash_by_value). The blurs,
+Identity and FreeformMask are NamedTuples, equal to the plain tuple of
+their parameters. ImageGrid, NoiseModel and Downsample check their values
+at construction (test_records_raise_at_construction). An ImageGrid compares
+by its pixels and is unhashable, and so is a FreeformMask, which holds one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class ImageGrid:
-    """Row-major grayscale image with intensities clamped into [0, 1]."""
+    """Row-major grayscale image, pixels (height, width), with intensities clamped into [0, 1]."""
 
-    pixels: np.ndarray  # (height, width)
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=float)
+    def __init__(self, pixels):
+        px = np.asarray(pixels, dtype=float)
         if px.ndim != 2:
             raise ValueError("image must be 2-D")
-        object.__setattr__(self, "pixels", px.clip(0.0, 1.0))
+        self.pixels = px.clip(0.0, 1.0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ImageGrid):
             return NotImplemented
         return np.array_equal(self.pixels, other.pixels)
+
+    def __repr__(self):
+        return f"ImageGrid(pixels={self.pixels!r})"
 
     @property
     def height(self) -> int:
@@ -57,14 +64,24 @@ class ImageGrid:
         return cls(vec.reshape(height, width))
 
 
-@dataclass(frozen=True)
 class NoiseModel:
-    sigma_y: float = 0.0
-    seed: int = 0
+    """I.i.d. Gaussian noise of standard deviation sigma_y, drawn from seed."""
 
-    def __post_init__(self):
-        if not 0.0 <= self.sigma_y < np.inf:
+    def __init__(self, sigma_y: float = 0.0, seed: int = 0):
+        if not 0.0 <= sigma_y < np.inf:
             raise ValueError("sigma_y must be finite and non-negative")
+        self.sigma_y, self.seed = sigma_y, seed
+
+    def __eq__(self, other):
+        if type(other) is not NoiseModel:
+            return NotImplemented
+        return (self.sigma_y, self.seed) == (other.sigma_y, other.seed)
+
+    def __hash__(self):
+        return hash((self.sigma_y, self.seed))
+
+    def __repr__(self):
+        return f"NoiseModel(sigma_y={self.sigma_y!r}, seed={self.seed!r})"
 
 
 def _check_size(size: int) -> None:
@@ -116,46 +133,57 @@ def motion_kernel(size: int, intensity: float, angle: float = 45.0) -> np.ndarra
     return k / k.sum()
 
 
-class _Parametric:
-    """An operator whose descriptor is its _OPERATORS name and its dataclass fields."""
-
-    def descriptor(self) -> str:
-        """The text parse_descriptor reads back into this operator."""
-        name = next(key for key, cls in _OPERATORS.items() if cls is type(self))
-        params = ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
-        return f"{name}:{params}" if params else name
+def _descriptor(op) -> str:
+    """The text parse_descriptor reads back into op: its _OPERATORS name and its _fields."""
+    name = next(key for key, cls in _OPERATORS.items() if cls is type(op))
+    params = ",".join(f"{f}={getattr(op, f)}" for f in op._fields)
+    return f"{name}:{params}" if params else name
 
 
-@dataclass(frozen=True)
-class GaussianBlur(_Parametric):
+class GaussianBlur(NamedTuple):
     size: int = 7
     sigma: float = 1.5
+
+    descriptor = _descriptor
 
     def kernel(self) -> np.ndarray:
         return gaussian_kernel(self.size, self.sigma)
 
 
-@dataclass(frozen=True)
-class MotionBlur(_Parametric):
+class MotionBlur(NamedTuple):
     size: int = 7
     intensity: float = 0.5
     angle: float = 45.0
+
+    descriptor = _descriptor
 
     def kernel(self) -> np.ndarray:
         return motion_kernel(self.size, self.intensity, self.angle)
 
 
-@dataclass(frozen=True)
-class Downsample(_Parametric):
-    factor: int = 8
+class Downsample:
+    """Block averaging by factor >= 1. Its _fields and _field_defaults are a
+    NamedTuple's, for the descriptor."""
 
-    def __post_init__(self):
-        if self.factor < 1:
+    _fields, _field_defaults = ("factor",), {"factor": 8}
+    descriptor = _descriptor
+
+    def __init__(self, factor: int = _field_defaults["factor"]):
+        if factor < 1:
             raise ValueError("factor must be >= 1")
+        self.factor = factor
+
+    def __eq__(self, other):
+        return self.factor == other.factor if type(other) is Downsample else NotImplemented
+
+    def __hash__(self):
+        return hash((self.factor,))
+
+    def __repr__(self):
+        return f"Downsample(factor={self.factor!r})"
 
 
-@dataclass(frozen=True)
-class FreeformMask:
+class FreeformMask(NamedTuple):
     mask: ImageGrid  # 1 = masked (dropped), 0 = observed
     # (coverage, seed) of make_freeform_mask, where the mask was drawn by it
     drawn_with: tuple[float, int] | None = None
@@ -169,9 +197,10 @@ class FreeformMask:
         return f"inpaint:coverage={frac:.4f}"
 
 
-@dataclass(frozen=True)
-class Identity(_Parametric):
+class Identity(NamedTuple):
     """y = x: the operator of a plain denoising task."""
+
+    descriptor = _descriptor
 
 
 DegradationOperator = GaussianBlur | MotionBlur | Downsample | FreeformMask | Identity
@@ -253,7 +282,7 @@ def make_freeform_mask(width: int, height: int, coverage: float, seed: int) -> I
     return ImageGrid(mask.astype(float))
 
 
-# Descriptor name -> operator whose dataclass fields are its parameters.
+# Descriptor name -> operator whose _fields are its parameters.
 _OPERATORS = {"id": Identity, "gblur": GaussianBlur, "mblur": MotionBlur, "sr": Downsample}
 # The inpaint parameters are those of make_freeform_mask, which draws the mask.
 _INPAINT_DEFAULTS = {"coverage": 0.15, "seed": 0}
@@ -273,7 +302,7 @@ def parse_descriptor(text: str, image_shape: tuple[int, int] | None = None) -> D
     if name == "inpaint":
         defaults = _INPAINT_DEFAULTS
     elif name in _OPERATORS:
-        defaults = {f.name: f.default for f in fields(_OPERATORS[name])}
+        defaults = _OPERATORS[name]._field_defaults
     else:
         raise ValueError(f"unknown operator {name!r}")
     unknown = set(kv) - set(defaults)

@@ -44,7 +44,6 @@ and a mixture without a one-component label never tests its rows
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
 import numpy as np
@@ -178,9 +177,10 @@ def _build_nodes(mixture: GaussianMixture, t: np.ndarray) -> list:
     return list(map(_Node, lin, -1.0 / two_s2, const, vmat))
 
 
-@dataclass(frozen=True)
-class Condition:
-    """Semantic conditioning: all components (null) or a label subset (the prompt)."""
+class Condition(NamedTuple):
+    """Semantic conditioning: all components (null) or a label subset (the prompt).
+    A NamedTuple: conditions compare and hash by their labels, so equal ones share
+    the mixture's cached record (test_value_records_compare_and_hash_by_value)."""
 
     labels: frozenset | None = None
 

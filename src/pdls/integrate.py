@@ -4,14 +4,15 @@ The step is signed: x_{k+1} = x_k + dt * drift(x_k, t_k, k) with
 dt = t_{k+1} - t_k, so one code path covers generation (t ascending) and
 inversion (t descending). The drift gets the step index, so stored-path
 lookups hit grid nodes exactly. The state is one point (d,) or a batch
-(n, d), one drift call per step.
+(n, d), one drift call per step. Grids and trajectories validate at
+construction and compare and hash by identity
+(test_results_compare_and_hash_by_identity).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,18 +22,15 @@ class DriftDivergedError(RuntimeError):
     """Raised when the drift callback returns a non-finite vector."""
 
 
-@dataclass(frozen=True, eq=False)
 class TimeGrid:
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+    def __init__(self, nodes):
+        nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
         steps = np.diff(nodes)
         if not (np.all(steps > 0) or np.all(steps < 0)):
             raise ValueError("grid nodes must be strictly monotone")
-        object.__setattr__(self, "nodes", nodes)
+        self.nodes = nodes
 
     @property
     def n_steps(self) -> int:
@@ -52,20 +50,17 @@ def make_grid(n_steps: int, t_start: float, t_end: float) -> TimeGrid:
     return TimeGrid(np.linspace(t_start, t_end, n_steps + 1))
 
 
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A time grid plus the latent state at each node."""
+    """A time grid plus the latent state at each node: states (n_steps + 1, d),
+    or (n_steps + 1, n, d) for a batch."""
 
-    grid: TimeGrid
-    states: np.ndarray  # (n_steps + 1, d), or (n_steps + 1, n, d) for a batch
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
-        if states.shape[0] != self.grid.nodes.size:
+    def __init__(self, grid: TimeGrid, states):
+        states = np.asarray(states, dtype=float)
+        if states.shape[0] != grid.nodes.size:
             raise ValueError("one state per grid node required")
         if not np.all(np.isfinite(states)):
             raise ValueError("trajectory states must be finite")
-        object.__setattr__(self, "states", states)
+        self.grid, self.states = grid, states
 
     @property
     def terminal(self) -> np.ndarray:

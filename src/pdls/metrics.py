@@ -12,7 +12,7 @@ scored on its own either way (test_batch_is_bitwise_the_per_pair_scores).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,10 @@ SSIM_K2 = 0.03
 _CHUNK = 8192
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
+    """One pair's scores, a value: reports compare and hash by their scores, and
+    equal the plain tuple of them (test_value_records_compare_and_hash_by_value)."""
+
     mse: float
     psnr_db: float
     ssim: float | None = None

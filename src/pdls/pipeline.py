@@ -16,6 +16,8 @@ of a batch run as one stacked DualPaths and the generation as one batch,
 under (rows, K) log-weight rows resolved once; z0 is drawn once per
 distinct seed. A batch's rows equal single restores
 (test_batch_rows_equal_single_restores, test_each_distinct_seed_is_drawn_once).
+Paths, frames and results hold arrays and compare and hash by identity
+(test_results_compare_and_hash_by_identity).
 
 Every drift is affine in x with terms only in the means, the row's
 observation y_i and its draw z0_i, so row i stays in span{mu_1..mu_K, y_i,
@@ -39,7 +41,6 @@ difference of nearly equal states, nor few steps.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,16 +65,17 @@ BASE_CONDITIONS = ("prompt", "null")
 _MAX_NORM = EPS_T * np.sqrt(np.finfo(float).max / 4)
 
 
-@dataclass(frozen=True)
 class PdlsConfig:
-    gamma: float = 0.5
-    eta_max: float = 0.5
-    n_steps: int = 28
-    init_mode: str = "structural"
-    base_condition: str = "prompt"
-    schedule_kind: str = "cosine"
+    """A restore's settings, checked at construction (test_records_raise_at_construction).
+    A value: configs compare and hash by their settings, and equal only configs
+    (test_value_records_compare_and_hash_by_value)."""
 
-    def __post_init__(self):
+    def __init__(self, gamma: float = 0.5, eta_max: float = 0.5, n_steps: int = 28,
+                 init_mode: str = "structural", base_condition: str = "prompt",
+                 schedule_kind: str = "cosine"):
+        self.gamma, self.eta_max, self.n_steps = gamma, eta_max, n_steps
+        self.init_mode, self.base_condition = init_mode, base_condition
+        self.schedule_kind = schedule_kind
         for name in ("gamma", "eta_max"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -85,6 +87,15 @@ class PdlsConfig:
                               ("schedule_kind", SCHEDULE_KINDS)):
             if getattr(self, name) not in options:
                 raise ValueError(f"{name} must be one of {options}")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is PdlsConfig else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"PdlsConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def draw_noise(dim: int, seed: int) -> np.ndarray:
@@ -110,16 +121,14 @@ def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
     return integrate(observed, grid, drift)
 
 
-@dataclass(frozen=True, eq=False)
 class DualPaths:
     """The dual paths of a batch of n rows along one descending grid: the structural
     paths in rows 0..n-1 of inversion's states (n_steps + 1, rows, dim), row i's
     semantic one in row pair[i] (i itself for a null prompt), and each stored
     row's condition in log_weights (rows, K)."""
 
-    inversion: Trajectory
-    pair: np.ndarray
-    log_weights: np.ndarray
+    def __init__(self, inversion: Trajectory, pair: np.ndarray, log_weights: np.ndarray):
+        self.inversion, self.pair, self.log_weights = inversion, pair, log_weights
 
     def target(self, j) -> np.ndarray:
         """Averaged targets, each row's midpoint of its two stored states: (n, dim)
@@ -241,7 +250,6 @@ def _means_basis(means) -> np.ndarray:
     return u[:, s > s[0] * max(k, d) * eps]
 
 
-@dataclass(frozen=True, eq=False)
 class _Frame:
     """Orthonormal coordinates of a batch's rows: the span of the means, y_i and z0_i.
 
@@ -253,9 +261,8 @@ class _Frame:
     points plus 0.0, bitwise x @ I (test_the_identity_frame_is_its_products_bitwise).
     """
 
-    q0: np.ndarray | None
-    dirs: np.ndarray | None
-    mixture: GaussianMixture
+    def __init__(self, q0: np.ndarray | None, dirs: np.ndarray | None, mixture: GaussianMixture):
+        self.q0, self.dirs, self.mixture = q0, dirs, mixture
 
     @classmethod
     def of(cls, mixture: GaussianMixture, observed, z0) -> "_Frame":
@@ -289,19 +296,16 @@ class _Frame:
         return c[:, :k] @ self.q0.T + (c[:, None, k:] @ self.dirs[i])[:, 0]
 
 
-@dataclass(frozen=True, eq=False)
 class RestoreResult:
     """One restored row. Its trajectories (lifted from the batch's frame),
     diagnostics and latent norms are built on first access and kept
     (test_trajectories_are_lifted_once_on_first_access). Results compare and
     hash by identity (test_results_compare_and_hash_by_identity)."""
 
-    restored: np.ndarray
-    _paths: DualPaths = field(repr=False)
-    _generated: Trajectory = field(repr=False)
-    _frame: _Frame = field(repr=False)
-    _row: int = field(repr=False)
-    _config: PdlsConfig = field(repr=False)
+    def __init__(self, restored: np.ndarray, _paths: DualPaths, _generated: Trajectory,
+                 _frame: _Frame, _row: int, _config: PdlsConfig):
+        self.restored, self._paths, self._generated = restored, _paths, _generated
+        self._frame, self._row, self._config = _frame, _row, _config
 
     def _lifted(self, traj: Trajectory, j: int) -> Trajectory:
         """Row j of the batch trajectory traj, in the full space."""

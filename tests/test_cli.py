@@ -3,7 +3,6 @@ runs, benchmark aggregation, and exit codes."""
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -399,7 +398,7 @@ class TestRestore:
                 assert frame.q0 is None
                 d = mixture.dim
                 n = len(observed)
-                return dataclasses.replace(frame, q0=np.eye(d), dirs=np.zeros((n, 0, d)))
+                return pipeline._Frame(np.eye(d), np.zeros((n, 0, d)), frame.mixture)
 
             monkeypatch.setattr(pipeline._Frame, "of", classmethod(products))
         assert run(*argv, "--out", tmp_path / "off") == 0
@@ -914,6 +913,21 @@ class TestBlasPin:
             assert path.read_bytes() == (tmp_path / "main" / path.name).read_bytes()
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "cli._toy_jobs draws a seed's clean sample from default_rng(seed) after one uniform, and "
+    "pipeline.draw_noise draws z0 from a fresh default_rng(seed), so z0[1] is the sample's "
+    "standardised x-offset. The fix moves every toy2d output, so it waits for a benchmark "
+    "change that regenerates benchmarks/references.npz (ROADMAP, item 2)."))
+def test_a_toy2d_noise_draw_shares_no_normal_with_its_sample():
+    args = build_parser().parse_args(["restore", "--out", "unused", "--task", "toy2d"])
+    for seed in range(6):
+        _, mixture, _, [(_, _, clean, label, _)] = cli._toy_jobs(args, [seed])
+        k = mixture.labels.index(label)
+        normals = (clean - mixture.means[k]) / np.sqrt(mixture.variances[k])
+        z0 = pipeline.draw_noise(mixture.dim, seed)
+        assert not np.isclose(z0[:, None], normals, rtol=1e-9, atol=0.0).any(), seed
+
+
 class TestWithoutScipy:
     """scipy is a test dependency only: the package neither imports nor needs it."""
 
@@ -946,3 +960,14 @@ print(main(["degrade", "--out", out + "/deg", "--demo", "--n-per-class", "2",
       main(["restore", "--out", out + "/toy", "--task", "toy2d"]))
 """
         assert run_python(code, tmp_path).stdout.split()[-2:] == ["0", "0"]
+
+
+def test_import_loads_no_dataclasses():
+    # pdls builds its records as plain classes and NamedTuples, as every fresh
+    # process would pay for the dataclasses module and the methods it generates.
+    code = ("import sys, numpy; a = 'dataclasses' in sys.modules\n"
+            "import pdls, pdls.cli; print(a, 'dataclasses' in sys.modules)")
+    numpy_loads, loaded = run_python(code).stdout.split()
+    if numpy_loads == "True":
+        pytest.skip("numpy itself imports dataclasses")
+    assert loaded == "False"
