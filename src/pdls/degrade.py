@@ -13,6 +13,17 @@ as scipy.ndimage leaves them out of its footprint, so a blur equals
 reads outside its buffer once the kernel's half-width reaches about four
 times the image's shorter side.
 
+Each operator costs its arithmetic. A blur multiplies each tap's slice of
+the padded image by its weight and adds a block of taps in one ordered
+reduction, in ndimage's order. gaussian_kernel and motion_kernel build each
+kernel once per argument tuple (typed: 7 and 7.0 are two keys) and return
+it read-only; a rejected argument raises on every call
+(test_cached_arrays_are_fresh_and_read_only,
+test_a_rejected_argument_raises_on_every_call). A freeform mask is bitwise
+the walk that tests every stamp on the whole grid, but a stamp's work is
+its window, so a mask costs O(stamps * radius^2), not O(stamps * H * W)
+(test_bitwise_equal_to_the_full_grid_walk).
+
 Operators and the noise model are values: they compare and hash by their
 parameters (test_value_records_compare_and_hash_by_value). The blurs,
 Identity and FreeformMask are NamedTuples, equal to the plain tuple of
@@ -23,6 +34,7 @@ by its pixels and is unhashable, and so is a FreeformMask, which holds one.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -84,18 +96,33 @@ class NoiseModel:
         return f"NoiseModel(sigma_y={self.sigma_y!r}, seed={self.seed!r})"
 
 
+# 16 times the paper's largest kernel (61).
+_MAX_KERNEL_SIZE = 1025
+
+
 def _check_size(size: int) -> None:
+    """Kernels are odd-sized and at most _MAX_KERNEL_SIZE wide: a dense kernel of
+    size n holds n^2 weights, so a mistyped size would otherwise fail with a
+    memory error deep inside numpy (test_oversized_kernel_rejected)."""
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 1, not {size}")
+    if size > _MAX_KERNEL_SIZE:
+        raise ValueError(f"kernel size must be at most {_MAX_KERNEL_SIZE}, not {size}")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16, typed=True)
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Separable Gaussian kernel sampled at pixel centers, normalized to sum 1."""
     _check_size(size)
     if not 0.0 < sigma < np.inf:
         raise ValueError(f"sigma must be finite and positive, not {sigma}")
     if size == 1:
-        return np.array([[1.0]])
+        return _read_only(np.array([[1.0]]))
     r = np.arange(size) - (size - 1) / 2
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -103,9 +130,10 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     except (OverflowError, FloatingPointError):
         raise ValueError(f"sigma {sigma} overflows a size-{size} kernel") from None
     k = np.outer(g, g)
-    return k / k.sum()
+    return _read_only(k / k.sum())
 
 
+@lru_cache(maxsize=16, typed=True)
 def motion_kernel(size: int, intensity: float, angle: float = 45.0) -> np.ndarray:
     """Line-segment kernel: length max(1, round(intensity*size)) pixels through
     the center at the given angle (degrees), bilinearly splatted, unit sum."""
@@ -130,7 +158,7 @@ def motion_kernel(size: int, intensity: float, angle: float = 45.0) -> np.ndarra
             xi, yi = x0 + ox, y0 + oy
             if 0 <= xi < size and 0 <= yi < size and wt > 0:
                 k[yi, xi] += w * wt
-    return k / k.sum()
+    return _read_only(k / k.sum())
 
 
 def _descriptor(op) -> str:
@@ -206,18 +234,55 @@ class Identity(NamedTuple):
 DegradationOperator = GaussianBlur | MotionBlur | Downsample | FreeformMask | Identity
 
 
+# Bytes of one block of tap products (a blur holds two), whatever its kernel's size.
+_TAP_BLOCK_BYTES = 1 << 17
+
+
+@lru_cache(maxsize=16)
+def _reflect_index(h: int, w: int, rh: int, rw: int) -> np.ndarray:
+    """Flat indices into an (h, w) image of its reflect padding by rh rows and
+    rw columns on each side (period 2h and 2w, as in the module docstring),
+    row by row, then 2 rw more of pixel 0 so that every tap's slice fits."""
+    def reflect(n, r):
+        i = np.mod(np.arange(-r, n + r), 2 * n)
+        return np.where(i < n, i, 2 * n - 1 - i)
+    index = (reflect(h, rh)[:, None] * w + reflect(w, rw)).ravel()
+    return _read_only(np.append(index, np.zeros(2 * rw, dtype=index.dtype)))
+
+
 def _convolve_reflect(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Convolve with an odd-sized kernel under reflect padding (see the module
-    docstring), adding the flipped kernel's weights in ndimage's C order."""
+    docstring), adding the flipped kernel's weights in ndimage's C order.
+
+    The padded image is read flat: output pixel (i, j) sits at i * pw + j of a
+    row of pw = w + kw - 1 columns, so each tap's products are one contiguous
+    slice times its weight, and the kw - 1 columns past w are dropped. Blocks
+    of taps that fill _TAP_BLOCK_BYTES are added by one np.add.reduce, whose
+    first row carries the running sum; numpy adds the rows of a reduction over
+    its first axis in order when a row holds two or more values, as every row
+    here does unless the image and the kernel are both 1x1."""
     kh, kw = kernel.shape
     h, w = img.shape
-    padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="symmetric")
-    out = np.zeros((h, w))
-    eps = np.finfo(float).eps
-    for (a, b), wt in np.ndenumerate(kernel[::-1, ::-1]):
-        if abs(wt) > eps:
-            out += wt * padded[a:a + h, b:b + w]
-    return out
+    pw = w + kw - 1
+    n = h * pw
+    padded = img.take(_reflect_index(h, w, kh // 2, kw // 2))
+    flipped = kernel[::-1, ::-1]
+    taps = np.flatnonzero(np.abs(flipped) > np.finfo(float).eps)
+    offsets = (taps // kw * pw + taps % kw).tolist()
+    weights = flipped.ravel()[taps].tolist()
+    per_block = max(1, _TAP_BLOCK_BYTES // (8 * n) - 1)
+    cur = np.zeros((min(per_block, len(taps)) + 1, n))
+    nxt = np.empty_like(cur)
+    for start in range(0, len(taps), per_block):
+        block = range(start, min(start + per_block, len(taps)))
+        for k, t in enumerate(block, 1):
+            np.multiply(padded[offsets[t]:offsets[t] + n], weights[t], out=cur[k])
+        if len(block) == 1:  # a reduce would first copy the running sum
+            np.add(cur[0], cur[1], out=cur[0])
+        else:
+            np.add.reduce(cur[:len(block) + 1], axis=0, out=nxt[0])
+            cur, nxt = nxt, cur
+    return cur[0].reshape(h, pw)[:, :w].copy()
 
 
 def block_average(img: np.ndarray, factor: int) -> np.ndarray:
@@ -254,29 +319,39 @@ def apply(op: DegradationOperator, image: ImageGrid, noise: NoiseModel = NoiseMo
 
 
 def make_freeform_mask(width: int, height: int, coverage: float, seed: int) -> ImageGrid:
-    """Seeded random-walk brush strokes; masked fraction within +-2% of coverage."""
+    """Seeded random-walk brush strokes; masked fraction within +-2% of coverage.
+
+    Each disk stamp tests its predicate only on the window of rows and columns
+    within radius + 1 of its centre, which holds every pixel the predicate can
+    accept, and counts the pixels it newly sets, so a stamp costs its window,
+    not the whole grid; the mask is bitwise the full-grid walk's
+    (test_bitwise_equal_to_the_full_grid_walk)."""
     if not 0.0 < coverage < 1.0:
         raise ValueError("coverage must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     mask = np.zeros((height, width), dtype=bool)
     target = coverage * width * height
     radius = max(1, round(min(width, height) / 16))
-    yy, xx = np.mgrid[0:height, 0:width]
+    ys, xs = np.arange(height), np.arange(width)
     max_stamps = 50 * width * height
-    stamps = 0
-    while mask.sum() < target:
+    stamps = masked = 0
+    while masked < target:
         # one brush stroke: a short random walk of disk stamps
         cy, cx = rng.uniform(0, height), rng.uniform(0, width)
         heading = rng.uniform(0, 2 * np.pi)
         for _ in range(rng.integers(4, 16)):
-            disk = (yy - cy) ** 2 + (xx - cx) ** 2 <= radius**2
-            mask |= disk
+            rows = slice(max(int(cy) - radius - 1, 0), int(cy) + radius + 2)
+            cols = slice(max(int(cx) - radius - 1, 0), int(cx) + radius + 2)
+            disk = (ys[rows, None] - cy) ** 2 + (xs[cols] - cx) ** 2 <= radius**2
+            window = mask[rows, cols]
+            masked += np.count_nonzero(disk > window)
+            window |= disk
             stamps += 1
-            if mask.sum() >= target:
+            if masked >= target:
                 break
             heading += rng.normal(0, 0.6)
-            cy = np.clip(cy + radius * np.sin(heading), 0, height - 1)
-            cx = np.clip(cx + radius * np.cos(heading), 0, width - 1)
+            cy = min(max(cy + radius * float(np.sin(heading)), 0.0), height - 1.0)
+            cx = min(max(cx + radius * float(np.cos(heading)), 0.0), width - 1.0)
         if stamps > max_stamps:
             raise RuntimeError("could not reach requested mask coverage")
     return ImageGrid(mask.astype(float))

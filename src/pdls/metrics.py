@@ -12,6 +12,7 @@ scored on its own either way (test_batch_is_bitwise_the_per_pair_scores).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -62,11 +63,17 @@ def psnr(a, b, peak: float = 1.0) -> float:
     return _psnr_from_mse(mse(a, b), peak)
 
 
-def _window_matrix(n: int, window: np.ndarray) -> np.ndarray:
-    """(n - W + 1, n) banded matrix: its product with a length-n column is the
-    valid-mode convolution of the column with the 1-D window."""
+@lru_cache(maxsize=16, typed=True)
+def _window_matrix(n: int) -> np.ndarray:
+    """(n - W + 1, n) banded matrix, built once per n and read-only: its product
+    with a length-n column is the valid-mode convolution of the column with the
+    1-D SSIM window (test_cached_arrays_are_fresh_and_read_only)."""
+    # The 2-D window is the outer product of its row sums with themselves.
+    window = gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA).sum(axis=1)
     rows = n - window.size + 1
-    return sum(w * np.eye(rows, n, k) for k, w in enumerate(window[::-1]))
+    m = sum(w * np.eye(rows, n, k) for k, w in enumerate(window[::-1]))
+    m.flags.writeable = False
+    return m
 
 
 def ssim(a, b, peak: float = 1.0):
@@ -77,10 +84,8 @@ def ssim(a, b, peak: float = 1.0):
         raise ValueError("dimension mismatch")
     if min(a.shape[-2:]) < SSIM_WINDOW:
         raise ValueError(f"images must be at least {SSIM_WINDOW}x{SSIM_WINDOW}")
-    # The 2-D window is the outer product of its row sums with themselves.
-    window = gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA).sum(axis=1)
-    rows = _window_matrix(a.shape[-2], window)
-    cols = _window_matrix(a.shape[-1], window)
+    rows = _window_matrix(a.shape[-2])
+    cols = _window_matrix(a.shape[-1])
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
 

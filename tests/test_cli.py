@@ -110,6 +110,15 @@ class TestDegrade:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("op, size", [("gblur:size=100001,sigma=3.0", 100001),
+                                          ("mblur:size=99999999", 99999999)])
+    def test_oversized_kernel_is_a_config_error(self, tmp_path, capsys, op, size):
+        out = tmp_path / "deg"
+        assert run("degrade", "--out", out, "--op", op, "--demo", "--n-per-class", 1) == 2
+        assert capsys.readouterr().err == (
+            f"config error: kernel size must be at most 1025, not {size}\n")
+        assert not out.exists()
+
     def test_unknown_operator_parameter_is_a_config_error(self, tmp_path, capsys):
         assert run("degrade", "--out", tmp_path / "deg", "--op", "gblur:sigma=3,siz=61",
                    "--demo", "--n-per-class", 1) == 2

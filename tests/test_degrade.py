@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import convolve
 
+from pdls import metrics
 from pdls.degrade import (
     Downsample,
     FreeformMask,
@@ -114,6 +115,46 @@ class TestMotionKernel:
             motion_kernel(7, 0.5, angle)
 
 
+@pytest.mark.parametrize("kernel", [lambda size: gaussian_kernel(size, 3.0),
+                                    lambda size: motion_kernel(size, 0.5)])
+def test_oversized_kernel_rejected(kernel):
+    assert kernel(1025).shape == (1025, 1025)
+    for size in (1027, 100001, 99999999):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"kernel size must be at most 1025, not {size}"):
+                kernel(size)
+
+
+class TestFixedArrayCache:
+    @pytest.mark.parametrize("build, args", [
+        (gaussian_kernel, (7, 1.5)), (gaussian_kernel, (1, 3.0)), (gaussian_kernel, (61, 3.0)),
+        (motion_kernel, (7, 0.5)), (motion_kernel, (61, 0.5, 30.0)),
+        (metrics._window_matrix, (32,)), (metrics._window_matrix, (11,)),
+    ])
+    def test_cached_arrays_are_fresh_and_read_only(self, build, args):
+        cached = build(*args)
+        assert build(*args) is cached
+        assert cached.tobytes() == build.__wrapped__(*args).tobytes()
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 0.5
+        assert build(*args).tobytes() == build.__wrapped__(*args).tobytes()
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: gaussian_kernel(4, 1.0), ValueError),
+        (lambda: gaussian_kernel(7, 0.0), ValueError),
+        (lambda: gaussian_kernel(7, 1e200), ValueError),
+        (lambda: motion_kernel(7, 1.5), ValueError),
+        (lambda: motion_kernel(7, 0.5, np.nan), ValueError),
+        (lambda: motion_kernel(7.0, 0.5), TypeError),
+    ])
+    def test_a_rejected_argument_raises_on_every_call(self, call, error):
+        motion_kernel(7, 0.5)  # an equal int-sized key is cached; the cache is typed
+        for _ in range(3):
+            with pytest.raises(error):
+                call()
+
+
 class TestApply:
     def test_identity_returns_input_exactly(self):
         rng = np.random.default_rng(0)
@@ -213,6 +254,15 @@ class TestApply:
 EPS = np.finfo(float).eps
 
 
+def eps_at_a_block_edge(h: int, w: int, k: int, edge: int, seed: int = 0):
+    """An (h, w) image and a (k, k) kernel whose flipped C-order taps edge - 1
+    .. edge + 1 are +-eps and 1.01 eps: two left out of the footprint, one kept."""
+    rng = np.random.default_rng(seed)
+    flipped = rng.uniform(-1.0, 1.0, (k, k))
+    flipped.flat[edge - 1:edge + 2] = [EPS, -EPS, 1.01 * EPS]
+    return rng.uniform(0.0, 1.0, (h, w)), flipped[::-1, ::-1].copy()
+
+
 @st.composite
 def images_and_kernels(draw):
     """An image of 1-40 px per side and an odd kernel whose half-widths are at
@@ -235,6 +285,14 @@ class TestConvolution:
     @settings(deadline=None)
     @given(images_and_kernels())
     @example((np.random.default_rng(0).uniform(0, 1, (32, 32)), gaussian_kernel(61, 3.0)))
+    # A block holds 12 taps on a 32x32 image under a 7x7 kernel, 10 under a
+    # 15x15 one and 1 on an 80x80 image; there the kept 1.01 eps weight is the
+    # last tap of its block. On a 1x1 image a pairwise sum would reorder 7 taps.
+    @example(eps_at_a_block_edge(32, 32, 7, 12))
+    @example(eps_at_a_block_edge(32, 32, 7, 24, seed=1))
+    @example(eps_at_a_block_edge(32, 32, 15, 10))
+    @example(eps_at_a_block_edge(80, 80, 5, 1))
+    @example(eps_at_a_block_edge(1, 1, 3, 7))
     def test_bitwise_equal_to_ndimage(self, case):
         img, kernel = case
         assert np.array_equal(_convolve_reflect(img, kernel),
@@ -269,7 +327,46 @@ class TestBlocks:
             block_average(np.zeros((31, 31)), 8)
 
 
+def full_grid_mask(width: int, height: int, coverage: float, seed: int) -> np.ndarray:
+    """The walk as first written: every stamp and every count over the whole grid."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((height, width), dtype=bool)
+    target = coverage * width * height
+    radius = max(1, round(min(width, height) / 16))
+    yy, xx = np.mgrid[0:height, 0:width]
+    max_stamps = 50 * width * height
+    stamps = 0
+    while mask.sum() < target:
+        cy, cx = rng.uniform(0, height), rng.uniform(0, width)
+        heading = rng.uniform(0, 2 * np.pi)
+        for _ in range(rng.integers(4, 16)):
+            disk = (yy - cy) ** 2 + (xx - cx) ** 2 <= radius**2
+            mask |= disk
+            stamps += 1
+            if mask.sum() >= target:
+                break
+            heading += rng.normal(0, 0.6)
+            cy = np.clip(cy + radius * np.sin(heading), 0, height - 1)
+            cx = np.clip(cx + radius * np.cos(heading), 0, width - 1)
+        if stamps > max_stamps:
+            raise RuntimeError("could not reach requested mask coverage")
+    return mask.astype(float)
+
+
 class TestFreeformMask:
+    @settings(deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 70), st.floats(1e-9, 0.99),
+           st.integers(min_value=0))
+    @example(1024, 1024, 0.15, 0)
+    def test_bitwise_equal_to_the_full_grid_walk(self, width, height, coverage, seed):
+        try:
+            walk = full_grid_mask(width, height, coverage, seed)
+        except RuntimeError:  # the walk gave up: so does the mask
+            with pytest.raises(RuntimeError, match="could not reach"):
+                make_freeform_mask(width, height, coverage, seed)
+            return
+        assert make_freeform_mask(width, height, coverage, seed).pixels.tobytes() == walk.tobytes()
+
     def test_coverage_within_band(self):
         mask = make_freeform_mask(64, 64, 0.15, seed=0)
         frac = mask.pixels.mean()

@@ -31,7 +31,7 @@ def load_tracing():
 
 def test_every_trace_hook_resolves():
     hooks = load_tracing()._hooks()
-    assert hooks
+    assert {("pdls", "apply"), ("pdls.degrade", "apply")} <= {(m, a) for m, a, *_ in hooks}
     missing = []
     for module, attr, *_ in hooks:
         try:
