@@ -14,11 +14,11 @@ reads outside its buffer once the kernel's half-width reaches about four
 times the image's shorter side.
 
 Each operator costs its arithmetic. A blur multiplies each tap's slice of
-the padded image by its weight and adds a block of taps in one ordered
-reduction, in ndimage's order. gaussian_kernel and motion_kernel build each
-kernel once per argument tuple (typed: 7 and 7.0 are two keys) and return
-it read-only; a rejected argument raises on every call
-(test_cached_arrays_are_fresh_and_read_only,
+the padded image by its weight into one buffer and adds it in place to the
+running sum, in ndimage's order. gaussian_kernel and motion_kernel keep the
+two kernels they built last, one per argument tuple (typed: 7 and 7.0 are
+two keys), and return them read-only; a rejected argument raises on every
+call (test_cached_arrays_are_fresh_and_read_only,
 test_a_rejected_argument_raises_on_every_call). A freeform mask is bitwise
 the walk that tests every stamp on the whole grid, but a stamp's work is
 its window, so a mask costs O(stamps * radius^2), not O(stamps * H * W)
@@ -115,7 +115,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=16, typed=True)
+# Two kernels of each kind are kept: a run applies one blur, and SSIM's window
+# is a Gaussian. At the size bound a kernel holds 8.4 MB.
+@lru_cache(maxsize=2, typed=True)
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Separable Gaussian kernel sampled at pixel centers, normalized to sum 1."""
     _check_size(size)
@@ -133,7 +135,7 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return _read_only(k / k.sum())
 
 
-@lru_cache(maxsize=16, typed=True)
+@lru_cache(maxsize=2, typed=True)
 def motion_kernel(size: int, intensity: float, angle: float = 45.0) -> np.ndarray:
     """Line-segment kernel: length max(1, round(intensity*size)) pixels through
     the center at the given angle (degrees), bilinearly splatted, unit sum."""
@@ -234,55 +236,26 @@ class Identity(NamedTuple):
 DegradationOperator = GaussianBlur | MotionBlur | Downsample | FreeformMask | Identity
 
 
-# Bytes of one block of tap products (a blur holds two), whatever its kernel's size.
-_TAP_BLOCK_BYTES = 1 << 17
-
-
-@lru_cache(maxsize=16)
-def _reflect_index(h: int, w: int, rh: int, rw: int) -> np.ndarray:
-    """Flat indices into an (h, w) image of its reflect padding by rh rows and
-    rw columns on each side (period 2h and 2w, as in the module docstring),
-    row by row, then 2 rw more of pixel 0 so that every tap's slice fits."""
-    def reflect(n, r):
-        i = np.mod(np.arange(-r, n + r), 2 * n)
-        return np.where(i < n, i, 2 * n - 1 - i)
-    index = (reflect(h, rh)[:, None] * w + reflect(w, rw)).ravel()
-    return _read_only(np.append(index, np.zeros(2 * rw, dtype=index.dtype)))
-
-
 def _convolve_reflect(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Convolve with an odd-sized kernel under reflect padding (see the module
     docstring), adding the flipped kernel's weights in ndimage's C order.
 
     The padded image is read flat: output pixel (i, j) sits at i * pw + j of a
     row of pw = w + kw - 1 columns, so each tap's products are one contiguous
-    slice times its weight, and the kw - 1 columns past w are dropped. Blocks
-    of taps that fill _TAP_BLOCK_BYTES are added by one np.add.reduce, whose
-    first row carries the running sum; numpy adds the rows of a reduction over
-    its first axis in order when a row holds two or more values, as every row
-    here does unless the image and the kernel are both 1x1."""
+    slice times its weight, added in place to the running sum. The kw - 1
+    columns past w are dropped; one more padded row lets the last slice fit."""
     kh, kw = kernel.shape
     h, w = img.shape
     pw = w + kw - 1
     n = h * pw
-    padded = img.take(_reflect_index(h, w, kh // 2, kw // 2))
+    padded = np.pad(img, ((kh // 2, kh // 2 + 1), (kw // 2, kw // 2)), mode="symmetric").ravel()
     flipped = kernel[::-1, ::-1]
     taps = np.flatnonzero(np.abs(flipped) > np.finfo(float).eps)
-    offsets = (taps // kw * pw + taps % kw).tolist()
-    weights = flipped.ravel()[taps].tolist()
-    per_block = max(1, _TAP_BLOCK_BYTES // (8 * n) - 1)
-    cur = np.zeros((min(per_block, len(taps)) + 1, n))
-    nxt = np.empty_like(cur)
-    for start in range(0, len(taps), per_block):
-        block = range(start, min(start + per_block, len(taps)))
-        for k, t in enumerate(block, 1):
-            np.multiply(padded[offsets[t]:offsets[t] + n], weights[t], out=cur[k])
-        if len(block) == 1:  # a reduce would first copy the running sum
-            np.add(cur[0], cur[1], out=cur[0])
-        else:
-            np.add.reduce(cur[:len(block) + 1], axis=0, out=nxt[0])
-            cur, nxt = nxt, cur
-    return cur[0].reshape(h, pw)[:, :w].copy()
+    out = np.zeros(n)
+    product = np.empty(n)
+    for t, wt in zip((taps // kw * pw + taps % kw).tolist(), flipped.ravel()[taps].tolist()):
+        out += np.multiply(padded[t:t + n], wt, out=product)
+    return out.reshape(h, pw)[:, :w].copy()
 
 
 def block_average(img: np.ndarray, factor: int) -> np.ndarray:

@@ -63,11 +63,12 @@ def psnr(a, b, peak: float = 1.0) -> float:
     return _psnr_from_mse(mse(a, b), peak)
 
 
-@lru_cache(maxsize=16, typed=True)
+@lru_cache(maxsize=2, typed=True)
 def _window_matrix(n: int) -> np.ndarray:
-    """(n - W + 1, n) banded matrix, built once per n and read-only: its product
-    with a length-n column is the valid-mode convolution of the column with the
-    1-D SSIM window (test_cached_arrays_are_fresh_and_read_only)."""
+    """(n - W + 1, n) banded matrix, kept for the two sides of one image shape
+    and read-only: its product with a length-n column is the valid-mode
+    convolution of the column with the 1-D SSIM window
+    (test_cached_arrays_are_fresh_and_read_only)."""
     # The 2-D window is the outer product of its row sums with themselves.
     window = gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA).sum(axis=1)
     rows = n - window.size + 1

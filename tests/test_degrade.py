@@ -254,12 +254,12 @@ class TestApply:
 EPS = np.finfo(float).eps
 
 
-def eps_at_a_block_edge(h: int, w: int, k: int, edge: int, seed: int = 0):
-    """An (h, w) image and a (k, k) kernel whose flipped C-order taps edge - 1
-    .. edge + 1 are +-eps and 1.01 eps: two left out of the footprint, one kept."""
+def eps_weights(h: int, w: int, k: int, tap: int, seed: int = 0):
+    """An (h, w) image and a (k, k) kernel whose flipped C-order taps tap - 1
+    .. tap + 1 are +-eps and 1.01 eps: two left out of the footprint, one kept."""
     rng = np.random.default_rng(seed)
     flipped = rng.uniform(-1.0, 1.0, (k, k))
-    flipped.flat[edge - 1:edge + 2] = [EPS, -EPS, 1.01 * EPS]
+    flipped.flat[tap - 1:tap + 2] = [EPS, -EPS, 1.01 * EPS]
     return rng.uniform(0.0, 1.0, (h, w)), flipped[::-1, ::-1].copy()
 
 
@@ -285,14 +285,12 @@ class TestConvolution:
     @settings(deadline=None)
     @given(images_and_kernels())
     @example((np.random.default_rng(0).uniform(0, 1, (32, 32)), gaussian_kernel(61, 3.0)))
-    # A block holds 12 taps on a 32x32 image under a 7x7 kernel, 10 under a
-    # 15x15 one and 1 on an 80x80 image; there the kept 1.01 eps weight is the
-    # last tap of its block. On a 1x1 image a pairwise sum would reorder 7 taps.
-    @example(eps_at_a_block_edge(32, 32, 7, 12))
-    @example(eps_at_a_block_edge(32, 32, 7, 24, seed=1))
-    @example(eps_at_a_block_edge(32, 32, 15, 10))
-    @example(eps_at_a_block_edge(80, 80, 5, 1))
-    @example(eps_at_a_block_edge(1, 1, 3, 7))
+    # +-eps weights among the first, middle and last taps, beside a kept one.
+    @example(eps_weights(32, 32, 7, 1))
+    @example(eps_weights(32, 32, 7, 24, seed=1))
+    @example(eps_weights(32, 32, 15, 223))
+    @example(eps_weights(80, 80, 5, 12))
+    @example(eps_weights(1, 1, 3, 7))
     def test_bitwise_equal_to_ndimage(self, case):
         img, kernel = case
         assert np.array_equal(_convolve_reflect(img, kernel),
