@@ -243,21 +243,30 @@ def _read_manifest(path) -> dict:
     return manifest
 
 
+def _read_mixture_file(path):
+    """The mixture in a --mixture file and its id in the config hash, a digest of its bytes."""
+    return fileio.read_mixture(path), hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+
 def _image_jobs(args, seeds):
-    """The image task: one job per manifest record and seed."""
+    """The image task: one job per manifest record and seed, all of record 0's size."""
     if not args.manifest:
         raise ValueError("image tasks need --manifest (from 'pdls degrade')")
     manifest = _read_manifest(args.manifest)
     mdir = Path(args.manifest).parent
     if args.mixture:
-        mixture = fileio.read_mixture(args.mixture)
-        mixture_id = hashlib.sha256(Path(args.mixture).read_bytes()).hexdigest()[:16]
+        mixture, mixture_id = _read_mixture_file(args.mixture)
     else:
         mixture = datasets.shapes32_mixture(args.n_per_class, args.demo_seed,
                                             args.bandwidth)
         mixture_id = f"shapes32:{args.n_per_class},{args.demo_seed},{args.bandwidth}"
     jobs = []
-    for i, rec in enumerate(manifest["records"]):
+    records = manifest["records"]
+    for i, rec in enumerate(records):
+        if (rec["height"], rec["width"]) != (records[0]["height"], records[0]["width"]):
+            raise ValueError(f"manifest {args.manifest}: record {rec['id']!r} is {rec['height']} "
+                             f"x {rec['width']}, not record 0's {records[0]['height']} x "
+                             f"{records[0]['width']}")
         observed = fileio.read_pgm(mdir / rec["observed"])
         source = fileio.read_pgm(mdir / rec["source"])
         x_obs = _restore_input(observed, manifest["operator"],
@@ -275,19 +284,27 @@ def _image_jobs(args, seeds):
     return manifest["operator"].split(":")[0], mixture, extra, jobs
 
 
+_TOY_SIGMA_Y = 0.01  # restore's --sigma-y default
+
+
 def _toy_jobs(args, seeds):
     """The toy2d task: one job per seed, a mixture sample seen through --sigma-y noise."""
     if not 0.0 <= args.sigma_y < np.inf:
         raise ValueError("sigma_y must be finite and non-negative")
-    mixture = fileio.read_mixture(args.mixture) if args.mixture else datasets.toy2d_mixture()
+    # Default runs hash as they always have; another noise level or mixture file
+    # names itself, so that bench keeps those runs apart.
+    extra = {} if args.sigma_y == _TOY_SIGMA_Y else {"sigma_y": args.sigma_y}
+    if args.mixture:
+        mixture, extra["mixture"] = _read_mixture_file(args.mixture)
+    else:
+        mixture = datasets.toy2d_mixture()
     jobs = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         clean, labels = sample_mixture(mixture, 1, rng)
         observed = clean[0] + args.sigma_y * rng.standard_normal(clean[0].shape)
         jobs.append((f"seed{seed}", observed, clean[0], labels[0], seed))
-    # --sigma-y stays out of the hash, which keeps existing toy2d hashes valid.
-    return "toy2d", mixture, {}, jobs
+    return "toy2d", mixture, extra, jobs
 
 
 _METRIC_COLUMNS = ("mse", "psnr_db", "ssim", "class_acc")
@@ -501,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", choices=SCHEDULE_KINDS)
     p.add_argument("--prompt", default="auto", help="'auto', 'none', or a label")
     p.add_argument("--seeds", default="0:1")
-    p.add_argument("--sigma-y", type=float, default=0.01, help="toy2d observation noise")
+    p.add_argument("--sigma-y", type=float, default=_TOY_SIGMA_Y, help="toy2d observation noise")
     p.add_argument("--demo-seed", type=_seed, default=0)
     p.add_argument("--n-per-class", type=int, default=30)
     p.add_argument("--bandwidth", type=float, default=datasets.DEFAULT_BANDWIDTH,

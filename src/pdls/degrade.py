@@ -15,26 +15,22 @@ times the image's shorter side.
 
 Each operator costs its arithmetic. A blur multiplies each tap's slice of
 the padded image by its weight into one buffer and adds it in place to the
-running sum, in ndimage's order. gaussian_kernel and motion_kernel keep the
-two kernels they built last, one per argument tuple (typed: 7 and 7.0 are
-two keys), and return them read-only; a rejected argument raises on every
-call (test_cached_arrays_are_fresh_and_read_only,
-test_a_rejected_argument_raises_on_every_call). A freeform mask is bitwise
-the walk that tests every stamp on the whole grid, but a stamp's work is
-its window, so a mask costs O(stamps * radius^2), not O(stamps * H * W)
+running sum, in ndimage's order. A freeform mask is bitwise the walk that
+tests every stamp on the whole grid, but a stamp's work is its window, so a
+mask costs O(stamps * radius^2), not O(stamps * H * W)
 (test_bitwise_equal_to_the_full_grid_walk).
 
-Operators and the noise model are values: they compare and hash by their
-parameters (test_value_records_compare_and_hash_by_value). The blurs,
-Identity and FreeformMask are NamedTuples, equal to the plain tuple of
-their parameters. ImageGrid, NoiseModel and Downsample check their values
-at construction (test_records_raise_at_construction). An ImageGrid compares
-by its pixels and is unhashable, and so is a FreeformMask, which holds one.
+Operators are NamedTuples of their parameters: they compare and hash by
+them, equal the plain tuple of them
+(test_value_records_compare_and_hash_by_value), and check them when they
+are applied (test_operator_parameters_are_checked_when_applied). The
+inputs, ImageGrid and NoiseModel, check their values at construction
+(test_records_raise_at_construction). An ImageGrid compares by its pixels
+and is unhashable, and so is a FreeformMask, which holds one.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -110,21 +106,13 @@ def _check_size(size: int) -> None:
         raise ValueError(f"kernel size must be at most {_MAX_KERNEL_SIZE}, not {size}")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-# Two kernels of each kind are kept: a run applies one blur, and SSIM's window
-# is a Gaussian. At the size bound a kernel holds 8.4 MB.
-@lru_cache(maxsize=2, typed=True)
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Separable Gaussian kernel sampled at pixel centers, normalized to sum 1."""
     _check_size(size)
     if not 0.0 < sigma < np.inf:
         raise ValueError(f"sigma must be finite and positive, not {sigma}")
     if size == 1:
-        return _read_only(np.array([[1.0]]))
+        return np.array([[1.0]])
     r = np.arange(size) - (size - 1) / 2
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -132,10 +120,9 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     except (OverflowError, FloatingPointError):
         raise ValueError(f"sigma {sigma} overflows a size-{size} kernel") from None
     k = np.outer(g, g)
-    return _read_only(k / k.sum())
+    return k / k.sum()
 
 
-@lru_cache(maxsize=2, typed=True)
 def motion_kernel(size: int, intensity: float, angle: float = 45.0) -> np.ndarray:
     """Line-segment kernel: length max(1, round(intensity*size)) pixels through
     the center at the given angle (degrees), bilinearly splatted, unit sum."""
@@ -160,7 +147,7 @@ def motion_kernel(size: int, intensity: float, angle: float = 45.0) -> np.ndarra
             xi, yi = x0 + ox, y0 + oy
             if 0 <= xi < size and 0 <= yi < size and wt > 0:
                 k[yi, xi] += w * wt
-    return _read_only(k / k.sum())
+    return k / k.sum()
 
 
 def _descriptor(op) -> str:
@@ -191,26 +178,12 @@ class MotionBlur(NamedTuple):
         return motion_kernel(self.size, self.intensity, self.angle)
 
 
-class Downsample:
-    """Block averaging by factor >= 1. Its _fields and _field_defaults are a
-    NamedTuple's, for the descriptor."""
+class Downsample(NamedTuple):
+    """Block averaging by factor >= 1."""
 
-    _fields, _field_defaults = ("factor",), {"factor": 8}
+    factor: int = 8
+
     descriptor = _descriptor
-
-    def __init__(self, factor: int = _field_defaults["factor"]):
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        self.factor = factor
-
-    def __eq__(self, other):
-        return self.factor == other.factor if type(other) is Downsample else NotImplemented
-
-    def __hash__(self):
-        return hash((self.factor,))
-
-    def __repr__(self):
-        return f"Downsample(factor={self.factor!r})"
 
 
 class FreeformMask(NamedTuple):
@@ -260,6 +233,8 @@ def _convolve_reflect(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def block_average(img: np.ndarray, factor: int) -> np.ndarray:
     h, w = img.shape
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
     if h % factor or w % factor:
         raise ValueError("factor must divide dimensions")
     return img.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))

@@ -60,7 +60,13 @@ def read_pgm(path) -> ImageGrid:
 
 
 def write_mixture(path, mixture: GaussianMixture) -> None:
-    """One component per line: weight=... variance=... label=... mean=v0,v1,..."""
+    """One component per line: weight=... variance=... label=... mean=v0,v1,...
+    A label is a non-empty str without whitespace, so that read_mixture reads
+    the file back as the mixture (test_write_then_read_is_the_mixture); any
+    other label is a ValueError before the file is opened."""
+    for lb in mixture.labels:
+        if not isinstance(lb, str) or lb.split() != [lb]:
+            raise ValueError(f"mixture label {lb!r} is not a non-empty string without whitespace")
     lines = ["# pdls mixture definition"]
     for w, m, v, lb in zip(mixture.weights, mixture.means, mixture.variances,
                            mixture.labels):

@@ -12,7 +12,6 @@ scored on its own either way (test_batch_is_bitwise_the_per_pair_scores).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -56,30 +55,30 @@ def _psnr_from_mse(err: float, peak: float) -> float:
     return 10.0 * math.log10(peak**2 / err)
 
 
+def _check_peak(peak: float) -> None:
+    if not 0.0 < peak < math.inf:
+        raise ValueError("peak must be finite and positive")
+
+
 def psnr(a, b, peak: float = 1.0) -> float:
     """10 log10(peak^2 / mse); +inf when the images are identical."""
-    if peak <= 0:
-        raise ValueError("peak must be positive")
+    _check_peak(peak)
     return _psnr_from_mse(mse(a, b), peak)
 
 
-@lru_cache(maxsize=2, typed=True)
 def _window_matrix(n: int) -> np.ndarray:
-    """(n - W + 1, n) banded matrix, kept for the two sides of one image shape
-    and read-only: its product with a length-n column is the valid-mode
-    convolution of the column with the 1-D SSIM window
-    (test_cached_arrays_are_fresh_and_read_only)."""
+    """(n - W + 1, n) banded matrix: its product with a length-n column is the
+    valid-mode convolution of the column with the 1-D SSIM window."""
     # The 2-D window is the outer product of its row sums with themselves.
     window = gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA).sum(axis=1)
     rows = n - window.size + 1
-    m = sum(w * np.eye(rows, n, k) for k, w in enumerate(window[::-1]))
-    m.flags.writeable = False
-    return m
+    return sum(w * np.eye(rows, n, k) for k, w in enumerate(window[::-1]))
 
 
 def ssim(a, b, peak: float = 1.0):
     """Mean local SSIM over an 11x11 Gaussian window (sigma 1.5), standard constants,
     of two images (a float) or of each pair of two (n, h, w) stacks ((n,) scores)."""
+    _check_peak(peak)
     a, b = _pixels(a), _pixels(b)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")

@@ -428,6 +428,20 @@ class TestRestore:
             "dimension 100\n")
         assert not out.exists()
 
+    def test_a_manifest_of_mixed_image_sizes_is_a_config_error(self, tmp_path, capsys):
+        src = tmp_path / "imgs"
+        src.mkdir()
+        write_pgm(src / "big_000.pgm", ImageGrid(np.full((32, 32), 0.5)))
+        write_pgm(src / "small_000.pgm", ImageGrid(np.full((16, 16), 0.5)))
+        deg = tmp_path / "deg"
+        assert run("degrade", "--out", deg, "--op", "gblur", "--images", src) == 0
+        out = tmp_path / "r"
+        assert run("restore", "--out", out, "--manifest", deg / "manifest.json") == 2
+        assert capsys.readouterr().err == (
+            f"config error: manifest {deg / 'manifest.json'}: record 'small_000' is 16 x 16, "
+            "not record 0's 32 x 32\n")
+        assert not out.exists()
+
     def test_unknown_prompt_label_is_a_config_error(self, tmp_path, capsys):
         # The prompt is resolved against the mixture before --out is made.
         assert run("restore", "--out", tmp_path / "toy", "--task", "toy2d",
@@ -504,47 +518,61 @@ class TestBench:
             summary = list(csv.DictReader(fh))
         assert len(summary) == 2
 
-    @pytest.mark.parametrize("flags", [
-        ("--op", "gblur:size=7,sigma=1.0", "gblur:size=7,sigma=3.0"),
-        ("--sigma-y", 0.01, 0.05),
-    ])
-    def test_differently_degraded_manifests_give_two_rows(self, tmp_path, flags):
-        flag, *values = flags
-        metrics = []
-        for i, value in enumerate(values):
-            deg, res = tmp_path / f"deg{i}", tmp_path / f"res{i}"
-            args = {"--op": "gblur:size=7,sigma=1.5", "--sigma-y": 0.01, flag: value}
-            assert run("degrade", "--out", deg, "--demo", "--n-per-class", 2, "--limit", 2,
-                       *[x for kv in args.items() for x in kv]) == 0
-            assert run("restore", "--out", res, "--manifest", deg / "manifest.json",
-                       "--n-per-class", 2, "--steps", 4) == 0
-            metrics.append(res / "metrics.csv")
+    def _bench_rows(self, tmp_path, metrics):
         out = tmp_path / "bench"
         assert run("bench", "--out", out, "--metrics", *metrics) == 0
         with open(out / "summary.csv", newline="") as fh:
-            summary = list(csv.DictReader(fh))
+            return list(csv.DictReader(fh))
+
+    # A "toy2d " prefix runs the flag on the toy2d task instead of a manifest.
+    @pytest.mark.parametrize("flags", [
+        ("--op", "gblur:size=7,sigma=1.0", "gblur:size=7,sigma=3.0"),
+        ("--sigma-y", 0.01, 0.05),
+        ("toy2d --sigma-y", 0.01, 0.5),
+    ])
+    def test_differently_degraded_manifests_give_two_rows(self, tmp_path, flags):
+        flag, *values = flags
+        task, _, flag = flag.rpartition(" ")
+        metrics = []
+        for i, value in enumerate(values):
+            res = tmp_path / f"res{i}"
+            if task:
+                self._toy_metrics(tmp_path, res.name, ["--seeds", "0:2", flag, value])
+            else:
+                deg = tmp_path / f"deg{i}"
+                args = {"--op": "gblur:size=7,sigma=1.5", "--sigma-y": 0.01, flag: value}
+                assert run("degrade", "--out", deg, "--demo", "--n-per-class", 2, "--limit", 2,
+                           *[x for kv in args.items() for x in kv]) == 0
+                assert run("restore", "--out", res, "--manifest", deg / "manifest.json",
+                           "--n-per-class", 2, "--steps", 4) == 0
+            metrics.append(res / "metrics.csv")
+        summary = self._bench_rows(tmp_path, metrics)
         assert len(summary) == 2
         assert {r["n"] for r in summary} == {"2"}
 
-    @pytest.mark.parametrize("flag", ["--bandwidth", "--mixture"])
+    @pytest.mark.parametrize("flag", ["--bandwidth", "--mixture", "toy2d --mixture"])
     def test_restores_on_different_mixtures_give_two_rows(self, tmp_path, flag):
+        task, _, flag = flag.rpartition(" ")
         deg = tmp_path / "deg"
-        assert run("degrade", "--out", deg, "--op", "gblur:size=7,sigma=1.5", "--demo",
-                   "--n-per-class", 2, "--limit", 2) == 0
+        if not task:
+            assert run("degrade", "--out", deg, "--op", "gblur:size=7,sigma=1.5", "--demo",
+                       "--n-per-class", 2, "--limit", 2) == 0
         metrics = []
         for i, bandwidth in enumerate((1e-4, 1e-2)):
             value = bandwidth
             if flag == "--mixture":
                 value = tmp_path / f"mix{i}"
-                write_mixture(value, shapes32_mixture(2, 0, bandwidth))
+                write_mixture(value, shapes32_mixture(2, 0, bandwidth) if not task else
+                              flowfield.GaussianMixture([0.5, 0.5], [[2.0, 0.0], [-2.0, 0.0]],
+                                                        [bandwidth] * 2, "AB"))
             res = tmp_path / f"res{i}"
-            assert run("restore", "--out", res, "--manifest", deg / "manifest.json",
-                       "--n-per-class", 2, "--steps", 4, flag, value) == 0
+            if task:
+                self._toy_metrics(tmp_path, res.name, ["--seeds", "0:2", flag, value])
+            else:
+                assert run("restore", "--out", res, "--manifest", deg / "manifest.json",
+                           "--n-per-class", 2, "--steps", 4, flag, value) == 0
             metrics.append(res / "metrics.csv")
-        out = tmp_path / "bench"
-        assert run("bench", "--out", out, "--metrics", *metrics) == 0
-        with open(out / "summary.csv", newline="") as fh:
-            summary = list(csv.DictReader(fh))
+        summary = self._bench_rows(tmp_path, metrics)
         assert len(summary) == 2
         assert {r["n"] for r in summary} == {"2"}
 

@@ -244,3 +244,50 @@ class TestMixtureFile:
         with pytest.raises(FormatError, match="line 2"):
             read_mixture(path)
 
+    @pytest.mark.parametrize("labels", [["my class", "b"], ["", "b"], [0, 1], [None, "b"]])
+    def test_a_label_that_would_not_read_back_is_rejected(self, tmp_path, labels):
+        mix = GaussianMixture([0.5, 0.5], [[2.0, 0.0], [-2.0, 0.0]], [0.05, 0.0], labels)
+        path = tmp_path / "m.mix"
+        with pytest.raises(ValueError, match=re.escape(f"mixture label {labels[0]!r} ")):
+            write_mixture(path, mix)
+        assert not path.exists()
+
+
+@st.composite
+def mixtures(draw):
+    """A mixture of 1-4 components in 1-3 dimensions with any finite means and
+    variances. Most labels are printable ASCII without whitespace; the rest are
+    any ASCII text, integers or None."""
+    k, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    raw = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k)))
+    means = draw(st.lists(st.lists(finite, min_size=d, max_size=d), min_size=k, max_size=k))
+    variances = draw(st.lists(st.floats(0.0, 1e300), min_size=k, max_size=k))
+    printable = st.text(st.characters(codec="ascii", categories=("L", "N", "P", "S")),
+                        min_size=1)
+    label = st.one_of(printable, printable, printable,
+                      st.text(st.characters(codec="ascii"), max_size=4), st.integers(), st.none())
+    labels = draw(st.lists(label, min_size=k, max_size=k))
+    return GaussianMixture(raw / raw.sum(), means, variances, labels)
+
+
+class TestMixtureFileProperties:
+    @settings(deadline=None)
+    @given(mixtures())
+    def test_write_then_read_is_the_mixture(self, tmp_path_factory, mix):
+        """A written mixture reads back bitwise; one with a label that is not a
+        non-empty str without whitespace is not written, and the error names it."""
+        path = tmp_path_factory.mktemp("mix") / "m.mix"
+        try:
+            write_mixture(path, mix)
+        except ValueError as exc:
+            named = re.match(r"mixture label (.+) is not a non-empty", str(exc))[1]
+            (label,) = {lb for lb in mix.labels if repr(lb) == named}
+            assert not isinstance(label, str) or label.split() != [label]
+            assert not path.exists()
+            return
+        back = read_mixture(path)
+        for field in ("weights", "means", "variances"):
+            got, want = getattr(back, field), getattr(mix, field)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert back.labels == mix.labels

@@ -63,6 +63,11 @@ class TestPsnr:
         with pytest.raises(ValueError, match="peak"):
             psnr(np.zeros(4), np.zeros(4), peak=0.0)
 
+    @pytest.mark.parametrize("peak", [0.0, -1.0, np.nan, np.inf])
+    def test_peak_that_is_not_finite_and_positive_rejected(self, peak):
+        with pytest.raises(ValueError, match="peak must be finite and positive"):
+            psnr(np.full((16, 16), 0.3), np.full((16, 16), 0.4), peak=peak)
+
     def test_mse_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             mse(np.zeros((4, 4)), np.zeros((4, 5)))
@@ -105,6 +110,12 @@ class TestSsim:
     def test_small_images_rejected(self):
         with pytest.raises(ValueError, match="at least"):
             ssim(np.zeros((8, 8)), np.zeros((8, 8)))
+
+    @pytest.mark.parametrize("peak", [0.0, -1.0, np.nan, np.inf])
+    def test_peak_that_is_not_finite_and_positive_rejected(self, peak):
+        # Unchecked, peak 0 scored 1.152 on this pair, -1 scored 0.960 and NaN gave NaN.
+        with pytest.raises(ValueError, match="peak must be finite and positive"):
+            ssim(np.full((16, 16), 0.3), np.full((16, 16), 0.4), peak=peak)
 
     def test_batch_matches_the_convolution_oracle(self):
         observed, sources = degraded_pairs()

@@ -1,5 +1,5 @@
-"""The records' contracts: which compare by value and what each checks at
-construction. Identity records are held by
+"""The records' contracts: which compare by value, what the inputs check at
+construction and the operators when applied. Identity records are held by
 test_results_compare_and_hash_by_identity, and an import without the
 dataclasses module by test_import_loads_no_dataclasses.
 """
@@ -17,6 +17,7 @@ from pdls.degrade import (
     ImageGrid,
     MotionBlur,
     NoiseModel,
+    apply,
 )
 from pdls.flowfield import Condition
 from pdls.metrics import MetricsReport
@@ -30,7 +31,7 @@ def test_value_records_compare_and_hash_by_value():
     mask = ImageGrid(np.eye(4))
     for a, b in ((PdlsConfig(), PdlsConfig(0.5, 0.5, 28, "structural", "prompt", "cosine")),
                  (NoiseModel(0.1, 3), NoiseModel(sigma_y=0.1, seed=3)),
-                 (Downsample(), Downsample(8)),
+                 (Downsample(), Downsample(factor=8)),
                  (GaussianBlur(), GaussianBlur(7, 1.5)),
                  (MotionBlur(), MotionBlur(7, 0.5, 45.0)),
                  (Identity(), Identity()),
@@ -45,10 +46,10 @@ def test_value_records_compare_and_hash_by_value():
         assert PdlsConfig(**changed) != PdlsConfig()
     assert NoiseModel(0.1, 3) != NoiseModel(0.1, 4) and Downsample(4) != Downsample(8)
     assert PdlsConfig() != (0.5, 0.5, 28, "structural", "prompt", "cosine")
-    assert NoiseModel() != (0.0, 0) and Downsample() != (8,)
+    assert NoiseModel() != (0.0, 0)
     assert GaussianBlur(1, 1.0) != MotionBlur(1, 1.0)
     # The NamedTuples equal the plain tuple of their values.
-    assert GaussianBlur() == (7, 1.5) and Identity() == ()
+    assert GaussianBlur() == (7, 1.5) and Downsample() == (8,) and Identity() == ()
     assert MetricsReport(0.1, 10.0) == (0.1, 10.0, None, None)
     for record in (PdlsConfig(gamma=0.25), NoiseModel(0.1, 3), Downsample(4)):
         assert eval(repr(record), {type(record).__name__: type(record)}) == record
@@ -64,7 +65,6 @@ RAISES = [
     (PdlsConfig, {"schedule_kind": "step"}, "schedule_kind must be one of ('cosine', "),
     (NoiseModel, {"sigma_y": np.nan}, "sigma_y must be finite and non-negative"),
     (NoiseModel, {"sigma_y": -0.1, "seed": 2}, "sigma_y must be finite and non-negative"),
-    (Downsample, {"factor": 0}, "factor must be >= 1"),
     (ImageGrid, {"pixels": np.zeros(4)}, "image must be 2-D"),
     (ImageGrid, {"pixels": np.zeros((1, 2, 2))}, "image must be 2-D"),
 ]
@@ -75,3 +75,19 @@ RAISES = [
 def test_records_raise_at_construction(record, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         record(**args)
+
+
+APPLY_RAISES = [
+    (Downsample(0), "factor must be >= 1"),
+    (Downsample(-8), "factor must be >= 1"),
+    (GaussianBlur(4), "kernel size must be odd and >= 1, not 4"),
+    (GaussianBlur(7, 0.0), "sigma must be finite and positive, not 0.0"),
+    (MotionBlur(7, 1.5), "intensity must lie in (0, 1]"),
+    (MotionBlur(7, 0.5, np.nan), "angle must be finite, not nan"),
+]
+
+
+@pytest.mark.parametrize("op, message", APPLY_RAISES, ids=[repr(op) for op, _ in APPLY_RAISES])
+def test_operator_parameters_are_checked_when_applied(op, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        apply(op, ImageGrid(np.zeros((32, 32))))
