@@ -165,6 +165,11 @@ def _load_inputs(args):
 def cmd_degrade(args) -> int:
     items = _load_inputs(args)
     shape = items[0][0].pixels.shape
+    # A manifest is of one image size (restore reads it so), and so is an inpaint mask.
+    for img, _, name in items:
+        if img.pixels.shape != shape:
+            raise ValueError(f"images differ in size: {items[0][2]}.pgm is {shape[0]} x "
+                             f"{shape[1]}, {name}.pgm is {img.height} x {img.width}")
     op = degrade.parse_descriptor(args.op, image_shape=shape)
     observations = [degrade.apply(op, img, degrade.NoiseModel(args.sigma_y, seed=args.seed + i))
                     for i, (img, _, _) in enumerate(items)]

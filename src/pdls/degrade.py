@@ -99,7 +99,10 @@ _MAX_KERNEL_SIZE = 1025
 def _check_size(size: int) -> None:
     """Kernels are odd-sized and at most _MAX_KERNEL_SIZE wide: a dense kernel of
     size n holds n^2 weights, so a mistyped size would otherwise fail with a
-    memory error deep inside numpy (test_oversized_kernel_rejected)."""
+    memory error deep inside numpy (test_oversized_kernel_rejected). A size that
+    is not an int is rejected too (test_float_size_rejected)."""
+    if not isinstance(size, (int, np.integer)):
+        raise ValueError(f"kernel size must be an int, not {size!r}")
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 1, not {size}")
     if size > _MAX_KERNEL_SIZE:

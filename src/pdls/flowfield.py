@@ -61,7 +61,7 @@ _MAX_NODE_BYTES = 1 << 22
 
 
 class TerminalTimeError(ValueError):
-    """Raised when a field or gain is requested too close to a singular time."""
+    """Raised when the steering gain is requested too close to its singular time t = 1."""
 
 
 class GaussianMixture:
@@ -317,18 +317,6 @@ def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
     out = y[:, :-1]
     out += (y[:, -1] - 1.0 / (1.0 - t))[:, None] * xb
     return out[0] if single else out
-
-
-def endpoint_conditional_velocity(x, t, target):
-    """Forward-time velocity (x - target) / t of the straight line through (x, t) and
-    (target, 0), the noise end, singular at t = 0 (control.lqr_control is the data end's)."""
-    x = np.asarray(x, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if x.shape != target.shape:
-        raise ValueError("target dimension mismatch")
-    if t < EPS_T - 1e-12:
-        raise TerminalTimeError("conditional field singular")
-    return (x - target) / t
 
 
 def sample_mixture(mixture: GaussianMixture, n: int, rng: np.random.Generator,

@@ -45,13 +45,7 @@ import functools
 import numpy as np
 
 from .control import SCHEDULE_KINDS, blend_drift, eta, lqr_control
-from .flowfield import (
-    EPS_T,
-    Condition,
-    GaussianMixture,
-    endpoint_conditional_velocity,
-    marginal_velocity,
-)
+from .flowfield import EPS_T, Condition, GaussianMixture, marginal_velocity
 from .integrate import DriftDivergedError, Trajectory, integrate, make_grid
 
 INIT_MODES = ("structural", "semantic", "mixed")
@@ -79,8 +73,8 @@ class PdlsConfig:
         for name in ("gamma", "eta_max"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        # The inversion's last drift runs at t = 1 / n_steps, which the
-        # conditional field needs at or above EPS_T.
+        # The inversion's last drift runs at t = 1 / n_steps, where its noise
+        # line (x - z0) / t needs t at or above EPS_T.
         if not 1 <= self.n_steps <= round(1 / EPS_T):
             raise ValueError(f"n_steps must lie in [1, 1 / EPS_T = {round(1 / EPS_T)}]")
         for name, options in (("init_mode", INIT_MODES), ("base_condition", BASE_CONDITIONS),
@@ -106,8 +100,11 @@ def draw_noise(dim: int, seed: int) -> np.ndarray:
 def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
                 z0) -> Trajectory:
     """Controlled inversion from the observed sample at t=1 down to t=0: the
-    marginal velocity under cond blended at config.gamma with the line to the
-    noise draw z0, which gamma=1 lands on (test_full_strength_lands_on_the_noise_draw)."""
+    marginal velocity under cond blended at config.gamma with the noise line
+    (x - z0) / t, the forward-time velocity of the straight line through (x, t)
+    and (z0, 0), which gamma=1 lands on (test_full_strength_lands_on_the_noise_draw).
+    Its drifts run at the grid's nodes above 0, the least 1 / n_steps, which
+    PdlsConfig keeps at or above EPS_T."""
     observed, z0 = np.asarray(observed, dtype=float), np.asarray(z0, dtype=float)
     if z0.shape != observed.shape:
         raise ValueError("z0 must have the shape of observed")
@@ -115,8 +112,7 @@ def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
     mixture._add_nodes(grid.nodes[:-1])
 
     def drift(x, t, k):
-        return blend_drift(marginal_velocity(x, t, mixture, cond),
-                           endpoint_conditional_velocity(x, t, z0), config.gamma)
+        return blend_drift(marginal_velocity(x, t, mixture, cond), (x - z0) / t, config.gamma)
 
     return integrate(observed, grid, drift)
 
@@ -137,12 +133,12 @@ class DualPaths:
         return 0.5 * (s[..., :len(self.pair), :] + s[..., self.pair, :])
 
     def latents(self, init_mode: str) -> np.ndarray:
-        """(n, dim) initial latents of init_mode from each row's two noise-end states."""
-        end = self.inversion.terminal
-        s, m = end[:len(self.pair)], end[self.pair]
+        """(n, dim) initial latents of init_mode from each row's two noise-end states,
+        "mixed" their averaged target."""
         if init_mode == "mixed":
-            return 0.5 * (s + m)
-        return {"structural": s, "semantic": m}[init_mode]
+            return self.target(-1)
+        end = self.inversion.terminal
+        return {"structural": end[:len(self.pair)], "semantic": end[self.pair]}[init_mode]
 
 
 def dual_invert(observed, mixture: GaussianMixture, prompts, config: PdlsConfig,

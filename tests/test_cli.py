@@ -69,6 +69,49 @@ class TestDemo:
         assert not out.exists()
 
 
+# (values that pass, extreme or malformed values) of each 'pdls degrade' flag
+# and descriptor parameter, for test_every_run_gives_a_manifest_restore_reads_or_one_error_line.
+_KERNEL_SIZE = (st.sampled_from([1, 3, 5, 7, 9, 15]), st.sampled_from([-3, 0, 4, 1027, "7.0", "x"]))
+_DEGRADE_PARAMS = {
+    "id": {},
+    "gblur": {"size": _KERNEL_SIZE,
+              "sigma": (st.floats(1e-3, 1e3), st.sampled_from([0.0, -1.0, 1e-300, 1e300,
+                                                                "nan", "inf"]))},
+    "mblur": {"size": _KERNEL_SIZE,
+              "intensity": (st.floats(1e-3, 1.0), st.sampled_from([0.0, 1.5, "nan", "inf"])),
+              "angle": (st.floats(-1e3, 1e3), st.sampled_from(["nan", "inf", "-inf"]))},
+    "sr": {"factor": (st.integers(1, 8), st.sampled_from([0, -1, "2.0"]))},
+    "inpaint": {"coverage": (st.floats(1e-3, 0.99), st.sampled_from([0.0, 1.0, "nan", "inf"])),
+                "seed": (st.integers(0, 2**70), st.sampled_from([-1, "1.5"]))},
+}
+_DEGRADE_FLAGS = {
+    "--limit": (st.integers(0, 4), st.sampled_from([-1, "x"])),
+    "--sigma-y": (st.floats(0.0, 0.5) | st.just(1e300),
+                  st.sampled_from([-0.1, "nan", "inf", "-inf", "x"])),
+    "--seed": (st.integers(0, 2**70), st.sampled_from([-1, "x"])),
+}
+
+
+@st.composite
+def degrade_inputs(draw):
+    """A directory's PGM shapes (1-3 images of 1-40 pixels a side, of one size or
+    not) and the flags of a 'pdls degrade --images' run on it: any descriptor,
+    --limit, --sigma-y and --seed. Every value passes its own check except, in
+    one drawn parameter or flag (or none), an extreme or malformed one."""
+    sizes = st.tuples(st.integers(1, 40), st.integers(1, 40))
+    first = draw(sizes)
+    shapes = [first] + [draw(st.just(first) | sizes) for _ in range(draw(st.integers(0, 2)))]
+    name = draw(st.sampled_from(sorted(_DEGRADE_PARAMS)))
+    params = _DEGRADE_PARAMS[name]
+    bad = draw(st.none() | st.sampled_from([*params, *_DEGRADE_FLAGS]))
+    values = {key: draw(wrong if key == bad else ok)
+              for key, (ok, wrong) in {**params, **_DEGRADE_FLAGS}.items()}
+    op = ",".join(f"{key}={values[key]}" for key in params)
+    flags = [f"--op={name}:{op}" if op else f"--op={name}"]
+    flags += [f"{flag}={values[flag]}" for flag in _DEGRADE_FLAGS]
+    return shapes, flags
+
+
 class TestDegrade:
     def test_manifest_is_complete(self, tmp_path):
         out = tmp_path / "deg"
@@ -168,6 +211,58 @@ class TestDegrade:
         bad.write_bytes(b"P5\n" + size + b"\n255\n")
         assert run("degrade", "--out", tmp_path / "deg", "--op", "id", "--images", src) == 4
         assert str(bad) in capsys.readouterr().err
+
+    def test_a_directory_without_images_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "deg"
+        assert run("degrade", "--out", out, "--op", "id", "--images", tmp_path) == 4
+        assert capsys.readouterr().err == f"I/O error: no PGM images in {tmp_path}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("op", ["gblur", "inpaint"])
+    def test_images_of_mixed_sizes_are_a_config_error(self, tmp_path, capsys, op):
+        src = tmp_path / "imgs"
+        src.mkdir()
+        write_pgm(src / "big_000.pgm", ImageGrid(np.full((32, 32), 0.5)))
+        write_pgm(src / "small_000.pgm", ImageGrid(np.full((16, 16), 0.5)))
+        out = tmp_path / "deg"
+        assert run("degrade", "--out", out, "--op", op, "--images", src) == 2
+        assert capsys.readouterr().err == (
+            "config error: images differ in size: big_000.pgm is 32 x 32, "
+            "small_000.pgm is 16 x 16\n")
+        assert not out.exists()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(case=degrade_inputs())
+    def test_every_run_gives_a_manifest_restore_reads_or_one_error_line(self, tmp_path_factory,
+                                                                       case):
+        # A run exits 0 with a manifest that 'pdls restore --steps 1' reads (on a
+        # mixture of the images' dimension, exit 0 or 3), or exits 2 or 4 with
+        # one stderr line and no --out; images of two sizes never exit 0.
+        shapes, flags = case
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as scratch:
+            src, out = Path(scratch) / "imgs", Path(scratch) / "deg"
+            src.mkdir()
+            rng = np.random.default_rng(0)
+            for i, shape in enumerate(shapes):
+                write_pgm(src / f"{'ab'[i % 2]}_{i:03d}.pgm", ImageGrid(rng.random(shape)))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["degrade", "--images", str(src), "--out", str(out), *flags])
+            lines = err.getvalue().splitlines()
+            if code != 0:
+                assert code in (2, 4) and len(lines) == 1 and not out.exists(), (flags, lines)
+                return
+            limit = int(flags[1].partition("=")[2])
+            kept = shapes[:limit] if limit > 0 else shapes
+            assert lines == [] and len(set(kept)) == 1, (shapes, flags)
+            h, w = kept[0]
+            mixture = Path(scratch) / "m.mix"
+            write_mixture(mixture, flowfield.GaussianMixture(
+                [0.5, 0.5], rng.random((2, h * w)), [0.01, 0.0], ["a", "b"]))
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["restore", "--manifest", str(out / "manifest.json"), "--mixture",
+                             str(mixture), "--steps", "1", "--out", str(Path(scratch) / "r")])
+            assert code in (0, 3), (flags, err.getvalue())
 
 
 class TestRestore:
@@ -307,6 +402,14 @@ class TestRestore:
                    "--config", cfgfile) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_a_config_line_without_equals_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("gamma=0.25\n\n# steps\nn_steps 8\n")
+        out = tmp_path / "toy"
+        assert run("restore", "--out", out, "--task", "toy2d", "--config", cfg) == 2
+        assert capsys.readouterr().err == "config error: malformed config line 4: 'n_steps 8'\n"
+        assert not out.exists()
+
     def test_seed_is_not_a_config_key(self, tmp_path, capsys):
         # Seeds come only from --seeds.
         cfgfile = tmp_path / "cfg"
@@ -429,12 +532,18 @@ class TestRestore:
         assert not out.exists()
 
     def test_a_manifest_of_mixed_image_sizes_is_a_config_error(self, tmp_path, capsys):
+        # pdls degrade writes no such manifest, so a 16 x 16 record is added to its own.
         src = tmp_path / "imgs"
         src.mkdir()
         write_pgm(src / "big_000.pgm", ImageGrid(np.full((32, 32), 0.5)))
-        write_pgm(src / "small_000.pgm", ImageGrid(np.full((16, 16), 0.5)))
         deg = tmp_path / "deg"
         assert run("degrade", "--out", deg, "--op", "gblur", "--images", src) == 0
+        write_pgm(deg / "small_000.pgm", ImageGrid(np.full((16, 16), 0.5)))
+        manifest = json.loads((deg / "manifest.json").read_text())
+        manifest["records"].append({"id": "small_000", "label": "small", "height": 16,
+                                    "width": 16, "source": "small_000.pgm",
+                                    "observed": "small_000.pgm"})
+        (deg / "manifest.json").write_text(json.dumps(manifest))
         out = tmp_path / "r"
         assert run("restore", "--out", out, "--manifest", deg / "manifest.json") == 2
         assert capsys.readouterr().err == (
@@ -601,6 +710,16 @@ class TestBench:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run("bench", "--out", out, "--metrics", a, b) == 4
         assert capsys.readouterr().err == f"I/O error: missing runs: {a}, {b}\n"
+        assert not out.exists()
+
+    def test_a_missing_reconstruction_is_an_io_error(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("task,input,seed,config,mse,psnr_db,ssim,class_acc,recon_path\n"
+                           "image,a,0,c,0.1,10,0.5,1,recon/a.pgm\n")
+        out = tmp_path / "bench"
+        assert run("bench", "--out", out, "--metrics", metrics) == 4
+        assert capsys.readouterr().err == (
+            f"I/O error: missing runs: {tmp_path / 'recon' / 'a.pgm'}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [

@@ -114,8 +114,9 @@ class TestMotionKernel:
             motion_kernel(7, 0.5, angle)
 
     def test_float_size_rejected(self):
-        with pytest.raises(TypeError):
-            motion_kernel(7.0, 0.5)
+        for kernel, args in ((motion_kernel, (0.5,)), (gaussian_kernel, (1.5,))):
+            with pytest.raises(ValueError, match="kernel size must be an int, not 7.0"):
+                kernel(7.0, *args)
 
 
 @pytest.mark.parametrize("kernel", [lambda size: gaussian_kernel(size, 3.0),
@@ -215,6 +216,10 @@ class TestApply:
         with pytest.raises(ValueError, match="mask dimensions"):
             apply(FreeformMask(ImageGrid(np.zeros((4, 4)))),
                   ImageGrid(np.zeros((8, 8))))
+
+    def test_an_unknown_operator_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unknown degradation operator"):
+            apply((7, 1.5), ImageGrid(np.zeros((4, 4))))
 
     def test_output_is_clamped(self):
         img = ImageGrid(np.full((16, 16), 0.99))
@@ -393,6 +398,11 @@ class TestDescriptors:
         op = parse_descriptor("inpaint:coverage=0.15,seed=2", image_shape=(32, 32))
         assert isinstance(op, FreeformMask)
         assert 0.13 <= op.mask.pixels.mean() <= 0.17
+
+    def test_a_mask_not_drawn_here_names_only_its_coverage(self):
+        mask = np.zeros((4, 4))
+        mask[0] = 1.0
+        assert FreeformMask(ImageGrid(mask)).descriptor() == "inpaint:coverage=0.2500"
 
     def test_unknown_operator(self):
         with pytest.raises(ValueError, match="unknown operator"):

@@ -238,6 +238,12 @@ class TestMixtureFile:
         with pytest.raises(FormatError, match="line 1"):
             read_mixture(path)
 
+    def test_a_token_without_equals_is_malformed(self, tmp_path):
+        path = tmp_path / "bad.mix"
+        path.write_text("weight=1.0 variance=0 label=A mean=1,2 stray\n")
+        with pytest.raises(FormatError, match="malformed record on line 1"):
+            read_mixture(path)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.mix"
         path.write_text("# header\nweight=1.0 label=A mean=1,2\n")

@@ -18,8 +18,6 @@ from pdls.flowfield import (
     EPS_T,
     Condition,
     GaussianMixture,
-    TerminalTimeError,
-    endpoint_conditional_velocity,
     marginal_velocity,
     responsibilities,
     sample_mixture,
@@ -236,22 +234,15 @@ class TestMarginalVelocity:
             fn(x, 0.5, two_diracs(), [Condition.of("a"), Condition.null()])
 
 
-class TestEndpointConditionalVelocity:
-    def test_on_target_is_zero(self):
-        x = np.array([1.0, 0.0])
-        for t in (0.1, 0.5, 1.0):
-            assert np.allclose(endpoint_conditional_velocity(x, t, x), 0.0)
-
-    def test_toward_noise_end(self):
-        v = endpoint_conditional_velocity(np.array([2.0, 0.0]), 0.5, np.zeros(2))
-        assert np.allclose(v, [4.0, 0.0], atol=1e-15)
-
-    def test_singular_at_target_time(self):
-        with pytest.raises(TerminalTimeError, match="conditional field singular"):
-            endpoint_conditional_velocity(np.zeros(2), 0.0, np.ones(2))
-
-
 class TestMixtureValidation:
+    def test_a_mixture_needs_a_component(self):
+        with pytest.raises(ValueError, match="mixture needs at least one component"):
+            GaussianMixture([], np.zeros((0, 2)), [], [])
+
+    def test_means_must_be_finite(self):
+        with pytest.raises(ValueError, match="means must be finite"):
+            GaussianMixture([1.0], [[np.nan, 0.0]], [0.0], ["a"])
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             GaussianMixture([0.5, 0.4], [[0.0], [1.0]], [0.1, 0.1], ["a", "b"])
@@ -560,6 +551,57 @@ def field_values(x, t, mixture, cond):
         except ValueError as exc:
             out.append(str(exc))
     return out
+
+
+@st.composite
+def transport_cases(draw):
+    """A mixture of 1-4 components in 1-3 dimensions with variances from {0, 0.01,
+    0.3, 1.5}, a null or one-label condition, t in [0.05, 0.9] and a point near
+    a kept component's marginal, t mu_j + s_j z with |z_i| <= 2."""
+    k, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    means = draw(arrays(float, (k, d), elements=st.floats(-3.0, 3.0)))
+    variances = draw(st.lists(st.sampled_from([0.0, 0.01, 0.3, 1.5]), min_size=k, max_size=k))
+    weights = draw(arrays(float, k, elements=st.floats(0.1, 1.0)))
+    labels = draw(st.lists(st.sampled_from("AB"), min_size=k, max_size=k))
+    mixture = GaussianMixture(weights / weights.sum(), means, variances, labels)
+    label = draw(st.none() | st.sampled_from(sorted(set(labels))))
+    cond = Condition.null() if label is None else Condition.of(label)
+    t = draw(st.floats(0.05, 0.9))
+    j = draw(st.sampled_from(cond.select(mixture).tolist()))
+    z = draw(arrays(float, d, elements=st.floats(-2.0, 2.0)))
+    return mixture, cond, t, t * means[j] + np.sqrt((1 - t) ** 2 + t**2 * variances[j]) * z
+
+
+class TestTransportEquation:
+    """The field moves the interpolation's own marginal: with p_t = sum_k w_k
+    N(t mu_k, s_k^2 I) over the kept components, written from its definition,
+    d_t log p + v . grad log p + div v = 0, and not only the field's own formula
+    (which every other oracle re-derives). A c_k off by 1 % fails it."""
+
+    H = 1e-5  # central-difference step; t + H stays below 1 - EPS_T
+
+    @staticmethod
+    def _log_p(x, t, mixture, idx):
+        w = mixture.weights[idx] / mixture.weights[idx].sum()
+        s2 = (1 - t) ** 2 + t**2 * mixture.variances[idx]
+        sq = np.sum((x - t * mixture.means[idx]) ** 2, axis=1)
+        return logsumexp(np.log(w) - 0.5 * mixture.dim * np.log(2 * np.pi * s2) - sq / (2 * s2))
+
+    @settings(deadline=None)
+    @given(transport_cases())
+    def test_the_field_satisfies_the_continuity_equation(self, case):
+        mixture, cond, t, x = case
+        h, idx = self.H, cond.select(mixture)
+        dt_log_p = (self._log_p(x, t + h, mixture, idx)
+                    - self._log_p(x, t - h, mixture, idx)) / (2 * h)
+        s2 = (1 - t) ** 2 + t**2 * mixture.variances[idx]
+        grad_log_p = responsibilities(x, t, mixture, cond) @ ((t * mixture.means[idx] - x)
+                                                              / s2[:, None])
+        div = sum((marginal_velocity(x + e, t, mixture, cond)[i]
+                   - marginal_velocity(x - e, t, mixture, cond)[i]) / (2 * h)
+                  for i, e in enumerate(h * np.eye(mixture.dim)))
+        terms = [dt_log_p, marginal_velocity(x, t, mixture, cond) @ grad_log_p, div]
+        assert abs(sum(terms)) <= 1e-6 * (sum(map(abs, terms)) + 1.0), terms
 
 
 class TestNodeCache:

@@ -52,6 +52,10 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="monotone"):
             TimeGrid(np.array([0.0, 0.5, 0.4]))
 
+    def test_a_grid_of_one_node_is_rejected(self):
+        with pytest.raises(ValueError, match="grid needs at least two nodes"):
+            TimeGrid([0.5])
+
 
 class TestIntegrate:
     def test_zero_drift_is_constant(self):
@@ -139,6 +143,15 @@ class TestIntegrate:
         grid = make_grid(3, 0.0, 1.0)
         with pytest.raises(ValueError, match="one state per grid node"):
             Trajectory(grid, np.zeros((3, 2)))
+
+    def test_states_must_be_finite(self):
+        with pytest.raises(ValueError, match="trajectory states must be finite"):
+            Trajectory(make_grid(1, 0.0, 1.0), [[0.0, 0.0], [np.nan, 0.0]])
+
+    def test_initial_state_must_be_finite(self):
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            integrate(np.array([0.0, np.nan]), make_grid(2, 0.0, 1.0),
+                      lambda x, t, k: np.zeros(2))
 
 
 def csv_module_rows(traj: Trajectory) -> str:

@@ -111,6 +111,10 @@ class TestSsim:
         with pytest.raises(ValueError, match="at least"):
             ssim(np.zeros((8, 8)), np.zeros((8, 8)))
 
+    def test_images_of_different_shapes_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ssim(np.zeros((16, 16)), np.zeros((16, 17)))
+
     @pytest.mark.parametrize("peak", [0.0, -1.0, np.nan, np.inf])
     def test_peak_that_is_not_finite_and_positive_rejected(self, peak):
         # Unchecked, peak 0 scored 1.152 on this pair, -1 scored 0.960 and NaN gave NaN.
@@ -249,3 +253,13 @@ class TestBatchedReport:
         with pytest.raises(ValueError, match="one label per reference"):
             report([img, img], [img, img], None, ["a"])
         assert report([], []) == []
+
+    def test_pairs_of_different_shapes_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            report(ImageGrid(np.zeros((16, 16))), ImageGrid(np.zeros((16, 17))))
+
+    def test_an_unlabeled_mixture_rejected(self):
+        img = ImageGrid(np.zeros((16, 16)))
+        unlabeled = GaussianMixture([1.0], [np.zeros(256)], [0.0], [None])
+        with pytest.raises(ValueError, match="mixture components must be labeled"):
+            report(img, img, unlabeled, "a")
