@@ -21,13 +21,17 @@ from .flowfield import EPS_T, TerminalTimeError
 SCHEDULE_KINDS = ("cosine", "constant")
 
 
-def eta(config, t: float) -> float:
-    """Guidance strength at time t in [0, 1] of a PdlsConfig's eta_max and schedule_kind."""
-    if not 0.0 <= t <= 1.0:
+def eta(config, t):
+    """Guidance strength at time t in [0, 1] of a PdlsConfig's eta_max and schedule_kind.
+    At an array of times it is an array, bitwise the scalar calls at each
+    (test_the_array_form_is_the_scalar_calls_bitwise); any time outside
+    [0, 1], or NaN, raises ValueError."""
+    times = np.asarray(t, dtype=float)
+    if np.count_nonzero((times >= 0.0) & (times <= 1.0)) != times.size:
         raise ValueError("time out of range")
     if config.schedule_kind == "constant":
-        return config.eta_max
-    return 0.5 * config.eta_max * (1.0 + np.cos(np.pi * t))
+        return config.eta_max if times.ndim == 0 else np.full(times.shape, config.eta_max)
+    return 0.5 * config.eta_max * (1.0 + np.cos(np.pi * times))
 
 
 def lqr_control(x, target, t):

@@ -236,16 +236,19 @@ def _log_softmax_rows(a: np.ndarray) -> np.ndarray:
     As scipy does, the row maxima are counted (m) and the rest summed shifted
     (s): the log-sum is log1p(s / m) + log(m) + max. Where every row's maximum
     is finite and occurs once, s / m is s and log(m) +0.0, so log1p(s) + max
-    has the same bits and nothing to silence. Ties and non-finite maxima take
-    the general branch, under errstate: an all -inf row gives NaN without a
-    warning. Where scipy falls back to log(sum(exp(a))), the maximum is +-inf
-    or NaN, and a minus either log-sum is the same inf or NaN.
+    has the same bits and nothing to silence; there each maximum's lane is
+    zeroed after the exponential, the 0.0 that scipy's -inf lane gives. Ties
+    and non-finite maxima take the general branch, under errstate: an all -inf
+    row gives NaN without a warning. Where scipy falls back to
+    log(sum(exp(a))), the maximum is +-inf or NaN, and a minus either log-sum
+    is the same inf or NaN.
     """
     a_max = np.maximum.reduce(a, axis=1, keepdims=True)
     is_max = a == a_max
-    if np.count_nonzero(is_max) == len(a) and np.isfinite(a_max).all():
-        s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
-        return a - (np.log1p(s) + a_max)
+    if np.count_nonzero(is_max) == len(a) and np.count_nonzero(np.isfinite(a_max)) == len(a):
+        e = np.exp(a - a_max)
+        np.putmask(e, is_max, 0.0)
+        return a - (np.log1p(np.add.reduce(e, axis=1, keepdims=True)) + a_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.add.reduce(is_max, axis=1, keepdims=True, dtype=a.dtype)
         s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)

@@ -28,7 +28,7 @@ class TimeGrid:
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
         steps = np.diff(nodes)
-        if not (np.all(steps > 0) or np.all(steps < 0)):
+        if steps.size not in (np.count_nonzero(steps > 0), np.count_nonzero(steps < 0)):
             raise ValueError("grid nodes must be strictly monotone")
         self.nodes = nodes
 
@@ -39,7 +39,8 @@ class TimeGrid:
 
 def make_grid(n_steps: int, t_start: float, t_end: float) -> TimeGrid:
     """Uniform grid of n_steps+1 nodes from t_start to t_end, endpoints exact, as
-    the fields guard their own singularities (see flowfield.EPS_T)."""
+    the fields guard their own singularities (see flowfield.EPS_T): bitwise
+    np.linspace(t_start, t_end, n_steps + 1) (test_nodes_are_linspace_bitwise)."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     for t in (t_start, t_end):
@@ -47,7 +48,14 @@ def make_grid(n_steps: int, t_start: float, t_end: float) -> TimeGrid:
             raise ValueError("time out of range")
     if t_start == t_end:
         raise ValueError("zero-length time interval")
-    return TimeGrid(np.linspace(t_start, t_end, n_steps + 1))
+    # linspace's arithmetic. Where the step underflows to 0, linspace scales
+    # by the interval instead, but no n_steps + 1 distinct nodes fit there,
+    # so both grids fail TimeGrid's monotone check.
+    nodes = np.arange(n_steps + 1.0)
+    nodes *= (t_end - t_start) / n_steps
+    nodes += t_start
+    nodes[-1] = t_end
+    return TimeGrid(nodes)
 
 
 class Trajectory:
@@ -58,7 +66,7 @@ class Trajectory:
         states = np.asarray(states, dtype=float)
         if states.shape[0] != grid.nodes.size:
             raise ValueError("one state per grid node required")
-        if not np.all(np.isfinite(states)):
+        if np.count_nonzero(np.isfinite(states)) != states.size:
             raise ValueError("trajectory states must be finite")
         self.grid, self.states = grid, states
 
@@ -77,18 +85,18 @@ def integrate(x0, grid: TimeGrid,
     at node k, of x's shape. x is row k of the trajectory's states, written in
     place, so drift must not write to it."""
     x0 = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x0)):
+    if np.count_nonzero(np.isfinite(x0)) != x0.size:
         raise ValueError("initial state must be finite")
     states = np.empty((grid.n_steps + 1,) + x0.shape)
     states[0] = x0
     nodes = grid.nodes
     for k, (t, dt) in enumerate(zip(nodes[:-1].tolist(), np.diff(nodes).tolist())):
-        x = states[k]
+        x, x_next = states[k], states[k + 1]
         v = np.asarray(drift(x, t, k), dtype=float)
-        if v.shape != x.shape or not np.isfinite(v).all():
+        if v.shape != x.shape or np.count_nonzero(np.isfinite(v)) != v.size:
             raise DriftDivergedError(f"drift diverged at step {k}")
-        np.multiply(v, dt, out=states[k + 1])
-        states[k + 1] += x
+        np.multiply(v, dt, out=x_next)
+        x_next += x
     return Trajectory(grid, states)
 
 

@@ -181,7 +181,7 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
     # stored node it lands on, row k + 1: the same-time node would leave a
     # one-step lag (test_full_strength_retraces_the_stored_line).
     targets = paths.target(slice(None, None, -1))
-    weights = [float(eta(config, t)) for t in gen_grid.nodes[:-1].tolist()]
+    weights = eta(config, gen_grid.nodes[:-1]).tolist()
 
     def drift(x, t, k):
         return blend_drift(marginal_velocity(x, t, mixture, base_cond),
@@ -211,8 +211,9 @@ def _directions(v, q0, u=None) -> np.ndarray:
 
     first = residual(v)
     second = residual(first)
-    norm = np.linalg.norm(second, axis=1)
-    keep = norm > 0.5 * np.linalg.norm(first, axis=1)
+    # np.linalg.norm(axis=1)'s arithmetic, without its wrapper.
+    norm = np.sqrt(np.add.reduce(second * second, axis=1))
+    keep = norm > 0.5 * np.sqrt(np.add.reduce(first * first, axis=1))
     second /= np.where(keep, norm, 1.0)[:, None]
     second[~keep] = 0.0
     return second
@@ -326,7 +327,7 @@ class RestoreResult:
         target = self._paths.target(slice(None, None, -1))[:, self._row]
         dists = np.linalg.norm(self._generated.states[:, self._row] - target, axis=1)
         nodes = self._generated.grid.nodes
-        etas = [float(eta(self._config, float(t))) for t in nodes]
+        etas = eta(self._config, nodes).tolist()
         return tuple(zip(range(len(nodes)), nodes.tolist(), etas, dists.tolist()))
 
     @functools.cached_property

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pdls.control import blend_drift, eta, lqr_control
+from pdls.control import SCHEDULE_KINDS, blend_drift, eta, lqr_control
 from pdls.flowfield import EPS_T, TerminalTimeError
+from pdls.integrate import make_grid
 from pdls.pipeline import PdlsConfig
 
 
@@ -50,6 +51,40 @@ class TestSchedule:
             PdlsConfig(eta_max=1.5)
         with pytest.raises(ValueError, match="schedule_kind"):
             PdlsConfig(eta_max=0.5, schedule_kind="linear")
+
+
+class TestScheduleArrays:
+    """eta at an array of times, as steered_generate and the diagnostics call it."""
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_the_array_form_is_the_scalar_calls_bitwise(self, kind):
+        # The 28-step generation nodes, both ends, and 10,001 evenly spaced
+        # times: np.cos over an array rounds as it does one time at a time.
+        cfg = PdlsConfig(eta_max=0.5, schedule_kind=kind)
+        for times in (make_grid(28, 0.0, 1.0).nodes[:-1], np.array([0.0, 1.0]),
+                      np.linspace(0.0, 1.0, 10_001)):
+            got = eta(cfg, times)
+            want = np.array([eta(cfg, t) for t in times.tolist()])
+            assert got.shape == times.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_scalar_calls_are_unchanged(self, kind):
+        # A time gives eta_max itself under the constant kind, and under the
+        # cosine kind the float64 of 0.5 eta_max (1 + cos(pi t)).
+        cfg = PdlsConfig(eta_max=0.3, schedule_kind=kind)
+        for t in (0.0, 1 / 3, 0.5, 1.0, 1, np.float64(0.7)):
+            got = eta(cfg, t)
+            if kind == "constant":
+                assert got is cfg.eta_max
+            else:
+                assert type(got) is np.float64
+                assert got == 0.5 * 0.3 * (1.0 + np.cos(np.pi * float(t)))
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("times", [[0.5, 1.2], [-0.1, 0.5], [0.5, np.nan], [np.nan]])
+    def test_an_array_with_a_time_out_of_range_raises(self, kind, times):
+        with pytest.raises(ValueError, match="time out of range"):
+            eta(PdlsConfig(schedule_kind=kind), np.array(times))
 
 
 class TestLqrControl:

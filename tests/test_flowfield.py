@@ -465,6 +465,10 @@ class TestLogsumexpReplica:
     @given(logsumexp_rows())
     @example(np.array([[0.0, -1.0, -np.inf], [2.0, np.nextafter(2.0, 0.0), 1.0]]))
     @example(np.array([[1.0, 1.0], [np.nan, 0.0]]))  # one maximum per row on average
+    @example(np.array([[np.inf, 0.0, -1.0]]))  # a single +inf maximum
+    @example(np.array([[-np.inf]]))  # a one-column -inf row
+    @example(np.array([[1e308, 0.0], [1e308, -np.inf]]))  # finite maxima summing past DBL_MAX
+    @example(np.array([[np.nan, 0.0], [1.0, 2.0]]))  # a NaN row beside a finite one
     def test_bitwise_equal_to_scipy(self, a):
         got = _log_softmax_rows(a)
         want = logsumexp(a, axis=1, keepdims=True)

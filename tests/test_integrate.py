@@ -2,10 +2,11 @@
 
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -35,6 +36,22 @@ class TestMakeGrid:
         grid = make_grid(4, 0.0, 1.0)
         assert grid.nodes[0] == 0.0
         assert grid.nodes[-1] == 1.0
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 1000), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(28, 0.0, 1.0)
+    @example(28, 1.0, 0.0)
+    @example(3, 0.0, 5e-324)  # the step underflows to 0
+    @example(2, 1e-323, 0.0)
+    def test_nodes_are_linspace_bitwise(self, n, t_start, t_end):
+        assume(t_start != t_end)
+        want = np.linspace(t_start, t_end, n + 1)
+        steps = np.diff(want)
+        if np.all(steps > 0) or np.all(steps < 0):
+            assert make_grid(n, t_start, t_end).nodes.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(ValueError, match="monotone"):
+                make_grid(n, t_start, t_end)
 
     def test_zero_length_interval(self):
         with pytest.raises(ValueError, match="zero-length"):
@@ -138,6 +155,25 @@ class TestIntegrate:
 
         with pytest.raises(DriftDivergedError, match="drift diverged at step 3"):
             integrate(np.zeros(2), grid, bad)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [np.inf, 0.0], [np.inf, -np.inf]])
+    def test_a_non_finite_drift_reports_its_step(self, bad):
+        def drift(x, t, k):
+            return np.array(bad) if k == 2 else np.zeros(2)
+
+        with pytest.raises(DriftDivergedError, match="drift diverged at step 2"):
+            integrate(np.zeros(2), make_grid(4, 0.0, 1.0), drift)
+
+    def test_a_finite_drift_summing_past_the_largest_float_steps(self):
+        # Its entries sum past DBL_MAX; the finiteness test looks at each one.
+        v = np.array([1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(np.zeros(2), make_grid(4, 0.0, 1.0), lambda x, t, k: v)
+        want = np.zeros(2)
+        for _ in range(4):
+            want = want + 0.25 * v
+        assert np.array_equal(traj.terminal, want)
 
     def test_trajectory_shape_validation(self):
         grid = make_grid(3, 0.0, 1.0)
