@@ -22,9 +22,10 @@ import ctypes
 import functools
 import hashlib
 import json
+import os
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,10 @@ def _read_manifest(path) -> dict:
                  + [k for k in ("height", "width") if type(rec[k]) is not int or rec[k] < 1])
         if wrong:
             raise fileio.FormatError(f"manifest {path}: record {i} has wrongly typed {wrong}")
+        # An id names the record's reconstruction file in --out, so it must be a file name.
+        if rec["id"] in ("", ".", "..") or "/" in rec["id"] or "\0" in rec["id"]:
+            raise fileio.FormatError(f"manifest {path}: record {i}'s id {rec['id']!r} "
+                                     "is not a file name")
     return manifest
 
 
@@ -324,6 +329,77 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _make_dirs(path: Path, made: list) -> None:
+    """path.mkdir(parents=True, exist_ok=True) that appends each directory it
+    makes to made, parents first."""
+    try:
+        path.mkdir()
+        made.append(path)
+    except FileNotFoundError:
+        if path.parent == path:
+            raise
+        _make_dirs(path.parent, made)
+        _make_dirs(path, made)
+    except OSError:
+        if not path.is_dir():
+            raise
+
+
+@contextmanager
+def _outputs_made_early(out: Path, names):
+    """Make out, with its missing parents, and each distinct name in it as an
+    empty file on a worker thread while the block runs.
+
+    Creating a file costs the kernel hundreds of microseconds on a disk that
+    has seen many files, re-opening one tens, so an image restore hides its
+    files' creation behind its arithmetic. A name that exists is left as it
+    is. The block gets the function that waits for the worker and raises its
+    error; it calls it before it writes into out. On any exception in the
+    block, the worker is waited for and what it created is removed (a
+    directory only while empty); nothing else is touched. The worker calls
+    no pdls function, so a tracer that wraps them sees the calling thread only.
+    """
+    dirs, files, errors = [], [], []
+
+    def make():
+        try:
+            _make_dirs(out, dirs)
+            fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+            try:
+                for name in dict.fromkeys(names):
+                    try:
+                        os.close(os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666,
+                                         dir_fd=fd))
+                    except FileExistsError:
+                        continue
+                    files.append(name)
+            finally:
+                os.close(fd)
+        except Exception as exc:  # raised on the calling thread by ready()
+            errors.append(exc)
+
+    worker = threading.Thread(target=make, name="pdls-outputs")
+    worker.start()
+
+    def ready():
+        worker.join()
+        if errors:
+            raise errors[0]
+
+    try:
+        yield ready
+    except BaseException:
+        worker.join()
+        # The block's own error is the one to report, not a removal's.
+        for name in reversed(files):
+            with suppress(OSError):
+                (out / name).unlink()
+        for path in reversed(dirs):
+            with suppress(OSError):
+                path.rmdir()
+        raise
+
+
 def cmd_restore(args) -> int:
     cfg = build_config(args)
     seeds = parse_seeds(args.seeds)
@@ -331,31 +407,38 @@ def cmd_restore(args) -> int:
     task, mixture, extra, jobs = (_image_jobs if images else _toy_jobs)(args, seeds)
     config = config_hash(cfg, {"prompt": args.prompt, **extra})
     prompts = _prompts(args, mixture, [label for _, _, _, label, _ in jobs])
-    results, recons, reports = [], [], []
-    if jobs:
-        _, observed, refs, labels, job_seeds = zip(*jobs)
-        results = restore(np.stack(observed), mixture, prompts, cfg, list(job_seeds))
-        recons = [degrade.ImageGrid.from_vector(r.restored, ref.height, ref.width)
-                  if images else r.restored for r, ref in zip(results, refs)]
-        reports = metrics.report(recons, refs, mixture, labels)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for (input_id, _, _, _, seed), recon, rep in zip(jobs, recons, reports):
-        recon_path = f"{input_id}_s{seed}_recon.pgm" if images else ""
-        if images:
-            fileio.write_pgm(out / recon_path, recon)
-        rows.append((task, input_id, seed, config, rep.mse, rep.psnr_db, rep.ssim,
-                     rep.class_accuracy, recon_path))
-    if results:
-        first = results[0]
-        if not images:  # the first seed's paths feed the bench plot
-            for name, path in (("structural", first.structural), ("semantic", first.semantic),
-                               ("steered", first.generated)):
-                (out / f"{name}_path.csv").write_text(trajectory_to_csv(path))
-        _write_csv(out / "diagnostics.csv", ("step", "t", "eta", "dist_to_target"),
-                   first.diagnostics)
-    _write_csv(out / "metrics.csv", _METRICS_HEADER, rows)
+    recon_paths = [f"{input_id}_s{seed}_recon.pgm" if images else ""
+                   for input_id, _, _, _, seed in jobs]
+    if images:
+        outputs = _outputs_made_early(out, recon_paths)
+    else:  # toy2d writes five files, too few to pay for a worker
+        outputs = nullcontext(functools.partial(out.mkdir, parents=True, exist_ok=True))
+    with outputs as ready:
+        results, recons, reports = [], [], []
+        if jobs:
+            _, observed, refs, labels, job_seeds = zip(*jobs)
+            results = restore(np.stack(observed), mixture, prompts, cfg, list(job_seeds))
+            recons = [degrade.ImageGrid.from_vector(r.restored, ref.height, ref.width)
+                      if images else r.restored for r, ref in zip(results, refs)]
+            reports = metrics.report(recons, refs, mixture, labels)
+        ready()
+        rows = []
+        for (input_id, _, _, _, seed), recon_path, recon, rep in zip(jobs, recon_paths, recons,
+                                                                      reports):
+            if images:
+                fileio.write_pgm(out / recon_path, recon)
+            rows.append((task, input_id, seed, config, rep.mse, rep.psnr_db, rep.ssim,
+                         rep.class_accuracy, recon_path))
+        if results:
+            first = results[0]
+            if not images:  # the first seed's paths feed the bench plot
+                for name, path in (("structural", first.structural),
+                                   ("semantic", first.semantic), ("steered", first.generated)):
+                    (out / f"{name}_path.csv").write_text(trajectory_to_csv(path))
+            _write_csv(out / "diagnostics.csv", ("step", "t", "eta", "dist_to_target"),
+                       first.diagnostics)
+        _write_csv(out / "metrics.csv", _METRICS_HEADER, rows)
     print(f"restored {len(rows)} runs; metrics in {out / 'metrics.csv'}")
     return 0
 

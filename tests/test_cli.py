@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -577,6 +578,171 @@ class TestRestore:
                 assert next(csv.DictReader(fh))["config"] == expected
 
 
+
+@pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    """A three-record gblur manifest, one image per shapes32 class."""
+    deg = tmp_path_factory.mktemp("small") / "deg"
+    assert run("degrade", "--out", deg, "--op", "gblur:size=7,sigma=1.5", "--demo",
+               "--n-per-class", 1) == 0
+    return deg / "manifest.json"
+
+
+def tree(root: Path) -> dict:
+    """Every path under root, with its bytes for a file and None for a directory."""
+    return {p: (p.read_bytes() if p.is_file() else None) for p in sorted(root.rglob("*"))}
+
+
+def edited_manifest(manifest: Path, path: Path, ids) -> Path:
+    """The first len(ids) of manifest's records, renamed to ids, written to path
+    beside manifest so that their image file names still resolve."""
+    data = json.loads(manifest.read_text())
+    data["records"] = [dict(rec, id=i) for rec, i in zip(data["records"], ids)]
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestRestoreOutputs:
+    """An image restore makes --out and its reconstruction files on a worker
+    thread while it restores; a failed run removes what that worker made."""
+
+    def restore(self, manifest, out, *flags):
+        return run("restore", "--out", out, "--manifest", manifest, "--n-per-class", 1,
+                   "--steps", 2, *flags)
+
+    @pytest.mark.parametrize("record_id", ["../escaped", "sub/dir", "", ".", "..", "a\0b"],
+                             ids=["parent", "subdir", "empty", "dot", "dotdot", "nul"])
+    def test_a_record_id_that_is_not_a_file_name_is_an_io_error(self, tmp_path, capsys,
+                                                                small_manifest, record_id):
+        manifest = edited_manifest(small_manifest, small_manifest.with_name("ids.json"),
+                                   ["a", record_id])
+        work = tmp_path / "work"
+        work.mkdir()
+        try:
+            before = tree(small_manifest.parent)
+            assert self.restore(manifest, work / "out") == 4
+            assert tree(small_manifest.parent) == before
+        finally:
+            manifest.unlink()
+        assert list(tmp_path.rglob("*")) == [work]  # no escaped_s0_recon.pgm beside out
+        err = capsys.readouterr().err
+        assert err == (f"I/O error: manifest {manifest}: record 1's id {record_id!r} is not a "
+                       "file name\n")
+
+    def test_a_diverging_restore_leaves_no_parent_behind(self, tmp_path, capsys, monkeypatch,
+                                                          small_manifest):
+        out = tmp_path / "a" / "b" / "out"
+        names = [f"{r['id']}_s0_recon.pgm"
+                 for r in json.loads(small_manifest.read_text())["records"]]
+
+        def diverge(*args):
+            # Wait until the worker has made every file, then fail as a drift would.
+            for _ in range(1000):
+                if all((out / name).exists() for name in names):
+                    break
+                time.sleep(0.01)
+            raise cli.DriftDivergedError("drift diverged at step 0")
+
+        monkeypatch.setattr(cli, "restore", diverge)
+        threads = threading.active_count()
+        assert self.restore(small_manifest, out) == 3
+        assert capsys.readouterr().err == "numerical failure: drift diverged at step 0\n"
+        assert not (tmp_path / "a").exists() and threading.active_count() == threads
+
+    def test_an_interrupted_restore_leaves_no_out(self, tmp_path, monkeypatch, small_manifest):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "restore", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            self.restore(small_manifest, tmp_path / "p" / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_run_keeps_the_files_that_were_there(self, tmp_path, monkeypatch,
+                                                          small_manifest):
+        out = tmp_path / "out"
+        assert self.restore(small_manifest, out) == 0
+        before = tree(out)
+
+        def diverge(*args):
+            raise cli.DriftDivergedError("drift diverged at step 1")
+
+        monkeypatch.setattr(cli, "restore", diverge)
+        # The worker skips the seed-0 files that exist and makes the seed-1 ones.
+        assert self.restore(small_manifest, out, "--seeds", "0:2") == 3
+        assert tree(out) == before
+
+    def test_an_out_under_a_regular_file_is_one_io_error_line(self, tmp_path, capsys,
+                                                              small_manifest):
+        (tmp_path / "file").write_text("x")
+        out = tmp_path / "file" / "out"
+        assert self.restore(small_manifest, out) == 4
+        assert capsys.readouterr().err == f"I/O error: [Errno 20] Not a directory: '{out}'\n"
+        assert tree(tmp_path) == {tmp_path / "file": b"x"}
+
+    def test_a_record_file_the_worker_cannot_create_removes_what_it_made(self, tmp_path, capsys,
+                                                                        small_manifest):
+        manifest = edited_manifest(small_manifest, small_manifest.with_name("long.json"),
+                                   ["a", "b" * 300])
+        try:
+            assert self.restore(manifest, tmp_path / "p" / "out") == 4
+        finally:
+            manifest.unlink()
+        assert "File name too long" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_parents_are_made_with_mkdirs_mode(self, tmp_path, small_manifest):
+        out = tmp_path / "p" / "q" / "out"
+        assert self.restore(small_manifest, out) == 0
+        probe = tmp_path / "probe"
+        probe.mkdir()
+        for d in (tmp_path / "p", tmp_path / "p" / "q", out):
+            assert d.stat().st_mode == probe.stat().st_mode
+        written = tmp_path / "written"
+        write_pgm(written, ImageGrid(np.zeros((2, 2))))
+        recons = sorted(out.glob("*_recon.pgm"))
+        assert len(recons) == 3
+        assert {p.stat().st_mode for p in recons} == {written.stat().st_mode}
+
+    def test_a_second_run_keeps_other_files_and_writes_the_fresh_bytes(self, tmp_path,
+                                                                      small_manifest):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert self.restore(small_manifest, out, "--seeds", "1") == 0
+        (out / "notes.txt").write_text("mine")
+        assert self.restore(small_manifest, out) == 0
+        assert self.restore(small_manifest, fresh) == 0
+        again = {p.relative_to(out): b for p, b in tree(out).items()}
+        assert again.pop(Path("notes.txt")) == b"mine"
+        assert len([p for p in again if "_s1_" in p.name]) == 3  # the first run's, kept
+        again = {p: b for p, b in again.items() if "_s1_" not in p.name}
+        assert again == {p.relative_to(fresh): b for p, b in tree(fresh).items()}
+
+    def test_duplicate_record_ids_keep_the_last_write(self, tmp_path, small_manifest):
+        paths = [small_manifest.with_name(f"{name}.json") for name in ("dup", "distinct")]
+        try:
+            dup = edited_manifest(small_manifest, paths[0], ["x", "x", "x"])
+            distinct = edited_manifest(small_manifest, paths[1], ["y", "z", "x"])
+            assert self.restore(dup, tmp_path / "dup") == 0
+            assert self.restore(distinct, tmp_path / "distinct") == 0
+        finally:
+            for path in paths:
+                path.unlink()
+        with open(tmp_path / "dup" / "metrics.csv", newline="") as fh:
+            assert [r["recon_path"] for r in csv.DictReader(fh)] == ["x_s0_recon.pgm"] * 3
+        assert sorted(p.name for p in (tmp_path / "dup").iterdir()) == [
+            "diagnostics.csv", "metrics.csv", "x_s0_recon.pgm"]
+        assert ((tmp_path / "dup" / "x_s0_recon.pgm").read_bytes()
+                == (tmp_path / "distinct" / "x_s0_recon.pgm").read_bytes())
+
+    def test_a_seed_range_gives_a_file_per_record_and_seed(self, tmp_path, small_manifest):
+        out = tmp_path / "out"
+        assert self.restore(small_manifest, out, "--seeds", "0:3") == 0
+        ids = [r["id"] for r in json.loads(small_manifest.read_text())["records"]]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["diagnostics.csv", "metrics.csv"]
+            + [f"{i}_s{s}_recon.pgm" for i in ids for s in range(3)])
+
+
 class TestBench:
     def _toy_metrics(self, tmp_path, name, extra=()):
         out = tmp_path / name
@@ -932,10 +1098,12 @@ def cli_assets(tmp_path_factory):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(data=st.data())
 def test_any_argv_exits_with_a_documented_code(cli_assets, data):
-    # Every run exits 0, 2, 3 or 4 with no exception; a failure prints one
-    # stderr line and makes no --out, and a success prints nothing there.
+    # Every run exits 0, 2, 3 or 4 with no exception and ends every thread it
+    # started; a failure prints one stderr line and leaves nothing in the
+    # scratch directory that holds its --out, and a success prints nothing there.
     base, assets = cli_assets
     argv = data.draw(cli_argv(assets))
+    threads = threading.active_count()
     with tempfile.TemporaryDirectory(dir=base) as scratch:
         out = Path(scratch) / "out"
         err = io.StringIO()
@@ -943,10 +1111,11 @@ def test_any_argv_exits_with_a_documented_code(cli_assets, data):
             code = main([*argv, "--out", str(out)])
         lines = err.getvalue().splitlines()
         assert code in (0, 2, 3, 4), (argv, code)
+        assert threading.active_count() == threads, argv
         if code == 0:
             assert lines == [] and out.is_dir(), argv
         else:
-            assert len(lines) == 1 and not out.exists(), (argv, lines)
+            assert len(lines) == 1 and not any(Path(scratch).iterdir()), (argv, lines)
 
 
 def test_help_still_exits_0(capsys):

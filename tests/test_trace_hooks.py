@@ -11,10 +11,11 @@ restore makes through the pipeline's hooked names.
 import functools
 import importlib
 import importlib.util
+import threading
 from collections import Counter
 from pathlib import Path
 
-from pdls import pipeline
+from pdls import cli, pipeline
 from pdls.datasets import shapes32_dataset, shapes32_mixture
 from pdls.flowfield import Condition
 from pdls.pipeline import PdlsConfig, restore
@@ -66,3 +67,27 @@ def test_a_restore_reaches_every_pipeline_hook(monkeypatch):
     restore(image.flatten(), mixture, Condition.of(label), config, 0)
     assert calls["marginal_velocity"] == 2 * config.n_steps
     assert all(calls[name] >= 1 for name in names), calls
+
+
+def test_an_image_restore_makes_every_hooked_call_on_the_calling_thread(monkeypatch, tmp_path):
+    # The tracer keeps one span stack per process, so a hooked name called
+    # from the thread that makes an image restore's files would corrupt it.
+    threads = Counter()
+
+    def on_thread(name, fn):
+        def wrapper(*args, **kwargs):
+            threads[name, threading.current_thread() is threading.main_thread()] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    deg = tmp_path / "deg"
+    assert cli.main(["degrade", "--out", str(deg), "--op", "gblur:size=7,sigma=1.5", "--demo",
+                     "--n-per-class", "1"]) == 0
+    for module, attr, *_ in load_tracing()._hooks():
+        *parents, name = attr.split(".")
+        owner = functools.reduce(getattr, parents, importlib.import_module(module))
+        monkeypatch.setattr(owner, name, on_thread(f"{module}.{attr}", getattr(owner, name)))
+    assert cli.main(["restore", "--out", str(tmp_path / "out"), "--manifest",
+                     str(deg / "manifest.json"), "--n-per-class", "1", "--steps", "2"]) == 0
+    assert threads["pdls.fileio.write_pgm", True] == 3
+    assert all(main for _, main in threads), threads
