@@ -535,10 +535,18 @@ def cmd_bench(args) -> int:
             p = Path(args.trajectories) / f"{name}_path.csv"
             if p.exists():
                 try:
-                    named.append((name, trajectory_from_csv(p.read_text()).states))
+                    states = trajectory_from_csv(p.read_text()).states
+                    if states.shape[1] < 2:
+                        raise ValueError(f"{states.shape[1]} coordinate(s), not the plot's two")
                 except ValueError as exc:
                     raise fileio.FormatError(f"trajectory {p}: {exc}") from exc
-    imgs = [fileio.read_pgm(r["recon_path"]) for r in rows[: args.strip] if r["recon_path"]]
+                named.append((name, states))
+    strip = [r["recon_path"] for r in rows[: args.strip] if r["recon_path"]]
+    imgs = [fileio.read_pgm(path) for path in strip]
+    for path, img in zip(strip, imgs):
+        if img.height != imgs[0].height:
+            raise ValueError(f"--strip: {strip[0]} is {imgs[0].height} pixels high, {path} is "
+                             f"{img.height}; a strip's images share one height")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -96,7 +96,11 @@ class GaussianMixture:
         self.labels = labels
         self.mean_sq = np.einsum("kd,kd->k", means, means)
         self._log_w = np.log(weights)
-        self._conditions: dict = {}
+        # sample_mixture's cdf of the weights, bitwise the one Generator.choice builds.
+        self._cdf = (weights / weights.sum()).cumsum()
+        self._cdf /= self._cdf[-1]
+        self._cdf.flags.writeable = False
+        self._log_weights: dict = {}
         self._nodes: dict = {}
         self._ambient_dim = means.shape[1]  # the log-normaliser's d; see pipeline._Frame
         # Only a label of one component makes a prompt a point mass (see the module docstring).
@@ -111,25 +115,17 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _condition(self, cond: "Condition") -> "_ConditionRecord":
-        """What cond keeps of the mixture, built by one cond.select (cached)."""
-        record = self._conditions.get(cond)
-        if record is None:
+    def log_weights(self, cond: "Condition") -> np.ndarray:
+        """(K,) log-weights under cond, -inf for the components it excludes,
+        built by one cond.select (cached, read-only)."""
+        log_w = self._log_weights.get(cond)
+        if log_w is None:
             idx = cond.select(self)
             log_w = np.full(self.n_components, -np.inf)
             log_w[idx] = self._log_w[idx]
-            w = self.weights[idx]
-            cdf = (w / w.sum()).cumsum()
-            cdf /= cdf[-1]
-            record = _ConditionRecord(idx, log_w, cdf)
-            for a in record:
-                a.flags.writeable = False
-            self._conditions[cond] = record
-        return record
-
-    def log_weights(self, cond: "Condition") -> np.ndarray:
-        """(K,) log-weights under cond, -inf for the components it excludes (cached)."""
-        return self._condition(cond).log_w
+            log_w.flags.writeable = False
+            self._log_weights[cond] = log_w
+        return log_w
 
     def _add_nodes(self, times) -> None:
         """Build, in one pass, the nodes of those times, clamped as the field
@@ -143,14 +139,6 @@ class GaussianMixture:
             new = times
         if new:
             self._nodes.update(zip(new, _build_nodes(self, np.array(new))))
-
-
-class _ConditionRecord(NamedTuple):
-    """A condition's share of the mixture, read by the field and by sample_mixture."""
-
-    idx: np.ndarray  # the indices of the components the condition keeps, ascending
-    log_w: np.ndarray  # (K,) their log-weights, -inf for the others
-    cdf: np.ndarray  # the cdf of their renormalised weights, as Generator.choice builds it
 
 
 class _Node(NamedTuple):
@@ -180,7 +168,7 @@ def _build_nodes(mixture: GaussianMixture, t: np.ndarray) -> list:
 class Condition(NamedTuple):
     """Semantic conditioning: all components (null) or a label subset (the prompt).
     A NamedTuple: conditions compare and hash by their labels, so equal ones share
-    the mixture's cached record (test_value_records_compare_and_hash_by_value)."""
+    the mixture's cached log-weights (test_value_records_compare_and_hash_by_value)."""
 
     labels: frozenset | None = None
 
@@ -294,18 +282,6 @@ def _point_masses(logw):
     return k if np.isfinite(logw[np.arange(len(k)), k]).all() else None
 
 
-def responsibilities(x, t, mixture: GaussianMixture, cond=Condition.null()):
-    """Posterior probability of each component given X_t = x, t clamped (see EPS_T):
-    the columns cond selects, or all K, 0 where a row of log-weights excludes
-    them. Each row sums to 1 (test_rows_normalize_over_many_draws)."""
-    xb, single = _check_points(x, mixture)
-    node, _ = _node_at(mixture, t)
-    r = _posterior(xb, node, _log_weight_rows(mixture, cond, len(xb)))
-    if isinstance(cond, Condition):
-        r = r[:, mixture._condition(cond).idx]
-    return r[0] if single else r
-
-
 def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
     """Exact marginal velocity (E[X_1 | X_t = x] - x) / (1 - t), t clamped (see EPS_T).
 
@@ -322,13 +298,11 @@ def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
     return out[0] if single else out
 
 
-def sample_mixture(mixture: GaussianMixture, n: int, rng: np.random.Generator,
-                   cond: Condition = Condition.null()):
-    """Draw n samples (and their labels) from the conditioned mixture: components
-    bitwise as rng.choice(K, size=n, p=w) draws them, w the weights cond keeps,
-    from the cdf choice builds (test_draws_are_generator_choices_bitwise)."""
-    idx, _, cdf = mixture._condition(cond)
-    chosen = idx[cdf.searchsorted(rng.random(n), side="right")]
+def sample_mixture(mixture: GaussianMixture, n: int, rng: np.random.Generator):
+    """Draw n samples (and their labels) from the mixture: components bitwise as
+    rng.choice(K, size=n, p=w) draws them, from the cdf choice builds
+    (test_draws_are_generator_choices_bitwise)."""
+    chosen = mixture._cdf.searchsorted(rng.random(n), side="right")
     x = mixture.means[chosen] + np.sqrt(mixture.variances[chosen])[:, None] * rng.standard_normal(
         (n, mixture.dim)
     )

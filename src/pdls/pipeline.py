@@ -28,10 +28,10 @@ instead of O(n K d), within 1e-12 relative of the full-space composition
 d <= 3, the frame is the identity and the composition exact
 (test_toy2d_restores_in_the_full_space).
 
-At the default step count, restored and the latent norms agree with the
-direct (n, K, d) form of the field within 1e-12 relative on a whole shapes32
-manifest (test_a_whole_manifest_is_within_1e12_of_the_direct_form), the
-inversion trajectories within 2e-11
+At the default step count, restored and the noise-end latents' norms agree
+with the direct (n, K, d) form of the field within 1e-12 relative on a whole
+shapes32 manifest (test_a_whole_manifest_is_within_1e12_of_the_direct_form),
+the inversion trajectories within 2e-11
 (test_manifest_trajectories_are_within_2e11_of_the_direct_form), as the
 first inversion step scales the field's rounding by dt / (1 - t) at
 t = 1 - EPS_T. Nothing promises the diagnostics' dist_to_target, a
@@ -294,8 +294,8 @@ class _Frame:
 
 
 class RestoreResult:
-    """One restored row. Its trajectories (lifted from the batch's frame),
-    diagnostics and latent norms are built on first access and kept
+    """One restored row. Its trajectories (lifted from the batch's frame) and
+    diagnostics are built on first access and kept
     (test_trajectories_are_lifted_once_on_first_access). Results compare and
     hash by identity (test_results_compare_and_hash_by_identity)."""
 
@@ -329,14 +329,6 @@ class RestoreResult:
         nodes = self._generated.grid.nodes
         etas = eta(self._config, nodes).tolist()
         return tuple(zip(range(len(nodes)), nodes.tolist(), etas, dists.tolist()))
-
-    @functools.cached_property
-    def structural_latent_norm(self) -> float:
-        return float(np.linalg.norm(self._paths.inversion.terminal[self._row]))
-
-    @functools.cached_property
-    def semantic_latent_norm(self) -> float:
-        return float(np.linalg.norm(self._paths.inversion.terminal[self._paths.pair[self._row]]))
 
 
 def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed):

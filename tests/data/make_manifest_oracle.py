@@ -8,8 +8,9 @@ restore is composed from the public full-space invert_path and
 steered_generate, with the direct (n, K, d) form of the field
 (direct_field in tests/test_flowfield.py) in place of
 pipeline.marginal_velocity. The file keeps each row's restored point and
-its two latent norms. Run from the root of a pdls checkout; it
-takes about 12 s on a 2-core machine:
+the norms of its two noise-end latents, the structural and the semantic
+path's terminal states. Run from the root of a pdls checkout; it takes
+about 12 s on a 2-core machine:
 
     PYTHONPATH=src python3 tests/data/make_manifest_oracle.py
 """

@@ -947,9 +947,10 @@ class TestBench:
 
 # Flag values the CLI fails on before it makes --out, a diverging restore among
 # them: (argv without --out, exit code, text the one error line names). {cfg}
-# is a config file holding n_steps=2.5, {metrics} a toy run's metrics file, and
-# {traj} a directory whose steered_path.csv is empty ("empty-trajectory") or a
-# header alone.
+# is a config file holding n_steps=2.5, {metrics} a toy run's metrics file,
+# {traj} a directory whose steered_path.csv is _TRAJECTORY_CSV's text for the
+# case or a header alone, and {strip} a directory whose metrics.csv names a
+# 32 x 32 tall.pgm and a 16 x 16 short.pgm.
 _REJECTED = {
     "negative-seeds": (("restore", "--task", "toy2d", "--seeds=-1,2"), 2, "--seeds '-1,2'"),
     "negative-seed-range": (("restore", "--task", "toy2d", "--seeds=-2:0"), 2, "--seeds"),
@@ -973,7 +974,14 @@ _REJECTED = {
                          "{traj}/steered_path.csv: malformed trajectory CSV header"),
     "header-only-trajectory": (("bench", "--metrics", "{metrics}", "--trajectories", "{traj}"),
                                4, "{traj}/steered_path.csv: trajectory CSV has no rows"),
+    "one-coordinate-trajectory": (("bench", "--metrics", "{metrics}", "--trajectories",
+                                   "{traj}"), 4,
+                                  "{traj}/steered_path.csv: 1 coordinate(s), not the plot's two"),
+    "strip-of-two-heights": (("bench", "--metrics", "{strip}/metrics.csv", "--strip", "2"), 2,
+                             "--strip: {strip}/tall.pgm is 32 pixels high, {strip}/short.pgm "
+                             "is 16; a strip's images share one height"),
 }
+_TRAJECTORY_CSV = {"empty-trajectory": "", "one-coordinate-trajectory": "t,x_0\n0.0,1.5\n1.0,0.2\n"}
 
 
 @pytest.fixture(scope="module")
@@ -988,10 +996,17 @@ def test_rejected_flag_exits_with_one_error_line(tmp_path, capsys, toy_run, case
     argv, code, named = _REJECTED[case]
     traj = tmp_path / "traj"
     traj.mkdir()
-    (traj / "steered_path.csv").write_text("" if case == "empty-trajectory" else "t,x_0,x_1\n")
+    (traj / "steered_path.csv").write_text(_TRAJECTORY_CSV.get(case, "t,x_0,x_1\n"))
     cfg = tmp_path / "cfg"
     cfg.write_text("n_steps=2.5\n")
-    paths = {"cfg": cfg, "metrics": toy_run / "metrics.csv", "traj": traj}
+    strip = tmp_path / "strip"
+    strip.mkdir()
+    rows = []
+    for name, size in (("tall", 32), ("short", 16)):
+        write_pgm(strip / f"{name}.pgm", ImageGrid(np.zeros((size, size))))
+        rows.append(f"gblur,{name},0,c,0.1,20,0.5,1,{name}.pgm\n")
+    (strip / "metrics.csv").write_text(",".join(cli._METRICS_HEADER) + "\n" + "".join(rows))
+    paths = {"cfg": cfg, "metrics": toy_run / "metrics.csv", "traj": traj, "strip": strip}
     out = tmp_path / "out"
     got = main([a.format(**paths) for a in argv] + ["--out", str(out)])
     lines = capsys.readouterr().err.splitlines()

@@ -19,11 +19,11 @@ from pdls.flowfield import (
     Condition,
     GaussianMixture,
     marginal_velocity,
-    responsibilities,
     sample_mixture,
     _log_densities,
     _log_softmax_rows,
     _node_at,
+    _posterior,
 )
 from pdls.integrate import make_grid
 from pdls.pipeline import PdlsConfig, restore
@@ -42,6 +42,15 @@ def posterior_endpoint_mean(x, t, mixture, cond=Condition.null()):
     as the field clamps it."""
     v = marginal_velocity(x, t, mixture, cond)
     return np.asarray(x, dtype=float) + (1.0 - min(t, 1.0 - EPS_T)) * v
+
+
+def responsibilities(x, t, mixture, cond=Condition.null()):
+    """The field's responsibilities at x (d,) or (n, d): _posterior at the node of
+    t (clamped as the field clamps it), (K,) or (n, K), 0 in the columns cond
+    excludes; cond is a Condition or (n, K) log-weight rows."""
+    logw = cond if isinstance(cond, np.ndarray) else mixture.log_weights(cond)
+    r = _posterior(np.atleast_2d(x), node(mixture, t), logw)
+    return r[0] if np.ndim(x) == 1 else r
 
 
 def node(mixture, t):
@@ -74,8 +83,8 @@ class TestResponsibilities:
 
     def test_single_selected_component_gets_all_mass(self):
         r = responsibilities(np.zeros(2), 0.5, two_diracs(), Condition.of("a"))
-        assert r.shape == (1,)
-        assert r[0] == pytest.approx(1.0, abs=1e-15)
+        assert r.shape == (2,)
+        assert r[0] == pytest.approx(1.0, abs=1e-15) and r[1] == 0.0
 
     def test_matches_direct_density_oracle(self):
         # Straightforward unnormalized-density evaluation, no log-space tricks.
@@ -116,7 +125,8 @@ class TestResponsibilities:
         full = responsibilities(x, 0.5, mix)
         cond = responsibilities(x, 0.5, mix, Condition.of("a"))
         sub = full[[0, 2]]
-        assert np.allclose(cond, sub / sub.sum(), atol=1e-12)
+        assert cond[1] == 0.0
+        assert np.allclose(cond[[0, 2]], sub / sub.sum(), atol=1e-12)
 
     def test_time_out_of_range(self):
         with pytest.raises(ValueError, match="time out of range"):
@@ -124,7 +134,7 @@ class TestResponsibilities:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            responsibilities(np.zeros(3), 0.5, two_diracs())
+            marginal_velocity(np.zeros(3), 0.5, two_diracs())
 
 
 class TestPosteriorEndpointMean:
@@ -226,8 +236,7 @@ class TestMarginalVelocity:
                     want = fn(x, 1.0 - EPS_T, cold(mixture), cond)
                     assert all(np.array_equal(got, want) for got in late)
 
-    @pytest.mark.parametrize("fn", [responsibilities, posterior_endpoint_mean,
-                                    marginal_velocity])
+    @pytest.mark.parametrize("fn", [posterior_endpoint_mean, marginal_velocity])
     def test_a_list_of_conditions_is_rejected(self, fn):
         x = np.array([[0.3, 0.2], [1.0, 0.0]])
         with pytest.raises(ValueError, match=r"Condition or \(2, 2\) log-weight rows, not list"):
@@ -278,9 +287,10 @@ class TestMixtureValidation:
         weights[:], means[0], variances[:] = [0.9, 0.1], [5.0, 0.0], 0.2
         assert np.array_equal(marginal_velocity(x, 0.5, mix), want)
         assert np.array_equal(mix.mean_sq, [4.0, 4.0])
-        for name in ("weights", "means", "variances"):
+        for a in (mix.weights, mix.means, mix.variances, mix.log_weights(Condition.of("A")),
+                  mix._cdf):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(mix, name)[0] = 1.0
+                a[0] = 1.0
 
     def test_unknown_condition_label(self):
         with pytest.raises(ValueError, match="not in mixture"):
@@ -292,12 +302,6 @@ class TestMixtureValidation:
 
 
 class TestSampling:
-    def test_conditioned_sampling_respects_labels(self):
-        rng = np.random.default_rng(0)
-        x, labels = sample_mixture(two_diracs(), 50, rng, Condition.of("a"))
-        assert set(labels) == {"a"}
-        assert np.allclose(x, [1.0, 0.0])
-
     def test_empirical_mean_matches_mixture_mean(self):
         rng = np.random.default_rng(1)
         mix = GaussianMixture([0.5, 0.5], [[2.0, 0.0], [-2.0, 0.0]], [0.05, 0.05], ["A", "B"])
@@ -367,8 +371,8 @@ class TestFieldProperties:
     @given(field_cases())
     def test_endpoint_mean_mixes_per_component_endpoints(self, case):
         mixture, cond, x, t = case
-        r = np.atleast_2d(responsibilities(x, t, mixture, cond))
         idx = cond.select(mixture)
+        r = np.atleast_2d(responsibilities(x, t, mixture, cond))[:, idx]
         mu, var = mixture.means[idx], mixture.variances[idx]
         s2 = (1.0 - t) ** 2 + t**2 * var
         xb = np.atleast_2d(x)
@@ -413,7 +417,7 @@ class TestFieldProperties:
             kept = np.isin(np.arange(mixture.n_components), cond.select(mixture))
             assert np.all(r[np.ix_(rows, ~kept)] == 0.0)
             one = responsibilities(x[rows], t, mixture, cond)
-            assert np.max(np.abs(r[np.ix_(rows, kept)] - one)) <= 1e-12
+            assert np.max(np.abs(r[np.ix_(rows, kept)] - one[:, kept])) <= 1e-12
             one_mean = posterior_endpoint_mean(x[rows], t, mixture, cond)
             assert np.max(np.abs(means[rows] - one_mean)) <= tol
 
@@ -423,7 +427,9 @@ class TestFieldProperties:
         mixture, conds, x, t = case
         cond = conds[0]
         _, r_direct, m_direct = direct_field(x, t, mixture, cond)
-        assert np.max(np.abs(responsibilities(x, t, mixture, cond) - r_direct)) <= 1e-12
+        r = responsibilities(x, t, mixture, cond)
+        assert np.all(np.delete(r, cond.select(mixture), axis=1) == 0.0)
+        assert np.max(np.abs(r[:, cond.select(mixture)] - r_direct)) <= 1e-12
         got = posterior_endpoint_mean(x, t, mixture, cond)
         assert np.max(np.abs(got - m_direct)) <= 1e-12 * _scale(mixture, x)
 
@@ -599,8 +605,8 @@ class TestTransportEquation:
         dt_log_p = (self._log_p(x, t + h, mixture, idx)
                     - self._log_p(x, t - h, mixture, idx)) / (2 * h)
         s2 = (1 - t) ** 2 + t**2 * mixture.variances[idx]
-        grad_log_p = responsibilities(x, t, mixture, cond) @ ((t * mixture.means[idx] - x)
-                                                              / s2[:, None])
+        grad_log_p = responsibilities(x, t, mixture, cond)[idx] @ ((t * mixture.means[idx] - x)
+                                                                   / s2[:, None])
         div = sum((marginal_velocity(x + e, t, mixture, cond)[i]
                    - marginal_velocity(x - e, t, mixture, cond)[i]) / (2 * h)
                   for i, e in enumerate(h * np.eye(mixture.dim)))
@@ -795,11 +801,10 @@ class TestPointMassRows:
                               softmax_velocity(x, 0.5, mixture, rows))
 
 
-def choice_sample(mixture, n, rng, cond):
+def choice_sample(mixture, n, rng):
     """sample_mixture's draw with the components from Generator.choice, its oracle."""
-    idx = cond.select(mixture)
-    w = mixture.weights[idx]
-    chosen = idx[rng.choice(idx.size, size=n, p=w / w.sum())]
+    w = mixture.weights
+    chosen = rng.choice(mixture.n_components, size=n, p=w / w.sum())
     x = mixture.means[chosen] + np.sqrt(mixture.variances[chosen])[:, None] * rng.standard_normal(
         (n, mixture.dim))
     return x, [mixture.labels[i] for i in chosen]
@@ -807,12 +812,11 @@ def choice_sample(mixture, n, rng, cond):
 
 class TestSamplingStream:
     @settings(deadline=None)
-    @given(st.data(), small_mixtures(), st.integers(0, 2**32), st.integers(0, 5))
-    def test_draws_are_generator_choices_bitwise(self, data, mixture, seed, n):
-        cond = data.draw(conditions(mixture))
+    @given(small_mixtures(), st.integers(0, 2**32), st.integers(0, 5))
+    def test_draws_are_generator_choices_bitwise(self, mixture, seed, n):
         rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(2):  # the second draw reads the mixture's cached table
-            x, labels = sample_mixture(mixture, n, rng, cond)
-            want, want_labels = choice_sample(mixture, n, oracle, cond)
+        for _ in range(2):  # the second draw reads the mixture's cached cdf
+            x, labels = sample_mixture(mixture, n, rng)
+            want, want_labels = choice_sample(mixture, n, oracle)
             assert x.tobytes() == want.tobytes() and labels == want_labels
         assert rng.random() == oracle.random()

@@ -20,8 +20,9 @@ from pdls.flowfield import (
     Condition,
     GaussianMixture,
     marginal_velocity,
-    responsibilities,
     sample_mixture,
+    _node_at,
+    _posterior,
 )
 from pdls.integrate import DriftDivergedError, Trajectory, integrate, make_grid
 from pdls.metrics import psnr
@@ -149,9 +150,9 @@ class TestDualInvert:
             assert np.allclose(m, [1.0, 0.0], atol=1e-12)
         # The structural path keeps nonzero responsibility on the other
         # component for an observation between the two.
-        mid = np.array([0.1, 0.0])
-        r = responsibilities(mid, 0.5, mix)
-        assert r[1] > 1e-6
+        mid = np.array([[0.1, 0.0]])
+        r = _posterior(mid, _node_at(mix, 0.5)[0], mix.log_weights(Condition.null()))
+        assert r[0, 1] > 1e-6
 
 
 class TestAveragedTarget:
@@ -298,8 +299,8 @@ class TestRestore:
         assert etas[0] == pytest.approx(cfg.eta_max)
         assert etas[-1] == pytest.approx(0.0, abs=1e-12)
         assert all(d >= 0 for d in dists)
-        assert res.structural_latent_norm > 0
-        assert res.semantic_latent_norm > 0
+        assert np.linalg.norm(res.structural.terminal) > 0
+        assert np.linalg.norm(res.semantic.terminal) > 0
 
     def test_batch_rows_equal_single_restores(self):
         mix = toy2d_mixture()
@@ -407,8 +408,8 @@ def full_space_restore(obs, mixture, prompts, config, z0):
 
 def assert_restores_match(results, paths, generated, trajectory_rtol=1e-12):
     """restore()'s results equal a full-space composition's rows within 1e-12 of
-    each row's largest magnitude: restored, latent norms, and the lifted
-    trajectories within trajectory_rtol."""
+    each row's largest magnitude: restored, the noise-end latents' norms, and
+    the lifted trajectories within trajectory_rtol."""
     states = paths.inversion.states
     for i, res in enumerate(results):
         j = paths.pair[i]
@@ -418,9 +419,9 @@ def assert_restores_match(results, paths, generated, trajectory_rtol=1e-12):
                                (res.semantic.states, states[:, j], trajectory_rtol)):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
-        for got, ref in ((res.structural_latent_norm, states[-1, i]),
-                         (res.semantic_latent_norm, states[-1, j])):
-            assert abs(got - np.linalg.norm(ref)) <= 1e-12 * np.linalg.norm(ref)
+        for got, ref in ((res.structural.terminal, states[-1, i]),
+                         (res.semantic.terminal, states[-1, j])):
+            assert abs(np.linalg.norm(got) - np.linalg.norm(ref)) <= 1e-12 * np.linalg.norm(ref)
 
 
 MANIFEST_ORACLE = Path(__file__).parent / "data" / "manifest_oracle.npz"
@@ -439,7 +440,8 @@ def test_a_whole_manifest_is_within_1e12_of_the_direct_form():
         err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
         assert np.all(err <= 1e-12), (kind, np.flatnonzero(err > 1e-12), err.max())
         want = oracle[f"{kind}_norms"]
-        got = np.array([[r.structural_latent_norm, r.semantic_latent_norm] for r in results])
+        got = np.array([[np.linalg.norm(r.structural.terminal),
+                         np.linalg.norm(r.semantic.terminal)] for r in results])
         assert np.all(np.abs(got - want) <= 1e-12 * want), kind
 
 
@@ -751,8 +753,7 @@ class TestReducedCoordinates:
         obs, mixture, labels, seeds = manifest_batch()
         results = restore(obs[:3], mixture, [Condition.of(labels[0]), Condition.null(),
                                              Condition.of(labels[2])], PdlsConfig(), seeds[:3])
-        lazy = {"structural", "semantic", "generated", "diagnostics",
-                "structural_latent_norm", "semantic_latent_norm"}
+        lazy = {"structural", "semantic", "generated", "diagnostics"}
         for res in results:
             assert not lazy & set(vars(res))
             assert res.structural is res.structural and res.generated is res.generated
@@ -821,7 +822,6 @@ class TestBatchSharing:
         results = restore(obs, mixture, prompts, config, seeds)
         paths, generated = results[0]._paths, results[0]._generated
         dists = np.linalg.norm(generated.states - paths.target(slice(None, None, -1)), axis=2)
-        latents = paths.inversion.terminal
         nodes = generated.grid.nodes
         etas = [float(pipeline.eta(config, float(t))) for t in nodes]
         for i, res in enumerate(results):
@@ -829,8 +829,6 @@ class TestBatchSharing:
             assert steps == tuple(range(config.n_steps + 1))
             assert np.array_equal(times, nodes) and list(row_etas) == etas
             assert np.array_equal(row_dists, dists[:, i])
-            assert res.structural_latent_norm == float(np.linalg.norm(latents[i]))
-            assert res.semantic_latent_norm == float(np.linalg.norm(latents[paths.pair[i]]))
 
 
 def test_a_huge_observation_diverges_cleanly():
@@ -892,4 +890,3 @@ def test_restore_is_total(case):
         for traj in (res.structural, res.semantic, res.generated):
             assert np.isfinite(traj.states).all()
         assert np.isfinite([row[3] for row in res.diagnostics]).all()
-        assert np.isfinite([res.structural_latent_norm, res.semantic_latent_norm]).all()
