@@ -21,6 +21,7 @@ import csv
 import ctypes
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -59,7 +60,8 @@ def config_hash(cfg: PdlsConfig, extra: dict | None = None) -> str:
 def read_config_file(path) -> dict:
     """Flat key=value config; '#' starts a comment."""
     out = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = fileio.read_text(path, "config file", ValueError)
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -202,17 +204,17 @@ def cmd_degrade(args) -> int:
 
 
 def _prompts(args, mixture, labels) -> list[Condition]:
-    """Each job's prompt under --prompt, every label checked against the mixture's."""
+    """Each job's prompt under --prompt. Each distinct prompt is resolved once
+    through mixture.log_weights, whose Condition.select rejects a label the
+    mixture lacks, before any output is made."""
     if args.prompt == "none":
-        return [Condition.null()] * len(labels)
-    if args.prompt != "auto":
-        labels = [args.prompt] * len(labels)
-    unknown = set(labels) - set(mixture.labels)
-    if unknown:
-        known = sorted(set(map(str, mixture.labels)))
-        raise ValueError(f"--prompt {args.prompt}: labels {sorted(map(str, unknown))} are not "
-                         f"in the mixture, whose labels are {known}")
-    return [Condition.of(label) for label in labels]
+        prompts = [Condition.null()] * len(labels)
+    else:
+        prompts = [Condition.of(label if args.prompt == "auto" else args.prompt)
+                   for label in labels]
+    for cond in dict.fromkeys(prompts):
+        mixture.log_weights(cond)
+    return prompts
 
 
 def _restore_input(observed: degrade.ImageGrid, operator: str,
@@ -227,7 +229,7 @@ def _restore_input(observed: degrade.ImageGrid, operator: str,
 def _read_manifest(path) -> dict:
     """The manifest 'pdls degrade' wrote; a malformed one is an I/O error."""
     try:
-        manifest = json.loads(Path(path).read_text())
+        manifest = json.loads(fileio.read_text(path, "manifest"))
     except json.JSONDecodeError as exc:
         raise fileio.FormatError(f"manifest {path} is not valid JSON: {exc}") from exc
     missing = {"operator", "records"} - set(manifest if isinstance(manifest, dict) else ())
@@ -509,33 +511,32 @@ def cmd_bench(args) -> int:
         if not Path(mpath).exists():
             missing.append(mpath)
             continue
-        with open(mpath, newline="") as fh:
-            reader = csv.DictReader(fh)
-            lacking = [c for c in _METRICS_HEADER if c not in (reader.fieldnames or ())]
-            if lacking:
-                raise fileio.FormatError(f"metrics {mpath} lacks columns {lacking}")
-            for r in reader:
-                try:
-                    for col in _METRIC_COLUMNS:
-                        r[col] = float(r[col]) if r[col] else None
-                except ValueError as exc:
-                    raise fileio.FormatError(
-                        f"metrics {mpath}, line {reader.line_num}: {exc}") from exc
-                # A recon path is relative to the directory of its own metrics file.
-                if r["recon_path"]:
-                    r["recon_path"] = Path(mpath).parent / r["recon_path"]
-                    if not r["recon_path"].exists():
-                        missing.append(str(r["recon_path"]))
-                rows.append(r)
+        reader = csv.DictReader(io.StringIO(fileio.read_text(mpath, "metrics"), newline=""))
+        lacking = [c for c in _METRICS_HEADER if c not in (reader.fieldnames or ())]
+        if lacking:
+            raise fileio.FormatError(f"metrics {mpath} lacks columns {lacking}")
+        for r in reader:
+            try:
+                for col in _METRIC_COLUMNS:
+                    r[col] = float(r[col]) if r[col] else None
+            except ValueError as exc:
+                raise fileio.FormatError(
+                    f"metrics {mpath}, line {reader.line_num}: {exc}") from exc
+            # A recon path is relative to the directory of its own metrics file.
+            if r["recon_path"]:
+                r["recon_path"] = Path(mpath).parent / r["recon_path"]
+                if not r["recon_path"].exists():
+                    missing.append(str(r["recon_path"]))
+            rows.append(r)
     if missing:
-        raise FileNotFoundError(f"missing runs: {', '.join(missing)}")
+        raise FileNotFoundError(f"missing runs: {', '.join(dict.fromkeys(missing))}")
     named = []
     if args.trajectories:
         for name in ("structural", "semantic", "steered"):
             p = Path(args.trajectories) / f"{name}_path.csv"
             if p.exists():
                 try:
-                    states = trajectory_from_csv(p.read_text()).states
+                    states = trajectory_from_csv(p.read_text(encoding="utf-8")).states
                     if states.shape[1] < 2:
                         raise ValueError(f"{states.shape[1]} coordinate(s), not the plot's two")
                 except ValueError as exc:
@@ -593,8 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True, help="e.g. gblur:size=7,sigma=1.5")
     p.add_argument("--sigma-y", type=float, default=0.01)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--images", help="directory of PGM inputs")
-    p.add_argument("--demo", action="store_true", help="use builtin shapes32 inputs")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--images", help="directory of PGM inputs")
+    source.add_argument("--demo", action="store_true", help="use builtin shapes32 inputs")
     p.add_argument("--demo-seed", type=_seed, default=0)
     p.add_argument("--n-per-class", type=int, default=30)
     p.add_argument("--limit", type=int, default=0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flowfield import EPS_T, TerminalTimeError
+from .flowfield import EPS_T
 
 SCHEDULE_KINDS = ("cosine", "constant")
 
@@ -41,7 +41,7 @@ def lqr_control(x, target, t):
     if x.shape != target.shape:
         raise ValueError("target dimension mismatch")
     if 1.0 - t < EPS_T - 1e-12:
-        raise TerminalTimeError("terminal-time singularity")
+        raise ValueError("terminal-time singularity")
     return (target - x) / (1.0 - t)
 
 

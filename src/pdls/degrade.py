@@ -20,13 +20,13 @@ tests every stamp on the whole grid, but a stamp's work is its window, so a
 mask costs O(stamps * radius^2), not O(stamps * H * W)
 (test_bitwise_equal_to_the_full_grid_walk).
 
-Operators are NamedTuples of their parameters: they compare and hash by
-them, equal the plain tuple of them
-(test_value_records_compare_and_hash_by_value), and check them when they
-are applied (test_operator_parameters_are_checked_when_applied). The
-inputs, ImageGrid and NoiseModel, check their values at construction
-(test_records_raise_at_construction). An ImageGrid compares by its pixels
-and is unhashable, and so is a FreeformMask, which holds one.
+Operators and the NoiseModel are NamedTuples of their parameters: they
+compare and hash by them, equal the plain tuple of them
+(test_value_records_compare_and_hash_by_value), and are checked when they
+are applied (test_operator_parameters_are_checked_when_applied). An
+ImageGrid checks its pixels at construction
+(test_records_raise_at_construction), compares by them and is unhashable,
+and so is a FreeformMask, which holds one.
 """
 
 from __future__ import annotations
@@ -72,24 +72,11 @@ class ImageGrid:
         return cls(vec.reshape(height, width))
 
 
-class NoiseModel:
+class NoiseModel(NamedTuple):
     """I.i.d. Gaussian noise of standard deviation sigma_y, drawn from seed."""
 
-    def __init__(self, sigma_y: float = 0.0, seed: int = 0):
-        if not 0.0 <= sigma_y < np.inf:
-            raise ValueError("sigma_y must be finite and non-negative")
-        self.sigma_y, self.seed = sigma_y, seed
-
-    def __eq__(self, other):
-        if type(other) is not NoiseModel:
-            return NotImplemented
-        return (self.sigma_y, self.seed) == (other.sigma_y, other.seed)
-
-    def __hash__(self):
-        return hash((self.sigma_y, self.seed))
-
-    def __repr__(self):
-        return f"NoiseModel(sigma_y={self.sigma_y!r}, seed={self.seed!r})"
+    sigma_y: float = 0.0
+    seed: int = 0
 
 
 # 16 times the paper's largest kernel (61).
@@ -250,6 +237,8 @@ def block_replicate(img: np.ndarray, factor: int) -> np.ndarray:
 
 def apply(op: DegradationOperator, image: ImageGrid, noise: NoiseModel = NoiseModel()) -> ImageGrid:
     """Apply the linear operator, then i.i.d. Gaussian noise, then clamp to [0, 1]."""
+    if not 0.0 <= noise.sigma_y < np.inf:
+        raise ValueError("sigma_y must be finite and non-negative")
     x = image.pixels
     if isinstance(op, (GaussianBlur, MotionBlur)):
         y = _convolve_reflect(x, op.kernel())

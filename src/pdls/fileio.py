@@ -15,6 +15,14 @@ class FormatError(ValueError):
     """Malformed input file."""
 
 
+def read_text(path, kind: str, error: type[ValueError] = FormatError) -> str:
+    """The text of a UTF-8 file; other bytes raise error, naming the file as a kind of file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{kind} {path} is not UTF-8 text: {exc}") from exc
+
+
 # A PGM header is four tokens (magic, width, height, maxval), each after a run
 # of whitespace and '#' comments in any order; a comment runs to the end of
 # its line. A token the header lacks matches empty where it would start.
@@ -79,7 +87,7 @@ def read_mixture(path) -> GaussianMixture:
     """Read a file write_mixture wrote. A malformed record, an empty file or
     records that make no valid mixture are a FormatError naming the file."""
     weights, means, variances, labels = [], [], [], []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(read_text(path, "mixture").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

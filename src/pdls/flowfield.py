@@ -60,10 +60,6 @@ EPS_T = 1e-3
 _MAX_NODE_BYTES = 1 << 22
 
 
-class TerminalTimeError(ValueError):
-    """Raised when the steering gain is requested too close to its singular time t = 1."""
-
-
 class GaussianMixture:
     """Isotropic Gaussian mixture with labeled components: variance 0 makes an
     exemplar (Dirac mass), a small shared variance a kernel bandwidth. The field
@@ -190,7 +186,9 @@ class Condition(NamedTuple):
             return np.arange(mixture.n_components)
         unknown = self.labels - set(mixture.labels)
         if unknown:
-            raise ValueError(f"condition labels not in mixture: {sorted(map(str, unknown))}")
+            known = sorted(set(map(str, mixture.labels)))
+            raise ValueError(f"condition labels {sorted(map(str, unknown))} are not in the "
+                             f"mixture, whose labels are {known}")
         idx = np.array([i for i, lb in enumerate(mixture.labels) if lb in self.labels])
         if idx.size == 0:
             raise ValueError("condition selects no components")

@@ -49,21 +49,15 @@ def mse(a, b) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def _psnr_from_mse(err: float, peak: float) -> float:
+def _psnr_from_mse(err: float) -> float:
     if err == 0:
         return math.inf
-    return 10.0 * math.log10(peak**2 / err)
+    return 10.0 * math.log10(1.0 / err)
 
 
-def _check_peak(peak: float) -> None:
-    if not 0.0 < peak < math.inf:
-        raise ValueError("peak must be finite and positive")
-
-
-def psnr(a, b, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / mse); +inf when the images are identical."""
-    _check_peak(peak)
-    return _psnr_from_mse(mse(a, b), peak)
+def psnr(a, b) -> float:
+    """10 log10(1 / mse) of intensities in [0, 1]; +inf when the images are identical."""
+    return _psnr_from_mse(mse(a, b))
 
 
 def _window_matrix(n: int) -> np.ndarray:
@@ -75,10 +69,9 @@ def _window_matrix(n: int) -> np.ndarray:
     return sum(w * np.eye(rows, n, k) for k, w in enumerate(window[::-1]))
 
 
-def ssim(a, b, peak: float = 1.0):
-    """Mean local SSIM over an 11x11 Gaussian window (sigma 1.5), standard constants,
-    of two images (a float) or of each pair of two (n, h, w) stacks ((n,) scores)."""
-    _check_peak(peak)
+def ssim(a, b):
+    """Mean local SSIM over an 11x11 Gaussian window (sigma 1.5), standard constants
+    at peak 1, of two images (a float) or of each pair of two (n, h, w) stacks ((n,) scores)."""
     a, b = _pixels(a), _pixels(b)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
@@ -86,8 +79,8 @@ def ssim(a, b, peak: float = 1.0):
         raise ValueError(f"images must be at least {SSIM_WINDOW}x{SSIM_WINDOW}")
     rows = _window_matrix(a.shape[-2])
     cols = _window_matrix(a.shape[-1])
-    c1 = (SSIM_K1 * peak) ** 2
-    c2 = (SSIM_K2 * peak) ** 2
+    c1 = SSIM_K1**2
+    c2 = SSIM_K2**2
 
     def score(a, b):
         mu_a, mu_b, aa, bb, ab = ((rows @ x) @ cols.T for x in (a, b, a * a, b * b, a * b))
@@ -164,7 +157,7 @@ def report(reconstruction, reference, mixture: GaussianMixture | None = None,
             accuracies[i] = int(mixture.labels[k] == labels[i])
     diff = a - b
     errs = np.mean(np.square(diff, out=diff), axis=tuple(range(1, a.ndim))).tolist()
-    reports = [MetricsReport(mse=err, psnr_db=_psnr_from_mse(err, 1.0),
+    reports = [MetricsReport(mse=err, psnr_db=_psnr_from_mse(err),
                              ssim=None if score is None else float(score), class_accuracy=acc)
                for err, score, acc in zip(errs, scores, accuracies)]
     return reports[0] if single else reports

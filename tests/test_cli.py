@@ -557,7 +557,7 @@ class TestRestore:
         assert run("restore", "--out", tmp_path / "toy", "--task", "toy2d",
                    "--prompt", "triangle") == 2
         assert capsys.readouterr().err == (
-            "config error: --prompt triangle: labels ['triangle'] are not in the mixture, "
+            "config error: condition labels ['triangle'] are not in the mixture, "
             "whose labels are ['A', 'B']\n")
         assert not (tmp_path / "toy").exists()
 
@@ -888,6 +888,17 @@ class TestBench:
             f"I/O error: missing runs: {tmp_path / 'recon' / 'a.pgm'}\n")
         assert not out.exists()
 
+    def test_a_missing_file_is_named_once(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("task,input,seed,config,mse,psnr_db,ssim,class_acc,recon_path\n"
+                           "image,a,0,c,0.1,10,0.5,1,a.pgm\nimage,b,0,c,0.1,10,0.5,1,b.pgm\n"
+                           "image,a,1,c,0.1,10,0.5,1,a.pgm\n")
+        missing = tmp_path / "missing.csv"
+        assert run("bench", "--out", tmp_path / "bench", "--metrics", missing, metrics,
+                   missing) == 4
+        assert capsys.readouterr().err == (
+            f"I/O error: missing runs: {missing}, {tmp_path / 'a.pgm'}, {tmp_path / 'b.pgm'}\n")
+
     @pytest.mark.parametrize("text, message", [
         ("task,input,seed,config,mse,psnr_db,ssim,class_acc\ntoy2d,a,0,c,0.1,1,,1\n",
          "lacks columns ['recon_path']"),
@@ -948,9 +959,9 @@ class TestBench:
 # Flag values the CLI fails on before it makes --out, a diverging restore among
 # them: (argv without --out, exit code, text the one error line names). {cfg}
 # is a config file holding n_steps=2.5, {metrics} a toy run's metrics file,
-# {traj} a directory whose steered_path.csv is _TRAJECTORY_CSV's text for the
-# case or a header alone, and {strip} a directory whose metrics.csv names a
-# 32 x 32 tall.pgm and a 16 x 16 short.pgm.
+# {traj} a directory whose steered_path.csv is _TRAJECTORY_CSV's bytes for the
+# case or a header alone, {strip} a directory whose metrics.csv names a
+# 32 x 32 tall.pgm and a 16 x 16 short.pgm, and {bad} a file that is not UTF-8.
 _REJECTED = {
     "negative-seeds": (("restore", "--task", "toy2d", "--seeds=-1,2"), 2, "--seeds '-1,2'"),
     "negative-seed-range": (("restore", "--task", "toy2d", "--seeds=-2:0"), 2, "--seeds"),
@@ -980,8 +991,23 @@ _REJECTED = {
     "strip-of-two-heights": (("bench", "--metrics", "{strip}/metrics.csv", "--strip", "2"), 2,
                              "--strip: {strip}/tall.pgm is 32 pixels high, {strip}/short.pgm "
                              "is 16; a strip's images share one height"),
+    "degrade-without-source": (("degrade", "--op", "id"), 2,
+                               "one of the arguments --images --demo is required"),
+    "degrade-with-both-sources": (("degrade", "--op", "id", "--demo", "--images", "{strip}"), 2,
+                                  "argument --images: not allowed with argument --demo"),
+    "manifest-not-utf8": (("restore", "--manifest", "{bad}"), 4,
+                          "manifest {bad} is not UTF-8 text"),
+    "mixture-not-utf8": (("restore", "--task", "toy2d", "--mixture", "{bad}"), 4,
+                         "mixture {bad} is not UTF-8 text"),
+    "config-not-utf8": (("restore", "--task", "toy2d", "--config", "{bad}"), 2,
+                        "config error: config file {bad} is not UTF-8 text"),
+    "metrics-not-utf8": (("bench", "--metrics", "{bad}"), 4, "metrics {bad} is not UTF-8 text"),
+    "trajectory-not-utf8": (("bench", "--metrics", "{metrics}", "--trajectories", "{traj}"), 4,
+                            "trajectory {traj}/steered_path.csv: 'utf-8' codec can't decode"),
 }
-_TRAJECTORY_CSV = {"empty-trajectory": "", "one-coordinate-trajectory": "t,x_0\n0.0,1.5\n1.0,0.2\n"}
+_NOT_UTF8 = b"\xff\xfe"
+_TRAJECTORY_CSV = {"empty-trajectory": b"", "trajectory-not-utf8": _NOT_UTF8,
+                   "one-coordinate-trajectory": b"t,x_0\n0.0,1.5\n1.0,0.2\n"}
 
 
 @pytest.fixture(scope="module")
@@ -996,9 +1022,11 @@ def test_rejected_flag_exits_with_one_error_line(tmp_path, capsys, toy_run, case
     argv, code, named = _REJECTED[case]
     traj = tmp_path / "traj"
     traj.mkdir()
-    (traj / "steered_path.csv").write_text(_TRAJECTORY_CSV.get(case, "t,x_0,x_1\n"))
+    (traj / "steered_path.csv").write_bytes(_TRAJECTORY_CSV.get(case, b"t,x_0,x_1\n"))
     cfg = tmp_path / "cfg"
     cfg.write_text("n_steps=2.5\n")
+    bad = tmp_path / "bad"
+    bad.write_bytes(_NOT_UTF8)
     strip = tmp_path / "strip"
     strip.mkdir()
     rows = []
@@ -1006,7 +1034,8 @@ def test_rejected_flag_exits_with_one_error_line(tmp_path, capsys, toy_run, case
         write_pgm(strip / f"{name}.pgm", ImageGrid(np.zeros((size, size))))
         rows.append(f"gblur,{name},0,c,0.1,20,0.5,1,{name}.pgm\n")
     (strip / "metrics.csv").write_text(",".join(cli._METRICS_HEADER) + "\n" + "".join(rows))
-    paths = {"cfg": cfg, "metrics": toy_run / "metrics.csv", "traj": traj, "strip": strip}
+    paths = {"cfg": cfg, "metrics": toy_run / "metrics.csv", "traj": traj, "strip": strip,
+             "bad": bad}
     out = tmp_path / "out"
     got = main([a.format(**paths) for a in argv] + ["--out", str(out)])
     lines = capsys.readouterr().err.splitlines()
@@ -1029,11 +1058,13 @@ def test_argparse_rejections_are_one_config_error_line(tmp_path, capsys, argv):
 
 
 # Flags for test_any_argv_exits_with_a_documented_code, per command: fixed
-# tokens, then each flag's values that pass its checks and its extreme
-# (+-inf, nan, 1e300, negative) or malformed ones; a tuple is several tokens
-# and {name} one of cli_assets' files. Sizes stay small (toy2d, one exemplar
-# per class, one image, at most 8 steps and 3 seeds): a huge blur size or seed
-# range would only cost memory and time.
+# tokens, then the required and the optional flags, each with its values that
+# pass its checks and its extreme (+-inf, nan, 1e300, negative) or malformed
+# ones. A tuple is tokens as they stand, flag names included, so it can hold
+# several values of one flag or name no flag at all (degrade's input source);
+# {name} is one of cli_assets' files. Sizes stay small (toy2d, one exemplar
+# per class, one or two images, at most 8 steps and 3 seeds): a huge blur size
+# or seed range would only cost memory and time.
 _BAD_FLOATS = ["-1e300", "inf", "-inf", "nan", "-1", "x", ""]
 _SEED = (["0", "3", str(2**70)], ["-1", "x", "1.5"])
 _WEIGHT = (["0", "0.5", "1"], ["1e300", *_BAD_FLOATS])
@@ -1041,8 +1072,10 @@ _SIGMA_Y = (["0", "0.01", "1e150"], ["1e300", *_BAD_FLOATS])
 _CLI = {
     "demo": ((), {"--n-per-class": (["1"], ["0", "-1", "2.5", "x"])},
              {"--seed": _SEED, "--bandwidth": (["1e-4", "0", "1e300"], _BAD_FLOATS)}),
-    "degrade": (("--demo", "--n-per-class", "1"),
-                {"--op": (["id", "gblur:size=3,sigma=1.5", "mblur:size=5,intensity=0.5",
+    "degrade": (("--n-per-class", "1"),
+                {"source": ([("--demo",), ("--images", "{deg}")],
+                            [("--demo", "--images", "{deg}"), ()]),
+                 "--op": (["id", "gblur:size=3,sigma=1.5", "mblur:size=5,intensity=0.5",
                            "sr:factor=2", "inpaint:coverage=0.2,seed=1"],
                           ["gblur:sigma=inf", "gblur:sigma=nan", "gblur:sigma=1e300",
                            "gblur:sigma=-1", "gblur:size=-3", "gblur:size=x",
@@ -1060,16 +1093,22 @@ _CLI = {
                  "--init": (["structural", "semantic", "mixed"], ["x"]),
                  "--base": (["prompt", "null"], ["x"]),
                  "--prompt": (["auto", "none", "A", "disk"], ["Z", ""]),
+                 "--config": (["{config}"], ["{not_utf8}"]),
                  "--demo-seed": _SEED}),
-    "bench": ((), {"--metrics": ([("{toy}",), ("{image}",), ("{toy}", "{image}")],
-                                 [("{missing}",), ("{toy}", "{missing}"),
-                                  ("{missing}", "{toy_dir}")])},
+    "bench": ((), {"--metrics": ([("--metrics", "{toy}"), ("--metrics", "{image}"),
+                                  ("--metrics", "{toy}", "{image}")],
+                                 [("--metrics", "{missing}"), ("--metrics", "{toy}", "{missing}"),
+                                  ("--metrics", "{missing}", "{toy_dir}"),
+                                  ("--metrics", "{not_utf8}")])},
               {"--strip": (["0", "2"], ["-1", "x"]),
-               "--trajectories": (["{toy_dir}"], ["{missing}"])}),
+               "--trajectories": (["{toy_dir}"], ["{missing}", "{not_utf8_dir}"])}),
 }
-_TASKS = {"toy2d": (("--task", "toy2d"), {"--sigma-y": _SIGMA_Y}),
-          "image": (("--manifest", "{manifest}"), {"--bandwidth": (["1e-4", "1e300"],
-                                                                   _BAD_FLOATS)})}
+# restore's task: fixed tokens, required flags and optional flags, as in _CLI.
+_TASKS = {"toy2d": (("--task", "toy2d"), {},
+                    {"--sigma-y": _SIGMA_Y, "--mixture": (["{toy2d_mix}"], ["{not_utf8}"])}),
+          "image": ((), {"--manifest": (["{manifest}"], ["{not_utf8}", "{missing}"])},
+                    {"--bandwidth": (["1e-4", "1e300"], _BAD_FLOATS),
+                     "--mixture": (["{shapes32_mix}"], ["{not_utf8}"])})}
 
 
 @st.composite
@@ -1081,8 +1120,9 @@ def cli_argv(draw, assets):
     command = draw(st.sampled_from(sorted(_CLI)))
     fixed, required, optional = _CLI[command]
     if command == "restore":
-        task_fixed, task_optional = _TASKS[draw(st.sampled_from(sorted(_TASKS)))]
-        fixed, optional = fixed + task_fixed, {**optional, **task_optional}
+        task_fixed, task_required, task_optional = _TASKS[draw(st.sampled_from(sorted(_TASKS)))]
+        fixed, required = fixed + task_fixed, {**required, **task_required}
+        optional = {**optional, **task_optional}
     bad = draw(st.none() | st.sampled_from([*required, *optional]))
     argv = [command, *fixed]
     for name, (ok, wrong) in {**required, **optional}.items():
@@ -1090,7 +1130,7 @@ def cli_argv(draw, assets):
             continue
         value = draw(st.sampled_from(wrong if name == bad else ok))
         if isinstance(value, tuple):
-            argv += [name, *value]
+            argv += value
         else:
             argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
     return [a.format(**assets) for a in argv]
@@ -1099,15 +1139,24 @@ def cli_argv(draw, assets):
 @pytest.fixture(scope="module")
 def cli_assets(tmp_path_factory):
     base = tmp_path_factory.mktemp("assets")
+    assert run("demo", "--out", base / "demo", "--n-per-class", 1) == 0
     assert run("degrade", "--out", base / "deg", "--op", "id", "--demo",
                "--n-per-class", 1, "--limit", 1) == 0
     assert run("restore", "--out", base / "image", "--manifest", base / "deg" / "manifest.json",
                "--n-per-class", 1, "--steps", 4) == 0
     assert run("restore", "--out", base / "toy", "--task", "toy2d", "--steps", 4) == 0
-    return base, {"manifest": str(base / "deg" / "manifest.json"),
+    (base / "config").write_text("n_steps=4\ngamma=0.25\n")
+    (base / "not_utf8").write_bytes(b"\xff\xfe")
+    (base / "not_utf8_dir").mkdir()
+    (base / "not_utf8_dir" / "steered_path.csv").write_bytes(b"\xff\xfe")
+    return base, {"manifest": str(base / "deg" / "manifest.json"), "deg": str(base / "deg"),
                   "toy": str(base / "toy" / "metrics.csv"), "toy_dir": str(base / "toy"),
                   "image": str(base / "image" / "metrics.csv"),
-                  "missing": str(base / "missing.csv")}
+                  "missing": str(base / "missing.csv"), "config": str(base / "config"),
+                  "toy2d_mix": str(base / "demo" / "toy2d.mix"),
+                  "shapes32_mix": str(base / "demo" / "shapes32.mix"),
+                  "not_utf8": str(base / "not_utf8"),
+                  "not_utf8_dir": str(base / "not_utf8_dir")}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)

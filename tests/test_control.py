@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pdls.control import SCHEDULE_KINDS, blend_drift, eta, lqr_control
-from pdls.flowfield import EPS_T, TerminalTimeError
+from pdls.flowfield import EPS_T
 from pdls.integrate import make_grid
 from pdls.pipeline import PdlsConfig
 
@@ -103,7 +103,7 @@ class TestLqrControl:
             assert float(np.dot(c, y - x)) >= 0.0
 
     def test_terminal_time_raises(self):
-        with pytest.raises(TerminalTimeError):
+        with pytest.raises(ValueError, match="terminal-time singularity"):
             lqr_control(np.zeros(2), np.ones(2), 1.0)
 
     def test_dimension_mismatch(self):

@@ -202,7 +202,7 @@ class TestApply:
     @pytest.mark.parametrize("sigma_y", [-0.1, np.nan, np.inf])
     def test_noise_level_must_be_finite_and_non_negative(self, sigma_y):
         with pytest.raises(ValueError, match="sigma_y must be finite and non-negative"):
-            NoiseModel(sigma_y)
+            apply(Identity(), ImageGrid(np.zeros((4, 4))), NoiseModel(sigma_y))
 
     def test_mask_zeroes_masked_pixels(self):
         mask = np.zeros((8, 8))
@@ -458,4 +458,4 @@ class TestImageGrid:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma_y"):
-            NoiseModel(-0.1)
+            apply(Identity(), ImageGrid(np.zeros((4, 4))), NoiseModel(-0.1))

@@ -1,6 +1,7 @@
 """Velocity-field unit tests: pinned values, a direct-density oracle,
 property checks over random mixtures, and basic validation behavior."""
 
+import re
 import warnings
 
 import numpy as np
@@ -293,7 +294,8 @@ class TestMixtureValidation:
                 a[0] = 1.0
 
     def test_unknown_condition_label(self):
-        with pytest.raises(ValueError, match="not in mixture"):
+        with pytest.raises(ValueError, match=re.escape(
+                "condition labels ['zzz'] are not in the mixture, whose labels are ['a', 'b']")):
             Condition.of("zzz").select(two_diracs())
 
     def test_empty_condition_selects_nothing(self):

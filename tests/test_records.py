@@ -1,5 +1,5 @@
-"""The records' contracts: which compare by value, what the inputs check at
-construction and the operators when applied. Identity records are held by
+"""The records' contracts: which compare by value, what an ImageGrid checks at
+construction and the operators and the noise model when applied. Identity records are held by
 test_results_compare_and_hash_by_identity, and an import without the
 dataclasses module by test_import_loads_no_dataclasses.
 """
@@ -46,10 +46,12 @@ def test_value_records_compare_and_hash_by_value():
         assert PdlsConfig(**changed) != PdlsConfig()
     assert NoiseModel(0.1, 3) != NoiseModel(0.1, 4) and Downsample(4) != Downsample(8)
     assert PdlsConfig() != (0.5, 0.5, 28, "structural", "prompt", "cosine")
-    assert NoiseModel() != (0.0, 0)
     assert GaussianBlur(1, 1.0) != MotionBlur(1, 1.0)
     # The NamedTuples equal the plain tuple of their values.
     assert GaussianBlur() == (7, 1.5) and Downsample() == (8,) and Identity() == ()
+    assert NoiseModel() == (0.0, 0) and hash(NoiseModel(0.1, 3)) == hash((0.1, 3))
+    with pytest.raises(AttributeError):
+        NoiseModel().sigma_y = 0.1
     assert MetricsReport(0.1, 10.0) == (0.1, 10.0, None, None)
     for record in (PdlsConfig(gamma=0.25), NoiseModel(0.1, 3), Downsample(4)):
         assert eval(repr(record), {type(record).__name__: type(record)}) == record
@@ -63,8 +65,6 @@ RAISES = [
     (PdlsConfig, {"init_mode": "both"}, "init_mode must be one of ('structural', "),
     (PdlsConfig, {"base_condition": "label"}, "base_condition must be one of ('prompt', "),
     (PdlsConfig, {"schedule_kind": "step"}, "schedule_kind must be one of ('cosine', "),
-    (NoiseModel, {"sigma_y": np.nan}, "sigma_y must be finite and non-negative"),
-    (NoiseModel, {"sigma_y": -0.1, "seed": 2}, "sigma_y must be finite and non-negative"),
     (ImageGrid, {"pixels": np.zeros(4)}, "image must be 2-D"),
     (ImageGrid, {"pixels": np.zeros((1, 2, 2))}, "image must be 2-D"),
 ]
@@ -84,10 +84,14 @@ APPLY_RAISES = [
     (GaussianBlur(7, 0.0), "sigma must be finite and positive, not 0.0"),
     (MotionBlur(7, 1.5), "intensity must lie in (0, 1]"),
     (MotionBlur(7, 0.5, np.nan), "angle must be finite, not nan"),
+    (NoiseModel(np.nan), "sigma_y must be finite and non-negative"),
+    (NoiseModel(-0.1, 2), "sigma_y must be finite and non-negative"),
 ]
 
 
 @pytest.mark.parametrize("op, message", APPLY_RAISES, ids=[repr(op) for op, _ in APPLY_RAISES])
 def test_operator_parameters_are_checked_when_applied(op, message):
+    # A noise model is checked when it is applied after the identity operator.
+    op, noise = (Identity(), op) if isinstance(op, NoiseModel) else (op, NoiseModel())
     with pytest.raises(ValueError, match=re.escape(message)):
-        apply(op, ImageGrid(np.zeros((32, 32))))
+        apply(op, ImageGrid(np.zeros((32, 32))), noise)
