@@ -7,9 +7,10 @@ marginal at time t is the mixture sum_k w_k N(t mu_k, s_k^2 I), s_k^2 =
 
     v(x, t) = (E[X_1 | X_t = x] - x) / (1 - t).
 
-Every field function takes one point (d,) or a batch (n, d), under one
-Condition or (n, K) log-weight rows, one per point (-inf for the components
-a condition excludes); either equals one call per row (TestFieldProperties).
+The field takes a batch of rows (n, d) under (n, K) log-weight rows, one
+per point (mixture.log_weights of its condition, -inf for the components
+the condition excludes); row i equals a call on row i alone
+(TestFieldProperties).
 
 What depends on t alone is folded into a node's constants (_Node), cached
 on the mixture per time, so the log-densities are one GEMM and the velocity
@@ -195,26 +196,6 @@ class Condition(NamedTuple):
         return idx
 
 
-def _check_points(x, mixture):
-    """Accept a single point (d,) or a batch (n, d); return (batch, was_single)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    batch = x[None] if single else x
-    if batch.ndim != 2 or batch.shape[1] != mixture.dim:
-        raise ValueError(f"point dimension {x.shape} does not match mixture dim {mixture.dim}")
-    return batch, single
-
-
-def _log_weight_rows(mixture: GaussianMixture, cond, n: int) -> np.ndarray:
-    """(n, K) log-weights: cond's own (n, K) rows, or one Condition's for every row."""
-    if isinstance(cond, np.ndarray) and cond.shape == (n, mixture.n_components):
-        return cond
-    if isinstance(cond, Condition):
-        return np.broadcast_to(mixture.log_weights(cond), (n, mixture.n_components))
-    raise ValueError(f"cond must be a Condition or ({n}, {mixture.n_components}) "
-                     f"log-weight rows, not {getattr(cond, 'shape', type(cond).__name__)}")
-
-
 def _log_softmax_rows(a: np.ndarray) -> np.ndarray:
     """The rows normalised in log space, bitwise a - scipy.special.logsumexp(a,
     axis=1, keepdims=True) for real a (TestLogsumexpReplica).
@@ -280,20 +261,24 @@ def _point_masses(logw):
     return k if np.isfinite(logw[np.arange(len(k)), k]).all() else None
 
 
-def marginal_velocity(x, t, mixture: GaussianMixture, cond=Condition.null()):
-    """Exact marginal velocity (E[X_1 | X_t = x] - x) / (1 - t), t clamped (see EPS_T).
+def marginal_velocity(x, t, mixture: GaussianMixture, log_weights):
+    """Exact marginal velocity (E[X_1 | X_t = x] - x) / (1 - t) of the rows x (n, d)
+    under their log-weight rows (n, K), t clamped (see EPS_T).
 
     Per component, E[X_1 | x, k] = mu_k + c_k (x - t mu_k), mixed by the
     responsibilities r: affine in x, so with r @ vmat = [a | b] the velocity
     is a + (b - 1 / (1 - t)) x."""
-    xb, single = _check_points(x, mixture)
+    xs, ws = np.shape(x), np.shape(log_weights)
+    if len(xs) != 2 or xs[1] != mixture.dim or ws != (xs[0], mixture.n_components):
+        raise ValueError(f"the field takes points of the mixture's dimension, (n, {mixture.dim}), "
+                         f"under log-weight rows (n, {mixture.n_components}), not points {xs} "
+                         f"and log-weight rows {ws}")
     node, t = _node_at(mixture, t)
-    logw = _log_weight_rows(mixture, cond, len(xb))
-    k = _point_masses(logw) if mixture._one_component_label else None
-    y = _posterior(xb, node, logw) @ node.vmat if k is None else node.vmat[k]
+    k = _point_masses(log_weights) if mixture._one_component_label else None
+    y = _posterior(x, node, log_weights) @ node.vmat if k is None else node.vmat[k]
     out = y[:, :-1]
-    out += (y[:, -1] - 1.0 / (1.0 - t))[:, None] * xb
-    return out[0] if single else out
+    out += (y[:, -1] - 1.0 / (1.0 - t))[:, None] * x
+    return out
 
 
 def sample_mixture(mixture: GaussianMixture, n: int, rng: np.random.Generator):

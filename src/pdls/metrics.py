@@ -98,13 +98,6 @@ def ssim(a, b):
     return np.concatenate([score(a[i:i + step], b[i:i + step]) for i in starts])
 
 
-def class_accuracy(reconstruction, mixture: GaussianMixture, true_label) -> int:
-    """1 iff the nearest component mean carries true_label; ties break to the
-    lowest component index."""
-    x = np.asarray(reconstruction, dtype=float)
-    return int(mixture.labels[_nearest_means(x[None], mixture)[0]] == true_label)
-
-
 def _nearest_means(x, mixture: GaussianMixture) -> np.ndarray:
     """The index of the mixture mean nearest to each row of x (n, d), the
     lowest index on ties (test_class_accuracy_on_ties_and_near_ties).
@@ -127,17 +120,14 @@ def _nearest_means(x, mixture: GaussianMixture) -> np.ndarray:
     return nearest
 
 
-def report(reconstruction, reference, mixture: GaussianMixture | None = None,
-           true_label=None):
-    """MSE, PSNR, SSIM (images of at least 11x11, not vectors) and, given a
-    mixture and a label, class accuracy of a reconstruction against its reference:
-    one MetricsReport for a pair of ImageGrids, or a list for sequences of pairs
-    of one shape (test_batch_equals_one_report_per_pair)."""
-    single = isinstance(reference, ImageGrid)
-    if single:
-        reconstruction, reference, true_label = [reconstruction], [reference], [true_label]
-    recons, refs = list(reconstruction), list(reference)
-    labels = [None] * len(refs) if true_label is None else list(true_label)
+def report(reconstructions, references, mixture: GaussianMixture | None = None,
+           true_labels=None):
+    """MetricsReports of sequences of reconstructions and their references, one
+    shape: MSE, PSNR, SSIM (images of at least 11x11, not vectors) and, given a
+    mixture and a label per pair, class accuracy, 1 iff the nearest component
+    mean carries the label (test_batch_equals_one_report_per_pair)."""
+    recons, refs = list(reconstructions), list(references)
+    labels = [None] * len(refs) if true_labels is None else list(true_labels)
     if len(recons) != len(refs) or len(labels) != len(refs):
         raise ValueError("report needs one reconstruction and one label per reference")
     if not refs:
@@ -157,7 +147,6 @@ def report(reconstruction, reference, mixture: GaussianMixture | None = None,
             accuracies[i] = int(mixture.labels[k] == labels[i])
     diff = a - b
     errs = np.mean(np.square(diff, out=diff), axis=tuple(range(1, a.ndim))).tolist()
-    reports = [MetricsReport(mse=err, psnr_db=_psnr_from_mse(err),
-                             ssim=None if score is None else float(score), class_accuracy=acc)
-               for err, score, acc in zip(errs, scores, accuracies)]
-    return reports[0] if single else reports
+    return [MetricsReport(mse=err, psnr_db=_psnr_from_mse(err),
+                          ssim=None if score is None else float(score), class_accuracy=acc)
+            for err, score, acc in zip(errs, scores, accuracies)]

@@ -97,14 +97,15 @@ def draw_noise(dim: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(dim)
 
 
-def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
+def invert_path(observed, mixture: GaussianMixture, log_weights, config: PdlsConfig,
                 z0) -> Trajectory:
-    """Controlled inversion from the observed sample at t=1 down to t=0: the
-    marginal velocity under cond blended at config.gamma with the noise line
+    """Controlled inversion of the observed rows (n, d) at t=1 down to t=0, each
+    under its row of log_weights (n, K), mixture.log_weights of its condition:
+    the marginal velocity blended at config.gamma with the noise line
     (x - z0) / t, the forward-time velocity of the straight line through (x, t)
-    and (z0, 0), which gamma=1 lands on (test_full_strength_lands_on_the_noise_draw).
-    Its drifts run at the grid's nodes above 0, the least 1 / n_steps, which
-    PdlsConfig keeps at or above EPS_T."""
+    and (z0, 0), z0 (n, d), which gamma=1 lands on
+    (test_full_strength_lands_on_the_noise_draw). Its drifts run at the grid's
+    nodes above 0, the least 1 / n_steps, which PdlsConfig keeps at or above EPS_T."""
     observed, z0 = np.asarray(observed, dtype=float), np.asarray(z0, dtype=float)
     if z0.shape != observed.shape:
         raise ValueError("z0 must have the shape of observed")
@@ -112,7 +113,8 @@ def invert_path(observed, mixture: GaussianMixture, cond, config: PdlsConfig,
     mixture._add_nodes(grid.nodes[:-1])
 
     def drift(x, t, k):
-        return blend_drift(marginal_velocity(x, t, mixture, cond), (x - z0) / t, config.gamma)
+        return blend_drift(marginal_velocity(x, t, mixture, log_weights), (x - z0) / t,
+                           config.gamma)
 
     return integrate(observed, grid, drift)
 
@@ -272,6 +274,7 @@ class _Frame:
                 reduced = GaussianMixture(mixture.weights, means, mixture.variances,
                                           mixture.labels)
                 reduced._ambient_dim = mixture.dim  # its log-normaliser keeps the full d
+                reduced._log_weights = mixture._log_weights  # same labels and weights
                 mixture._reduced = (q0, reduced)
         if not mixture._reduced:
             return cls(None, None, mixture)

@@ -36,18 +36,12 @@ OUT = TESTS / "data" / "manifest_oracle.npz"
 CHUNK = 30  # rows per direct evaluation: bounds its (rows, K, d) temporaries
 
 
-def direct_velocity(x, t, mixture, cond):
-    """pipeline.marginal_velocity (clamped t) through the direct form of the field.
-
-    cond is one Condition or the (n, K) log-weight rows of one per row; rows
-    are grouped by the components their condition keeps.
+def direct_velocity(x, t, mixture, log_weights):
+    """pipeline.marginal_velocity (clamped t) through the direct form of the field,
+    the rows x (n, d) grouped by the components their log-weight rows (n, K) keep.
     """
     t = min(t, 1.0 - EPS_T)
-    if isinstance(cond, Condition):
-        keep = np.broadcast_to(np.isfinite(mixture.log_weights(cond)),
-                               (len(x), mixture.n_components))
-    else:
-        keep = np.isfinite(cond)
+    keep = np.isfinite(log_weights)
     out = np.empty_like(x)
     for mask in np.unique(keep, axis=0):
         labels = {lb for lb, kept in zip(mixture.labels, mask) if kept}

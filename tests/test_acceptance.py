@@ -30,7 +30,7 @@ from pdls.flowfield import (
     sample_mixture,
 )
 from pdls.integrate import integrate, make_grid
-from pdls.metrics import class_accuracy, psnr, ssim
+from pdls.metrics import psnr, report, ssim
 from pdls.pipeline import PdlsConfig, draw_noise, invert_path, restore
 
 BENCH_BANDWIDTH = 1e-4
@@ -82,8 +82,9 @@ def test_criterion_03_exact_arrival():
     target = np.array([-0.7, 1.3])
     z0 = draw_noise(2, 17)
     ok = True
+    null = mix.log_weights(Condition.null())[None]
     for n in (7, 28, 100):
-        traj = invert_path(obs, mix, Condition.null(), PdlsConfig(gamma=1.0, n_steps=n), z0)
+        traj = invert_path(obs[None], mix, null, PdlsConfig(gamma=1.0, n_steps=n), z0[None])
         ok &= np.linalg.norm(traj.terminal - z0) / np.linalg.norm(z0) < 1e-9
         grid = make_grid(n, 0.0, 1.0)
         steered = integrate(np.array([0.4, -0.2]), grid,
@@ -136,7 +137,8 @@ def test_criterion_04_field_oracle_equivalence():
             t = float(rng.uniform(0.25, 0.75))
             x1, _ = sample_mixture(mixture, 1, rng)
             x = (1 - t) * rng.standard_normal(mixture.dim) + t * x1[0]
-            v_exact = marginal_velocity(x, t, mixture)
+            v_exact = marginal_velocity(x[None], t, mixture,
+                                        mixture.log_weights(Condition.null())[None])[0]
             if np.linalg.norm(v_exact) < 0.2:
                 continue
             v_mc = _mc_velocity(x, t, mixture, rng, n_samples)
@@ -155,10 +157,11 @@ def test_criterion_05_transport_fidelity():
     mix = toy2d_mixture()
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1000, 2))
+    null = np.tile(mix.log_weights(Condition.null()), (len(x), 1))
     grid = make_grid(200, 0.0, 1.0)
     for k in range(grid.n_steps):
         dt = grid.nodes[k + 1] - grid.nodes[k]
-        x = x + dt * marginal_velocity(x, float(grid.nodes[k]), mix)
+        x = x + dt * marginal_velocity(x, float(grid.nodes[k]), mix, null)
     separation = np.linalg.norm(mix.means[0] - mix.means[1])
     nearest = np.argmin(
         np.linalg.norm(x[:, None, :] - mix.means[None, :, :], axis=2), axis=1
@@ -172,10 +175,11 @@ def test_criterion_05_transport_fidelity():
     gaussian = GaussianMixture([1.0], [np.zeros(2)], [1.0], ["z"])
     x0 = np.array([1.0, 0.0])
     exact = x0 * np.sqrt(0.5**2 + 0.5**2)
+    null = gaussian.log_weights(Condition.null())[None]
 
     def err(n):
         g = make_grid(n, 0.0, 0.5)
-        traj = integrate(x0, g, lambda x, t, k: marginal_velocity(x, t, gaussian))
+        traj = integrate(x0[None], g, lambda x, t, k: marginal_velocity(x, t, gaussian, null))
         return np.linalg.norm(traj.terminal - exact)
 
     ratio = err(100) / err(200)
@@ -244,24 +248,31 @@ def _sign_test_p(n01, n10):
     return sum(comb(n, k) for k in range(n01, n + 1)) / 2.0**n
 
 
+def _discordant_pairs(cases, mixture):
+    """(n01, n10): how many cases (observed, clean, label, seed) a label prompt's
+    restore classifies right and the null prompt's wrong, and the reverse, as
+    metrics.report scores them."""
+    rows = {"null": [], "prompt": []}
+    for obs, _, label, seed in cases:
+        for name, cond in (("null", Condition.null()), ("prompt", Condition.of(label))):
+            rows[name].append(restore(obs, mixture, cond, PdlsConfig(), seed).restored)
+    _, clean, labels, _ = zip(*cases)
+    a_null, a_prompt = ([r.class_accuracy for r in report(rows[name], clean, mixture, labels)]
+                        for name in ("null", "prompt"))
+    return (sum(p > n for n, p in zip(a_null, a_prompt)),
+            sum(n > p for n, p in zip(a_null, a_prompt)))
+
+
 def test_criterion_08_dual_path_benefit():
     ok = True
     # 2-component toy benchmark: clean draw plus observation noise.
     mix = toy2d_mixture()
-    n01 = n10 = 0
+    cases = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
         clean, labels = sample_mixture(mix, 1, rng)
-        label = labels[0]
-        obs = clean[0] + 1.0 * rng.standard_normal(2)
-        a_null = class_accuracy(
-            restore(obs, mix, Condition.null(), PdlsConfig(), seed).restored,
-            mix, label)
-        a_prompt = class_accuracy(
-            restore(obs, mix, Condition.of(label), PdlsConfig(), seed).restored,
-            mix, label)
-        n01 += a_prompt > a_null
-        n10 += a_null > a_prompt
+        cases.append((clean[0] + 1.0 * rng.standard_normal(2), clean[0], labels[0], seed))
+    n01, n10 = _discordant_pairs(cases, mix)
     ok &= n01 >= n10 and _sign_test_p(n01, n10) < 0.05
     toy_detail = f"toy2d +{n01}/-{n10}"
 
@@ -269,19 +280,12 @@ def test_criterion_08_dual_path_benefit():
     dataset = shapes32_dataset()
     mixture = exemplar_mixture(dataset, BENCH_BANDWIDTH)
     op = Downsample(8)
-    n01 = n10 = 0
+    cases = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
         img, label = dataset[int(rng.integers(len(dataset)))]
-        obs = _degraded_observation(op, img, seed).flatten()
-        a_null = class_accuracy(
-            restore(obs, mixture, Condition.null(), PdlsConfig(), seed).restored,
-            mixture, label)
-        a_prompt = class_accuracy(
-            restore(obs, mixture, Condition.of(label), PdlsConfig(), seed).restored,
-            mixture, label)
-        n01 += a_prompt > a_null
-        n10 += a_null > a_prompt
+        cases.append((_degraded_observation(op, img, seed).flatten(), img.flatten(), label, seed))
+    n01, n10 = _discordant_pairs(cases, mixture)
     ok &= n01 >= n10 and _sign_test_p(n01, n10) < 0.05
     _report(8, f"dual-path benefit [{toy_detail}, shapes32 +{n01}/-{n10}]", ok)
 

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -493,6 +494,21 @@ class TestRestore:
                                 [condition] * 6, pipeline.PdlsConfig(n_steps=6), [0, 1] * 3)
         for got, expected in zip(results, want, strict=True):
             assert np.array_equal(got.restored, expected.restored)
+
+    def test_each_condition_is_selected_once(self, tmp_path, monkeypatch):
+        # The prompts select their labels at d = 1,024 and the reduced mixture
+        # shares those rows, so restore() selects only the null condition.
+        deg = tmp_path / "deg"
+        assert run("degrade", "--out", deg, "--op", "gblur:size=7,sigma=1.5",
+                   "--demo", "--n-per-class", 2) == 0
+        calls, select = Counter(), Condition.select
+        monkeypatch.setattr(Condition, "select",
+                            lambda cond, mixture: calls.update([cond]) or select(cond, mixture))
+        assert run("restore", "--out", tmp_path / "res", "--manifest", deg / "manifest.json",
+                   "--n-per-class", 2, "--steps", 6) == 0
+        assert len(json.loads((deg / "manifest.json").read_text())["records"]) == 6
+        assert calls == Counter([Condition.of("disk"), Condition.of("square"),
+                                 Condition.of("cross"), Condition.null()])
 
     @pytest.mark.parametrize("off", [("point_mass",), ("identity",), ("point_mass", "identity")])
     def test_toy_shortcuts_move_no_byte(self, tmp_path, monkeypatch, off):

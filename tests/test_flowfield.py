@@ -38,20 +38,23 @@ def standard_normal_target(dim=2):
     return GaussianMixture([1.0], [np.zeros(dim)], [1.0], ["z"])
 
 
-def posterior_endpoint_mean(x, t, mixture, cond=Condition.null()):
-    """E[X_1 | X_t = x] = x + (1 - t) v(x, t), with t clamped into [0, 1 - EPS_T]
-    as the field clamps it."""
-    v = marginal_velocity(x, t, mixture, cond)
-    return np.asarray(x, dtype=float) + (1.0 - min(t, 1.0 - EPS_T)) * v
+def rows_of(mixture, cond, n):
+    """(n, K) log-weight rows, each cond's: the field's form of one condition for n points."""
+    return np.tile(mixture.log_weights(cond), (n, 1))
 
 
-def responsibilities(x, t, mixture, cond=Condition.null()):
-    """The field's responsibilities at x (d,) or (n, d): _posterior at the node of
-    t (clamped as the field clamps it), (K,) or (n, K), 0 in the columns cond
-    excludes; cond is a Condition or (n, K) log-weight rows."""
-    logw = cond if isinstance(cond, np.ndarray) else mixture.log_weights(cond)
-    r = _posterior(np.atleast_2d(x), node(mixture, t), logw)
-    return r[0] if np.ndim(x) == 1 else r
+def posterior_endpoint_mean(x, t, mixture, logw):
+    """E[X_1 | X_t = x] = x + (1 - t) v(x, t) of the rows x (n, d) under logw (n, K),
+    with t clamped into [0, 1 - EPS_T] as the field clamps it."""
+    v = marginal_velocity(x, t, mixture, logw)
+    return x + (1.0 - min(t, 1.0 - EPS_T)) * v
+
+
+def responsibilities(x, t, mixture, logw):
+    """The field's responsibilities (n, K) of the rows x (n, d) under logw (n, K):
+    _posterior at the node of t (clamped as the field clamps it), 0 in the
+    columns a row's condition excludes."""
+    return _posterior(x, node(mixture, t), logw)
 
 
 def node(mixture, t):
@@ -62,14 +65,13 @@ def node(mixture, t):
 def direct_field(x, t, mixture, cond=Condition.null()):
     """The direct (n, k, d) form of the field, the oracle for its GEMM form.
 
-    Returns the squared distances ||x - t mu_k||^2, the responsibilities and
-    the endpoint mean over cond's selected components, for t < 1.
+    Returns the squared distances ||x - t mu_k||^2 of the rows x (n, d), the
+    responsibilities and the endpoint mean over cond's selected components, for t < 1.
     """
     idx = cond.select(mixture)
     mu, var, w = mixture.means[idx], mixture.variances[idx], mixture.weights[idx]
-    xb = np.atleast_2d(x)
     s2 = (1.0 - t) ** 2 + t**2 * var
-    diff = xb[:, None, :] - t * mu[None, :, :]
+    diff = x[:, None, :] - t * mu[None, :, :]
     sq = np.einsum("nkd,nkd->nk", diff, diff)
     logp = np.log(w) - 0.5 * mixture.dim * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
     r = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
@@ -79,11 +81,13 @@ def direct_field(x, t, mixture, cond=Condition.null()):
 
 class TestResponsibilities:
     def test_symmetric_point_splits_evenly(self):
-        r = responsibilities(np.zeros(2), 0.5, two_diracs())
+        mix = two_diracs()
+        r = responsibilities(np.zeros((1, 2)), 0.5, mix, rows_of(mix, Condition.null(), 1))
         assert np.allclose(r, [0.5, 0.5], atol=1e-15)
 
     def test_single_selected_component_gets_all_mass(self):
-        r = responsibilities(np.zeros(2), 0.5, two_diracs(), Condition.of("a"))
+        mix = two_diracs()
+        r = responsibilities(np.zeros((1, 2)), 0.5, mix, rows_of(mix, Condition.of("a"), 1))[0]
         assert r.shape == (2,)
         assert r[0] == pytest.approx(1.0, abs=1e-15) and r[1] == 0.0
 
@@ -102,7 +106,7 @@ class TestResponsibilities:
             -np.sum((x - t * mix.means) ** 2, axis=1) / (2 * s2)
         )
         expected = dens / dens.sum()
-        r = responsibilities(x, t, mix)
+        r = responsibilities(x[None], t, mix, rows_of(mix, Condition.null(), 1))[0]
         assert np.max(np.abs(r - expected) / expected) < 1e-10
 
     def test_rows_normalize_over_many_draws(self):
@@ -112,7 +116,7 @@ class TestResponsibilities:
             [0.05, 0.05, 0.05], ["a", "b", "c"],
         )
         x = rng.standard_normal((1000, 2)) * 2.0
-        r = responsibilities(x, 0.6, mix)
+        r = responsibilities(x, 0.6, mix, rows_of(mix, Condition.null(), len(x)))
         assert r.shape == (1000, 3)
         assert np.allclose(r.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(r >= 0)
@@ -123,44 +127,53 @@ class TestResponsibilities:
             [0.02, 0.02, 0.02], ["a", "b", "a"],
         )
         x = np.array([0.4, -0.2])
-        full = responsibilities(x, 0.5, mix)
-        cond = responsibilities(x, 0.5, mix, Condition.of("a"))
+        full = responsibilities(x[None], 0.5, mix, rows_of(mix, Condition.null(), 1))[0]
+        cond = responsibilities(x[None], 0.5, mix, rows_of(mix, Condition.of("a"), 1))[0]
         sub = full[[0, 2]]
         assert cond[1] == 0.0
         assert np.allclose(cond[[0, 2]], sub / sub.sum(), atol=1e-12)
 
     def test_time_out_of_range(self):
+        mix = two_diracs()
         with pytest.raises(ValueError, match="time out of range"):
-            responsibilities(np.zeros(2), 1.5, two_diracs())
+            responsibilities(np.zeros((1, 2)), 1.5, mix, rows_of(mix, Condition.null(), 1))
 
     def test_dimension_mismatch(self):
+        mix = two_diracs()
         with pytest.raises(ValueError, match="dimension"):
-            marginal_velocity(np.zeros(3), 0.5, two_diracs())
+            marginal_velocity(np.zeros((1, 3)), 0.5, mix, rows_of(mix, Condition.null(), 1))
 
 
 class TestPosteriorEndpointMean:
     def test_single_dirac_returns_its_mean(self):
         mix = GaussianMixture([1.0], [[2.0, 3.0]], [0.0], ["d"])
+        null = rows_of(mix, Condition.null(), 1)
         for t in (0.0, 0.3, 0.9):
-            m = posterior_endpoint_mean(np.array([5.0, -1.0]), t, mix)
+            m = posterior_endpoint_mean(np.array([[5.0, -1.0]]), t, mix, null)[0]
             assert np.allclose(m, [2.0, 3.0], atol=1e-12)
 
     def test_source_equals_target_fixed_point(self):
         # For a standard-normal target the conditioning coefficient at t=0.5
         # is 0.5/(0.25+0.25) = 1, so the posterior mean is x itself.
-        m = posterior_endpoint_mean(np.array([1.0, 1.0]), 0.5, standard_normal_target())
+        mix = standard_normal_target()
+        m = posterior_endpoint_mean(np.array([[1.0, 1.0]]), 0.5, mix,
+                                    rows_of(mix, Condition.null(), 1))[0]
         assert np.allclose(m, [1.0, 1.0], atol=1e-12)
 
     def test_symmetric_diracs_average_to_origin(self):
-        m = posterior_endpoint_mean(np.zeros(2), 0.5, two_diracs())
+        mix = two_diracs()
+        null = rows_of(mix, Condition.null(), 1)
+        m = posterior_endpoint_mean(np.zeros((1, 2)), 0.5, mix, null)[0]
         assert np.allclose(m, [0.0, 0.0], atol=1e-15)
 
     def test_batch_agrees_with_single_point(self):
         mix = GaussianMixture([0.6, 0.4], [[1.0, 2.0], [-1.0, 0.0]], [0.1, 0.3], ["a", "b"])
         pts = np.array([[0.2, 0.1], [1.5, -0.5], [0.0, 0.0]])
-        batch = posterior_endpoint_mean(pts, 0.4, mix)
+        null = rows_of(mix, Condition.null(), len(pts))
+        batch = posterior_endpoint_mean(pts, 0.4, mix, null)
         for i, p in enumerate(pts):
-            assert np.allclose(batch[i], posterior_endpoint_mean(p, 0.4, mix), atol=1e-14)
+            assert np.allclose(batch[i], posterior_endpoint_mean(p[None], 0.4, mix, null[:1])[0],
+                               atol=1e-14)
 
 
 class TestGemmPrecision:
@@ -195,7 +208,7 @@ class TestGemmPrecision:
             _, r, expected = direct_field(x, t, mixture, cond)
             collapsed = r.max(axis=1) >= 1.0 - 1e-12
             assert collapsed.sum() >= len(x) // 2
-            got = posterior_endpoint_mean(x, t, mixture, cond)
+            got = posterior_endpoint_mean(x, t, mixture, rows_of(mixture, cond, len(x)))
             err = np.abs(got - expected)[collapsed]
             assert np.all(err <= 1e-12 * np.abs(expected[collapsed]).max())
 
@@ -205,15 +218,17 @@ class TestMarginalVelocity:
         mix = GaussianMixture([1.0], [[2.0, 3.0]], [0.0], ["d"])
         x = np.array([0.5, -0.5])
         for t in (0.0, 0.25, 0.8):
-            v = marginal_velocity(x, t, mix)
+            v = marginal_velocity(x[None], t, mix, rows_of(mix, Condition.null(), 1))[0]
             assert np.allclose(v, (np.array([2.0, 3.0]) - x) / (1 - t), atol=1e-12)
 
     def test_standard_normal_target_vanishes_at_half_time(self):
-        v = marginal_velocity(np.array([1.3, -0.7]), 0.5, standard_normal_target())
+        mix = standard_normal_target()
+        v = marginal_velocity(np.array([[1.3, -0.7]]), 0.5, mix, rows_of(mix, Condition.null(), 1))
         assert np.allclose(v, 0.0, atol=1e-12)
 
     def test_standard_normal_target_at_time_zero(self):
-        v = marginal_velocity(np.array([1.0, 0.0]), 0.0, standard_normal_target())
+        mix = standard_normal_target()
+        v = marginal_velocity(np.array([[1.0, 0.0]]), 0.0, mix, rows_of(mix, Condition.null(), 1))
         assert np.allclose(v, [-1.0, 0.0], atol=1e-12)
 
     def test_clamped_at_terminal_time(self):
@@ -224,9 +239,10 @@ class TestMarginalVelocity:
                                 [0.0, 0.5, 0.5], ["a", "b", "b"])
         rows = np.stack([mixed.log_weights(c)
                          for c in (Condition.of("b"), Condition.of("a"), Condition.null())])
+        two = two_diracs()
         cases = [
-            (two_diracs(), np.array([0.4, 0.2]), Condition.null()),
-            (two_diracs(), np.array([[1.0, 0.0], [0.3, 0.3]]), Condition.null()),
+            (two, np.array([[0.4, 0.2]]), rows_of(two, Condition.null(), 1)),
+            (two, np.array([[1.0, 0.0], [0.3, 0.3]]), rows_of(two, Condition.null(), 2)),
             (mixed, np.array([[0.3, 0.2], [1.0, 0.0], [0.5, -0.5]]), rows),
         ]
         with warnings.catch_warnings():
@@ -237,11 +253,22 @@ class TestMarginalVelocity:
                     want = fn(x, 1.0 - EPS_T, cold(mixture), cond)
                     assert all(np.array_equal(got, want) for got in late)
 
-    @pytest.mark.parametrize("fn", [posterior_endpoint_mean, marginal_velocity])
-    def test_a_list_of_conditions_is_rejected(self, fn):
-        x = np.array([[0.3, 0.2], [1.0, 0.0]])
-        with pytest.raises(ValueError, match=r"Condition or \(2, 2\) log-weight rows, not list"):
-            fn(x, 0.5, two_diracs(), [Condition.of("a"), Condition.null()])
+    def test_only_points_under_log_weight_rows_are_taken(self):
+        # Two points (2, 2) of a mixture of K = 3 components, and each other form.
+        mix = GaussianMixture([0.5, 0.25, 0.25], [[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]],
+                              [0.0, 0.1, 0.0], ["a", "b", "c"])
+        x, rows = np.array([[0.3, 0.2], [1.0, 0.0]]), rows_of(mix, Condition.null(), 2)
+        for points, logw, shapes in [
+            (x, Condition.of("a"), r"\(2, 2\) and log-weight rows \(1,\)"),
+            (x[0], rows[:1], r"\(2,\) and log-weight rows \(1, 3\)"),
+            (x[:1], rows[0], r"\(1, 2\) and log-weight rows \(3,\)"),
+            (x, [Condition.of("a"), Condition.null()], r"\(2, 2\) and log-weight rows \(2, 1\)"),
+            (x, rows[:1], r"\(2, 2\) and log-weight rows \(1, 3\)"),
+            (x, rows[:, :2], r"\(2, 2\) and log-weight rows \(2, 2\)"),
+        ]:
+            with pytest.raises(ValueError, match=r"points of the mixture's dimension, \(n, 2\), "
+                               r"under log-weight rows \(n, 3\), not points " + shapes):
+                marginal_velocity(points, 0.5, mix, logw)
 
 
 class TestMixtureValidation:
@@ -283,10 +310,10 @@ class TestMixtureValidation:
         weights, variances = np.array([0.5, 0.5]), np.array([0.05, 0.05])
         means = np.array([[2.0, 0.0], [-2.0, 0.0]])
         mix = GaussianMixture(weights, means, variances, ["A", "B"])
-        x = np.array([0.5, 0.3])
-        want = marginal_velocity(x, 0.5, mix)
+        x, null = np.array([[0.5, 0.3]]), rows_of(mix, Condition.null(), 1)
+        want = marginal_velocity(x, 0.5, mix, null)
         weights[:], means[0], variances[:] = [0.9, 0.1], [5.0, 0.0], 0.2
-        assert np.array_equal(marginal_velocity(x, 0.5, mix), want)
+        assert np.array_equal(marginal_velocity(x, 0.5, mix, null), want)
         assert np.array_equal(mix.mean_sq, [4.0, 4.0])
         for a in (mix.weights, mix.means, mix.variances, mix.log_weights(Condition.of("A")),
                   mix._cdf):
@@ -332,12 +359,10 @@ def conditions(draw, mixture):
 
 @st.composite
 def field_cases(draw):
-    """A small random mixture, a condition on it, a single point or a batch, and t."""
+    """A small random mixture, a condition on it, a batch (n, d), and t."""
     mixture = draw(small_mixtures())
     cond = draw(conditions(mixture))
-    d = mixture.dim
-    shape = d if draw(st.booleans()) else (draw(st.integers(1, 4)), d)
-    x = draw(arrays(float, shape, elements=st.floats(-4.0, 4.0)))
+    x = draw(arrays(float, (draw(st.integers(1, 4)), mixture.dim), elements=st.floats(-4.0, 4.0)))
     t = draw(st.floats(0.0, 1.0 - EPS_T))
     return mixture, cond, x, t
 
@@ -373,36 +398,36 @@ class TestFieldProperties:
     @given(field_cases())
     def test_endpoint_mean_mixes_per_component_endpoints(self, case):
         mixture, cond, x, t = case
-        idx = cond.select(mixture)
-        r = np.atleast_2d(responsibilities(x, t, mixture, cond))[:, idx]
+        idx, logw = cond.select(mixture), rows_of(mixture, cond, len(x))
+        r = responsibilities(x, t, mixture, logw)[:, idx]
         mu, var = mixture.means[idx], mixture.variances[idx]
         s2 = (1.0 - t) ** 2 + t**2 * var
-        xb = np.atleast_2d(x)
         endpoints = (mu[None, :, :]
-                     + (t * var / s2)[None, :, None] * (xb[:, None, :] - t * mu[None, :, :]))
+                     + (t * var / s2)[None, :, None] * (x[:, None, :] - t * mu[None, :, :]))
         expected = np.sum(r[:, :, None] * endpoints, axis=1)
-        got = posterior_endpoint_mean(x, t, mixture, cond)
+        got = posterior_endpoint_mean(x, t, mixture, logw)
         assert got.shape == x.shape
         scale = max(np.abs(endpoints).max(), 1.0)
-        assert np.max(np.abs(np.atleast_2d(got) - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
     @settings(deadline=None)
     @given(field_cases())
     def test_prompt_of_every_label_is_the_null_field(self, case):
         mixture, _, x, t = case
-        everything = Condition.of(*mixture.labels)
+        everything = rows_of(mixture, Condition.of(*mixture.labels), len(x))
         assert np.array_equal(marginal_velocity(x, t, mixture, everything),
-                              marginal_velocity(x, t, mixture, Condition.null()))
+                              marginal_velocity(x, t, mixture, rows_of(mixture, Condition.null(),
+                                                                       len(x))))
 
     @settings(deadline=None)
     @given(batch_cases())
     def test_batch_rows_equal_single_point_calls(self, case):
         mixture, conds, x, t = case
-        cond = conds[0]
-        batch = posterior_endpoint_mean(x, t, mixture, cond)
+        logw = rows_of(mixture, conds[0], len(x))
+        batch = posterior_endpoint_mean(x, t, mixture, logw)
         tol = 1e-12 * _scale(mixture, x)
-        for i, point in enumerate(x):
-            single = posterior_endpoint_mean(point, t, mixture, cond)
+        for i in range(len(x)):
+            single = posterior_endpoint_mean(x[i:i + 1], t, mixture, logw[i:i + 1])[0]
             assert np.max(np.abs(batch[i] - single)) <= tol
 
     @settings(deadline=None)
@@ -414,25 +439,25 @@ class TestFieldProperties:
         r = responsibilities(x, t, mixture, rows)
         assert r.shape == (len(x), mixture.n_components)
         tol = 1e-12 * _scale(mixture, x)
-        for cond in set(conds):
-            rows = [i for i, c in enumerate(conds) if c == cond]
+        for i, cond in enumerate(conds):
             kept = np.isin(np.arange(mixture.n_components), cond.select(mixture))
-            assert np.all(r[np.ix_(rows, ~kept)] == 0.0)
-            one = responsibilities(x[rows], t, mixture, cond)
-            assert np.max(np.abs(r[np.ix_(rows, kept)] - one[:, kept])) <= 1e-12
-            one_mean = posterior_endpoint_mean(x[rows], t, mixture, cond)
-            assert np.max(np.abs(means[rows] - one_mean)) <= tol
+            assert np.all(r[i, ~kept] == 0.0)
+            one = responsibilities(x[i:i + 1], t, mixture, rows[i:i + 1])[0]
+            assert np.max(np.abs(r[i, kept] - one[kept])) <= 1e-12
+            one_mean = posterior_endpoint_mean(x[i:i + 1], t, mixture, rows[i:i + 1])[0]
+            assert np.max(np.abs(means[i] - one_mean)) <= tol
 
     @settings(deadline=None)
     @given(batch_cases())
     def test_gemm_form_matches_the_direct_oracle(self, case):
         mixture, conds, x, t = case
         cond = conds[0]
+        logw = rows_of(mixture, cond, len(x))
         _, r_direct, m_direct = direct_field(x, t, mixture, cond)
-        r = responsibilities(x, t, mixture, cond)
+        r = responsibilities(x, t, mixture, logw)
         assert np.all(np.delete(r, cond.select(mixture), axis=1) == 0.0)
         assert np.max(np.abs(r[:, cond.select(mixture)] - r_direct)) <= 1e-12
-        got = posterior_endpoint_mean(x, t, mixture, cond)
+        got = posterior_endpoint_mean(x, t, mixture, logw)
         assert np.max(np.abs(got - m_direct)) <= 1e-12 * _scale(mixture, x)
 
 
@@ -495,8 +520,8 @@ class TestAffineVelocity:
     equals (mean - x) / (1 - t) with the mean of the direct form of the field."""
 
     @staticmethod
-    def _check(x, t, mixture, cond, mean):
-        got = marginal_velocity(x, t, mixture, cond)
+    def _check(x, t, mixture, logw, mean):
+        got = marginal_velocity(x, t, mixture, logw)
         assert got.shape == np.shape(x)
         want = (mean - x) / (1.0 - t)
         assert np.max(np.abs(got - want)) <= 1e-12 * _scale(mixture, x) / (1.0 - t)
@@ -506,14 +531,15 @@ class TestAffineVelocity:
     def test_equals_the_endpoint_mean_form(self, case):
         mixture, conds, x, t = case
         _, _, mean = direct_field(x, t, mixture, conds[0])
-        self._check(x, t, mixture, conds[0], mean)
-        self._check(x[0], t, mixture, conds[0], mean[0])
+        logw = rows_of(mixture, conds[0], len(x))
+        self._check(x, t, mixture, logw, mean)
+        self._check(x[:1], t, mixture, logw[:1], mean[:1])
 
     @settings(deadline=None)
     @given(batch_cases())
     def test_equals_the_endpoint_mean_form_per_row(self, case):
         mixture, conds, x, t = case
-        mean = np.concatenate([direct_field(p, t, mixture, c)[2] for p, c in zip(x, conds)])
+        mean = np.concatenate([direct_field(p[None], t, mixture, c)[2] for p, c in zip(x, conds)])
         self._check(x, t, mixture, np.stack([mixture.log_weights(c) for c in conds]), mean)
 
     def test_shapes32_batch_near_the_terminal_time(self):
@@ -523,7 +549,8 @@ class TestAffineVelocity:
         for cond in (Condition.null(), Condition.of("disk")):
             _, r, mean = direct_field(x, t, mixture, cond)
             collapsed = r.max(axis=1) >= 1.0 - 1e-12
-            self._check(x[collapsed], t, mixture, cond, mean[collapsed])
+            self._check(x[collapsed], t, mixture, rows_of(mixture, cond, collapsed.sum()),
+                        mean[collapsed])
 
 
 def cold(mixture):
@@ -531,11 +558,9 @@ def cold(mixture):
     return GaussianMixture(mixture.weights, mixture.means, mixture.variances, mixture.labels)
 
 
-def inline_velocity(x, t, mixture, cond):
+def inline_velocity(xb, t, mixture, logw):
     """marginal_velocity at t < 1 - EPS_T with its folded per-time constants
     computed at every call, by the expressions of flowfield._build_nodes."""
-    xb = np.atleast_2d(x)
-    logw = np.broadcast_to(mixture.log_weights(cond), (len(xb), mixture.n_components))
     # Array loops, as on _build_nodes' (T, 1) times: a 0-d t would give numpy
     # scalars, whose (1 - t) ** 2 can round differently from the array square.
     t = np.array([t])
@@ -550,16 +575,15 @@ def inline_velocity(x, t, mixture, cond):
     coef = t * var / s2
     y = r @ np.hstack([((1.0 - t * coef) / (1.0 - t))[:, None] * mixture.means,
                        (coef / (1.0 - t))[:, None]])
-    out = y[:, :-1] + (y[:, -1] - 1.0 / (1.0 - t))[:, None] * xb
-    return out.reshape(np.shape(x))
+    return y[:, :-1] + (y[:, -1] - 1.0 / (1.0 - t))[:, None] * xb
 
 
-def field_values(x, t, mixture, cond):
+def field_values(x, t, mixture, logw):
     """Responsibilities, endpoint mean and velocity at (x, t), or the error each raises."""
     out = []
     for fn in (responsibilities, posterior_endpoint_mean, marginal_velocity):
         try:
-            out.append(fn(x, t, mixture, cond))
+            out.append(fn(x, t, mixture, logw))
         except ValueError as exc:
             out.append(str(exc))
     return out
@@ -603,16 +627,19 @@ class TestTransportEquation:
     @given(transport_cases())
     def test_the_field_satisfies_the_continuity_equation(self, case):
         mixture, cond, t, x = case
-        h, idx = self.H, cond.select(mixture)
+        h, idx, logw = self.H, cond.select(mixture), rows_of(mixture, cond, 1)
         dt_log_p = (self._log_p(x, t + h, mixture, idx)
                     - self._log_p(x, t - h, mixture, idx)) / (2 * h)
         s2 = (1 - t) ** 2 + t**2 * mixture.variances[idx]
-        grad_log_p = responsibilities(x, t, mixture, cond)[idx] @ ((t * mixture.means[idx] - x)
-                                                                   / s2[:, None])
-        div = sum((marginal_velocity(x + e, t, mixture, cond)[i]
-                   - marginal_velocity(x - e, t, mixture, cond)[i]) / (2 * h)
+        grad_log_p = responsibilities(x[None], t, mixture, logw)[0, idx] @ (
+            (t * mixture.means[idx] - x) / s2[:, None])
+
+        def v(p):
+            return marginal_velocity(p[None], t, mixture, logw)[0]
+
+        div = sum((v(x + e)[i] - v(x - e)[i]) / (2 * h)
                   for i, e in enumerate(h * np.eye(mixture.dim)))
-        terms = [dt_log_p, marginal_velocity(x, t, mixture, cond) @ grad_log_p, div]
+        terms = [dt_log_p, v(x) @ grad_log_p, div]
         assert abs(sum(terms)) <= 1e-6 * (sum(map(abs, terms)) + 1.0), terms
 
 
@@ -624,13 +651,14 @@ class TestNodeCache:
     @settings(deadline=None)
     @given(field_cases(), st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
     @example((two_diracs(), Condition.null(), np.array([[1.0, 0.0], [-1.0, 0.0]]), 0.5), 1.0)
-    @example((two_diracs(), Condition.of("a"), np.array([0.2, 0.1]), 0.5), 1.0)
+    @example((two_diracs(), Condition.of("a"), np.array([[0.2, 0.1]]), 0.5), 1.0)
     def test_warm_cache_is_bitwise_the_cold_one(self, case, t):
         mixture, cond, x, _ = case
-        first = field_values(x, t, mixture, cond)
+        logw = rows_of(mixture, cond, len(x))
+        first = field_values(x, t, mixture, logw)
         node(mixture, 0.5)
-        warm = field_values(x, t, mixture, cond)
-        fresh = field_values(x, t, cold(mixture), cond)
+        warm = field_values(x, t, mixture, logw)
+        fresh = field_values(x, t, cold(mixture), logw)
         for a, b, c in zip(first, warm, fresh):
             assert type(a) is type(b) is type(c)
             if isinstance(a, str):
@@ -643,9 +671,10 @@ class TestNodeCache:
     def test_cached_velocity_is_bitwise_the_inline_expressions(self, case):
         mixture, cond, x, t = case
         assume(t < 1.0 - EPS_T)
-        want = inline_velocity(x, t, mixture, cond)
-        assert np.array_equal(marginal_velocity(x, t, mixture, cond), want)
-        assert np.array_equal(marginal_velocity(x, t, mixture, cond), want)
+        logw = rows_of(mixture, cond, len(x))
+        want = inline_velocity(x, t, mixture, logw)
+        assert np.array_equal(marginal_velocity(x, t, mixture, logw), want)
+        assert np.array_equal(marginal_velocity(x, t, mixture, logw), want)
 
     @settings(deadline=None)
     @given(field_cases(), st.integers(1, 30))
@@ -670,14 +699,14 @@ class TestNodeCache:
         # A budget of 256 two-Dirac nodes, so that the cache starts over.
         mixture = two_diracs()
         monkeypatch.setattr(flowfield, "_MAX_NODE_BYTES", 256 * node_bytes(mixture, 1))
-        x = np.array([[0.3, -0.2], [1.5, 0.4]])
+        x, null = np.array([[0.3, -0.2], [1.5, 0.4]]), rows_of(mixture, Condition.null(), 2)
         times = np.linspace(0.0, 1.0 - EPS_T, 3000)
-        first = [marginal_velocity(x, float(t), mixture) for t in times[:5]]
+        first = [marginal_velocity(x, float(t), mixture, null) for t in times[:5]]
         for t in times:
-            marginal_velocity(x, float(t), mixture)
+            marginal_velocity(x, float(t), mixture, null)
             assert cached_node_bytes(mixture) <= flowfield._MAX_NODE_BYTES
             assert 1 <= len(mixture._nodes) <= 256
-        again = [marginal_velocity(x, float(t), mixture) for t in times[:5]]
+        again = [marginal_velocity(x, float(t), mixture, null) for t in times[:5]]
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
     def test_full_space_grids_keep_within_the_budget_or_one_grid(self):
@@ -692,7 +721,7 @@ class TestNodeCache:
             assert cached_node_bytes(mixture) <= max(_MAX_NODE_BYTES, grid)
             assert set(mixture._nodes) == set(np.minimum(nodes, 1.0 - EPS_T).tolist())
             for t in nodes[:3].tolist():
-                marginal_velocity(x[:2], t, mixture)
+                marginal_velocity(x[:2], t, mixture, rows_of(mixture, Condition.null(), 2))
             assert cached_node_bytes(mixture) <= max(_MAX_NODE_BYTES, grid)
 
     def test_a_reduced_restore_keeps_every_node(self):
@@ -770,10 +799,10 @@ class TestPointMassRows:
         assert flowfield._point_masses(rows) is not None
         want = softmax_velocity(x, t, mixture, rows)
         assert np.array_equal(marginal_velocity(x, t, mixture, rows), want)
-        assert np.array_equal(marginal_velocity(x[0], t, mixture, rows[:1]), want[0])
-        one = Condition.of("S")
+        assert np.array_equal(marginal_velocity(x[:1], t, mixture, rows[:1]), want[:1])
+        one = rows_of(mixture, Condition.of("S"), len(x))
         assert np.array_equal(marginal_velocity(x, t, mixture, one),
-                              softmax_velocity(x, t, mixture, mixture.log_weights(one)))
+                              softmax_velocity(x, t, mixture, one))
 
     def test_a_row_of_two_and_a_row_of_none_take_the_full_path(self):
         # Two finite entries in two rows, but no row is a point mass: the

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pdls.control import lqr_control
-from pdls.flowfield import GaussianMixture, marginal_velocity
+from pdls.flowfield import Condition, GaussianMixture, marginal_velocity
 from pdls.integrate import (
     DriftDivergedError,
     TimeGrid,
@@ -109,12 +109,13 @@ class TestIntegrate:
         # Standard-normal source and target: the marginal flow from x0 is
         # x(t) = x0 * sqrt((1-t)^2 + t^2).
         mix = GaussianMixture([1.0], [np.zeros(2)], [1.0], ["z"])
+        null = mix.log_weights(Condition.null())[None]
         x0 = np.array([1.0, 0.0])
         exact = x0 * np.sqrt(2.0) / 2.0  # value at t = 0.5
 
         def run(n):
             grid = make_grid(n, 0.0, 0.5)
-            traj = integrate(x0, grid, lambda x, t, k: marginal_velocity(x, t, mix))
+            traj = integrate(x0[None], grid, lambda x, t, k: marginal_velocity(x, t, mix, null))
             return np.linalg.norm(traj.terminal - exact)
 
         ratio = run(100) / run(200)
@@ -122,10 +123,11 @@ class TestIntegrate:
 
     def test_descending_integration_reverses_ascending(self):
         mix = GaussianMixture([1.0], [[1.5, -0.5]], [1.0], ["g"])
-        fwd = integrate(np.array([0.2, 0.1]), make_grid(200, 0.0, 1.0),
-                        lambda x, t, k: marginal_velocity(x, t, mix))
+        null = mix.log_weights(Condition.null())[None]
+        fwd = integrate(np.array([[0.2, 0.1]]), make_grid(200, 0.0, 1.0),
+                        lambda x, t, k: marginal_velocity(x, t, mix, null))
         back = integrate(fwd.terminal, make_grid(200, 1.0, 0.0),
-                         lambda x, t, k: marginal_velocity(x, t, mix))
+                         lambda x, t, k: marginal_velocity(x, t, mix, null))
         # Round trip through the same field is first-order accurate.
         assert np.linalg.norm(back.terminal - [0.2, 0.1]) < 0.05
 
@@ -142,9 +144,11 @@ class TestIntegrate:
 
     def test_determinism(self):
         mix = GaussianMixture([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]], [0.1, 0.1], ["a", "b"])
-        grid = make_grid(20, 0.0, 1.0)
-        a = integrate(np.array([0.1, 0.2]), grid, lambda x, t, k: marginal_velocity(x, t, mix))
-        b = integrate(np.array([0.1, 0.2]), grid, lambda x, t, k: marginal_velocity(x, t, mix))
+        grid, null = make_grid(20, 0.0, 1.0), mix.log_weights(Condition.null())[None]
+        a = integrate(np.array([[0.1, 0.2]]), grid,
+                      lambda x, t, k: marginal_velocity(x, t, mix, null))
+        b = integrate(np.array([[0.1, 0.2]]), grid,
+                      lambda x, t, k: marginal_velocity(x, t, mix, null))
         assert np.array_equal(a.states, b.states)
 
     def test_diverged_drift_reports_step(self):

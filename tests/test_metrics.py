@@ -10,7 +10,7 @@ from scipy.signal import convolve2d
 from pdls.datasets import shapes32_dataset, shapes32_mixture
 from pdls.degrade import GaussianBlur, ImageGrid, MotionBlur, NoiseModel, apply, gaussian_kernel
 from pdls.flowfield import GaussianMixture
-from pdls.metrics import class_accuracy, mse, psnr, report, ssim
+from pdls.metrics import mse, psnr, report, ssim
 
 
 def convolved_ssim(a, b):
@@ -31,7 +31,7 @@ def convolved_ssim(a, b):
 
 
 def direct_accuracy(x, mixture, label):
-    """class_accuracy by the direct squared distances, the oracle for the expanded form."""
+    """Class accuracy by the direct squared distances, the oracle for the expanded form."""
     nearest = np.argmin(np.sum((mixture.means - x[None, :]) ** 2, axis=1))
     return int(mixture.labels[nearest] == label)
 
@@ -135,20 +135,20 @@ class TestClassAccuracy:
         )
 
     def test_component_mean_scores_its_own_label(self):
-        mix = self._mixture()
-        assert class_accuracy(np.array([1.0, 0.0]), mix, "a") == 1
-        assert class_accuracy(np.array([1.0, 0.0]), mix, "b") == 0
+        x = np.array([1.0, 0.0])
+        reps = report([x, x], [x, x], self._mixture(), ["a", "b"])
+        assert [rep.class_accuracy for rep in reps] == [1, 0]
 
     def test_equidistant_tie_breaks_to_lowest_index(self):
-        mix = self._mixture()
         # The origin is equidistant from components 0 and 1.
-        assert class_accuracy(np.array([0.0, 0.0]), mix, "a") == 1
-        assert class_accuracy(np.array([0.0, 0.0]), mix, "b") == 0
+        x = np.array([0.0, 0.0])
+        reps = report([x, x], [x, x], self._mixture(), ["a", "b"])
+        assert [rep.class_accuracy for rep in reps] == [1, 0]
 
     def test_report_bundles_all_metrics(self):
         rng = np.random.default_rng(3)
         ref = ImageGrid(rng.uniform(0, 1, (16, 16)))
-        rep = report(ref, ref)
+        rep = report([ref], [ref])[0]
         assert rep.mse == 0.0
         assert rep.psnr_db == math.inf
         assert rep.ssim == pytest.approx(1.0, abs=1e-12)
@@ -163,10 +163,10 @@ class TestBatchedReport:
         reports = report(observed, sources, mixture, labels)
         assert len(reports) == len(sources)
         for rep, x, y, label in zip(reports, observed, sources, labels):
-            one = report(x, y, mixture, label)
+            one = report([x], [y], mixture, [label])[0]
             assert rep.mse == one.mse == mse(x, y)
             assert rep.psnr_db == one.psnr_db == psnr(x, y)
-            assert rep.class_accuracy == one.class_accuracy == class_accuracy(
+            assert rep.class_accuracy == one.class_accuracy == direct_accuracy(
                 x.flatten(), mixture, label)
             assert abs(rep.ssim - one.ssim) <= 1e-12 * abs(one.ssim)
 
@@ -212,8 +212,8 @@ class TestBatchedReport:
         # Row i lies between means 2i ("a") and 2i + 1 ("b"): offsets e and a
         # permutation of e scaled by 1 + s, so the two distances tie or
         # nearly tie. The expanded distances cannot order such pairs; the
-        # batch and class_accuracy must still give the direct form's integer
-        # for every row.
+        # batch and a report of each row alone must still give the direct
+        # form's integer for every row.
         rng = np.random.default_rng(0)
         xs, means = [], []
         for s in [0.0, 1e-12, -1e-12, 1e-10] * 25:
@@ -230,7 +230,7 @@ class TestBatchedReport:
         reports = report(images, images, mixture, ["a"] * len(xs))
         got = [rep.class_accuracy for rep in reports]
         assert got == [direct_accuracy(x, mixture, "a") for x in xs]
-        assert got == [class_accuracy(x, mixture, "a") for x in xs]
+        assert got == [report([x], [x], mixture, ["a"])[0].class_accuracy for x in xs]
         assert 0 < sum(got) < len(xs) and got[-1] == 1
 
     def test_one_label_per_pair(self):
@@ -241,10 +241,10 @@ class TestBatchedReport:
 
     def test_pairs_of_different_shapes_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            report(ImageGrid(np.zeros((16, 16))), ImageGrid(np.zeros((16, 17))))
+            report([ImageGrid(np.zeros((16, 16)))], [ImageGrid(np.zeros((16, 17)))])
 
     def test_an_unlabeled_mixture_rejected(self):
         img = ImageGrid(np.zeros((16, 16)))
         unlabeled = GaussianMixture([1.0], [np.zeros(256)], [0.0], [None])
         with pytest.raises(ValueError, match="mixture components must be labeled"):
-            report(img, img, unlabeled, "a")
+            report([img], [img], unlabeled, ["a"])

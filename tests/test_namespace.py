@@ -3,7 +3,7 @@
 Everything else is imported from its own module. Every name the README, the
 tests or the benchmarks reach through ``pdls.`` must resolve, as an
 attribute of the package or as one of its modules, and every public
-definition of the package must be named by its code or the benchmarks'.
+definition of the package must be referred to by its code or the benchmarks'.
 """
 
 import ast
@@ -39,8 +39,18 @@ def test_every_name_reached_through_pdls_resolves():
     assert not missing, missing
 
 
+def test_the_readme_quick_start_runs(capsys):
+    # README's one python block, run as written: it prints the observation's
+    # PSNR and the restore's, which is the higher.
+    [block] = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    observed, restored = map(float, capsys.readouterr().out.split(" -> "))
+    assert restored > observed
+
+
 # Definitions that code outside pdls calls by name: argparse calls error().
 CALLED_FROM_OUTSIDE = {"cli._Parser.error"}
+PDLS_MODULES = {"pdls", *(path.stem for path in (ROOT / "src" / "pdls").glob("*.py"))}
 
 
 def _definitions(path):
@@ -55,6 +65,30 @@ def _definitions(path):
                     yield f"{path.stem}.{node.name}.{item.name}", item.name
 
 
+def _is_pdls_module(node):
+    """Whether the expression node names a module of pdls: pdls, metrics or pdls.metrics."""
+    if isinstance(node, ast.Name):
+        return node.id in PDLS_MODULES
+    return (isinstance(node, ast.Attribute) and node.attr in PDLS_MODULES
+            and _is_pdls_module(node.value))
+
+
+def _references(paths):
+    """How often the files' code refers to each name as a module-level definition:
+    a load of the name, an import of it, or an attribute of a pdls module
+    (metrics.report, pdls.metrics.report)."""
+    counts = Counter()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                counts[node.id] += 1
+            elif isinstance(node, ast.alias):
+                counts[node.name.rpartition(".")[2]] += 1
+            elif isinstance(node, ast.Attribute) and _is_pdls_module(node.value):
+                counts[node.attr] += 1
+    return counts
+
+
 def _code_names(paths):
     """How often each NAME token occurs in the files: code only, not strings or comments."""
     counts = Counter()
@@ -66,12 +100,15 @@ def _code_names(paths):
 
 
 def test_every_public_definition_is_named_by_the_code():
-    # Nothing the tests alone call: each public function, class and method of
-    # pdls is named in src/ or benchmarks/ besides its definitions.
+    # Nothing the tests alone call: src/ or benchmarks/ refers to each public
+    # function and class of pdls (see _references; an attribute of another
+    # object, such as a report's class_accuracy field, does not count), and
+    # names each public method besides its definitions.
     src = sorted((ROOT / "src" / "pdls").glob("**/*.py"))
+    code = [*src, *sorted((ROOT / "benchmarks").glob("**/*.py"))]
     defs = [d for path in src for d in _definitions(path)]
-    names = _code_names([*src, *sorted((ROOT / "benchmarks").glob("**/*.py"))])
+    refs, names = _references(code), _code_names(code)
     n_defs = Counter(name for _, name in defs)
-    unused = sorted(q for q, name in defs
-                    if names[name] <= n_defs[name] and q not in CALLED_FROM_OUTSIDE)
+    unused = sorted(q for q, name in defs if q not in CALLED_FROM_OUTSIDE and (
+        refs[name] == 0 if q.count(".") == 1 else names[name] <= n_defs[name]))
     assert not unused, unused

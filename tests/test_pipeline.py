@@ -45,40 +45,42 @@ GOLDEN_RESTORED = np.array([1.815243275374944, 0.13431342014281736])
 class TestInvertPath:
     def test_full_strength_lands_on_the_noise_draw(self):
         mix = toy2d_mixture()
-        obs = np.array([1.9, 0.1])
+        obs, null = np.array([[1.9, 0.1]]), mix.log_weights(Condition.null())[None]
         z0 = draw_noise(2, 42)
         for n in (7, 28, 100):
-            traj = invert_path(obs, mix, Condition.null(), PdlsConfig(gamma=1.0, n_steps=n), z0)
+            traj = invert_path(obs, mix, null, PdlsConfig(gamma=1.0, n_steps=n), z0[None])
             assert np.linalg.norm(traj.terminal - z0) / np.linalg.norm(z0) < 1e-9
 
     def test_zero_strength_from_a_dirac_mean_stays_put(self):
         mix = GaussianMixture([1.0], [[1.5, -0.5]], [0.0], ["d"])
-        traj = invert_path(np.array([1.5, -0.5]), mix, Condition.null(),
-                           PdlsConfig(gamma=0.0, n_steps=200), draw_noise(2, 0))
+        traj = invert_path(np.array([[1.5, -0.5]]), mix, mix.log_weights(Condition.null())[None],
+                           PdlsConfig(gamma=0.0, n_steps=200), draw_noise(2, 0)[None])
         # The marginal field vanishes on the Dirac mean, so the reverse
         # flow holds it fixed to first order.
         assert np.linalg.norm(traj.terminal - [1.5, -0.5]) < 1e-6
 
     def test_golden_regression(self):
         mix = toy2d_mixture()
-        traj = invert_path(np.array([1.7, 0.3]), mix, Condition.null(),
-                           PdlsConfig(gamma=0.5, n_steps=28), draw_noise(2, 7))
+        null = mix.log_weights(Condition.null())[None]
+        traj = invert_path(np.array([[1.7, 0.3]]), mix, null,
+                           PdlsConfig(gamma=0.5, n_steps=28), draw_noise(2, 7)[None])
         assert np.allclose(traj.terminal, GOLDEN_INVERT_TERMINAL, atol=1e-9)
         # Doubling the step count moves the terminal only by a first-order
         # amount, so the locked value is step-size-consistent.
-        fine = invert_path(np.array([1.7, 0.3]), mix, Condition.null(),
-                           PdlsConfig(gamma=0.5, n_steps=56), draw_noise(2, 7))
+        fine = invert_path(np.array([[1.7, 0.3]]), mix, null,
+                           PdlsConfig(gamma=0.5, n_steps=56), draw_noise(2, 7)[None])
         assert np.linalg.norm(traj.terminal - fine.terminal) < 0.05
 
     def test_a_noise_draw_of_another_shape_is_rejected(self):
+        mix = toy2d_mixture()
         with pytest.raises(ValueError, match="z0 must have the shape of observed"):
-            invert_path(np.array([1.7, 0.3]), toy2d_mixture(), Condition.null(), PdlsConfig(),
-                        np.zeros(3))
+            invert_path(np.array([[1.7, 0.3]]), mix, mix.log_weights(Condition.null())[None],
+                        PdlsConfig(), np.zeros((1, 3)))
 
     def test_grid_descends_over_full_interval(self):
         mix = toy2d_mixture()
-        traj = invert_path(np.array([1.7, 0.3]), mix, Condition.null(),
-                           PdlsConfig(gamma=0.5, n_steps=10), draw_noise(2, 0))
+        traj = invert_path(np.array([[1.7, 0.3]]), mix, mix.log_weights(Condition.null())[None],
+                           PdlsConfig(gamma=0.5, n_steps=10), draw_noise(2, 0)[None])
         assert traj.grid.nodes[0] == 1.0
         assert traj.grid.nodes[-1] == 0.0
 
@@ -143,10 +145,11 @@ class TestDualInvert:
         obs = np.array([[0.9, 0.05]])
         paths = dual_invert(obs, mix, [Condition.of("a")], PdlsConfig(gamma=0.5), draws([1], 2))
         semantic = paths.inversion.states[:, paths.pair[0]]
+        prompt = mix.log_weights(Condition.of("a"))[None]
         for state, t in zip(semantic, paths.inversion.grid.nodes):
             if t >= 1.0 - 1e-9 or t <= 1e-9:
                 continue
-            m = state + (1.0 - t) * marginal_velocity(state, float(t), mix, Condition.of("a"))
+            m = state + (1.0 - t) * marginal_velocity(state[None], float(t), mix, prompt)[0]
             assert np.allclose(m, [1.0, 0.0], atol=1e-12)
         # The structural path keeps nonzero responsibility on the other
         # component for an observation between the two.
@@ -207,10 +210,10 @@ class TestSteeredGenerate:
         gen = steered_generate(paths, mix, PdlsConfig(eta_max=0.0))
         grid = make_grid(28, 0.0, 1.0)
         plain = integrate(
-            paths.inversion.terminal[0], grid,
-            lambda x, t, k: marginal_velocity(x, t, mix, Condition.of("A")),
+            paths.inversion.terminal[:1], grid,
+            lambda x, t, k: marginal_velocity(x, t, mix, mix.log_weights(Condition.of("A"))[None]),
         )
-        assert np.allclose(gen.states[:, 0], plain.states, atol=1e-12)
+        assert np.allclose(gen.states[:, 0], plain.states[:, 0], atol=1e-12)
 
     def test_mismatched_grid_rejected(self):
         mix = toy2d_mixture()
@@ -392,12 +395,12 @@ def full_space_restore(obs, mixture, prompts, config, z0):
 
     Gives the batch's DualPaths and the (n_steps + 1, n, d) generated states.
     """
-    structural = invert_path(obs, mixture, Condition.null(), config, z0)
     n = len(prompts)
     rows = [i for i, p in enumerate(prompts) if not p.is_null]
-    states, pair = structural.states, np.arange(n)
     conds = [Condition.null()] * n + [prompts[i] for i in rows]
     log_weights = np.stack([mixture.log_weights(c) for c in conds])
+    structural = invert_path(obs, mixture, log_weights[:n], config, z0)
+    states, pair = structural.states, np.arange(n)
     if rows:
         inv = invert_path(obs[rows], mixture, log_weights[n:], config, z0[rows])
         states = np.concatenate([states, inv.states], axis=1)
