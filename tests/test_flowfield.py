@@ -254,7 +254,8 @@ class TestMarginalVelocity:
                     assert all(np.array_equal(got, want) for got in late)
 
     def test_only_points_under_log_weight_rows_are_taken(self):
-        # Two points (2, 2) of a mixture of K = 3 components, and each other form.
+        # Two points (2, 2) of a mixture of K = 3 components, and each other form
+        # but a list of conditions, which the test below checks.
         mix = GaussianMixture([0.5, 0.25, 0.25], [[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]],
                               [0.0, 0.1, 0.0], ["a", "b", "c"])
         x, rows = np.array([[0.3, 0.2], [1.0, 0.0]]), rows_of(mix, Condition.null(), 2)
@@ -262,13 +263,19 @@ class TestMarginalVelocity:
             (x, Condition.of("a"), r"\(2, 2\) and log-weight rows \(1,\)"),
             (x[0], rows[:1], r"\(2,\) and log-weight rows \(1, 3\)"),
             (x[:1], rows[0], r"\(1, 2\) and log-weight rows \(3,\)"),
-            (x, [Condition.of("a"), Condition.null()], r"\(2, 2\) and log-weight rows \(2, 1\)"),
             (x, rows[:1], r"\(2, 2\) and log-weight rows \(1, 3\)"),
             (x, rows[:, :2], r"\(2, 2\) and log-weight rows \(2, 2\)"),
         ]:
             with pytest.raises(ValueError, match=r"points of the mixture's dimension, \(n, 2\), "
                                r"under log-weight rows \(n, 3\), not points " + shapes):
                 marginal_velocity(points, 0.5, mix, logw)
+
+    @pytest.mark.parametrize("fn", [posterior_endpoint_mean, marginal_velocity])
+    def test_a_list_of_conditions_is_rejected(self, fn):
+        x = np.array([[0.3, 0.2], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"under log-weight rows \(n, 2\), not points "
+                           r"\(2, 2\) and log-weight rows \(2, 1\)"):
+            fn(x, 0.5, two_diracs(), [Condition.of("a"), Condition.null()])
 
 
 class TestMixtureValidation:
