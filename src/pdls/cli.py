@@ -6,8 +6,8 @@ gets one error line and no --out (test_any_argv_exits_with_a_documented_code,
 test_rejected_flag_exits_with_one_error_line).
 
 restore has one driver for both tasks: a task only builds its jobs, (input
-id, observation, reference, label, seed) tuples, which run through one
-restore() and one metrics.report call.
+id, observation, reference, label, seed) tuples, which the driver unzips
+once into columns that run through one restore() and one metrics.report call.
 
 main() holds numpy's OpenBLAS at one thread for the run and puts its count
 back on exit (TestBlasPin): a second thread only spins on a restore's small
@@ -408,10 +408,11 @@ def cmd_restore(args) -> int:
     images = args.task == "image"
     task, mixture, extra, jobs = (_image_jobs if images else _toy_jobs)(args, seeds)
     config = config_hash(cfg, {"prompt": args.prompt, **extra})
-    prompts = _prompts(args, mixture, [label for _, _, _, label, _ in jobs])
+    ids, observed, refs, labels, job_seeds = zip(*jobs) if jobs else ((),) * 5
+    prompts = _prompts(args, mixture, labels)
     out = Path(args.out)
     recon_paths = [f"{input_id}_s{seed}_recon.pgm" if images else ""
-                   for input_id, _, _, _, seed in jobs]
+                   for input_id, seed in zip(ids, job_seeds)]
     if images:
         outputs = _outputs_made_early(out, recon_paths)
     else:  # toy2d writes five files, too few to pay for a worker
@@ -419,19 +420,17 @@ def cmd_restore(args) -> int:
     with outputs as ready:
         results, recons, reports = [], [], []
         if jobs:
-            _, observed, refs, labels, job_seeds = zip(*jobs)
-            results = restore(np.stack(observed), mixture, prompts, cfg, list(job_seeds))
+            results = restore(np.stack(observed), mixture, prompts, cfg, job_seeds)
             recons = [degrade.ImageGrid.from_vector(r.restored, ref.height, ref.width)
                       if images else r.restored for r, ref in zip(results, refs)]
             reports = metrics.report(recons, refs, mixture, labels)
         ready()
-        rows = []
-        for (input_id, _, _, _, seed), recon_path, recon, rep in zip(jobs, recon_paths, recons,
-                                                                      reports):
-            if images:
+        if images:
+            for recon_path, recon in zip(recon_paths, recons):
                 fileio.write_pgm(out / recon_path, recon)
-            rows.append((task, input_id, seed, config, rep.mse, rep.psnr_db, rep.ssim,
-                         rep.class_accuracy, recon_path))
+        # A report's fields follow _METRIC_COLUMNS.
+        rows = [(task, input_id, seed, config, *rep, recon_path)
+                for input_id, seed, rep, recon_path in zip(ids, job_seeds, reports, recon_paths)]
         if results:
             first = results[0]
             if not images:  # the first seed's paths feed the bench plot
@@ -542,6 +541,8 @@ def cmd_bench(args) -> int:
                 except ValueError as exc:
                     raise fileio.FormatError(f"trajectory {p}: {exc}") from exc
                 named.append((name, states))
+        if not named:
+            raise FileNotFoundError(f"--trajectories {args.trajectories} holds no *_path.csv")
     strip = [r["recon_path"] for r in rows[: args.strip] if r["recon_path"]]
     imgs = [fileio.read_pgm(path) for path in strip]
     for path, img in zip(strip, imgs):

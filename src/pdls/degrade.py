@@ -223,6 +223,8 @@ def _convolve_reflect(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def block_average(img: np.ndarray, factor: int) -> np.ndarray:
     h, w = img.shape
+    if not isinstance(factor, (int, np.integer)):
+        raise ValueError(f"factor must be an int, not {factor!r}")
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if h % factor or w % factor:

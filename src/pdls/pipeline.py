@@ -109,14 +109,14 @@ def invert_path(observed, mixture: GaussianMixture, log_weights, config: PdlsCon
     observed, z0 = np.asarray(observed, dtype=float), np.asarray(z0, dtype=float)
     if z0.shape != observed.shape:
         raise ValueError("z0 must have the shape of observed")
-    grid = make_grid(config.n_steps, 1.0, 0.0)
-    mixture._add_nodes(grid.nodes[:-1])
+    nodes = make_grid(config.n_steps, 1.0, 0.0)
+    mixture._add_nodes(nodes[:-1])
 
     def drift(x, t, k):
         return blend_drift(marginal_velocity(x, t, mixture, log_weights), (x - z0) / t,
                            config.gamma)
 
-    return integrate(observed, grid, drift)
+    return integrate(observed, nodes, drift)
 
 
 class DualPaths:
@@ -149,8 +149,9 @@ def dual_invert(observed, mixture: GaussianMixture, prompts, config: PdlsConfig,
     (n, dim), as one stacked DualPaths (test_null_prompt_row_is_its_own_semantic_row)."""
     observed, z0 = np.asarray(observed, dtype=float), np.asarray(z0, dtype=float)
     n = len(observed)
-    if observed.ndim != 2 or len(prompts) != n:
-        raise ValueError("dual_invert needs a batch (n, d) with one prompt per row")
+    if observed.ndim != 2 or len(prompts) != n or not all(
+            isinstance(p, Condition) for p in prompts):
+        raise ValueError("dual_invert needs a batch (n, d) with one Condition prompt per row")
     if z0.shape != observed.shape:
         raise ValueError("dual_invert needs one noise draw z0 (n, d) per row")
     semantic = [i for i, p in enumerate(prompts) if not p.is_null]
@@ -167,29 +168,28 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
                      config: PdlsConfig) -> Trajectory:
     """Ascending generation of every row from its init latent, steered toward its
     averaged target; one batch, giving (n_steps + 1, n, dim) states."""
-    inv_nodes = paths.inversion.grid.nodes
-    n = inv_nodes.size - 1
-    gen_grid = make_grid(n, 0.0, 1.0)
+    inv_nodes = paths.inversion.nodes
+    nodes = make_grid(inv_nodes.size - 1, 0.0, 1.0)
     # The generation grid must be the exact reversal of the inversion grid.
-    if not np.abs(inv_nodes[::-1] - gen_grid.nodes).max() <= 1e-12:
+    if not np.abs(inv_nodes[::-1] - nodes).max() <= 1e-12:
         raise ValueError("paths were not produced on the reversal of the generation grid")
-    mixture._add_nodes(gen_grid.nodes[:-1])
+    mixture._add_nodes(nodes[:-1])
 
     # A null-prompt row's pair is the row itself, so "prompt" gives it the null row.
     base_cond = paths.log_weights[paths.pair if config.base_condition == "prompt"
                                   else slice(len(paths.pair))]
 
-    # Generation node k is inversion node n - k. Step k steers toward the
+    # Generation node k is inversion node n_steps - k. Step k steers toward the
     # stored node it lands on, row k + 1: the same-time node would leave a
     # one-step lag (test_full_strength_retraces_the_stored_line).
     targets = paths.target(slice(None, None, -1))
-    weights = eta(config, gen_grid.nodes[:-1]).tolist()
+    weights = eta(config, nodes[:-1]).tolist()
 
     def drift(x, t, k):
         return blend_drift(marginal_velocity(x, t, mixture, base_cond),
                            lqr_control(x, targets[k + 1], t), weights[k])
 
-    return integrate(paths.latents(config.init_mode), gen_grid, drift)
+    return integrate(paths.latents(config.init_mode), nodes, drift)
 
 
 def _directions(v, q0, u=None) -> np.ndarray:
@@ -309,7 +309,7 @@ class RestoreResult:
 
     def _lifted(self, traj: Trajectory, j: int) -> Trajectory:
         """Row j of the batch trajectory traj, in the full space."""
-        return Trajectory(traj.grid, self._frame.lift(traj.states[:, j], self._row))
+        return Trajectory(traj.nodes, self._frame.lift(traj.states[:, j], self._row))
 
     @functools.cached_property
     def structural(self) -> Trajectory:
@@ -329,7 +329,7 @@ class RestoreResult:
         """(step, t, eta, dist_to_target) at every generation node."""
         target = self._paths.target(slice(None, None, -1))[:, self._row]
         dists = np.linalg.norm(self._generated.states[:, self._row] - target, axis=1)
-        nodes = self._generated.grid.nodes
+        nodes = self._generated.nodes
         etas = eta(self._config, nodes).tolist()
         return tuple(zip(range(len(nodes)), nodes.tolist(), etas, dists.tolist()))
 
@@ -339,15 +339,19 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
 
     observed is one point (d,) with one prompt and one seed, giving one
     RestoreResult, or a batch (n, d) with one prompt and one seed per row,
-    giving a list of n. Every input restores to finite output or raises
-    ValueError (means past _MAX_NORM among them, before any draw) or
-    DriftDivergedError, without a numpy warning (test_restore_is_total)."""
+    giving a list of n. Every input restores to finite output or raises ValueError
+    (before any draw for a non-Condition prompt, a seed not an int >= 0 or means past
+    _MAX_NORM) or DriftDivergedError, without a numpy warning (test_restore_is_total)."""
     observed = np.asarray(observed, dtype=float)
     single = observed.ndim == 1
-    prompts, seeds = ([prompt], [seed]) if single else (list(prompt), list(seed))
+    prompts, seeds = ([prompt], [seed]) if single else (
+        list(v) if np.iterable(v) else [] for v in (prompt, seed))
     batch = np.atleast_2d(observed)
     if len(prompts) != len(batch) or len(seeds) != len(batch):
         raise ValueError("a batch needs one prompt and one seed per row")
+    if not all(isinstance(p, Condition) for p in prompts) or not all(
+            isinstance(s, (int, np.integer)) and s >= 0 for s in seeds):
+        raise ValueError("each prompt must be a Condition and each seed an integer >= 0")
     if batch.ndim != 2 or batch.shape[1] != mixture.dim:
         raise ValueError(f"observations of shape {observed.shape} do not match "
                          f"the mixture's dimension {mixture.dim}")

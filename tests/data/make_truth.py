@@ -80,7 +80,7 @@ def restore_truth(observed, mixture, prompt, seed, config=PdlsConfig()):
     y = observed.astype(LD)
     z0 = draw_noise(len(observed), seed).astype(LD)
     gamma = LD(config.gamma)
-    inv = make_grid(config.n_steps, 1.0, 0.0).nodes
+    inv = make_grid(config.n_steps, 1.0, 0.0)
 
     def invert(cond):
         def drift(x, t, k):
@@ -91,7 +91,7 @@ def restore_truth(observed, mixture, prompt, seed, config=PdlsConfig()):
     structural = invert(Condition.null())
     semantic = structural if prompt.is_null else invert(prompt)
     targets = (structural[::-1] + semantic[::-1]) / 2
-    gen = make_grid(config.n_steps, 0.0, 1.0).nodes
+    gen = make_grid(config.n_steps, 0.0, 1.0)
     base_cond = prompt if config.base_condition == "prompt" else Condition.null()
     assert config.schedule_kind == "cosine" and config.init_mode == "structural"
 

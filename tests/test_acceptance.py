@@ -158,10 +158,10 @@ def test_criterion_05_transport_fidelity():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1000, 2))
     null = np.tile(mix.log_weights(Condition.null()), (len(x), 1))
-    grid = make_grid(200, 0.0, 1.0)
-    for k in range(grid.n_steps):
-        dt = grid.nodes[k + 1] - grid.nodes[k]
-        x = x + dt * marginal_velocity(x, float(grid.nodes[k]), mix, null)
+    nodes = make_grid(200, 0.0, 1.0)
+    for k in range(nodes.size - 1):
+        dt = nodes[k + 1] - nodes[k]
+        x = x + dt * marginal_velocity(x, float(nodes[k]), mix, null)
     separation = np.linalg.norm(mix.means[0] - mix.means[1])
     nearest = np.argmin(
         np.linalg.norm(x[:, None, :] - mix.means[None, :, :], axis=2), axis=1

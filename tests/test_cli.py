@@ -1020,6 +1020,8 @@ _REJECTED = {
     "metrics-not-utf8": (("bench", "--metrics", "{bad}"), 4, "metrics {bad} is not UTF-8 text"),
     "trajectory-not-utf8": (("bench", "--metrics", "{metrics}", "--trajectories", "{traj}"), 4,
                             "trajectory {traj}/steered_path.csv: 'utf-8' codec can't decode"),
+    "trajectories-typo": (("bench", "--metrics", "{metrics}", "--trajectories", "{traj}-typo"),
+                          4, "--trajectories {traj}-typo holds no *_path.csv"),
 }
 _NOT_UTF8 = b"\xff\xfe"
 _TRAJECTORY_CSV = {"empty-trajectory": b"", "trajectory-not-utf8": _NOT_UTF8,
@@ -1175,14 +1177,11 @@ def cli_assets(tmp_path_factory):
                   "not_utf8_dir": str(base / "not_utf8_dir")}
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(data=st.data())
-def test_any_argv_exits_with_a_documented_code(cli_assets, data):
-    # Every run exits 0, 2, 3 or 4 with no exception and ends every thread it
-    # started; a failure prints one stderr line and leaves nothing in the
-    # scratch directory that holds its --out, and a success prints nothing there.
-    base, assets = cli_assets
-    argv = data.draw(cli_argv(assets))
+def exits_with_a_documented_code(base, argv):
+    """Run argv with an --out in a scratch directory under base: it exits 0, 2,
+    3 or 4 with no exception and ends every thread it started; a failure
+    prints one stderr line and leaves nothing in the scratch directory, and a
+    success prints nothing there."""
     threads = threading.active_count()
     with tempfile.TemporaryDirectory(dir=base) as scratch:
         out = Path(scratch) / "out"
@@ -1196,6 +1195,27 @@ def test_any_argv_exits_with_a_documented_code(cli_assets, data):
             assert lines == [] and out.is_dir(), argv
         else:
             assert len(lines) == 1 and not any(Path(scratch).iterdir()), (argv, lines)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_any_argv_exits_with_a_documented_code(cli_assets, data):
+    base, assets = cli_assets
+    exits_with_a_documented_code(base, data.draw(cli_argv(assets)))
+
+
+# argvs of _CLI's bad values that the derandomized sweep above never draws.
+@pytest.mark.parametrize("argv", [
+    ("restore", "--n-per-class", "1", "--manifest", "{not_utf8}"),
+    ("restore", "--n-per-class", "1", "--manifest", "{manifest}", "--mixture", "{not_utf8}"),
+    ("restore", "--task", "toy2d", "--mixture", "{not_utf8}"),
+    ("bench", "--metrics", "{not_utf8}"),
+    ("degrade", "--n-per-class", "1", "--demo", "--images", "{deg}"),
+], ids=["manifest-not-utf8", "image-mixture-not-utf8", "toy2d-mixture-not-utf8",
+        "metrics-not-utf8", "degrade-with-both-sources"])
+def test_an_undrawn_argv_exits_with_a_documented_code(cli_assets, argv):
+    base, assets = cli_assets
+    exits_with_a_documented_code(base, [a.format(**assets) for a in argv])
 
 
 def test_help_still_exits_0(capsys):

@@ -61,7 +61,7 @@ class TestScheduleArrays:
         # The 28-step generation nodes, both ends, and 10,001 evenly spaced
         # times: np.cos over an array rounds as it does one time at a time.
         cfg = PdlsConfig(eta_max=0.5, schedule_kind=kind)
-        for times in (make_grid(28, 0.0, 1.0).nodes[:-1], np.array([0.0, 1.0]),
+        for times in (make_grid(28, 0.0, 1.0)[:-1], np.array([0.0, 1.0]),
                       np.linspace(0.0, 1.0, 10_001)):
             got = eta(cfg, times)
             want = np.array([eta(cfg, t) for t in times.tolist()])

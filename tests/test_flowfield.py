@@ -687,7 +687,7 @@ class TestNodeCache:
     @given(field_cases(), st.integers(1, 30))
     def test_a_node_built_alone_is_bitwise_the_one_built_with_its_grid(self, case, n_steps):
         mixture = case[0]
-        nodes = make_grid(n_steps, 1.0, 0.0).nodes[:-1]
+        nodes = make_grid(n_steps, 1.0, 0.0)[:-1]
         grid = cold(mixture)
         grid._add_nodes(nodes)
         for t in np.minimum(nodes, 1.0 - EPS_T).tolist():
@@ -696,7 +696,7 @@ class TestNodeCache:
 
     def test_shapes32_nodes_built_alone_equal_those_built_with_their_grid(self):
         mixture, _, _ = TestGemmPrecision()._case()
-        nodes = make_grid(28, 0.0, 1.0).nodes[:-1]
+        nodes = make_grid(28, 0.0, 1.0)[:-1]
         mixture._add_nodes(nodes)
         for t in nodes.tolist():
             assert all(np.array_equal(a, b)
@@ -723,7 +723,7 @@ class TestNodeCache:
         grid = node_bytes(mixture, 28)
         assert grid > _MAX_NODE_BYTES
         for start, end in ((1.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
-            nodes = make_grid(28, start, end).nodes[:-1]
+            nodes = make_grid(28, start, end)[:-1]
             mixture._add_nodes(nodes)
             assert cached_node_bytes(mixture) <= max(_MAX_NODE_BYTES, grid)
             assert set(mixture._nodes) == set(np.minimum(nodes, 1.0 - EPS_T).tolist())
@@ -740,8 +740,8 @@ class TestNodeCache:
         restore(x, mixture, [Condition.of("disk"), Condition.null()], PdlsConfig(), [0, 1])
         reduced = mixture._reduced[1]
         cached = dict(reduced._nodes)
-        times = np.concatenate([make_grid(28, 1.0, 0.0).nodes[:-1],
-                                make_grid(28, 0.0, 1.0).nodes[:-1]])
+        times = np.concatenate([make_grid(28, 1.0, 0.0)[:-1],
+                                make_grid(28, 0.0, 1.0)[:-1]])
         assert set(cached) == set(np.minimum(times, 1.0 - EPS_T).tolist())
         assert cached_node_bytes(reduced) <= _MAX_NODE_BYTES
         restore(x, mixture, [Condition.of("disk"), Condition.null()], PdlsConfig(), [2, 3])

@@ -14,7 +14,6 @@ from pdls.control import lqr_control
 from pdls.flowfield import Condition, GaussianMixture, marginal_velocity
 from pdls.integrate import (
     DriftDivergedError,
-    TimeGrid,
     Trajectory,
     integrate,
     make_grid,
@@ -25,17 +24,17 @@ from pdls.integrate import (
 
 class TestMakeGrid:
     def test_default_step_count(self):
-        assert make_grid(28, 0.0, 1.0).nodes.size == 29
+        assert make_grid(28, 0.0, 1.0).size == 29
 
     def test_descending_grid(self):
-        grid = make_grid(1, 1.0, 0.0)
-        assert grid.nodes.size == 2
-        assert grid.nodes[0] > grid.nodes[-1]
+        nodes = make_grid(1, 1.0, 0.0)
+        assert nodes.size == 2
+        assert nodes[0] > nodes[-1]
 
     def test_unclamped_grid_keeps_exact_endpoints(self):
-        grid = make_grid(4, 0.0, 1.0)
-        assert grid.nodes[0] == 0.0
-        assert grid.nodes[-1] == 1.0
+        nodes = make_grid(4, 0.0, 1.0)
+        assert nodes[0] == 0.0
+        assert nodes[-1] == 1.0
 
     @settings(deadline=None, max_examples=300)
     @given(st.integers(1, 1000), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -48,7 +47,7 @@ class TestMakeGrid:
         want = np.linspace(t_start, t_end, n + 1)
         steps = np.diff(want)
         if np.all(steps > 0) or np.all(steps < 0):
-            assert make_grid(n, t_start, t_end).nodes.tobytes() == want.tobytes()
+            assert make_grid(n, t_start, t_end).tobytes() == want.tobytes()
         else:
             with pytest.raises(ValueError, match="monotone"):
                 make_grid(n, t_start, t_end)
@@ -66,12 +65,17 @@ class TestMakeGrid:
             make_grid(2, 0.0, 1.5)
 
     def test_nodes_must_be_monotone(self):
+        nodes = np.array([0.0, 0.5, 0.4])
         with pytest.raises(ValueError, match="monotone"):
-            TimeGrid(np.array([0.0, 0.5, 0.4]))
+            Trajectory(nodes, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="monotone"):
+            integrate(np.zeros(2), nodes, lambda x, t, k: np.zeros(2))
 
     def test_a_grid_of_one_node_is_rejected(self):
         with pytest.raises(ValueError, match="grid needs at least two nodes"):
-            TimeGrid([0.5])
+            Trajectory([0.5], np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="grid needs at least two nodes"):
+            integrate(np.zeros(2), [0.5], lambda x, t, k: np.zeros(2))
 
 
 class TestIntegrate:
@@ -91,7 +95,6 @@ class TestIntegrate:
 
         batch = integrate(x0, grid, drift)
         assert batch.states.shape == (7, 3, 2)
-        assert batch.dim == 2
         for i in range(3):
             one = integrate(x0[i], grid, lambda x, t, k: lqr_control(x, targets[i], t))
             assert np.array_equal(batch.states[:, i], one.states)
@@ -137,7 +140,7 @@ class TestIntegrate:
         grid = make_grid(5, 0.0, 1.0)
         x0 = np.random.default_rng(0).standard_normal((3, 4))
         want = [x0]
-        for dt in np.diff(grid.nodes).tolist():
+        for dt in np.diff(grid).tolist():
             want.append(want[-1] + dt * want[-1])
         traj = integrate(x0, grid, lambda x, t, k: x)
         assert np.array_equal(traj.states, np.stack(want))
@@ -199,8 +202,8 @@ def csv_module_rows(traj: Trajectory) -> str:
     for trajectory_to_csv."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["t"] + [f"x_{i}" for i in range(traj.dim)])
-    for t, row in zip(traj.grid.nodes, traj.states):
+    writer.writerow(["t"] + [f"x_{i}" for i in range(traj.states.shape[-1])])
+    for t, row in zip(traj.nodes, traj.states):
         writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
     return buf.getvalue()
 
@@ -212,25 +215,25 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def trajectories(draw):
     """A trajectory of 2-6 strictly increasing finite nodes and finite states,
     -0.0, subnormals and values near the largest float included (the nodes
-    within +-1e300, so that TimeGrid's differences do not overflow)."""
+    within +-1e300, so that the monotone check's differences do not overflow)."""
     n = draw(st.integers(2, 6))
     nodes = np.sort(draw(arrays(float, n, elements=st.floats(-1e300, 1e300), unique=True)))
     d = draw(st.integers(1, 3))
     extremes = st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308])
     states = draw(arrays(float, (n, d), elements=st.one_of(_FINITE, extremes)))
-    return Trajectory(TimeGrid(nodes), states)
+    return Trajectory(nodes, states)
 
 
 class TestTrajectoryCsv:
     @settings(deadline=None)
     @given(trajectories())
-    @example(Trajectory(TimeGrid(np.array([-0.0, 5e-324, 1.7e308])),
+    @example(Trajectory(np.array([-0.0, 5e-324, 1.7e308]),
                         np.array([[-0.0, 5e-324], [-1.7e308, 1.7e308], [2.5e-310, -1.0]])))
     def test_bytes_are_the_csv_modules_and_round_trip_bitwise(self, traj):
         text = trajectory_to_csv(traj)
         assert text == csv_module_rows(traj)
         back = trajectory_from_csv(text)
-        assert back.grid.nodes.tobytes() == traj.grid.nodes.tobytes()
+        assert back.nodes.tobytes() == traj.nodes.tobytes()
         assert back.states.tobytes() == traj.states.tobytes()
 
     def test_round_trip_is_exact(self):
@@ -238,7 +241,7 @@ class TestTrajectoryCsv:
         traj = integrate(np.array([0.5, -0.25]), grid,
                          lambda x, t, k: np.array([1.0, -1.0]) * t)
         back = trajectory_from_csv(trajectory_to_csv(traj))
-        assert np.array_equal(back.grid.nodes, traj.grid.nodes)
+        assert np.array_equal(back.nodes, traj.nodes)
         assert np.array_equal(back.states, traj.states)
 
     def test_header_columns(self):

@@ -81,8 +81,8 @@ class TestInvertPath:
         mix = toy2d_mixture()
         traj = invert_path(np.array([[1.7, 0.3]]), mix, mix.log_weights(Condition.null())[None],
                            PdlsConfig(gamma=0.5, n_steps=10), draw_noise(2, 0)[None])
-        assert traj.grid.nodes[0] == 1.0
-        assert traj.grid.nodes[-1] == 0.0
+        assert traj.nodes[0] == 1.0
+        assert traj.nodes[-1] == 0.0
 
 
 def one_row(structural, semantic):
@@ -133,6 +133,12 @@ class TestDualInvert:
             dual_invert(np.array([1.8, 0.2]), toy2d_mixture(), [Condition.of("A")],
                         PdlsConfig(), draw_noise(2, 3))
 
+    @pytest.mark.parametrize("prompts", [["A", "B"], [Condition.of("A"), None]])
+    def test_a_prompt_that_is_not_a_condition_is_rejected(self, prompts):
+        with pytest.raises(ValueError, match="one Condition prompt per row"):
+            dual_invert(np.zeros((2, 2)), toy2d_mixture(), prompts, PdlsConfig(),
+                        np.ones((2, 2)))
+
     @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 3), (2, 2, 1)])
     def test_noise_draws_of_the_wrong_shape_are_rejected(self, shape):
         with pytest.raises(ValueError, match="noise draw"):
@@ -146,7 +152,7 @@ class TestDualInvert:
         paths = dual_invert(obs, mix, [Condition.of("a")], PdlsConfig(gamma=0.5), draws([1], 2))
         semantic = paths.inversion.states[:, paths.pair[0]]
         prompt = mix.log_weights(Condition.of("a"))[None]
-        for state, t in zip(semantic, paths.inversion.grid.nodes):
+        for state, t in zip(semantic, paths.inversion.nodes):
             if t >= 1.0 - 1e-9 or t <= 1e-9:
                 continue
             m = state + (1.0 - t) * marginal_velocity(state[None], float(t), mix, prompt)[0]
@@ -172,7 +178,7 @@ class TestAveragedTarget:
         paths = dual_invert(np.array([[1.6, 0.4]]), mix, [Condition.of("A")],
                             PdlsConfig(), draws([5], 2))
         states = paths.inversion.states
-        for j in range(paths.inversion.grid.n_steps + 1):
+        for j in range(paths.inversion.nodes.size):
             ybar = paths.target(j)[0]
             da = np.linalg.norm(ybar - states[j, 0])
             db = np.linalg.norm(ybar - states[j, paths.pair[0]])
@@ -233,7 +239,7 @@ class TestSteeredGenerate:
         z0 = np.array([-0.5, 0.25])
         n = 16
         grid = make_grid(n, 1.0, 0.0)
-        line = np.array([[z0 + t * (obs - z0)] for t in grid.nodes])
+        line = np.array([[z0 + t * (obs - z0)] for t in grid])
         paths = DualPaths(Trajectory(grid, line), np.array([0]),
                           np.stack([mix.log_weights(Condition.of("d"))]))
         cfg = PdlsConfig(eta_max=1.0, schedule_kind="constant", n_steps=n)
@@ -405,7 +411,7 @@ def full_space_restore(obs, mixture, prompts, config, z0):
         inv = invert_path(obs[rows], mixture, log_weights[n:], config, z0[rows])
         states = np.concatenate([states, inv.states], axis=1)
         pair[rows] = np.arange(n, n + len(rows))
-    paths = DualPaths(Trajectory(structural.grid, states), pair, log_weights)
+    paths = DualPaths(Trajectory(structural.nodes, states), pair, log_weights)
     return paths, steered_generate(paths, mixture, config).states
 
 
@@ -561,7 +567,7 @@ def restore_cases(draw):
 def exponent_conditioning(mixture, paths, generated):
     """kappa = max (||x||^2 + t^2 ||mu_k||^2) / s_k^2 over every state the field sees."""
     kappa = 0.0
-    inv_nodes = paths.inversion.grid.nodes
+    inv_nodes = paths.inversion.nodes
     for states, nodes in ((paths.inversion.states, inv_nodes), (generated, inv_nodes[::-1])):
         for x, t in zip(states, np.minimum(nodes, 1.0 - EPS_T)):
             s2 = (1.0 - t) ** 2 + t**2 * mixture.variances
@@ -772,7 +778,7 @@ def test_results_compare_and_hash_by_identity():
     one, two = (restore(np.array([1.7, 0.3]), mix, Condition.of("A"), PdlsConfig(), 0)
                 for _ in range(2))
     for a, b in ((one, two), (one._paths, two._paths), (one.generated, two.generated),
-                 (one.generated.grid, two.generated.grid), (one._frame, two._frame)):
+                 (one._frame, two._frame)):
         assert a == a and a != b and len({a, b}) == 2
 
 
@@ -825,7 +831,7 @@ class TestBatchSharing:
         results = restore(obs, mixture, prompts, config, seeds)
         paths, generated = results[0]._paths, results[0]._generated
         dists = np.linalg.norm(generated.states - paths.target(slice(None, None, -1)), axis=2)
-        nodes = generated.grid.nodes
+        nodes = generated.nodes
         etas = [float(pipeline.eta(config, float(t))) for t in nodes]
         for i, res in enumerate(results):
             steps, times, row_etas, row_dists = zip(*res.diagnostics)
@@ -881,6 +887,12 @@ def any_restore(draw):
 @given(any_restore())
 @example((np.array([[np.inf, 0.0, 0.0, 0.0, 0.0]]),) + TINY_CASE[1:] + (
     [Condition.null()], PdlsConfig(n_steps=2), [0]))
+# Malformed prompts and seeds: a bare Condition or label strings for a
+# batch's prompts, a bare seed for its seeds, a seed that is not an integer.
+@example(TINY_CASE + (Condition.of("A"), PdlsConfig(n_steps=2), [0]))
+@example(TINY_CASE + (["A"], PdlsConfig(n_steps=2), [0]))
+@example(TINY_CASE + ([Condition.null()], PdlsConfig(n_steps=2), 0))
+@example(TINY_CASE + ([Condition.null()], PdlsConfig(n_steps=2), [0.5]))
 def test_restore_is_total(case):
     # Every input restores to finite output, trajectories included, or is
     # rejected; the suite turns any numpy warning into a failure.

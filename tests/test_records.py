@@ -80,6 +80,7 @@ def test_records_raise_at_construction(record, args, message):
 APPLY_RAISES = [
     (Downsample(0), "factor must be >= 1"),
     (Downsample(-8), "factor must be >= 1"),
+    (Downsample(4.0), "factor must be an int, not 4.0"),
     (GaussianBlur(4), "kernel size must be odd and >= 1, not 4"),
     (GaussianBlur(7, 0.0), "sigma must be finite and positive, not 0.0"),
     (MotionBlur(7, 1.5), "intensity must lie in (0, 1]"),
