@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -31,11 +32,15 @@ _PGM_HEADER = re.compile((_SEP + rb"([^\s#]*)") * 4)
 
 
 def write_pgm(path, image: ImageGrid) -> None:
-    """Binary PGM (magic P5, maxval 255)."""
+    """Binary PGM (magic P5, maxval 255). A new file gets mode 0o666 & ~umask; an
+    existing one is written over and then cut to the new length, not truncated on
+    open: an image restore makes its recon files empty before it writes them, and
+    on ext4 an open that truncates a file flushes it at close."""
     px = np.round(image.pixels * 255.0).astype(np.uint8)
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(header + px.tobytes())
+        fh.truncate()
 
 
 def read_pgm(path) -> ImageGrid:

@@ -23,35 +23,29 @@ class DriftDivergedError(RuntimeError):
 
 
 def _check_nodes(nodes) -> np.ndarray:
-    """nodes as a float array of at least two strictly monotone times."""
+    """nodes as a float array of at least two finite, strictly monotone times."""
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
         raise ValueError("grid needs at least two nodes")
-    steps = np.diff(nodes)
-    if steps.size not in (np.count_nonzero(steps > 0), np.count_nonzero(steps < 0)):
+    if np.count_nonzero(np.isfinite(nodes)) != nodes.size:
+        raise ValueError("grid nodes must be finite")
+    later, earlier = nodes[1:], nodes[:-1]
+    if later.size not in (np.count_nonzero(later > earlier), np.count_nonzero(later < earlier)):
         raise ValueError("grid nodes must be strictly monotone")
     return nodes
 
 
 def make_grid(n_steps: int, t_start: float, t_end: float) -> np.ndarray:
     """The nodes of a uniform grid, n_steps+1 from t_start to t_end, endpoints exact,
-    as the fields guard their own singularities (see flowfield.EPS_T): bitwise
-    np.linspace(t_start, t_end, n_steps + 1) (test_nodes_are_linspace_bitwise)."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    as the fields guard their own singularities (see flowfield.EPS_T)."""
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be an int >= 1, not {n_steps!r}")
     for t in (t_start, t_end):
         if not 0.0 <= t <= 1.0:
             raise ValueError("time out of range")
     if t_start == t_end:
         raise ValueError("zero-length time interval")
-    # linspace's arithmetic. Where the step underflows to 0, linspace scales
-    # by the interval instead, but no n_steps + 1 distinct nodes fit there,
-    # so both grids fail the monotone check.
-    nodes = np.arange(n_steps + 1.0)
-    nodes *= (t_end - t_start) / n_steps
-    nodes += t_start
-    nodes[-1] = t_end
-    return _check_nodes(nodes)
+    return _check_nodes(np.linspace(t_start, t_end, n_steps + 1))
 
 
 class Trajectory:
@@ -75,7 +69,11 @@ class Trajectory:
 def integrate(x0, nodes, drift: Callable[[np.ndarray, float, int], np.ndarray]) -> Trajectory:
     """Explicit Euler along a grid's nodes; drift(x, t, k) is the forward-time
     velocity at node k, of x's shape. x is row k of the trajectory's states,
-    written in place, so drift must not write to it."""
+    written in place, so drift must not write to it. Non-finite x0 or nodes raise
+    ValueError and a non-finite drift DriftDivergedError, without a numpy warning
+    (test_integrate_is_total); a step whose sum passes the largest float overflows
+    with numpy's warning (restore() keeps its states far below, see
+    pipeline._MAX_NORM)."""
     x0 = np.asarray(x0, dtype=float)
     if np.count_nonzero(np.isfinite(x0)) != x0.size:
         raise ValueError("initial state must be finite")
@@ -102,11 +100,15 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if not header or header[0] != "t":
+    """The trajectory of a CSV that trajectory_to_csv wrote; other text raises
+    ValueError, without a numpy warning (test_reading_is_total)."""
+    try:
+        lines = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"malformed trajectory CSV: {exc}") from exc
+    if not lines or not lines[0] or lines[0][0] != "t":
         raise ValueError("malformed trajectory CSV header")
-    rows = [list(map(float, r)) for r in reader if r]
+    rows = [list(map(float, r)) for r in lines[1:] if r]
     if not rows:
         raise ValueError("trajectory CSV has no rows")
     arr = np.asarray(rows)

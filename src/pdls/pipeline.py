@@ -41,6 +41,7 @@ difference of nearly equal states, nor few steps.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -71,8 +72,13 @@ class PdlsConfig:
         self.init_mode, self.base_condition = init_mode, base_condition
         self.schedule_kind = schedule_kind
         for name in ("gamma", "eta_max"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
+            if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
+            raise ValueError(f"n_steps must be an int, not {self.n_steps!r}")
         # The inversion's last drift runs at t = 1 / n_steps, where its noise
         # line (x - z0) / t needs t at or above EPS_T.
         if not 1 <= self.n_steps <= round(1 / EPS_T):
@@ -128,17 +134,18 @@ class DualPaths:
     def __init__(self, inversion: Trajectory, pair: np.ndarray, log_weights: np.ndarray):
         self.inversion, self.pair, self.log_weights = inversion, pair, log_weights
 
-    def target(self, j) -> np.ndarray:
-        """Averaged targets, each row's midpoint of its two stored states: (n, dim)
-        at node index j, or (nodes, n, dim) at the nodes of a slice j."""
-        s = self.inversion.states[j]
-        return 0.5 * (s[..., :len(self.pair), :] + s[..., self.pair, :])
+    @functools.cached_property
+    def targets(self) -> np.ndarray:
+        """(n_steps + 1, n, dim) averaged targets in inversion order: at each node,
+        each row's midpoint of its two stored states."""
+        s = self.inversion.states
+        return 0.5 * (s[:, :len(self.pair)] + s[:, self.pair])
 
     def latents(self, init_mode: str) -> np.ndarray:
         """(n, dim) initial latents of init_mode from each row's two noise-end states,
         "mixed" their averaged target."""
         if init_mode == "mixed":
-            return self.target(-1)
+            return self.targets[-1]
         end = self.inversion.terminal
         return {"structural": end[:len(self.pair)], "semantic": end[self.pair]}[init_mode]
 
@@ -182,7 +189,7 @@ def steered_generate(paths: DualPaths, mixture: GaussianMixture,
     # Generation node k is inversion node n_steps - k. Step k steers toward the
     # stored node it lands on, row k + 1: the same-time node would leave a
     # one-step lag (test_full_strength_retraces_the_stored_line).
-    targets = paths.target(slice(None, None, -1))
+    targets = paths.targets[::-1]
     weights = eta(config, nodes[:-1]).tolist()
 
     def drift(x, t, k):
@@ -327,7 +334,7 @@ class RestoreResult:
     @functools.cached_property
     def diagnostics(self) -> tuple:
         """(step, t, eta, dist_to_target) at every generation node."""
-        target = self._paths.target(slice(None, None, -1))[:, self._row]
+        target = self._paths.targets[::-1, self._row]
         dists = np.linalg.norm(self._generated.states[:, self._row] - target, axis=1)
         nodes = self._generated.nodes
         etas = eta(self._config, nodes).tolist()
@@ -339,9 +346,10 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
 
     observed is one point (d,) with one prompt and one seed, giving one
     RestoreResult, or a batch (n, d) with one prompt and one seed per row,
-    giving a list of n. Every input restores to finite output or raises ValueError
-    (before any draw for a non-Condition prompt, a seed not an int >= 0 or means past
-    _MAX_NORM) or DriftDivergedError, without a numpy warning (test_restore_is_total)."""
+    giving a list of n, [] for an empty batch (0, d). Every input restores to finite
+    output or raises ValueError (before any draw for a non-Condition prompt, a seed
+    not an int >= 0 or means past _MAX_NORM) or DriftDivergedError, without a numpy
+    warning (test_restore_is_total)."""
     observed = np.asarray(observed, dtype=float)
     single = observed.ndim == 1
     prompts, seeds = ([prompt], [seed]) if single else (
@@ -366,6 +374,8 @@ def restore(observed, mixture: GaussianMixture, prompt, config: PdlsConfig, seed
         raise ValueError("observations must be finite")
     if big * np.sqrt(batch.shape[1]) > _MAX_NORM:
         raise DriftDivergedError("drift diverged at step 0")
+    if not seeds:
+        return []
 
     noise = {s: draw_noise(batch.shape[1], s) for s in dict.fromkeys(seeds)}
     z0 = np.stack([noise[s] for s in seeds])

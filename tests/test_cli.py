@@ -1004,6 +1004,8 @@ _REJECTED = {
     "one-coordinate-trajectory": (("bench", "--metrics", "{metrics}", "--trajectories",
                                    "{traj}"), 4,
                                   "{traj}/steered_path.csv: 1 coordinate(s), not the plot's two"),
+    "infinite-trajectory-time": (("bench", "--metrics", "{metrics}", "--trajectories", "{traj}"),
+                                 4, "{traj}/steered_path.csv: grid nodes must be finite"),
     "strip-of-two-heights": (("bench", "--metrics", "{strip}/metrics.csv", "--strip", "2"), 2,
                              "--strip: {strip}/tall.pgm is 32 pixels high, {strip}/short.pgm "
                              "is 16; a strip's images share one height"),
@@ -1025,7 +1027,8 @@ _REJECTED = {
 }
 _NOT_UTF8 = b"\xff\xfe"
 _TRAJECTORY_CSV = {"empty-trajectory": b"", "trajectory-not-utf8": _NOT_UTF8,
-                   "one-coordinate-trajectory": b"t,x_0\n0.0,1.5\n1.0,0.2\n"}
+                   "one-coordinate-trajectory": b"t,x_0\n0.0,1.5\n1.0,0.2\n",
+                   "infinite-trajectory-time": b"t,x_0,x_1\n0.0,1.5,0.2\ninf,0.5,0.1\n"}
 
 
 @pytest.fixture(scope="module")

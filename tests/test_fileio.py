@@ -1,6 +1,8 @@
 """File-format tests: PGM images and mixture definitions."""
 
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -28,6 +30,20 @@ class TestPgm:
         back = read_pgm(path)
         assert back.pixels.shape == (12, 9)
         assert np.allclose(back.pixels, img.pixels, atol=1e-12)
+
+    def test_rewriting_a_longer_file_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "r.pgm"
+        write_pgm(path, ImageGrid(np.ones((8, 8))))
+        write_pgm(path, ImageGrid(np.zeros((2, 3))))
+        assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes(6)
+
+    def test_a_new_file_gets_the_mode_of_the_umask(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            write_pgm(tmp_path / "n.pgm", ImageGrid(np.zeros((2, 2))))
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "n.pgm").stat().st_mode) == 0o640
 
     def test_foreign_maxval_is_rescaled(self, tmp_path):
         path = tmp_path / "m.pgm"

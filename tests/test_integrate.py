@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from pdls.control import lqr_control
 from pdls.flowfield import Condition, GaussianMixture, marginal_velocity
@@ -197,6 +197,38 @@ class TestIntegrate:
                       lambda x, t, k: np.zeros(2))
 
 
+# Finite values up to 1e307 or non-finite ones. On a monotone grid in [0, 1]
+# the steps' times sum to at most 1, so an Euler trajectory of such values
+# stays below 2e307, inside the floats.
+_STATE = st.one_of(st.floats(-1e307, 1e307), st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def integrations(draw):
+    """x0 (d,) or (n, d), 0-5 nodes in [0, 1] or non-finite, in any order, and the
+    drift's value at each node."""
+    x0 = draw(arrays(float, array_shapes(min_dims=1, max_dims=2, max_side=3), elements=_STATE))
+    times = st.one_of(st.floats(0.0, 1.0), st.sampled_from([np.nan, np.inf, -np.inf]))
+    nodes = draw(arrays(float, st.integers(0, 5), elements=times))
+    return x0, nodes, draw(arrays(float, (max(nodes.size, 1),) + x0.shape, elements=_STATE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integrations())
+@example((np.zeros(2), np.array([0.0, np.inf]), np.zeros((2, 2))))
+@example((np.full(2, 1e307), np.array([1.0, 0.0]), np.full((2, 2), 1e307)))
+def test_integrate_is_total(case):
+    # Finite states at every node, or a documented error; the suite turns any
+    # numpy warning into a failure.
+    x0, nodes, velocities = case
+    try:
+        traj = integrate(x0, nodes, lambda x, t, k: velocities[k])
+    except (ValueError, DriftDivergedError):
+        return
+    assert traj.states.shape == nodes.shape + x0.shape
+    assert np.isfinite(traj.nodes).all() and np.isfinite(traj.states).all()
+
+
 def csv_module_rows(traj: Trajectory) -> str:
     """The trajectory CSV as a csv.writer row per node of repr'd floats, the oracle
     for trajectory_to_csv."""
@@ -214,14 +246,24 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def trajectories(draw):
     """A trajectory of 2-6 strictly increasing finite nodes and finite states,
-    -0.0, subnormals and values near the largest float included (the nodes
-    within +-1e300, so that the monotone check's differences do not overflow)."""
+    -0.0, subnormals and values near the largest float included."""
     n = draw(st.integers(2, 6))
-    nodes = np.sort(draw(arrays(float, n, elements=st.floats(-1e300, 1e300), unique=True)))
+    nodes = np.sort(draw(arrays(float, n, elements=_FINITE, unique=True)))
     d = draw(st.integers(1, 3))
     extremes = st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308])
     states = draw(arrays(float, (n, d), elements=st.one_of(_FINITE, extremes)))
     return Trajectory(nodes, states)
+
+
+@st.composite
+def csv_texts(draw):
+    """A trajectory CSV's header, or a mistaken one, over rows of numbers, words,
+    quotes, line ends and empty fields."""
+    token = st.one_of(st.floats().map(repr), st.integers().map(str), st.sampled_from(
+        ["", "t", "x_0", "1e999", "-inf", "nan", " 2", '"', '"1"', "\r", "\x00", ",,"]))
+    header = draw(st.sampled_from(["t,x_0,x_1", "t", "t,x_0", "time,x_0", ""]))
+    rows = draw(st.lists(st.lists(token, max_size=4).map(",".join), max_size=6))
+    return "\n".join([header] + rows)
 
 
 class TestTrajectoryCsv:
@@ -253,6 +295,17 @@ class TestTrajectoryCsv:
     def test_malformed_header_raises(self):
         with pytest.raises(ValueError, match="malformed trajectory"):
             trajectory_from_csv("time,x_0\n0.0,1.0\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(csv_texts(), st.text()))
+    @example("t,x_0,x_1\n0.0,1.5,0.2\ninf,0.5,0.1\n")
+    def test_reading_is_total(self, text):
+        # Finite nodes and states, or a ValueError naming what is wrong.
+        try:
+            traj = trajectory_from_csv(text)
+        except ValueError:
+            return
+        assert np.isfinite(traj.nodes).all() and np.isfinite(traj.states).all()
 
     def test_truncated_file_raises(self):
         with pytest.raises(ValueError, match="malformed trajectory CSV header"):

@@ -167,11 +167,11 @@ class TestDualInvert:
 class TestAveragedTarget:
     def test_identical_paths_return_the_common_state(self):
         paths = one_row([[1.0, 2.0]] * 2, [[1.0, 2.0]] * 2)
-        assert np.allclose(paths.target(0), [[1.0, 2.0]])
+        assert np.allclose(paths.targets[0], [[1.0, 2.0]])
 
     def test_midpoint(self):
         paths = one_row([[0.0, 0.0]] * 2, [[2.0, 4.0]] * 2)
-        assert np.allclose(paths.target(1), [[1.0, 2.0]])
+        assert np.allclose(paths.targets[1], [[1.0, 2.0]])
 
     def test_equidistant_from_both_paths(self):
         mix = toy2d_mixture()
@@ -179,7 +179,7 @@ class TestAveragedTarget:
                             PdlsConfig(), draws([5], 2))
         states = paths.inversion.states
         for j in range(paths.inversion.nodes.size):
-            ybar = paths.target(j)[0]
+            ybar = paths.targets[j, 0]
             da = np.linalg.norm(ybar - states[j, 0])
             db = np.linalg.norm(ybar - states[j, paths.pair[0]])
             assert da == pytest.approx(db, abs=1e-12)
@@ -189,13 +189,13 @@ class TestAveragedTarget:
         paths = DualPaths(Trajectory(make_grid(3, 1.0, 0.0), states), np.array([2, 1]),
                           (Condition.of("A"), Condition.null()))
         for j in (slice(None), slice(None, None, -1), slice(1, 3)):
-            want = np.stack([paths.target(i) for i in range(4)[j]])
-            assert np.array_equal(paths.target(j), want)
+            want = np.stack([0.5 * (states[i, :2] + states[i, [2, 1]]) for i in range(4)[j]])
+            assert np.array_equal(paths.targets[j], want)
 
     def test_index_out_of_range(self):
         paths = one_row([[0.0, 0.0]] * 2, [[1.0, 1.0]] * 2)
         with pytest.raises(IndexError):
-            paths.target(5)
+            paths.targets[5]
 
 
 class TestInitialLatent:
@@ -830,7 +830,7 @@ class TestBatchSharing:
         config = PdlsConfig(init_mode="mixed")
         results = restore(obs, mixture, prompts, config, seeds)
         paths, generated = results[0]._paths, results[0]._generated
-        dists = np.linalg.norm(generated.states - paths.target(slice(None, None, -1)), axis=2)
+        dists = np.linalg.norm(generated.states - paths.targets[::-1], axis=2)
         nodes = generated.nodes
         etas = [float(pipeline.eta(config, float(t))) for t in nodes]
         for i, res in enumerate(results):
@@ -893,6 +893,7 @@ def any_restore(draw):
 @example(TINY_CASE + (["A"], PdlsConfig(n_steps=2), [0]))
 @example(TINY_CASE + ([Condition.null()], PdlsConfig(n_steps=2), 0))
 @example(TINY_CASE + ([Condition.null()], PdlsConfig(n_steps=2), [0.5]))
+@example((np.empty((0, 2)), toy2d_mixture(), [], PdlsConfig(), []))  # the empty batch
 def test_restore_is_total(case):
     # Every input restores to finite output, trajectories included, or is
     # rejected; the suite turns any numpy warning into a failure.
@@ -905,3 +906,7 @@ def test_restore_is_total(case):
         for traj in (res.structural, res.semantic, res.generated):
             assert np.isfinite(traj.states).all()
         assert np.isfinite([row[3] for row in res.diagnostics]).all()
+
+
+def test_an_empty_batch_restores_to_an_empty_list():
+    assert restore(np.empty((0, 2)), toy2d_mixture(), [], PdlsConfig(), []) == []

@@ -67,11 +67,26 @@ RAISES = [
     (PdlsConfig, {"schedule_kind": "step"}, "schedule_kind must be one of ('cosine', "),
     (ImageGrid, {"pixels": np.zeros(4)}, "image must be 2-D"),
     (ImageGrid, {"pixels": np.zeros((1, 2, 2))}, "image must be 2-D"),
+    (PdlsConfig, {"n_steps": 2.5}, "n_steps must be an int, not 2.5"),
+    (PdlsConfig, {"n_steps": True}, "n_steps must be an int, not True"),
+    (PdlsConfig, {"n_steps": "3"}, "n_steps must be an int, not '3'"),
+    (PdlsConfig, {"gamma": "x"}, "gamma must be a real number, not 'x'"),
+    (PdlsConfig, {"gamma": True}, "gamma must be a real number, not True"),
+    (PdlsConfig, {"eta_max": None}, "eta_max must be a real number, not None"),
 ]
 
 
+def _case_id(record, args) -> str:
+    """Record-field, the field followed by its value's type where that is not the
+    type the field is annotated with, so that each case's id is unique."""
+    hints = record.__init__.__annotations__
+    return f"{record.__name__}-" + "+".join(
+        k if hints.get(k, type(v).__name__) == type(v).__name__ else f"{k}-{type(v).__name__}"
+        for k, v in args.items())
+
+
 @pytest.mark.parametrize("record, args, message", RAISES,
-                         ids=[f"{record.__name__}-{'+'.join(args)}" for record, args, _ in RAISES])
+                         ids=[_case_id(record, args) for record, args, _ in RAISES])
 def test_records_raise_at_construction(record, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         record(**args)
